@@ -17,6 +17,8 @@ import os
 
 import numpy as np
 
+from .poset import _canonical_encoding
+
 
 def _identity_jit(*args, **kwargs):
     if len(args) == 1 and callable(args[0]) and not kwargs:
@@ -917,7 +919,7 @@ def _map_value_ok(ns, s_up, nr, r_up, cmap, pos, v):
 
 
 @njit(cache=True)
-def sweep_pair(tid, waive, ns, s_up, nr, r_up, allow_top):
+def _sweep_maps(tid, waive, ns, s_up, nr, r_up, allow_top):
     """Evaluate a theorem over every monotone map for one poset pair.
 
     Maps are enumerated lexicographically as value vectors (s indices first,
@@ -985,6 +987,38 @@ def sweep_pair(tid, waive, ns, s_up, nr, r_up, allow_top):
     return count, first_bad, bad_code
 
 
+def _iso_class(up) -> tuple[int, ...]:
+    """Canonical form of the poset with up masks `up` (self bits included)."""
+    return _canonical_encoding(tuple(int(m) & ~(1 << i) for i, m in enumerate(up)))
+
+
+def sweep_pair(tid, waive, ns, s_up, nr, r_up, allow_top, memo=None):
+    """Evaluate a theorem over every monotone map for one poset pair.
+
+    Maps are enumerated lexicographically as value vectors (s indices first,
+    then the top sentinel). Returns (maps checked, index of the first
+    violating map or -1, its clause code).
+
+    Verdicts are invariant under relabeling s and r, which permutes the maps
+    one-to-one. `memo`, a dict owned by one sweep (one tid, waive and
+    allow_top), records the isomorphism classes of pairs that came out
+    clean, so a later pair of the same class returns its map count without
+    evaluating a map. A violating class is never recorded: every pair of it
+    is evaluated, and its first violating map index is exact for that
+    labeling.
+    """
+    if memo is None:
+        return _sweep_maps(tid, waive, ns, s_up, nr, r_up, allow_top)
+    key = (_iso_class(s_up), _iso_class(r_up))
+    count = memo.get(key)
+    if count is not None:
+        return count, -1, 0
+    count, first_bad, code = _sweep_maps(tid, waive, ns, s_up, nr, r_up, allow_top)
+    if first_bad < 0:
+        memo[key] = count
+    return count, first_bad, code
+
+
 @njit(cache=True)
 def count_monotone_maps(ns, s_up, nr, r_up, allow_top):
     """Number of monotone maps for one poset pair (same order as sweep_pair)."""
@@ -1048,7 +1082,7 @@ def _goal_met(goal_id, goal_size, ns, s_up, s_comp, nr, r_comp, cmap):
 
 
 @njit(cache=True)
-def search_pair(ns, s_up, nr, r_up, allow_top, need_bits, forbid_bits, goal_id, goal_size):
+def _search_maps(ns, s_up, nr, r_up, allow_top, need_bits, forbid_bits, goal_id, goal_size):
     """First monotone map meeting the flag and goal constraints, if any.
 
     Returns (maps scanned, index of the hit or -1). Scanning stops at the
@@ -1101,3 +1135,29 @@ def search_pair(ns, s_up, nr, r_up, allow_top, need_bits, forbid_bits, goal_id, 
                 break
             val = cmap[pos] + 1
     return count, -1
+
+
+def search_pair(
+    ns, s_up, nr, r_up, allow_top, need_bits, forbid_bits, goal_id, goal_size,
+    memo=None,
+):
+    """First monotone map meeting the flag and goal constraints, if any.
+
+    Returns (maps scanned, index of the hit or -1). Scanning stops at the
+    first hit, so a hit at index k reports k+1 scanned.
+
+    `memo` works as in sweep_pair, for one search (one set of the other
+    arguments): a class without a hit is recorded and skipped on later
+    pairs; a class with a hit is scanned on every pair.
+    """
+    args = (ns, s_up, nr, r_up, allow_top, need_bits, forbid_bits, goal_id, goal_size)
+    if memo is None:
+        return _search_maps(*args)
+    key = (_iso_class(s_up), _iso_class(r_up))
+    count = memo.get(key)
+    if count is not None:
+        return count, -1
+    count, hit = _search_maps(*args)
+    if hit < 0:
+        memo[key] = count
+    return count, hit

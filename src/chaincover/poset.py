@@ -362,6 +362,7 @@ def _strict_order_masks(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(orders)
 
 
+@lru_cache(maxsize=None)
 def _canonical_encoding(rows: tuple[int, ...]) -> tuple[int, ...]:
     n = len(rows)
     best = None

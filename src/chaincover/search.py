@@ -145,8 +145,13 @@ def _raw_up(rows) -> np.ndarray:
 
 
 def _search_chunk(args):
+    """The first (pair, map) hit of a chunk in ascending pair order, if any.
+
+    The pair indices of a chunk ascend, so its first hit is its least, and
+    the least over all chunks is the same for any number of chunks.
+    """
     need, forbid, goal_id, goal_size, allow_top, chunk = args
-    hits = []
+    memo: dict = {}
     for pair_idx, s_rows, r_rows in chunk:
         _, hit = K.search_pair(
             len(s_rows),
@@ -158,10 +163,11 @@ def _search_chunk(args):
             forbid,
             goal_id,
             goal_size,
+            memo=memo,
         )
         if hit >= 0:
-            hits.append((pair_idx, int(hit)))
-    return hits
+            return [(pair_idx, int(hit))]
+    return []
 
 
 def search_witness(
@@ -173,8 +179,8 @@ def search_witness(
     """First instance meeting the flags and the goal, shrunk, or None.
 
     The scan covers every monotone map between nonempty posets within the
-    bounds, in canonical order, so the outcome is deterministic and does not
-    depend on the worker count.
+    bounds, in canonical order, up to the first hit, so the outcome is
+    deterministic and does not depend on the worker count.
     """
     if spec.max_s > size_bound or spec.max_r > size_bound:
         raise BoundExceeded(

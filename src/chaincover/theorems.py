@@ -306,11 +306,12 @@ def instance_from_raw(s_rows, r_rows, vec) -> SpectralMap:
 def _sweep_chunk(args):
     tid, waive, allow_top, chunk = args
     results = []
+    memo: dict = {}
     for pair_idx, s_rows, r_rows in chunk:
         s_up = _raw_up_array(s_rows)
         r_up = _raw_up_array(r_rows)
         count, first_bad, code = K.sweep_pair(
-            tid, waive, len(s_rows), s_up, len(r_rows), r_up, allow_top
+            tid, waive, len(s_rows), s_up, len(r_rows), r_up, allow_top, memo=memo
         )
         results.append((pair_idx, int(count), int(first_bad), int(code)))
     return results

@@ -1,20 +1,32 @@
-"""Kernel-level tests: chain mask parity and the interpreter fallback.
+"""Kernel-level tests: chain mask parity, the per-sweep isomorphism-class
+memo, and the interpreter fallback.
 
 The kernels run compiled when numba is importable and CHAINCOVER_NO_NUMBA
 is unset; the same statements interpret as plain Python otherwise. The
 fallback test runs a worker process with the flag flipped relative to this
 process and requires identical answers from both paths.
+
+The memo tests compare every memoized per-pair answer of a sweep or a
+search with the same kernel called without a memo on that pair.
 """
 
 import json
 import os
 import subprocess
 import sys
+from itertools import product
 
 import numpy as np
 
 from chaincover import _kernels as K
-from chaincover.poset import enumerate_chains, enumerate_posets, maximal_chains
+from chaincover.poset import (
+    _strict_order_masks,
+    enumerate_chains,
+    enumerate_posets,
+    maximal_chains,
+)
+from chaincover.search import GOALS, _flag_masks, _raw_up, _search_chunk
+from chaincover.theorems import TheoremId, _sweep_chunk, sweep_pairs
 
 
 def test_numba_flag_reflects_environment():
@@ -46,6 +58,88 @@ def test_maximal_chain_masks_match_object_enumeration():
         kernel_masks = sorted(int(x) for x in K._maximal_chain_masks(p.n, comp))
         object_masks = sorted(c.mask for c in maximal_chains(p))
         assert kernel_masks == object_masks
+
+
+def _counting(monkeypatch, name):
+    """Replace K.<name> by a wrapper that counts its calls."""
+    real = getattr(K, name)
+    calls = [0]
+
+    def wrapper(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(K, name, wrapper)
+    return calls
+
+
+def test_memoized_sweep_matches_unmemoized_sweep(monkeypatch):
+    pairs = sweep_pairs(3, 3)
+    raw = [
+        (len(s_rows), _raw_up(s_rows), len(r_rows), _raw_up(r_rows))
+        for _, s_rows, r_rows in pairs
+    ]
+    violations = 0
+    for theorem, waive in product(TheoremId, (False, True)):
+        expected = [
+            (idx, *(int(x) for x in K.sweep_pair(theorem.value, waive, *args, True)))
+            for (idx, _, _), args in zip(pairs, raw)
+        ]
+        with monkeypatch.context() as m:
+            loops = _counting(m, "_sweep_maps")
+            got = _sweep_chunk((theorem.value, waive, True, pairs))
+        assert got == expected, (theorem.name, waive)
+        assert loops[0] < len(pairs), (theorem.name, waive)
+        violations += sum(first_bad >= 0 for _, _, first_bad, _ in got)
+    # waived sweeps violate, so violating classes are exercised too
+    assert violations > 0
+
+
+# (required flags, goal, d_size): the benchmark's witness searches
+_SEARCHES = (
+    ("UNITARY,LO,GU,GD,!SGB", "maximal-dchain-not-cover", 3),
+    ("LO,GU,GD", "maximal-dchain-not-cover", None),
+    ("UNITARY,LO,INC,GU,GD", "maximal-dchain-not-perfect-cover", None),
+    ("GU", "lo-fails", None),
+    ("LO,INC", "maximal-dchain-not-perfect-cover", None),
+    ("!UNITARY,GU", "maximal-dchain-not-cover", None),
+)
+
+
+def test_memoized_search_matches_unmemoized_search(monkeypatch):
+    nonempty = [rows for n in range(1, 4) for rows in _strict_order_masks(n)]
+    pairs = [(idx, s, r) for idx, (s, r) in enumerate(product(nonempty, nonempty))]
+    hits = 0
+    scans = 0
+    for required, goal, d_size in _SEARCHES:
+        need, forbid = _flag_masks(required.split(","))
+        allow_top = "!UNITARY" in required
+        params = (allow_top, need, forbid, GOALS[goal], d_size or 0)
+
+        def search(s_rows, r_rows, memo=None):
+            count, hit = K.search_pair(
+                len(s_rows), _raw_up(s_rows), len(r_rows), _raw_up(r_rows),
+                *params, memo=memo,
+            )
+            return int(count), int(hit)
+
+        expected = [search(s_rows, r_rows) for _, s_rows, r_rows in pairs]
+        memo: dict = {}
+        with monkeypatch.context() as m:
+            loops = _counting(m, "_search_maps")
+            got = [search(s_rows, r_rows, memo) for _, s_rows, r_rows in pairs]
+        assert got == expected, required
+        # one scan per hitting pair, one per class without a hit
+        assert loops[0] == sum(hit >= 0 for _, hit in got) + len(memo), required
+        scans += loops[0]
+
+        first = [(idx, hit) for idx, (_, hit) in enumerate(expected) if hit >= 0][:1]
+        chunk_args = (need, forbid, GOALS[goal], d_size or 0, allow_top, pairs)
+        assert _search_chunk(chunk_args) == first, required
+        hits += len(first)
+    # some searches hit and some exhaust the space
+    assert 0 < hits < len(_SEARCHES)
+    assert scans < len(pairs) * len(_SEARCHES)
 
 
 _WORKER = r"""

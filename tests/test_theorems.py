@@ -6,16 +6,21 @@ the instance stream shows up as a count mismatch before anything subtler
 goes wrong.
 """
 
+import hashlib
 import json
 import pathlib
 from itertools import combinations, product
 
 import pytest
 
-from chaincover.poset import BoundExceeded, make_poset
+from chaincover import _kernels as K
+from chaincover.document import build_search_report, serialize_report
+from chaincover.poset import BoundExceeded, _strict_order_masks, make_poset
 from chaincover.search import (
     GOALS,
     WitnessSearchSpec,
+    _flag_masks,
+    _raw_up,
     flags_hold,
     goal_holds,
     search_witness,
@@ -259,6 +264,42 @@ class TestSearch:
         w1 = search_witness(spec)
         w2 = search_witness(spec, jobs=3)
         assert w1.describe() == w2.describe()
+
+    def test_search_stops_at_the_first_hit(self, monkeypatch):
+        # independent route: scan the pairs in canonical order without a
+        # memo and find the first one with a hit
+        spec = WitnessSearchSpec(
+            required=frozenset({"GU"}), goal="lo-fails", max_s=3, max_r=4
+        )
+        need, forbid = _flag_masks(spec.required)
+        s_list = [rows for n in range(1, 4) for rows in _strict_order_masks(n)]
+        r_list = [rows for n in range(1, 5) for rows in _strict_order_masks(n)]
+        position = next(
+            pos
+            for pos, (s_rows, r_rows) in enumerate(product(s_list, r_list))
+            if K.search_pair(
+                len(s_rows), _raw_up(s_rows), len(r_rows), _raw_up(r_rows),
+                False, need, forbid, K.GOAL_LO_FAILS, 0,
+            )[1] >= 0
+        )
+        assert position < len(s_list) * len(r_list) - 1
+
+        calls = 0
+        search_pair = K.search_pair
+
+        def counting(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return search_pair(*args, **kwargs)
+
+        monkeypatch.setattr(K, "search_pair", counting)
+        w = search_witness(spec, jobs=1)
+        assert calls == position + 1
+        # the report bytes of this search before the early stop existed
+        text = serialize_report(build_search_report(spec, w))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "6901b9a0f5db34c0df9421f7953f35335cbc6976839748ae59c0b423222bf9d4"
+        )
 
     def test_unsatisfiable_returns_none(self):
         # LO cannot fail when it is also required to hold
