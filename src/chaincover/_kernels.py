@@ -5,6 +5,14 @@ is an int64 array of up-set masks (bit j of up[i] means i <= j, self bit
 included), a contraction map is an int64 array with the sentinel value ns
 standing for the adjoined top element, and chains are membership masks.
 
+Two primitives carry every sweep and search. `monotone_maps` lists the
+monotone maps of a poset pair as the rows of one array, in the
+lexicographic order whose row indices sweeps and searches report and
+replays look up. `_maximal_dchains` lists the maximal chains inside a set
+of elements; on the elements that contract into a chain D these are the
+maximal D-chains the theorems speak about. The chains D of s are computed
+once per poset pair and passed down.
+
 The hot functions are compiled with numba when it is importable and the
 environment variable CHAINCOVER_NO_NUMBA is unset; otherwise the same code
 runs as plain Python. Both paths execute identical statements, so results
@@ -118,6 +126,7 @@ def _is_chain(comp, mask):
 
 @njit(cache=True)
 def _chain_masks(n, comp):
+    # ascending, so the empty chain comes first
     total = 1 << n
     out = np.empty(total, np.int64)
     k = 0
@@ -164,6 +173,37 @@ def _is_maximal_sub(comp, allowed, sub):
 
 
 @njit(cache=True)
+def _maximal_dchains(up, down, allowed):
+    """Maximal chains inside the elements of `allowed`, in descending order.
+
+    A maximal chain starts at a minimal element x of its universe and goes
+    on as a maximal chain of the universe strictly above x, so the descent
+    visits each maximal chain once. When `allowed` is empty the empty chain
+    is the only one, and so maximal. Callers that stop at the first chain
+    with some defect rely on the descending order for their clause codes.
+    """
+    out = []
+    prefixes = [0]
+    universes = [allowed]
+    while prefixes:
+        prefix = prefixes.pop()
+        universe = universes.pop()
+        if universe == 0:
+            out.append(prefix)
+            continue
+        m = universe
+        x = 0
+        while m:
+            if m & 1 and (down[x] & universe) == 1 << x:
+                prefixes.append(prefix | 1 << x)
+                universes.append(universe & up[x] & ~(1 << x))
+            m >>= 1
+            x += 1
+    out.sort(reverse=True)
+    return out
+
+
+@njit(cache=True)
 def _allowed_mask(ns, nr, cmap, d_mask):
     # elements whose contraction is a (non-top) member of D
     allowed = 0
@@ -184,25 +224,14 @@ def _image_mask(nr, cmap, c_mask):
 
 
 @njit(cache=True)
-def _least_of_chain(s_up, d_mask):
+def _end_of_chain(masks, d_mask):
+    # the member of D whose row holds all of D: the least member when
+    # `masks` are up masks, the greatest when they are down masks
     m = d_mask
     i = 0
     while m:
         if m & 1:
-            if (d_mask & ~s_up[i]) == 0:
-                return i
-        m >>= 1
-        i += 1
-    return -1
-
-
-@njit(cache=True)
-def _greatest_of_chain(s_down, d_mask):
-    m = d_mask
-    i = 0
-    while m:
-        if m & 1:
-            if (d_mask & ~s_down[i]) == 0:
+            if (d_mask & ~masks[i]) == 0:
                 return i
         m >>= 1
         i += 1
@@ -363,101 +392,72 @@ def prop_gb(ns, s_up, nr, r_up, cmap):
 
 
 @njit(cache=True)
-def prop_sclo(ns, s_up, s_comp, nr, r_up, r_comp, cmap):
+def _end_lift_code(ns, s_ends, s_chains, nr, r_up, r_down, cmap):
+    """Covers of each nonempty chain D through the lifts of one end of D.
+
+    The end is the least member of D for s_ends = s_up and the greatest for
+    s_ends = s_down. Returns 1 when some lift of the end lies on no maximal
+    D-chain covering D (a cover through it would extend to such a maximal
+    one), else 2 when some maximal D-chain through a lift is not a cover,
+    else 0.
+    """
+    code = 0
+    for d in s_chains[1:]:
+        e = _end_of_chain(s_ends, d)
+        lifts = 0
+        for q in range(nr):
+            if cmap[q] == e:
+                lifts |= 1 << q
+        covering = 0
+        other = 0
+        for c in _maximal_dchains(r_up, r_down, _allowed_mask(ns, nr, cmap, d)):
+            if _image_mask(nr, cmap, c) == d:
+                covering |= c
+            else:
+                other |= c
+        if lifts & ~covering:
+            return 1
+        if lifts & other:
+            code = 2
+    return code
+
+
+@njit(cache=True)
+def prop_sclo(ns, s_up, s_chains, nr, r_up, r_down, cmap):
     # every element over the least member of a chain D starts a cover of D
-    for d_mask in range(1, 1 << ns):
-        if not _is_chain(s_comp, d_mask):
-            continue
-        p = _least_of_chain(s_up, d_mask)
-        allowed = _allowed_mask(ns, nr, cmap, d_mask)
-        for q in range(nr):
-            if cmap[q] != p:
-                continue
-            space = allowed & r_up[q]
-            found = False
-            sub = space
-            while True:
-                if (
-                    (sub >> q & 1)
-                    and _is_chain(r_comp, sub)
-                    and _image_mask(nr, cmap, sub) == d_mask
-                ):
-                    found = True
-                    break
-                if sub == 0:
-                    break
-                sub = (sub - 1) & space
-            if not found:
-                return False
-    return True
+    return _end_lift_code(ns, s_up, s_chains, nr, r_up, r_down, cmap) != 1
 
 
 @njit(cache=True)
-def prop_ggd(ns, s_down, s_comp, nr, r_down, r_comp, cmap):
+def prop_ggd(ns, s_down, s_chains, nr, r_up, r_down, cmap):
     # dual: every element over the greatest member of D ends a cover of D
-    for d_mask in range(1, 1 << ns):
-        if not _is_chain(s_comp, d_mask):
-            continue
-        g = _greatest_of_chain(s_down, d_mask)
-        allowed = _allowed_mask(ns, nr, cmap, d_mask)
-        for q in range(nr):
-            if cmap[q] != g:
-                continue
-            space = allowed & r_down[q]
-            found = False
-            sub = space
-            while True:
-                if (
-                    (sub >> q & 1)
-                    and _is_chain(r_comp, sub)
-                    and _image_mask(nr, cmap, sub) == d_mask
-                ):
-                    found = True
-                    break
-                if sub == 0:
-                    break
-                sub = (sub - 1) & space
-            if not found:
-                return False
-    return True
+    return _end_lift_code(ns, s_down, s_chains, nr, r_up, r_down, cmap) != 1
 
 
 @njit(cache=True)
-def prop_chain_morphism(ns, s_comp, nr, r_comp, cmap):
-    # every chain in s is covered by some chain in r
-    for d_mask in range(1, 1 << ns):
-        if not _is_chain(s_comp, d_mask):
-            continue
-        allowed = _allowed_mask(ns, nr, cmap, d_mask)
+def prop_chain_morphism(ns, s_chains, nr, r_up, r_down, cmap):
+    # every chain in s is covered by some chain in r, and so by a maximal
+    # D-chain: extending a cover inside D keeps its image
+    for d in s_chains[1:]:
         found = False
-        sub = allowed
-        while True:
-            if _is_chain(r_comp, sub) and _image_mask(nr, cmap, sub) == d_mask:
+        for c in _maximal_dchains(r_up, r_down, _allowed_mask(ns, nr, cmap, d)):
+            if _image_mask(nr, cmap, c) == d:
                 found = True
                 break
-            if sub == 0:
-                break
-            sub = (sub - 1) & allowed
         if not found:
             return False
     return True
 
 
 @njit(cache=True)
-def layer_holds(n, ns, s_comp, nr, r_comp, cmap):
+def layer_holds(n, ns, s_chains, nr, r_up, r_down, cmap):
     # every maximal D-chain over every n-element chain D has exactly n elements
-    for d_mask in range(1 << ns):
-        if _popcount(d_mask) != n or not _is_chain(s_comp, d_mask):
+    for d in s_chains:
+        if _popcount(d) != n:
             continue
-        allowed = _allowed_mask(ns, nr, cmap, d_mask)
-        sub = allowed
-        while True:
-            if _is_chain(r_comp, sub) and _is_maximal_sub(r_comp, allowed, sub):
-                if _popcount(sub) != n:
-                    return False
-            if sub == 0:
-                break
-            sub = (sub - 1) & allowed
+        for c in _maximal_dchains(r_up, r_down, _allowed_mask(ns, nr, cmap, d)):
+            if _popcount(c) != n:
+                return False
     return True
 
 
@@ -482,110 +482,66 @@ def property_bits(ns, s_up, nr, r_up, cmap):
 
 
 @njit(cache=True)
-def _mini_gd_rhs(ns, s_up, s_comp, nr, r_comp, cmap):
-    # each member of D sits above the contraction of some chain member
-    for d_mask in range(1, 1 << ns):
-        if not _is_chain(s_comp, d_mask):
+def _bracketed(ns, s_up, nr, cmap, d_mask, lower, upper):
+    # each member p of D lies below the contraction of some member of
+    # `lower` or above the contraction of some member of `upper`
+    for p in range(ns):
+        if not (d_mask >> p & 1):
             continue
-        allowed = _allowed_mask(ns, nr, cmap, d_mask)
-        sub = allowed
-        while True:
-            if sub != 0 and _is_chain(r_comp, sub) and _is_maximal_sub(r_comp, allowed, sub):
-                for p in range(ns):
-                    if not (d_mask >> p & 1):
-                        continue
-                    ok = False
-                    for q in range(nr):
-                        if (sub >> q & 1) and (s_up[cmap[q]] >> p & 1):
-                            ok = True
-                            break
-                    if not ok:
-                        return False
-            if sub == 0:
+        ok = False
+        for q in range(nr):
+            if (lower >> q & 1) and (s_up[p] >> cmap[q] & 1):
+                ok = True
                 break
-            sub = (sub - 1) & allowed
+            if (upper >> q & 1) and (s_up[cmap[q]] >> p & 1):
+                ok = True
+                break
+        if not ok:
+            return False
     return True
 
 
 @njit(cache=True)
-def _mini_gu_rhs(ns, s_up, s_comp, nr, r_comp, cmap):
-    # each member of D sits below the contraction of some chain member
-    for d_mask in range(1, 1 << ns):
-        if not _is_chain(s_comp, d_mask):
+def _mini_rhs(tid, ns, s_up, s_chains, nr, r_up, r_down, cmap):
+    # the chain condition of P_MINI_GD, P_MINI_GU or P_MINI_SGB on every
+    # nonempty maximal D-chain: each member of D lies above some contraction
+    # of the chain (GD), below one (GU), or across each proper cut (SGB)
+    for d in s_chains[1:]:
+        allowed = _allowed_mask(ns, nr, cmap, d)
+        if allowed == 0:
             continue
-        allowed = _allowed_mask(ns, nr, cmap, d_mask)
-        sub = allowed
-        while True:
-            if sub != 0 and _is_chain(r_comp, sub) and _is_maximal_sub(r_comp, allowed, sub):
-                for p in range(ns):
-                    if not (d_mask >> p & 1):
-                        continue
-                    ok = False
-                    for q in range(nr):
-                        if (sub >> q & 1) and (s_up[p] >> cmap[q] & 1):
-                            ok = True
-                            break
-                    if not ok:
-                        return False
-            if sub == 0:
-                break
-            sub = (sub - 1) & allowed
-    return True
-
-
-@njit(cache=True)
-def _mini_sgb_rhs(ns, s_up, s_comp, nr, r_down, r_comp, cmap):
-    # across every proper cut, each member of D is bracketed by a contraction
-    for d_mask in range(1, 1 << ns):
-        if not _is_chain(s_comp, d_mask):
-            continue
-        allowed = _allowed_mask(ns, nr, cmap, d_mask)
-        sub = allowed
-        while True:
-            if sub != 0 and _is_chain(r_comp, sub) and _is_maximal_sub(r_comp, allowed, sub):
-                for x in range(nr):
-                    if not (sub >> x & 1):
-                        continue
-                    left = sub & r_down[x]
-                    if left == sub:
-                        continue
-                    right = sub & ~left
-                    for p in range(ns):
-                        if not (d_mask >> p & 1):
-                            continue
-                        ok = False
-                        for q in range(nr):
-                            if (left >> q & 1) and (s_up[p] >> cmap[q] & 1):
-                                ok = True
-                                break
-                        if not ok:
-                            for q in range(nr):
-                                if (right >> q & 1) and (s_up[cmap[q]] >> p & 1):
-                                    ok = True
-                                    break
-                        if not ok:
-                            return False
-            if sub == 0:
-                break
-            sub = (sub - 1) & allowed
-    return True
-
-
-@njit(cache=True)
-def _all_max_dchains_cover(ns, s_comp, nr, r_comp, cmap):
-    for d_mask in range(1, 1 << ns):
-        if not _is_chain(s_comp, d_mask):
-            continue
-        allowed = _allowed_mask(ns, nr, cmap, d_mask)
-        sub = allowed
-        while True:
-            if sub != 0 and _is_chain(r_comp, sub) and _is_maximal_sub(r_comp, allowed, sub):
-                if _image_mask(nr, cmap, sub) != d_mask:
+        for c in _maximal_dchains(r_up, r_down, allowed):
+            if tid == TID_P_MINI_GD:
+                if not _bracketed(ns, s_up, nr, cmap, d, 0, c):
                     return False
-            if sub == 0:
-                break
-            sub = (sub - 1) & allowed
+            elif tid == TID_P_MINI_GU:
+                if not _bracketed(ns, s_up, nr, cmap, d, c, 0):
+                    return False
+            else:
+                for x in range(nr):
+                    if not (c >> x & 1):
+                        continue
+                    left = c & r_down[x]
+                    if left != c and not _bracketed(ns, s_up, nr, cmap, d, left, c & ~left):
+                        return False
     return True
+
+
+@njit(cache=True)
+def _all_max_dchains_cover(ns, s_chains, nr, r_up, r_down, cmap):
+    for d in s_chains[1:]:
+        for c in _maximal_dchains(r_up, r_down, _allowed_mask(ns, nr, cmap, d)):
+            if c != 0 and _image_mask(nr, cmap, c) != d:
+                return False
+    return True
+
+
+@njit(cache=True)
+def _iff_code(lhs, rhs):
+    # clause code of a biconditional: 1 when only the left side holds
+    if lhs == rhs:
+        return 0
+    return 1 if lhs else 2
 
 
 @njit(cache=True)
@@ -637,9 +593,8 @@ def eval_theorem(
                 return 1
             if not _is_chain(s_comp, img):
                 return 2
-            for x in range(ns):
-                if not (img >> x & 1) and (img & ~s_comp[x]) == 0:
-                    return 3
+            if not _is_maximal_sub(s_comp, (1 << ns) - 1, img):
+                return 3
             if tid == TID_C_PERFECT_MAXCHAIN and _popcount(cm) != _popcount(img):
                 return 4
         return 0
@@ -647,112 +602,49 @@ def eval_theorem(
     if tid == TID_L_LO_EXISTENCE:
         lhs = prop_lo(ns, nr, cmap)
         rhs = True
-        for idx in range(len(s_chain_masks)):
-            d = s_chain_masks[idx]
-            if d == 0:
-                continue
+        for d in s_chain_masks[1:]:
             if _allowed_mask(ns, nr, cmap, d) == 0:
                 rhs = False
                 break
-        if lhs == rhs:
-            return 0
-        return 1 if lhs else 2
+        return _iff_code(lhs, rhs)
 
     if tid == TID_P_LAYERS:
         lo = prop_lo(ns, nr, cmap)
         inc = prop_inc(ns, s_up, nr, r_up, cmap)
-        l1 = layer_holds(1, ns, s_comp, nr, r_comp, cmap)
+        l1 = layer_holds(1, ns, s_chain_masks, nr, r_up, r_down, cmap)
         if l1 != (lo and inc):
             return 1
         gu = prop_gu(ns, s_up, nr, r_up, cmap)
         gd = prop_gd(ns, s_up, nr, r_up, cmap)
-        l2 = layer_holds(2, ns, s_comp, nr, r_comp, cmap)
+        l2 = layer_holds(2, ns, s_chain_masks, nr, r_up, r_down, cmap)
         if (l1 and l2) != (lo and inc and gu and gd):
             return 2
         sgb = prop_sgb(ns, s_up, nr, r_up, cmap)
-        l3 = layer_holds(3, ns, s_comp, nr, r_comp, cmap)
+        l3 = layer_holds(3, ns, s_chain_masks, nr, r_up, r_down, cmap)
         if (l1 and l2 and l3) != (lo and inc and gu and gd and sgb):
             return 3
         return 0
 
-    if tid == TID_P_MINI_GD:
-        lhs = prop_gd(ns, s_up, nr, r_up, cmap)
-        rhs = _mini_gd_rhs(ns, s_up, s_comp, nr, r_comp, cmap)
-        if lhs == rhs:
-            return 0
-        return 1 if lhs else 2
-
-    if tid == TID_P_MINI_GU:
-        lhs = prop_gu(ns, s_up, nr, r_up, cmap)
-        rhs = _mini_gu_rhs(ns, s_up, s_comp, nr, r_comp, cmap)
-        if lhs == rhs:
-            return 0
-        return 1 if lhs else 2
-
-    if tid == TID_P_MINI_SGB:
-        lhs = prop_sgb(ns, s_up, nr, r_up, cmap)
-        rhs = _mini_sgb_rhs(ns, s_up, s_comp, nr, r_down, r_comp, cmap)
-        if lhs == rhs:
-            return 0
-        return 1 if lhs else 2
+    if tid == TID_P_MINI_GD or tid == TID_P_MINI_GU or tid == TID_P_MINI_SGB:
+        if tid == TID_P_MINI_GD:
+            lhs = prop_gd(ns, s_up, nr, r_up, cmap)
+        elif tid == TID_P_MINI_GU:
+            lhs = prop_gu(ns, s_up, nr, r_up, cmap)
+        else:
+            lhs = prop_sgb(ns, s_up, nr, r_up, cmap)
+        return _iff_code(lhs, _mini_rhs(tid, ns, s_up, s_chain_masks, nr, r_up, r_down, cmap))
 
     if tid == TID_C_GGD:
         if not waive:
             if not (prop_gd(ns, s_up, nr, r_up, cmap) and prop_sgb(ns, s_up, nr, r_up, cmap)):
                 return 0
-        if not prop_ggd(ns, s_down, s_comp, nr, r_down, r_comp, cmap):
-            return 1
-        for d_mask in range(1, 1 << ns):
-            if not _is_chain(s_comp, d_mask):
-                continue
-            g = _greatest_of_chain(s_down, d_mask)
-            allowed = _allowed_mask(ns, nr, cmap, d_mask)
-            for q in range(nr):
-                if cmap[q] != g:
-                    continue
-                sub = allowed
-                while True:
-                    if (
-                        sub != 0
-                        and (sub >> q & 1)
-                        and _is_chain(r_comp, sub)
-                        and _is_maximal_sub(r_comp, allowed, sub)
-                        and _image_mask(nr, cmap, sub) != d_mask
-                    ):
-                        return 2
-                    if sub == 0:
-                        break
-                    sub = (sub - 1) & allowed
-        return 0
+        return _end_lift_code(ns, s_down, s_chain_masks, nr, r_up, r_down, cmap)
 
     if tid == TID_C_GGU_DUAL:
         if not waive:
             if not (prop_gu(ns, s_up, nr, r_up, cmap) and prop_sgb(ns, s_up, nr, r_up, cmap)):
                 return 0
-        if not prop_sclo(ns, s_up, s_comp, nr, r_up, r_comp, cmap):
-            return 1
-        for d_mask in range(1, 1 << ns):
-            if not _is_chain(s_comp, d_mask):
-                continue
-            p = _least_of_chain(s_up, d_mask)
-            allowed = _allowed_mask(ns, nr, cmap, d_mask)
-            for q in range(nr):
-                if cmap[q] != p:
-                    continue
-                sub = allowed
-                while True:
-                    if (
-                        sub != 0
-                        and (sub >> q & 1)
-                        and _is_chain(r_comp, sub)
-                        and _is_maximal_sub(r_comp, allowed, sub)
-                        and _image_mask(nr, cmap, sub) != d_mask
-                    ):
-                        return 2
-                    if sub == 0:
-                        break
-                    sub = (sub - 1) & allowed
-        return 0
+        return _end_lift_code(ns, s_up, s_chain_masks, nr, r_up, r_down, cmap)
 
     if tid == TID_T_MAXDCHAIN_COVERS:
         lhs = (
@@ -760,10 +652,8 @@ def eval_theorem(
             and prop_gu(ns, s_up, nr, r_up, cmap)
             and prop_sgb(ns, s_up, nr, r_up, cmap)
         )
-        rhs = _all_max_dchains_cover(ns, s_comp, nr, r_comp, cmap)
-        if lhs == rhs:
-            return 0
-        return 1 if lhs else 2
+        rhs = _all_max_dchains_cover(ns, s_chain_masks, nr, r_up, r_down, cmap)
+        return _iff_code(lhs, rhs)
 
     if tid == TID_T_PERFECT_COVER:
         if not waive:
@@ -776,19 +666,12 @@ def eval_theorem(
             )
             if not hyp:
                 return 0
-        for idx in range(len(s_chain_masks)):
-            d = s_chain_masks[idx]
-            allowed = _allowed_mask(ns, nr, cmap, d)
-            sub = allowed
-            while True:
-                if _is_chain(r_comp, sub) and _is_maximal_sub(r_comp, allowed, sub):
-                    if _image_mask(nr, cmap, sub) != d:
-                        return 1
-                    if _popcount(sub) != _popcount(d):
-                        return 2
-                if sub == 0:
-                    break
-                sub = (sub - 1) & allowed
+        for d in s_chain_masks:
+            for c in _maximal_dchains(r_up, r_down, _allowed_mask(ns, nr, cmap, d)):
+                if _image_mask(nr, cmap, c) != d:
+                    return 1
+                if _popcount(c) != _popcount(d):
+                    return 2
         return 0
 
     if tid == TID_C_EQUIVALENT:
@@ -802,23 +685,16 @@ def eval_theorem(
         cond1 = True
         cond3 = True
         cond4 = True
-        for idx in range(len(s_chain_masks)):
-            d = s_chain_masks[idx]
+        for d in s_chain_masks:
             k = _popcount(d)
-            allowed = _allowed_mask(ns, nr, cmap, d)
-            sub = allowed
-            while True:
-                if _is_chain(r_comp, sub) and _is_maximal_sub(r_comp, allowed, sub):
-                    sz = _popcount(sub)
-                    if sz != k:
-                        cond4 = False
-                        if 1 <= k <= 3:
-                            cond1 = False
-                    if sz != k or _image_mask(nr, cmap, sub) != d:
-                        cond3 = False
-                if sub == 0:
-                    break
-                sub = (sub - 1) & allowed
+            for c in _maximal_dchains(r_up, r_down, _allowed_mask(ns, nr, cmap, d)):
+                sz = _popcount(c)
+                if sz != k:
+                    cond4 = False
+                    if 1 <= k <= 3:
+                        cond1 = False
+                if sz != k or _image_mask(nr, cmap, c) != d:
+                    cond3 = False
         bits = 0
         if cond1:
             bits |= 1
@@ -835,22 +711,12 @@ def eval_theorem(
     if tid == TID_L_MAXCOVER_MAXCHAIN:
         if not waive and not prop_unitary(ns, nr, cmap):
             return 0
-        for k in range(len(s_max_chains)):
-            d = s_max_chains[k]
-            allowed = _allowed_mask(ns, nr, cmap, d)
-            sub = allowed
-            while True:
-                if (
-                    _is_chain(r_comp, sub)
-                    and _is_maximal_sub(r_comp, allowed, sub)
-                    and _image_mask(nr, cmap, sub) == d
+        for d in s_max_chains:
+            for c in _maximal_dchains(r_up, r_down, _allowed_mask(ns, nr, cmap, d)):
+                if _image_mask(nr, cmap, c) == d and not _is_maximal_sub(
+                    r_comp, (1 << nr) - 1, c
                 ):
-                    for x in range(nr):
-                        if not (sub >> x & 1) and (sub & ~r_comp[x]) == 0:
-                            return 1
-                if sub == 0:
-                    break
-                sub = (sub - 1) & allowed
+                    return 1
         return 0
 
     if tid == TID_C_MAXDCHAIN_MAXCHAIN or tid == TID_C_EXISTS_MAXCHAIN_COVER:
@@ -865,31 +731,20 @@ def eval_theorem(
                 hyp = hyp and prop_lo(ns, nr, cmap)
             if not hyp:
                 return 0
-        for k in range(len(s_max_chains)):
-            d = s_max_chains[k]
-            allowed = _allowed_mask(ns, nr, cmap, d)
+        for d in s_max_chains:
             witnessed = False
-            sub = allowed
-            while True:
-                if sub != 0 and _is_chain(r_comp, sub) and _is_maximal_sub(r_comp, allowed, sub):
-                    if tid == TID_C_MAXDCHAIN_MAXCHAIN:
-                        if _image_mask(nr, cmap, sub) != d:
-                            return 1
-                        for x in range(nr):
-                            if not (sub >> x & 1) and (sub & ~r_comp[x]) == 0:
-                                return 2
-                    else:
-                        if _image_mask(nr, cmap, sub) == d:
-                            ismax = True
-                            for x in range(nr):
-                                if not (sub >> x & 1) and (sub & ~r_comp[x]) == 0:
-                                    ismax = False
-                                    break
-                            if ismax:
-                                witnessed = True
-                if sub == 0:
-                    break
-                sub = (sub - 1) & allowed
+            for c in _maximal_dchains(r_up, r_down, _allowed_mask(ns, nr, cmap, d)):
+                if c == 0:
+                    continue
+                covers = _image_mask(nr, cmap, c) == d
+                maximal = _is_maximal_sub(r_comp, (1 << nr) - 1, c)
+                if tid == TID_C_MAXDCHAIN_MAXCHAIN:
+                    if not covers:
+                        return 1
+                    if not maximal:
+                        return 2
+                elif covers and maximal:
+                    witnessed = True
             if tid == TID_C_EXISTS_MAXCHAIN_COVER and not witnessed:
                 return 1
         return 0
@@ -897,11 +752,8 @@ def eval_theorem(
     if tid == TID_X_KO_SCLO_EQ_GU:
         if not waive and not prop_unitary(ns, nr, cmap):
             return 0
-        lhs = prop_sclo(ns, s_up, s_comp, nr, r_up, r_comp, cmap)
-        rhs = prop_gu(ns, s_up, nr, r_up, cmap)
-        if lhs == rhs:
-            return 0
-        return 1 if lhs else 2
+        lhs = prop_sclo(ns, s_up, s_chain_masks, nr, r_up, r_down, cmap)
+        return _iff_code(lhs, prop_gu(ns, s_up, nr, r_up, cmap))
 
     return -1  # unknown theorem id
 
@@ -919,61 +771,33 @@ def _map_value_ok(ns, s_up, nr, r_up, cmap, pos, v):
 
 
 @njit(cache=True)
-def _sweep_maps(tid, waive, ns, s_up, nr, r_up, allow_top):
-    """Evaluate a theorem over every monotone map for one poset pair.
+def monotone_maps(ns, s_up, nr, r_up, allow_top):
+    """Every monotone map r -> s (+ top) as the rows of an (M, nr) array.
 
-    Maps are enumerated lexicographically as value vectors (s indices first,
-    then the top sentinel). Returns (maps checked, index of the first
-    violating map or -1, its clause code).
+    Rows are value vectors in lexicographic order, s indices first, then
+    the top sentinel ns when allow_top is set. A row's index is the map
+    index that sweeps and searches report.
     """
-    s_down = _down_masks(ns, s_up)
-    s_comp = _comp_masks(ns, s_up, s_down)
-    r_down = _down_masks(nr, r_up)
-    r_comp = _comp_masks(nr, r_up, r_down)
-    s_chain_masks = _chain_masks(ns, s_comp)
-    s_max_chains = _maximal_chain_masks(ns, s_comp)
-    r_max_chains = _maximal_chain_masks(nr, r_comp)
-
-    count = 0
-    first_bad = -1
-    bad_code = 0
-
     if nr == 0:
-        cmap = np.empty(0, np.int64)
-        code = eval_theorem(
-            tid, waive, ns, s_up, s_down, s_comp, nr, r_up, r_down, r_comp,
-            cmap, s_chain_masks, s_max_chains, r_max_chains,
-        )
-        if code != 0:
-            first_bad = 0
-            bad_code = code
-        return 1, first_bad, bad_code
-
+        return np.zeros((1, 0), np.int64)
     nvals = ns + 1 if allow_top else ns
-    if nvals == 0:
-        return 0, -1, 0
-
+    maps = np.empty((16, nr), np.int64)
+    count = 0
     cmap = np.zeros(nr, np.int64)
     pos = 0
     val = 0
     while True:
         v = val
-        found = False
-        while v < nvals:
-            if _map_value_ok(ns, s_up, nr, r_up, cmap, pos, v):
-                found = True
-                break
+        while v < nvals and not _map_value_ok(ns, s_up, nr, r_up, cmap, pos, v):
             v += 1
-        if found:
+        if v < nvals:
             cmap[pos] = v
             if pos == nr - 1:
-                code = eval_theorem(
-                    tid, waive, ns, s_up, s_down, s_comp, nr, r_up, r_down,
-                    r_comp, cmap, s_chain_masks, s_max_chains, r_max_chains,
-                )
-                if code != 0 and first_bad < 0:
-                    first_bad = count
-                    bad_code = code
+                if count == len(maps):
+                    grown = np.empty((2 * count, nr), np.int64)
+                    grown[:count] = maps
+                    maps = grown
+                maps[count] = cmap
                 count += 1
                 val = v + 1
             else:
@@ -984,7 +808,37 @@ def _sweep_maps(tid, waive, ns, s_up, nr, r_up, allow_top):
             if pos < 0:
                 break
             val = cmap[pos] + 1
-    return count, first_bad, bad_code
+    return maps[:count]
+
+
+def count_monotone_maps(ns, s_up, nr, r_up, allow_top):
+    """Number of monotone maps for one poset pair."""
+    return len(monotone_maps(ns, s_up, nr, r_up, allow_top))
+
+
+@njit(cache=True)
+def _sweep_maps(tid, waive, ns, s_up, nr, r_up, allow_top):
+    """Evaluate a theorem over the monotone maps of one poset pair.
+
+    Returns (maps in the pair, index of the first violating map or -1, its
+    clause code). Evaluation stops at the first violating map.
+    """
+    s_down = _down_masks(ns, s_up)
+    s_comp = _comp_masks(ns, s_up, s_down)
+    r_down = _down_masks(nr, r_up)
+    r_comp = _comp_masks(nr, r_up, r_down)
+    s_chain_masks = _chain_masks(ns, s_comp)
+    s_max_chains = _maximal_chain_masks(ns, s_comp)
+    r_max_chains = _maximal_chain_masks(nr, r_comp)
+    maps = monotone_maps(ns, s_up, nr, r_up, allow_top)
+    for k in range(len(maps)):
+        code = eval_theorem(
+            tid, waive, ns, s_up, s_down, s_comp, nr, r_up, r_down, r_comp,
+            maps[k], s_chain_masks, s_max_chains, r_max_chains,
+        )
+        if code != 0:
+            return len(maps), k, code
+    return len(maps), -1, 0
 
 
 def _iso_class(up) -> tuple[int, ...]:
@@ -995,9 +849,8 @@ def _iso_class(up) -> tuple[int, ...]:
 def sweep_pair(tid, waive, ns, s_up, nr, r_up, allow_top, memo=None):
     """Evaluate a theorem over every monotone map for one poset pair.
 
-    Maps are enumerated lexicographically as value vectors (s indices first,
-    then the top sentinel). Returns (maps checked, index of the first
-    violating map or -1, its clause code).
+    Maps are the rows of monotone_maps. Returns (maps checked, index of the
+    first violating map or -1, its clause code).
 
     Verdicts are invariant under relabeling s and r, which permutes the maps
     one-to-one. `memo`, a dict owned by one sweep (one tid, waive and
@@ -1020,64 +873,17 @@ def sweep_pair(tid, waive, ns, s_up, nr, r_up, allow_top, memo=None):
 
 
 @njit(cache=True)
-def count_monotone_maps(ns, s_up, nr, r_up, allow_top):
-    """Number of monotone maps for one poset pair (same order as sweep_pair)."""
-    if nr == 0:
-        return 1
-    nvals = ns + 1 if allow_top else ns
-    if nvals == 0:
-        return 0
-    count = 0
-    cmap = np.zeros(nr, np.int64)
-    pos = 0
-    val = 0
-    while True:
-        v = val
-        found = False
-        while v < nvals:
-            if _map_value_ok(ns, s_up, nr, r_up, cmap, pos, v):
-                found = True
-                break
-            v += 1
-        if found:
-            cmap[pos] = v
-            if pos == nr - 1:
-                count += 1
-                val = v + 1
-            else:
-                pos += 1
-                val = 0
-        else:
-            pos -= 1
-            if pos < 0:
-                break
-            val = cmap[pos] + 1
-    return count
-
-
-@njit(cache=True)
-def _goal_met(goal_id, goal_size, ns, s_up, s_comp, nr, r_comp, cmap):
+def _goal_met(goal_id, goal_size, ns, s_chains, nr, r_up, r_down, cmap):
     if goal_id == GOAL_LO_FAILS:
         return not prop_lo(ns, nr, cmap)
-    for d_mask in range(1, 1 << ns):
-        if not _is_chain(s_comp, d_mask):
+    for d in s_chains[1:]:
+        if goal_size > 0 and _popcount(d) != goal_size:
             continue
-        if goal_size > 0 and _popcount(d_mask) != goal_size:
-            continue
-        allowed = _allowed_mask(ns, nr, cmap, d_mask)
-        sub = allowed
-        while True:
-            if _is_chain(r_comp, sub) and _is_maximal_sub(r_comp, allowed, sub):
-                img = _image_mask(nr, cmap, sub)
-                if goal_id == GOAL_MAXDCHAIN_NOT_COVER and img != d_mask:
-                    return True
-                if goal_id == GOAL_MAXDCHAIN_NOT_PERFECT and (
-                    img != d_mask or _popcount(sub) != _popcount(d_mask)
-                ):
-                    return True
-            if sub == 0:
-                break
-            sub = (sub - 1) & allowed
+        for c in _maximal_dchains(r_up, r_down, _allowed_mask(ns, nr, cmap, d)):
+            if _image_mask(nr, cmap, c) != d:
+                return True
+            if goal_id == GOAL_MAXDCHAIN_NOT_PERFECT and _popcount(c) != _popcount(d):
+                return True
     return False
 
 
@@ -1088,53 +894,16 @@ def _search_maps(ns, s_up, nr, r_up, allow_top, need_bits, forbid_bits, goal_id,
     Returns (maps scanned, index of the hit or -1). Scanning stops at the
     first hit, so a hit at index k reports k+1 scanned.
     """
-    s_down = _down_masks(ns, s_up)
-    s_comp = _comp_masks(ns, s_up, s_down)
+    s_chains = _chain_masks(ns, _comp_masks(ns, s_up, _down_masks(ns, s_up)))
     r_down = _down_masks(nr, r_up)
-    r_comp = _comp_masks(nr, r_up, r_down)
-
-    count = 0
-    if nr == 0:
-        cmap = np.empty(0, np.int64)
+    maps = monotone_maps(ns, s_up, nr, r_up, allow_top)
+    for k in range(len(maps)):
+        cmap = maps[k]
         bits = property_bits(ns, s_up, nr, r_up, cmap)
         if bits & need_bits == need_bits and bits & forbid_bits == 0:
-            if _goal_met(goal_id, goal_size, ns, s_up, s_comp, nr, r_comp, cmap):
-                return 1, 0
-        return 1, -1
-
-    nvals = ns + 1 if allow_top else ns
-    if nvals == 0:
-        return 0, -1
-
-    cmap = np.zeros(nr, np.int64)
-    pos = 0
-    val = 0
-    while True:
-        v = val
-        found = False
-        while v < nvals:
-            if _map_value_ok(ns, s_up, nr, r_up, cmap, pos, v):
-                found = True
-                break
-            v += 1
-        if found:
-            cmap[pos] = v
-            if pos == nr - 1:
-                bits = property_bits(ns, s_up, nr, r_up, cmap)
-                if bits & need_bits == need_bits and bits & forbid_bits == 0:
-                    if _goal_met(goal_id, goal_size, ns, s_up, s_comp, nr, r_comp, cmap):
-                        return count + 1, count
-                count += 1
-                val = v + 1
-            else:
-                pos += 1
-                val = 0
-        else:
-            pos -= 1
-            if pos < 0:
-                break
-            val = cmap[pos] + 1
-    return count, -1
+            if _goal_met(goal_id, goal_size, ns, s_chains, nr, r_up, r_down, cmap):
+                return k + 1, k
+    return len(maps), -1
 
 
 def search_pair(

@@ -26,14 +26,13 @@ from .specmap import (
     TOP,
     NotMonotone,
     SpectralMap,
-    _iter_assignment_vectors,
     check_LO,
     check_property,
     is_unitary,
     make_spectral_map,
     maximal_D_chains,
 )
-from .theorems import instance_from_raw
+from .theorems import _raw_up, instance_from_raw
 
 _FLAG_BITS = {
     "LO": K.PROP_LO,
@@ -140,10 +139,6 @@ def _rows_height(rows) -> int:
     return max(best, default=0)
 
 
-def _raw_up(rows) -> np.ndarray:
-    return np.array([row | (1 << i) for i, row in enumerate(rows)], dtype=np.int64)
-
-
 def _search_chunk(args):
     """The first (pair, map) hit of a chunk in ascending pair order, if any.
 
@@ -226,19 +221,9 @@ def search_witness(
     pair_idx, map_idx = min(hits)
     by_idx = {i: (s, r) for i, s, r in pairs}
     s_rows, r_rows = by_idx[pair_idx]
-    vec = None
-    for k, candidate in enumerate(
-        _iter_assignment_vectors(
-            len(s_rows),
-            tuple(int(x) for x in _raw_up(s_rows)),
-            len(r_rows),
-            tuple(int(x) for x in _raw_up(r_rows)),
-            allow_top,
-        )
-    ):
-        if k == map_idx:
-            vec = candidate
-            break
+    vec = K.monotone_maps(
+        len(s_rows), _raw_up(s_rows), len(r_rows), _raw_up(r_rows), allow_top
+    )[map_idx]
     witness = instance_from_raw(s_rows, r_rows, vec)
 
     def predicate(m: SpectralMap) -> bool:

@@ -192,30 +192,33 @@ def check_GB(m: SpectralMap) -> bool:
     return bool(K.prop_gb(ns, s_up, nr, r_up, cmap))
 
 
+def _dchain_arrays(m: SpectralMap):
+    # the chains of s, then the down masks of r, for the D-chain deciders
+    s_comp = np.array(m.s_poset.comp_masks, dtype=np.int64)
+    r_down = np.array(m.r_poset.down_masks, dtype=np.int64)
+    return K._chain_masks(m.s_poset.n, s_comp), r_down
+
+
 def check_SCLO(m: SpectralMap) -> bool:
     """Starting chain lying over: covers of D grow from any lift of min D."""
     ns, s_up, nr, r_up, cmap = _arrays(m)
-    s_comp = np.array(m.s_poset.comp_masks, dtype=np.int64)
-    r_comp = np.array(m.r_poset.comp_masks, dtype=np.int64)
-    return bool(K.prop_sclo(ns, s_up, s_comp, nr, r_up, r_comp, cmap))
+    s_chains, r_down = _dchain_arrays(m)
+    return bool(K.prop_sclo(ns, s_up, s_chains, nr, r_up, r_down, cmap))
 
 
 def check_GGD(m: SpectralMap) -> bool:
     """Generalized going down: covers of D grow below any lift of max D."""
     ns, s_up, nr, r_up, cmap = _arrays(m)
+    s_chains, r_down = _dchain_arrays(m)
     s_down = np.array(m.s_poset.down_masks, dtype=np.int64)
-    s_comp = np.array(m.s_poset.comp_masks, dtype=np.int64)
-    r_down = np.array(m.r_poset.down_masks, dtype=np.int64)
-    r_comp = np.array(m.r_poset.comp_masks, dtype=np.int64)
-    return bool(K.prop_ggd(ns, s_down, s_comp, nr, r_down, r_comp, cmap))
+    return bool(K.prop_ggd(ns, s_down, s_chains, nr, r_up, r_down, cmap))
 
 
 def check_chain_morphism(m: SpectralMap) -> bool:
     """Every chain in s is covered by some chain in r."""
     ns, s_up, nr, r_up, cmap = _arrays(m)
-    s_comp = np.array(m.s_poset.comp_masks, dtype=np.int64)
-    r_comp = np.array(m.r_poset.comp_masks, dtype=np.int64)
-    return bool(K.prop_chain_morphism(ns, s_comp, nr, r_comp, cmap))
+    s_chains, r_down = _dchain_arrays(m)
+    return bool(K.prop_chain_morphism(ns, s_chains, nr, r_up, r_down, cmap))
 
 
 def check_layer(m: SpectralMap, n: int) -> bool:
@@ -223,9 +226,8 @@ def check_layer(m: SpectralMap, n: int) -> bool:
     if n < 1:
         raise ValueError("layer index must be at least 1")
     ns, s_up, nr, r_up, cmap = _arrays(m)
-    s_comp = np.array(m.s_poset.comp_masks, dtype=np.int64)
-    r_comp = np.array(m.r_poset.comp_masks, dtype=np.int64)
-    return bool(K.layer_holds(n, ns, s_comp, nr, r_comp, cmap))
+    s_chains, r_down = _dchain_arrays(m)
+    return bool(K.layer_holds(n, ns, s_chains, nr, r_up, r_down, cmap))
 
 
 PROPERTY_NAMES = ("LO", "INC", "GU", "GD", "SGB", "GB", "SCLO", "GGD", "chain_morphism")
@@ -334,63 +336,9 @@ def is_maximal_cover(m: SpectralMap, c: ChainRecord, d: ChainRecord) -> bool:
     return is_cover(m, c, d) and is_maximal_D_chain(m, c, d)
 
 
-def _iter_assignment_vectors(ns, s_up, nr, r_up, allow_top):
-    """Monotone assignment vectors in lexicographic order.
-
-    Value code ns stands for TOP. The order here must match sweep_pair in
-    the kernels, which replays violations by map index.
-    """
-    if nr == 0:
-        yield ()
-        return
-    nvals = ns + 1 if allow_top else ns
-    if nvals == 0:
-        return
-
-    def ext_leq(a, b):
-        if b == ns:
-            return True
-        if a == ns:
-            return False
-        return s_up[a] >> b & 1
-
-    def ok(cmap, pos, v):
-        for j in range(pos):
-            if r_up[j] >> pos & 1 and not ext_leq(cmap[j], v):
-                return False
-            if r_up[pos] >> j & 1 and not ext_leq(v, cmap[j]):
-                return False
-        return True
-
-    cmap = [0] * nr
-    pos = 0
-    val = 0
-    while True:
-        v = val
-        found = False
-        while v < nvals:
-            if ok(cmap, pos, v):
-                found = True
-                break
-            v += 1
-        if found:
-            cmap[pos] = v
-            if pos == nr - 1:
-                yield tuple(cmap)
-                val = v + 1
-            else:
-                pos += 1
-                val = 0
-        else:
-            pos -= 1
-            if pos < 0:
-                return
-            val = cmap[pos] + 1
-
-
 def enumerate_monotone_maps(s: Poset, r: Poset, allow_top: bool):
     """Yield every monotone map r -> s (+TOP if allowed), lexicographically."""
     ns = s.n
-    for vec in _iter_assignment_vectors(ns, s.up_masks, r.n, r.up_masks, allow_top):
+    for vec in K.monotone_maps(ns, s.up_array(), r.n, r.up_array(), allow_top).tolist():
         assignment = tuple(TOP if v == ns else v for v in vec)
         yield SpectralMap(s, r, assignment)

@@ -28,7 +28,6 @@ from .poset import (
 from .specmap import (
     TOP,
     SpectralMap,
-    _iter_assignment_vectors,
     check_property,
     is_unitary,
     make_spectral_map,
@@ -281,7 +280,8 @@ def verify(m: SpectralMap, theorem: TheoremId, waive_hypotheses: bool = False) -
     )
 
 
-def _raw_up_array(strict_rows: tuple[int, ...]) -> np.ndarray:
+def _raw_up(strict_rows: tuple[int, ...]) -> np.ndarray:
+    """Up masks, self bits included, of a poset given by strict rows."""
     return np.array(
         [row | (1 << i) for i, row in enumerate(strict_rows)], dtype=np.int64
     )
@@ -308,8 +308,8 @@ def _sweep_chunk(args):
     results = []
     memo: dict = {}
     for pair_idx, s_rows, r_rows in chunk:
-        s_up = _raw_up_array(s_rows)
-        r_up = _raw_up_array(r_rows)
+        s_up = _raw_up(s_rows)
+        r_up = _raw_up(r_rows)
         count, first_bad, code = K.sweep_pair(
             tid, waive, len(s_rows), s_up, len(r_rows), r_up, allow_top, memo=memo
         )
@@ -380,19 +380,9 @@ def exhaustive_verify(
     if violations:
         pair_idx, map_idx, _ = violations[0]
         _, s_rows, r_rows = pairs[pair_idx]
-        vec = None
-        for k, candidate in enumerate(
-            _iter_assignment_vectors(
-                len(s_rows),
-                tuple(int(x) for x in _raw_up_array(s_rows)),
-                len(r_rows),
-                tuple(int(x) for x in _raw_up_array(r_rows)),
-                allow_top,
-            )
-        ):
-            if k == map_idx:
-                vec = candidate
-                break
+        vec = K.monotone_maps(
+            len(s_rows), _raw_up(s_rows), len(r_rows), _raw_up(r_rows), allow_top
+        )[map_idx]
         m = instance_from_raw(s_rows, r_rows, vec)
         replay = verify(m, theorem, waive_hypotheses)
         if replay.holds:

@@ -39,7 +39,7 @@ import io
 import json
 import pathlib
 import time
-from itertools import combinations, islice
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -67,7 +67,7 @@ from chaincover.search import (
     search_witness,
     shrink,
 )
-from chaincover.specmap import _iter_assignment_vectors, check_layer, properties_summary
+from chaincover.specmap import check_layer, properties_summary
 from chaincover.theorems import TheoremId, exhaustive_verify, instance_from_raw, verify
 
 BOUNDS = dict(max_s=3, max_r=4)
@@ -203,10 +203,7 @@ def test_criterion_4a_sgb_necessity_witness():
 
     replayed = None
     if hit >= 0:
-        vectors = _iter_assignment_vectors(
-            s.n, tuple(s.up_masks), r.n, tuple(r.up_masks), False
-        )
-        vec = next(islice(vectors, hit, None))
+        vec = K.monotone_maps(s.n, s.up_array(), r.n, r.up_array(), False)[hit]
         replayed = instance_from_raw(_strict_rows(s), _strict_rows(r), vec)
     replays = replayed is not None and is_witness(replayed)
     document_holds = is_witness(doc.smap)

@@ -561,9 +561,9 @@ class TestEnumerateMonotoneMaps:
         assert len(got) == 1 and got[0].assignment == (TOP,)
 
     def test_matches_brute_force_order(self):
-        for ns in range(3):
+        for ns in range(4):
             for s in enumerate_posets(ns):
-                for nr in range(3):
+                for nr in range(5):
                     for r in enumerate_posets(nr):
                         for allow_top in (False, True):
                             got = [
