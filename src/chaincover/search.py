@@ -23,26 +23,17 @@ from .poset import (
     enumerate_chains,
 )
 from .specmap import (
+    PROPERTY_BITS,
     TOP,
     NotMonotone,
     SpectralMap,
     check_LO,
-    check_property,
-    is_unitary,
     make_spectral_map,
     maximal_D_chains,
 )
-from .theorems import _raw_up, instance_from_raw
+from .theorems import _raw_up, instance_from_raw, pool_plan
 
-_FLAG_BITS = {
-    "LO": K.PROP_LO,
-    "INC": K.PROP_INC,
-    "GU": K.PROP_GU,
-    "GD": K.PROP_GD,
-    "SGB": K.PROP_SGB,
-    "GB": K.PROP_GB,
-    "UNITARY": K.PROP_UNITARY,
-}
+_FLAG_BITS = {**PROPERTY_BITS, "UNITARY": K.PROP_UNITARY}
 
 GOALS = {
     "lo-fails": K.GOAL_LO_FAILS,
@@ -93,13 +84,9 @@ def _flag_masks(required) -> tuple[int, int]:
 
 
 def flags_hold(m: SpectralMap, required) -> bool:
-    for flag in required:
-        neg = flag.startswith("!")
-        name = flag.lstrip("!")
-        value = is_unitary(m) if name == "UNITARY" else check_property(m, name)
-        if value == neg:
-            return False
-    return True
+    need, forbid = _flag_masks(required)
+    bits = m.facts.bits
+    return bits & need == need and bits & forbid == 0
 
 
 def goal_holds(m: SpectralMap, goal: str, d_size: int | None = None) -> bool:
@@ -202,17 +189,14 @@ def search_witness(
             pairs.append((idx, s_rows, r_rows))
             idx += 1
 
-    if jobs == 1 or len(pairs) < 2 * jobs:
-        hits = _search_chunk((need, forbid, goal_id, goal_size, allow_top, pairs))
+    method, chunks = pool_plan(pairs, jobs)
+    if len(pairs) < 2 * len(chunks):
+        chunks = [pairs]
+    payloads = [(need, forbid, goal_id, goal_size, allow_top, chunk) for chunk in chunks]
+    if len(payloads) == 1:
+        hits = _search_chunk(payloads[0])
     else:
-        chunks = [pairs[k::jobs] for k in range(jobs)]
-        payloads = [
-            (need, forbid, goal_id, goal_size, allow_top, chunk)
-            for chunk in chunks
-            if chunk
-        ]
-        ctx = mp.get_context("fork")
-        with ctx.Pool(len(payloads)) as pool:
+        with mp.get_context(method).Pool(len(payloads)) as pool:
             parts = pool.map(_search_chunk, payloads)
         hits = [h for part in parts for h in part]
 

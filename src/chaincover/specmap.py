@@ -10,6 +10,7 @@ members all contract into a prescribed chain D in s.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -77,6 +78,59 @@ class SpectralMap:
             tgt = "TOP" if v is TOP else self.s_poset.labels[v]
             parts.append(f"{self.r_poset.labels[q]}->{tgt}")
         return "{" + ", ".join(parts) + "}"
+
+    @cached_property
+    def facts(self) -> MapFacts:
+        """Kernel encoding of this map, and the facts the checks share."""
+        return MapFacts(self)
+
+
+class MapFacts:
+    """The kernel arrays of one spectral map and the facts derived from them.
+
+    The arrays are built at once; the property bits and the chain masks are
+    each computed on first use and kept, so a caller that reads only the
+    bits never builds a chain. A SpectralMap is immutable over immutable
+    posets, so its facts never go stale.
+    """
+
+    def __init__(self, m: SpectralMap):
+        s, r = m.s_poset, m.r_poset
+        self.ns = s.n
+        self.s_up = s.up_array()
+        self.s_down = np.array(s.down_masks, dtype=np.int64)
+        self.s_comp = np.array(s.comp_masks, dtype=np.int64)
+        self.nr = r.n
+        self.r_up = r.up_array()
+        self.r_down = np.array(r.down_masks, dtype=np.int64)
+        self.r_comp = np.array(r.comp_masks, dtype=np.int64)
+        self.cmap = m.cmap_array()
+
+    @cached_property
+    def bits(self) -> int:
+        """LO, INC, GU, GD, SGB, GB and unitarity as K.property_bits flags."""
+        return int(K.property_bits(self.ns, self.s_up, self.nr, self.r_up, self.cmap))
+
+    @cached_property
+    def s_chains(self) -> np.ndarray:
+        """Every chain of s as a mask, ascending, the empty chain first."""
+        return K._chain_masks(self.ns, self.s_comp)
+
+    @cached_property
+    def s_max_chains(self) -> np.ndarray:
+        return K._maximal_chain_masks(self.ns, self.s_comp)
+
+    @cached_property
+    def r_max_chains(self) -> np.ndarray:
+        return K._maximal_chain_masks(self.nr, self.r_comp)
+
+    def theorem_args(self) -> tuple:
+        """The instance arguments of K.eval_theorem, after tid and waive."""
+        return (
+            self.ns, self.s_up, self.s_down, self.s_comp,
+            self.nr, self.r_up, self.r_down, self.r_comp, self.cmap,
+            self.s_chains, self.s_max_chains, self.r_max_chains,
+        )
 
 
 @dataclass(frozen=True)
@@ -146,91 +200,66 @@ def image_chain(m: SpectralMap, c: ChainRecord) -> ImageChain:
     return ImageChain(m.s_poset, members, has_top)
 
 
-def _arrays(m: SpectralMap):
-    return (
-        m.s_poset.n,
-        m.s_poset.up_array(),
-        m.r_poset.n,
-        m.r_poset.up_array(),
-        m.cmap_array(),
-    )
-
-
 def check_LO(m: SpectralMap) -> bool:
     """Lying over: every element of s is some contraction."""
-    ns, s_up, nr, r_up, cmap = _arrays(m)
-    return bool(K.prop_lo(ns, nr, cmap))
+    return bool(m.facts.bits & K.PROP_LO)
 
 
 def check_INC(m: SpectralMap) -> bool:
     """Incomparability: strict pairs with proper upper image contract strictly."""
-    ns, s_up, nr, r_up, cmap = _arrays(m)
-    return bool(K.prop_inc(ns, s_up, nr, r_up, cmap))
+    return bool(m.facts.bits & K.PROP_INC)
 
 
 def check_GU(m: SpectralMap) -> bool:
     """Going up: lifts of p1 < p2 extend upward from any element over p1."""
-    ns, s_up, nr, r_up, cmap = _arrays(m)
-    return bool(K.prop_gu(ns, s_up, nr, r_up, cmap))
+    return bool(m.facts.bits & K.PROP_GU)
 
 
 def check_GD(m: SpectralMap) -> bool:
     """Going down: lifts of p1 < p2 extend downward from any element over p2."""
-    ns, s_up, nr, r_up, cmap = _arrays(m)
-    return bool(K.prop_gd(ns, s_up, nr, r_up, cmap))
+    return bool(m.facts.bits & K.PROP_GD)
 
 
 def check_SGB(m: SpectralMap) -> bool:
     """Strong going between: a lift of the middle exists between endpoints."""
-    ns, s_up, nr, r_up, cmap = _arrays(m)
-    return bool(K.prop_sgb(ns, s_up, nr, r_up, cmap))
+    return bool(m.facts.bits & K.PROP_SGB)
 
 
 def check_GB(m: SpectralMap) -> bool:
     """Going between: something sits between endpoints whenever s does."""
-    ns, s_up, nr, r_up, cmap = _arrays(m)
-    return bool(K.prop_gb(ns, s_up, nr, r_up, cmap))
-
-
-def _dchain_arrays(m: SpectralMap):
-    # the chains of s, then the down masks of r, for the D-chain deciders
-    s_comp = np.array(m.s_poset.comp_masks, dtype=np.int64)
-    r_down = np.array(m.r_poset.down_masks, dtype=np.int64)
-    return K._chain_masks(m.s_poset.n, s_comp), r_down
+    return bool(m.facts.bits & K.PROP_GB)
 
 
 def check_SCLO(m: SpectralMap) -> bool:
     """Starting chain lying over: covers of D grow from any lift of min D."""
-    ns, s_up, nr, r_up, cmap = _arrays(m)
-    s_chains, r_down = _dchain_arrays(m)
-    return bool(K.prop_sclo(ns, s_up, s_chains, nr, r_up, r_down, cmap))
+    f = m.facts
+    return bool(K.prop_sclo(f.ns, f.s_up, f.s_chains, f.nr, f.r_up, f.r_down, f.cmap))
 
 
 def check_GGD(m: SpectralMap) -> bool:
     """Generalized going down: covers of D grow below any lift of max D."""
-    ns, s_up, nr, r_up, cmap = _arrays(m)
-    s_chains, r_down = _dchain_arrays(m)
-    s_down = np.array(m.s_poset.down_masks, dtype=np.int64)
-    return bool(K.prop_ggd(ns, s_down, s_chains, nr, r_up, r_down, cmap))
+    f = m.facts
+    return bool(K.prop_ggd(f.ns, f.s_down, f.s_chains, f.nr, f.r_up, f.r_down, f.cmap))
 
 
 def check_chain_morphism(m: SpectralMap) -> bool:
     """Every chain in s is covered by some chain in r."""
-    ns, s_up, nr, r_up, cmap = _arrays(m)
-    s_chains, r_down = _dchain_arrays(m)
-    return bool(K.prop_chain_morphism(ns, s_chains, nr, r_up, r_down, cmap))
+    f = m.facts
+    return bool(K.prop_chain_morphism(f.ns, f.s_chains, f.nr, f.r_up, f.r_down, f.cmap))
 
 
 def check_layer(m: SpectralMap, n: int) -> bool:
     """Every maximal D-chain over every n-element chain has n elements."""
     if n < 1:
         raise ValueError("layer index must be at least 1")
-    ns, s_up, nr, r_up, cmap = _arrays(m)
-    s_chains, r_down = _dchain_arrays(m)
-    return bool(K.layer_holds(n, ns, s_chains, nr, r_up, r_down, cmap))
+    f = m.facts
+    return bool(K.layer_holds(n, f.ns, f.s_chains, f.nr, f.r_up, f.r_down, f.cmap))
 
 
 PROPERTY_NAMES = ("LO", "INC", "GU", "GD", "SGB", "GB", "SCLO", "GGD", "chain_morphism")
+
+#: the flag of each property that K.property_bits decides: the first six
+PROPERTY_BITS = {name: getattr(K, f"PROP_{name}") for name in PROPERTY_NAMES[:6]}
 
 _PROPERTY_CHECKS = {
     "LO": check_LO,

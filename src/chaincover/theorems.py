@@ -12,6 +12,8 @@ statements are exhibited.
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
+import sys
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -25,13 +27,7 @@ from .poset import (
     _poset_from_strict_rows,
     _strict_order_masks,
 )
-from .specmap import (
-    TOP,
-    SpectralMap,
-    check_property,
-    is_unitary,
-    make_spectral_map,
-)
+from .specmap import PROPERTY_BITS, TOP, SpectralMap, make_spectral_map
 
 
 class TheoremId(Enum):
@@ -174,6 +170,9 @@ _CLAUSES: dict[tuple[TheoremId, int], str] = {
     (TheoremId.X_KO_SCLO_EQ_GU, 2): "GU holds but SCLO fails",
 }
 
+#: the property_bits flag of each hypothesis name
+_HYPOTHESIS_BITS = {**PROPERTY_BITS, "unitary": K.PROP_UNITARY}
+
 #: ids verified by the acceptance-level sweeps; the exploratory id is
 #: checked by its own tests but kept out of default verification runs.
 CORE_THEOREMS: tuple[TheoremId, ...] = tuple(
@@ -217,34 +216,9 @@ def clause_text(theorem: TheoremId, code: int) -> str:
     return _CLAUSES.get((theorem, code), f"clause {code}")
 
 
-def _eval_on_instance(m: SpectralMap, theorem: TheoremId, waive: bool) -> int:
-    ns = m.s_poset.n
-    nr = m.r_poset.n
-    s_up = m.s_poset.up_array()
-    r_up = m.r_poset.up_array()
-    s_down = np.array(m.s_poset.down_masks, dtype=np.int64)
-    r_down = np.array(m.r_poset.down_masks, dtype=np.int64)
-    s_comp = np.array(m.s_poset.comp_masks, dtype=np.int64)
-    r_comp = np.array(m.r_poset.comp_masks, dtype=np.int64)
-    cmap = m.cmap_array()
-    s_chain_masks = K._chain_masks(ns, s_comp)
-    s_max_chains = K._maximal_chain_masks(ns, s_comp)
-    r_max_chains = K._maximal_chain_masks(nr, r_comp)
-    return int(
-        K.eval_theorem(
-            theorem.value, waive, ns, s_up, s_down, s_comp, nr, r_up, r_down,
-            r_comp, cmap, s_chain_masks, s_max_chains, r_max_chains,
-        )
-    )
-
-
 def unmet_hypotheses(m: SpectralMap, theorem: TheoremId) -> list[str]:
-    out = []
-    for name in HYPOTHESES[theorem]:
-        ok = is_unitary(m) if name == "unitary" else check_property(m, name)
-        if not ok:
-            out.append(name)
-    return out
+    bits = m.facts.bits
+    return [name for name in HYPOTHESES[theorem] if not bits & _HYPOTHESIS_BITS[name]]
 
 
 def verify(m: SpectralMap, theorem: TheoremId, waive_hypotheses: bool = False) -> Verdict:
@@ -255,7 +229,7 @@ def verify(m: SpectralMap, theorem: TheoremId, waive_hypotheses: bool = False) -
     its own.
     """
     start = time.perf_counter()
-    code = _eval_on_instance(m, theorem, waive_hypotheses)
+    code = int(K.eval_theorem(theorem.value, waive_hypotheses, *m.facts.theorem_args()))
     note = None
     unmet = unmet_hypotheses(m, theorem)
     if unmet and not waive_hypotheses:
@@ -301,6 +275,23 @@ def instance_from_raw(s_rows, r_rows, vec) -> SpectralMap:
         obj_q = r.index(f"e{raw_q}")
         assignment[obj_q] = TOP if v == ns_raw else s.index(f"e{v}")
     return make_spectral_map(s, r, assignment)
+
+
+def pool_plan(items: list, jobs: int) -> tuple[str, list[list]]:
+    """Start method and chunks for spreading `items` over up to `jobs` workers.
+
+    Fork is used on Linux only: it does not exist on Windows and is unsafe
+    on macOS, which spawn instead. No more workers start than there are
+    CPUs this process may run on, since more only add start-up and each
+    worker's own memo; each worker takes one round-robin chunk.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    workers = max(1, min(jobs, cpus, len(items)))
+    method = "fork" if sys.platform.startswith("linux") else "spawn"
+    return method, [items[k::workers] for k in range(workers)]
 
 
 def _sweep_chunk(args):
@@ -354,17 +345,12 @@ def exhaustive_verify(
     start = time.perf_counter()
     pairs = sweep_pairs(max_s, max_r)
 
-    if jobs == 1:
-        all_results = _sweep_chunk((theorem.value, waive_hypotheses, allow_top, pairs))
+    method, chunks = pool_plan(pairs, jobs)
+    payloads = [(theorem.value, waive_hypotheses, allow_top, chunk) for chunk in chunks]
+    if len(payloads) == 1:
+        all_results = _sweep_chunk(payloads[0])
     else:
-        chunks = [pairs[k::jobs] for k in range(jobs)]
-        payloads = [
-            (theorem.value, waive_hypotheses, allow_top, chunk)
-            for chunk in chunks
-            if chunk
-        ]
-        ctx = mp.get_context("fork")
-        with ctx.Pool(len(payloads)) as pool:
+        with mp.get_context(method).Pool(len(payloads)) as pool:
             parts = pool.map(_sweep_chunk, payloads)
         all_results = [row for part in parts for row in part]
 

@@ -595,6 +595,27 @@ class TestEnumerateMonotoneMaps:
                                 s.n, s.up_array(), r.n, r.up_array(), allow_top
                             )
                             assert got == int(kcount)
+                            assert got == brute_force_map_count(s, r, allow_top)
+
+
+def brute_force_map_count(s, r, allow_top):
+    """Monotone maps r -> s (+TOP) counted from the order matrices alone.
+
+    The value s.n stands for TOP, the greatest value.
+    """
+    def leq(a, b):
+        return b == s.n or (a != s.n and bool(s.leq[a, b]))
+
+    nvals = s.n + 1 if allow_top else s.n
+    return sum(
+        all(
+            leq(vec[q1], vec[q2])
+            for q1 in range(r.n)
+            for q2 in range(r.n)
+            if r.leq[q1, q2]
+        )
+        for vec in product(range(nvals), repeat=r.n)
+    )
 
 
 def make_maybe(s, r, vec, ns):

@@ -8,14 +8,27 @@ goes wrong.
 
 import hashlib
 import json
+import multiprocessing
+import os
 import pathlib
+import sys
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from chaincover import _kernels as K
-from chaincover.document import build_search_report, serialize_report
-from chaincover.poset import BoundExceeded, _strict_order_masks, make_poset
+from chaincover.document import (
+    build_search_report,
+    build_verify_report,
+    serialize_report,
+)
+from chaincover.poset import (
+    BoundExceeded,
+    _strict_order_masks,
+    enumerate_posets,
+    make_poset,
+)
 from chaincover.search import (
     GOALS,
     WitnessSearchSpec,
@@ -26,7 +39,15 @@ from chaincover.search import (
     search_witness,
     shrink,
 )
-from chaincover.specmap import TOP, make_spectral_map, properties_summary
+from chaincover.specmap import (
+    PROPERTY_NAMES,
+    TOP,
+    SpectralMap,
+    check_property,
+    enumerate_monotone_maps,
+    make_spectral_map,
+    properties_summary,
+)
 from chaincover.theorems import (
     CORE_THEOREMS,
     HYPOTHESES,
@@ -36,6 +57,7 @@ from chaincover.theorems import (
     estimate_sweep_cost,
     exhaustive_verify,
     instance_from_raw,
+    pool_plan,
     unmet_hypotheses,
     verify,
 )
@@ -208,6 +230,163 @@ class TestExhaustiveVerify:
             est = estimate_sweep_cost(*bounds, allow_top=True)
             assert est["map_upper_bound"] >= actual
             assert est["poset_pairs"] >= 1
+
+
+def fresh_kernel_args(m):
+    """eval_theorem's instance arguments, built from the posets directly."""
+    s, r = m.s_poset, m.r_poset
+
+    def masks(values):
+        return np.array(values, dtype=np.int64)
+
+    s_comp = masks(s.comp_masks)
+    r_comp = masks(r.comp_masks)
+    cmap = masks([s.n if v is TOP else v for v in m.assignment])
+    return (
+        s.n, masks(s.up_masks), masks(s.down_masks), s_comp,
+        r.n, masks(r.up_masks), masks(r.down_masks), r_comp, cmap,
+        K._chain_masks(s.n, s_comp),
+        K._maximal_chain_masks(s.n, s_comp),
+        K._maximal_chain_masks(r.n, r_comp),
+    )
+
+
+def fresh_property(m, name):
+    """One of the nine properties from a direct K.prop_* call."""
+    (ns, s_up, s_down, _, nr, r_up, r_down, _, cmap, s_chains, _, _) = fresh_kernel_args(m)
+    if name == "LO":
+        return K.prop_lo(ns, nr, cmap)
+    if name == "SCLO":
+        return K.prop_sclo(ns, s_up, s_chains, nr, r_up, r_down, cmap)
+    if name == "GGD":
+        return K.prop_ggd(ns, s_down, s_chains, nr, r_up, r_down, cmap)
+    if name == "chain_morphism":
+        return K.prop_chain_morphism(ns, s_chains, nr, r_up, r_down, cmap)
+    prop = {
+        "INC": K.prop_inc, "GU": K.prop_gu, "GD": K.prop_gd,
+        "SGB": K.prop_sgb, "GB": K.prop_gb,
+    }[name]
+    return prop(ns, s_up, nr, r_up, cmap)
+
+
+def outcome(v):
+    """The clause code and note of a verdict."""
+    code = v.counterexample.detail["code"] if v.counterexample else 0
+    return code, v.note
+
+
+class TestFactTable:
+    """A SpectralMap's facts, shared by every check, equal fresh computation."""
+
+    def instances(self):
+        for ns in range(3):
+            for s in enumerate_posets(ns):
+                for nr in range(4):
+                    for r in enumerate_posets(nr):
+                        yield from enumerate_monotone_maps(s, r, allow_top=True)
+
+    def test_shared_verdicts_match_fresh_maps(self):
+        calls = [(t, waive) for t in TheoremId for waive in (False, True)]
+        checked = violations = 0
+        for m in self.instances():
+            forward = SpectralMap(m.s_poset, m.r_poset, m.assignment)
+            backward = SpectralMap(m.s_poset, m.r_poset, m.assignment)
+            got = {c: outcome(verify(forward, *c)) for c in calls}
+            got_back = {c: outcome(verify(backward, *c)) for c in reversed(calls)}
+            holds = {name: fresh_property(m, name) for name in ("LO", "INC", "GU", "GD", "SGB")}
+            holds["unitary"] = TOP not in m.assignment
+            for t, waive in calls:
+                fresh = SpectralMap(m.s_poset, m.r_poset, m.assignment)
+                want = outcome(verify(fresh, t, waive))
+                assert got[(t, waive)] == got_back[(t, waive)] == want, (t, waive, m.describe())
+                code = K.eval_theorem(t.value, waive, *fresh_kernel_args(m))
+                unmet = ", ".join(h for h in HYPOTHESES[t] if not holds[h])
+                note = unmet and ("hypotheses waived: " if waive else "hypothesis unmet: ") + unmet
+                assert want == (code, note or None), (t, waive, m.describe())
+                violations += code != 0
+            checked += 1
+        assert checked == SWEEP_COUNTS[(2, 3)]
+        assert violations > 0
+
+    def test_shared_properties_match_direct_kernel_calls(self):
+        for m in self.instances():
+            shared = SpectralMap(m.s_poset, m.r_poset, m.assignment)
+            summary = properties_summary(shared)
+            for name in PROPERTY_NAMES:
+                want = bool(fresh_property(m, name))
+                assert check_property(shared, name) == summary[name] == want, (
+                    name, m.describe()
+                )
+
+    def test_facts_are_computed_once_per_instance(self, monkeypatch):
+        counts = {"_maximal_chain_masks": 0, "property_bits": 0}
+        for name in counts:
+            original = getattr(K, name)
+
+            def counting(*args, name=name, original=original):
+                counts[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(K, name, counting)
+        m = six_element_witness()
+        for t in TheoremId:
+            verify(m, t)
+        properties_summary(m)
+        # once for s and once for r, and the bits once
+        assert counts == {"_maximal_chain_masks": 2, "property_bits": 1}
+        verify(SpectralMap(m.s_poset, m.r_poset, m.assignment), TheoremId.P_LAYERS)
+        assert counts == {"_maximal_chain_masks": 4, "property_bits": 2}
+
+
+class TestPoolPlan:
+    def test_workers_are_capped_at_the_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(sys, "platform", "linux")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        items = list(range(20))
+        method, chunks = pool_plan(items, 100)
+        assert method == "fork"
+        assert chunks == [items[0::2], items[1::2]]
+        assert pool_plan(items, 1) == ("fork", [items])
+        assert len(pool_plan([7], 4)[1]) == 1
+        # without an affinity call the CPU count is the cap
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert len(pool_plan(items, 8)[1]) == 3
+        monkeypatch.setattr(sys, "platform", "darwin")
+        assert pool_plan(items, 8)[0] == "spawn"
+
+    def reports(self, jobs):
+        sweeps = [
+            exhaustive_verify(TheoremId.T_COVER_MAXCHAIN, 1, 2, waive_hypotheses=True, jobs=jobs),
+            exhaustive_verify(TheoremId.C_GGD, 2, 3, waive_hypotheses=True, jobs=jobs),
+        ]
+        spec = WitnessSearchSpec(
+            required=frozenset({"GU", "GD"}), goal="lo-fails", max_s=3, max_r=3
+        )
+        return (
+            serialize_report(build_verify_report(None, sweeps, {"max_s": 2, "max_r": 3})),
+            serialize_report(build_search_report(spec, search_witness(spec, jobs=jobs))),
+        )
+
+    def test_spawn_and_excess_jobs_give_the_same_report_bytes(self, monkeypatch):
+        methods = []
+        get_context = multiprocessing.get_context
+
+        def recording(method=None):
+            methods.append(method)
+            return get_context(method)
+
+        monkeypatch.setattr(multiprocessing, "get_context", recording)
+        # two usable CPUs, whatever the host has
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        single = self.reports(1)
+        assert "first violation" in single[0] and '"found": true' in single[1]
+        assert methods == []
+        assert self.reports(8) == single
+        assert methods == ["fork"] * 3
+        monkeypatch.setattr(sys, "platform", "darwin")
+        assert self.reports(2) == single
+        assert methods == ["fork"] * 3 + ["spawn"] * 3
 
 
 class TestInstanceFromRaw:
