@@ -1,54 +1,29 @@
 """Bitmask kernels for property checks and exhaustive sweeps.
 
-Everything in this module works on a flat encoding: a poset with n elements
-is an int64 array of up-set masks (bit j of up[i] means i <= j, self bit
-included), a contraction map is an int64 array with the sentinel value ns
-standing for the adjoined top element, and chains are membership masks.
+Everything in this module works on a flat encoding over plain ints: a poset
+with n elements is a sequence of up-set masks (bit j of up[i] means
+i <= j, self bit included), a contraction map is a sequence of values with
+the sentinel value ns standing for the adjoined top element, and chains are
+membership masks. property_bits and monotone_maps also take numpy int64
+arrays.
 
 Two primitives carry every sweep and search. `monotone_maps` lists the
-monotone maps of a poset pair as the rows of one array, in the
-lexicographic order whose row indices sweeps and searches report and
+monotone maps of a poset pair as a list of value tuples, in the
+lexicographic order whose list indices sweeps and searches report and
 replays look up. `_maximal_dchains` lists the maximal chains inside a set
 of elements; on the elements that contract into a chain D these are the
-maximal D-chains the theorems speak about. The chains D of s are computed
-once per poset pair and passed down.
-
-The hot functions are compiled with numba when it is importable and the
-environment variable CHAINCOVER_NO_NUMBA is unset; otherwise the same code
-runs as plain Python. Both paths execute identical statements, so results
-never depend on the backend.
+maximal D-chains the theorems speak about, and on all elements the maximal
+chains of the poset. The chains D of s are computed once per poset pair
+and passed down.
 """
 
 from __future__ import annotations
 
-import os
+from functools import lru_cache
+from itertools import permutations
 
-import numpy as np
-
-from .poset import _canonical_encoding
-
-
-def _identity_jit(*args, **kwargs):
-    if len(args) == 1 and callable(args[0]) and not kwargs:
-        return args[0]
-
-    def wrap(fn):
-        return fn
-
-    return wrap
-
-
-if os.environ.get("CHAINCOVER_NO_NUMBA", "") not in ("", "0"):
-    njit = _identity_jit
-    NUMBA_ENABLED = False
-else:
-    try:
-        from numba import njit  # type: ignore
-
-        NUMBA_ENABLED = True
-    except ImportError:
-        njit = _identity_jit
-        NUMBA_ENABLED = False
+# The kernels are plain Python; perfbench records this in its `env` line.
+NUMBA_ENABLED = False
 
 
 # Property bits reported by property_bits().
@@ -84,81 +59,37 @@ GOAL_MAXDCHAIN_NOT_COVER = 1
 GOAL_MAXDCHAIN_NOT_PERFECT = 2
 
 
-@njit(cache=True)
-def _popcount(x):
-    c = 0
-    while x:
-        x &= x - 1
-        c += 1
-    return c
-
-
-@njit(cache=True)
 def _down_masks(n, up):
-    down = np.zeros(n, np.int64)
-    for i in range(n):
-        for j in range(n):
-            if up[j] >> i & 1:
-                down[i] |= 1 << j
-    return down
+    return [sum(1 << j for j in range(n) if up[j] >> i & 1) for i in range(n)]
 
 
-@njit(cache=True)
 def _comp_masks(n, up, down):
-    comp = np.empty(n, np.int64)
-    for i in range(n):
-        comp[i] = up[i] | down[i]
-    return comp
+    return [up[i] | down[i] for i in range(n)]
 
 
-@njit(cache=True)
 def _is_chain(comp, mask):
+    # every member is comparable with every other member
     m = mask
-    i = 0
     while m:
-        if m & 1:
-            if mask & ~comp[i]:
-                return False
-        m >>= 1
-        i += 1
+        low = m & -m
+        if mask & ~comp[low.bit_length() - 1]:
+            return False
+        m ^= low
     return True
 
 
-@njit(cache=True)
 def _chain_masks(n, comp):
     # ascending, so the empty chain comes first
-    total = 1 << n
-    out = np.empty(total, np.int64)
-    k = 0
-    for mask in range(total):
-        if _is_chain(comp, mask):
-            out[k] = mask
-            k += 1
-    return out[:k]
+    return [mask for mask in range(1 << n) if _is_chain(comp, mask)]
 
 
-@njit(cache=True)
-def _maximal_chain_masks(n, comp):
-    # maximal chains of the whole poset; none when the poset is empty
+def _maximal_chain_masks(n, up, down):
+    # maximal chains of the whole poset, ascending; none when it is empty
     if n == 0:
-        return np.empty(0, np.int64)
-    chains = _chain_masks(n, comp)
-    out = np.empty(len(chains), np.int64)
-    k = 0
-    for idx in range(len(chains)):
-        mask = chains[idx]
-        extendable = False
-        for x in range(n):
-            if not (mask >> x & 1) and (mask & ~comp[x]) == 0:
-                extendable = True
-                break
-        if not extendable:
-            out[k] = mask
-            k += 1
-    return out[:k]
+        return []
+    return _maximal_dchains(up, down, (1 << n) - 1)[::-1]
 
 
-@njit(cache=True)
 def _is_maximal_sub(comp, allowed, sub):
     # no one-element extension inside `allowed` stays a chain
     rest = allowed & ~sub
@@ -172,7 +103,6 @@ def _is_maximal_sub(comp, allowed, sub):
     return True
 
 
-@njit(cache=True)
 def _maximal_dchains(up, down, allowed):
     """Maximal chains inside the elements of `allowed`, in descending order.
 
@@ -203,7 +133,6 @@ def _maximal_dchains(up, down, allowed):
     return out
 
 
-@njit(cache=True)
 def _allowed_mask(ns, nr, cmap, d_mask):
     # elements whose contraction is a (non-top) member of D
     allowed = 0
@@ -214,7 +143,6 @@ def _allowed_mask(ns, nr, cmap, d_mask):
     return allowed
 
 
-@njit(cache=True)
 def _image_mask(nr, cmap, c_mask):
     img = 0
     for q in range(nr):
@@ -223,7 +151,6 @@ def _image_mask(nr, cmap, c_mask):
     return img
 
 
-@njit(cache=True)
 def _end_of_chain(masks, d_mask):
     # the member of D whose row holds all of D: the least member when
     # `masks` are up masks, the greatest when they are down masks
@@ -238,7 +165,6 @@ def _end_of_chain(masks, d_mask):
     return -1
 
 
-@njit(cache=True)
 def _ext_leq(s_up, ns, a, b):
     # order on s extended by a top value encoded as ns
     if b == ns:
@@ -248,7 +174,6 @@ def _ext_leq(s_up, ns, a, b):
     return (s_up[a] >> b & 1) == 1
 
 
-@njit(cache=True)
 def prop_unitary(ns, nr, cmap):
     for q in range(nr):
         if cmap[q] == ns:
@@ -256,7 +181,6 @@ def prop_unitary(ns, nr, cmap):
     return True
 
 
-@njit(cache=True)
 def prop_lo(ns, nr, cmap):
     for p in range(ns):
         hit = False
@@ -269,7 +193,6 @@ def prop_lo(ns, nr, cmap):
     return True
 
 
-@njit(cache=True)
 def prop_inc(ns, s_up, nr, r_up, cmap):
     for q1 in range(nr):
         for q2 in range(nr):
@@ -284,7 +207,6 @@ def prop_inc(ns, s_up, nr, r_up, cmap):
     return True
 
 
-@njit(cache=True)
 def prop_gu(ns, s_up, nr, r_up, cmap):
     for p1 in range(ns):
         for p2 in range(ns):
@@ -303,7 +225,6 @@ def prop_gu(ns, s_up, nr, r_up, cmap):
     return True
 
 
-@njit(cache=True)
 def prop_gd(ns, s_up, nr, r_up, cmap):
     for p1 in range(ns):
         for p2 in range(ns):
@@ -322,7 +243,6 @@ def prop_gd(ns, s_up, nr, r_up, cmap):
     return True
 
 
-@njit(cache=True)
 def prop_sgb(ns, s_up, nr, r_up, cmap):
     for p1 in range(ns):
         for p2 in range(ns):
@@ -353,7 +273,6 @@ def prop_sgb(ns, s_up, nr, r_up, cmap):
     return True
 
 
-@njit(cache=True)
 def prop_gb(ns, s_up, nr, r_up, cmap):
     # guarded form: both endpoint contractions must be proper (not top)
     for q1 in range(nr):
@@ -391,7 +310,6 @@ def prop_gb(ns, s_up, nr, r_up, cmap):
     return True
 
 
-@njit(cache=True)
 def _end_lift_code(ns, s_ends, s_chains, nr, r_up, r_down, cmap):
     """Covers of each nonempty chain D through the lifts of one end of D.
 
@@ -422,19 +340,16 @@ def _end_lift_code(ns, s_ends, s_chains, nr, r_up, r_down, cmap):
     return code
 
 
-@njit(cache=True)
 def prop_sclo(ns, s_up, s_chains, nr, r_up, r_down, cmap):
     # every element over the least member of a chain D starts a cover of D
     return _end_lift_code(ns, s_up, s_chains, nr, r_up, r_down, cmap) != 1
 
 
-@njit(cache=True)
 def prop_ggd(ns, s_down, s_chains, nr, r_up, r_down, cmap):
     # dual: every element over the greatest member of D ends a cover of D
     return _end_lift_code(ns, s_down, s_chains, nr, r_up, r_down, cmap) != 1
 
 
-@njit(cache=True)
 def prop_chain_morphism(ns, s_chains, nr, r_up, r_down, cmap):
     # every chain in s is covered by some chain in r, and so by a maximal
     # D-chain: extending a cover inside D keeps its image
@@ -449,19 +364,17 @@ def prop_chain_morphism(ns, s_chains, nr, r_up, r_down, cmap):
     return True
 
 
-@njit(cache=True)
 def layer_holds(n, ns, s_chains, nr, r_up, r_down, cmap):
     # every maximal D-chain over every n-element chain D has exactly n elements
     for d in s_chains:
-        if _popcount(d) != n:
+        if d.bit_count() != n:
             continue
         for c in _maximal_dchains(r_up, r_down, _allowed_mask(ns, nr, cmap, d)):
-            if _popcount(c) != n:
+            if c.bit_count() != n:
                 return False
     return True
 
 
-@njit(cache=True)
 def property_bits(ns, s_up, nr, r_up, cmap):
     bits = 0
     if prop_lo(ns, nr, cmap):
@@ -481,7 +394,6 @@ def property_bits(ns, s_up, nr, r_up, cmap):
     return bits
 
 
-@njit(cache=True)
 def _bracketed(ns, s_up, nr, cmap, d_mask, lower, upper):
     # each member p of D lies below the contraction of some member of
     # `lower` or above the contraction of some member of `upper`
@@ -501,7 +413,6 @@ def _bracketed(ns, s_up, nr, cmap, d_mask, lower, upper):
     return True
 
 
-@njit(cache=True)
 def _mini_rhs(tid, ns, s_up, s_chains, nr, r_up, r_down, cmap):
     # the chain condition of P_MINI_GD, P_MINI_GU or P_MINI_SGB on every
     # nonempty maximal D-chain: each member of D lies above some contraction
@@ -527,7 +438,6 @@ def _mini_rhs(tid, ns, s_up, s_chains, nr, r_up, r_down, cmap):
     return True
 
 
-@njit(cache=True)
 def _all_max_dchains_cover(ns, s_chains, nr, r_up, r_down, cmap):
     for d in s_chains[1:]:
         for c in _maximal_dchains(r_up, r_down, _allowed_mask(ns, nr, cmap, d)):
@@ -536,7 +446,6 @@ def _all_max_dchains_cover(ns, s_chains, nr, r_up, r_down, cmap):
     return True
 
 
-@njit(cache=True)
 def _iff_code(lhs, rhs):
     # clause code of a biconditional: 1 when only the left side holds
     if lhs == rhs:
@@ -544,7 +453,6 @@ def _iff_code(lhs, rhs):
     return 1 if lhs else 2
 
 
-@njit(cache=True)
 def eval_theorem(
     tid,
     waive,
@@ -579,8 +487,7 @@ def eval_theorem(
                 hyp = hyp and prop_inc(ns, s_up, nr, r_up, cmap)
             if not hyp:
                 return 0
-        for k in range(len(r_max_chains)):
-            cm = r_max_chains[k]
+        for cm in r_max_chains:
             img = 0
             has_top = False
             for q in range(nr):
@@ -595,7 +502,7 @@ def eval_theorem(
                 return 2
             if not _is_maximal_sub(s_comp, (1 << ns) - 1, img):
                 return 3
-            if tid == TID_C_PERFECT_MAXCHAIN and _popcount(cm) != _popcount(img):
+            if tid == TID_C_PERFECT_MAXCHAIN and cm.bit_count() != img.bit_count():
                 return 4
         return 0
 
@@ -670,7 +577,7 @@ def eval_theorem(
             for c in _maximal_dchains(r_up, r_down, _allowed_mask(ns, nr, cmap, d)):
                 if _image_mask(nr, cmap, c) != d:
                     return 1
-                if _popcount(c) != _popcount(d):
+                if c.bit_count() != d.bit_count():
                     return 2
         return 0
 
@@ -686,9 +593,9 @@ def eval_theorem(
         cond3 = True
         cond4 = True
         for d in s_chain_masks:
-            k = _popcount(d)
+            k = d.bit_count()
             for c in _maximal_dchains(r_up, r_down, _allowed_mask(ns, nr, cmap, d)):
-                sz = _popcount(c)
+                sz = c.bit_count()
                 if sz != k:
                     cond4 = False
                     if 1 <= k <= 3:
@@ -758,7 +665,6 @@ def eval_theorem(
     return -1  # unknown theorem id
 
 
-@njit(cache=True)
 def _map_value_ok(ns, s_up, nr, r_up, cmap, pos, v):
     for j in range(pos):
         if r_up[j] >> pos & 1:
@@ -770,20 +676,18 @@ def _map_value_ok(ns, s_up, nr, r_up, cmap, pos, v):
     return True
 
 
-@njit(cache=True)
 def monotone_maps(ns, s_up, nr, r_up, allow_top):
-    """Every monotone map r -> s (+ top) as the rows of an (M, nr) array.
+    """Every monotone map r -> s (+ top) as a list of value tuples.
 
-    Rows are value vectors in lexicographic order, s indices first, then
-    the top sentinel ns when allow_top is set. A row's index is the map
-    index that sweeps and searches report.
+    The tuples are in lexicographic order, s indices first, then the top
+    sentinel ns when allow_top is set. A map's list index is the map index
+    that sweeps and searches report.
     """
     if nr == 0:
-        return np.zeros((1, 0), np.int64)
+        return [()]
     nvals = ns + 1 if allow_top else ns
-    maps = np.empty((16, nr), np.int64)
-    count = 0
-    cmap = np.zeros(nr, np.int64)
+    maps = []
+    cmap = [0] * nr
     pos = 0
     val = 0
     while True:
@@ -793,12 +697,7 @@ def monotone_maps(ns, s_up, nr, r_up, allow_top):
         if v < nvals:
             cmap[pos] = v
             if pos == nr - 1:
-                if count == len(maps):
-                    grown = np.empty((2 * count, nr), np.int64)
-                    grown[:count] = maps
-                    maps = grown
-                maps[count] = cmap
-                count += 1
+                maps.append(tuple(cmap))
                 val = v + 1
             else:
                 pos += 1
@@ -808,7 +707,7 @@ def monotone_maps(ns, s_up, nr, r_up, allow_top):
             if pos < 0:
                 break
             val = cmap[pos] + 1
-    return maps[:count]
+    return maps
 
 
 def count_monotone_maps(ns, s_up, nr, r_up, allow_top):
@@ -816,7 +715,6 @@ def count_monotone_maps(ns, s_up, nr, r_up, allow_top):
     return len(monotone_maps(ns, s_up, nr, r_up, allow_top))
 
 
-@njit(cache=True)
 def _sweep_maps(tid, waive, ns, s_up, nr, r_up, allow_top):
     """Evaluate a theorem over the monotone maps of one poset pair.
 
@@ -828,28 +726,49 @@ def _sweep_maps(tid, waive, ns, s_up, nr, r_up, allow_top):
     r_down = _down_masks(nr, r_up)
     r_comp = _comp_masks(nr, r_up, r_down)
     s_chain_masks = _chain_masks(ns, s_comp)
-    s_max_chains = _maximal_chain_masks(ns, s_comp)
-    r_max_chains = _maximal_chain_masks(nr, r_comp)
+    s_max_chains = _maximal_chain_masks(ns, s_up, s_down)
+    r_max_chains = _maximal_chain_masks(nr, r_up, r_down)
     maps = monotone_maps(ns, s_up, nr, r_up, allow_top)
-    for k in range(len(maps)):
+    for k, cmap in enumerate(maps):
         code = eval_theorem(
             tid, waive, ns, s_up, s_down, s_comp, nr, r_up, r_down, r_comp,
-            maps[k], s_chain_masks, s_max_chains, r_max_chains,
+            cmap, s_chain_masks, s_max_chains, r_max_chains,
         )
         if code != 0:
             return len(maps), k, code
     return len(maps), -1, 0
 
 
+@lru_cache(maxsize=None)
+def _canonical_encoding(rows: tuple[int, ...]) -> tuple[int, ...]:
+    """Least relabeling of the strict up masks `rows` over all permutations."""
+    n = len(rows)
+    best = None
+    for perm in permutations(range(n)):
+        img = [0] * n
+        for i in range(n):
+            m = rows[i]
+            v = 0
+            while m:
+                j = (m & -m).bit_length() - 1
+                v |= 1 << perm[j]
+                m &= m - 1
+            img[perm[i]] = v
+        enc = tuple(img)
+        if best is None or enc < best:
+            best = enc
+    return best
+
+
 def _iso_class(up) -> tuple[int, ...]:
     """Canonical form of the poset with up masks `up` (self bits included)."""
-    return _canonical_encoding(tuple(int(m) & ~(1 << i) for i, m in enumerate(up)))
+    return _canonical_encoding(tuple(m & ~(1 << i) for i, m in enumerate(up)))
 
 
 def sweep_pair(tid, waive, ns, s_up, nr, r_up, allow_top, memo=None):
     """Evaluate a theorem over every monotone map for one poset pair.
 
-    Maps are the rows of monotone_maps. Returns (maps checked, index of the
+    Maps are the tuples of monotone_maps. Returns (maps checked, index of the
     first violating map or -1, its clause code).
 
     Verdicts are invariant under relabeling s and r, which permutes the maps
@@ -872,22 +791,20 @@ def sweep_pair(tid, waive, ns, s_up, nr, r_up, allow_top, memo=None):
     return count, first_bad, code
 
 
-@njit(cache=True)
 def _goal_met(goal_id, goal_size, ns, s_chains, nr, r_up, r_down, cmap):
     if goal_id == GOAL_LO_FAILS:
         return not prop_lo(ns, nr, cmap)
     for d in s_chains[1:]:
-        if goal_size > 0 and _popcount(d) != goal_size:
+        if goal_size > 0 and d.bit_count() != goal_size:
             continue
         for c in _maximal_dchains(r_up, r_down, _allowed_mask(ns, nr, cmap, d)):
             if _image_mask(nr, cmap, c) != d:
                 return True
-            if goal_id == GOAL_MAXDCHAIN_NOT_PERFECT and _popcount(c) != _popcount(d):
+            if goal_id == GOAL_MAXDCHAIN_NOT_PERFECT and c.bit_count() != d.bit_count():
                 return True
     return False
 
 
-@njit(cache=True)
 def _search_maps(ns, s_up, nr, r_up, allow_top, need_bits, forbid_bits, goal_id, goal_size):
     """First monotone map meeting the flag and goal constraints, if any.
 
@@ -897,8 +814,7 @@ def _search_maps(ns, s_up, nr, r_up, allow_top, need_bits, forbid_bits, goal_id,
     s_chains = _chain_masks(ns, _comp_masks(ns, s_up, _down_masks(ns, s_up)))
     r_down = _down_masks(nr, r_up)
     maps = monotone_maps(ns, s_up, nr, r_up, allow_top)
-    for k in range(len(maps)):
-        cmap = maps[k]
+    for k, cmap in enumerate(maps):
         bits = property_bits(ns, s_up, nr, r_up, cmap)
         if bits & need_bits == need_bits and bits & forbid_bits == 0:
             if _goal_met(goal_id, goal_size, ns, s_chains, nr, r_up, r_down, cmap):

@@ -11,9 +11,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import product
 
 import numpy as np
+
+from ._kernels import (
+    _canonical_encoding,
+    _chain_masks,
+    _comp_masks,
+    _down_masks,
+    _is_chain,
+    _maximal_dchains,
+)
 
 # Labeled-poset enumeration scans 3^(n(n-1)/2) candidate relations.
 POSET_ENUM_BOUND = 5
@@ -65,21 +74,10 @@ class Poset:
         leq = leq.astype(bool)
         leq.setflags(write=False)
         self.leq = leq
-        up = []
-        down = []
-        for i in range(self.n):
-            u = 0
-            d = 0
-            for j in range(self.n):
-                if leq[i, j]:
-                    u |= 1 << j
-                if leq[j, i]:
-                    d |= 1 << j
-            up.append(u)
-            down.append(d)
-        self.up_masks = tuple(up)
-        self.down_masks = tuple(down)
-        self.comp_masks = tuple(u | d for u, d in zip(up, down))
+        up = tuple(sum(1 << j for j, le in enumerate(row) if le) for row in leq.tolist())
+        self.up_masks = up
+        self.down_masks = tuple(_down_masks(self.n, up))
+        self.comp_masks = tuple(_comp_masks(self.n, up, self.down_masks))
         self._index = {lab: i for i, lab in enumerate(labels)}
 
     @classmethod
@@ -139,7 +137,7 @@ class Poset:
         return i != j and bool(self.leq[i, j])
 
     def up_array(self) -> np.ndarray:
-        """Up-set bitmasks as an int64 array (kernel-side encoding)."""
+        """Up-set bitmasks as an int64 array."""
         return np.array(self.up_masks, dtype=np.int64)
 
     def order_pairs(self) -> list[tuple[int, int]]:
@@ -262,17 +260,7 @@ def is_chain(p: Poset, subset) -> bool:
     for i in subset:
         p.check_index(i)
         mask |= 1 << i
-    return _is_chain_mask(p.comp_masks, mask)
-
-
-def _is_chain_mask(comp_masks, mask: int) -> bool:
-    m = mask
-    while m:
-        i = (m & -m).bit_length() - 1
-        if mask & ~comp_masks[i]:
-            return False
-        m &= m - 1
-    return True
+    return _is_chain(p.comp_masks, mask)
 
 
 def chain_from_mask(p: Poset, mask: int) -> ChainRecord:
@@ -285,39 +273,17 @@ def enumerate_chains(p: Poset, include_empty: bool):
     """Yield every chain exactly once, in ascending-bitmask order."""
     if p.n > MASK_ENUM_BOUND:
         raise BoundExceeded(f"chain enumeration supports at most {MASK_ENUM_BOUND} elements")
-    for mask in range(1 << p.n):
-        if mask == 0 and not include_empty:
-            continue
-        if _is_chain_mask(p.comp_masks, mask):
+    for mask in _chain_masks(p.n, p.comp_masks):
+        if mask or include_empty:
             yield chain_from_mask(p, mask)
 
 
 def maximal_chains(p: Poset) -> list[ChainRecord]:
-    """All maximal chains, by depth-first descent from minimal elements.
-
-    A maximal chain steps from each member to a minimal element of its
-    strict up-set, so the search is linear in the output.
-    """
+    """All maximal chains, in lexicographic member order."""
     if p.n == 0:
         raise EmptyPoset("maximal chains need a nonempty poset")
-    out: list[ChainRecord] = []
-    full = (1 << p.n) - 1
-
-    def descend(prefix: list[int], universe: int):
-        # universe: elements strictly above prefix[-1] (all, at the root)
-        minimal = [
-            i
-            for i in range(p.n)
-            if universe >> i & 1 and p.down_masks[i] & universe == 1 << i
-        ]
-        if not minimal:
-            out.append(ChainRecord(p, tuple(prefix)))
-            return
-        for i in minimal:
-            descend(prefix + [i], universe & p.up_masks[i] & ~(1 << i))
-
-    descend([], full)
-    return out
+    masks = _maximal_dchains(p.up_masks, p.down_masks, (1 << p.n) - 1)
+    return sorted((chain_from_mask(p, mask) for mask in masks), key=lambda c: c.members)
 
 
 def cuts_of(chain: ChainRecord, proper_only: bool) -> list[Cut]:
@@ -360,26 +326,6 @@ def _strict_order_masks(n: int) -> tuple[tuple[int, ...], ...]:
         if ok:
             orders.append(tuple(rows))
     return tuple(orders)
-
-
-@lru_cache(maxsize=None)
-def _canonical_encoding(rows: tuple[int, ...]) -> tuple[int, ...]:
-    n = len(rows)
-    best = None
-    for perm in permutations(range(n)):
-        img = [0] * n
-        for i in range(n):
-            m = rows[i]
-            v = 0
-            while m:
-                j = (m & -m).bit_length() - 1
-                v |= 1 << perm[j]
-                m &= m - 1
-            img[perm[i]] = v
-        enc = tuple(img)
-        if best is None or enc < best:
-            best = enc
-    return best
 
 
 def _poset_from_strict_rows(rows: tuple[int, ...]) -> Poset:

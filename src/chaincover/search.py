@@ -148,7 +148,7 @@ def _search_chunk(args):
             memo=memo,
         )
         if hit >= 0:
-            return [(pair_idx, int(hit))]
+            return [(pair_idx, hit)]
     return []
 
 

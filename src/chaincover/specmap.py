@@ -86,43 +86,44 @@ class SpectralMap:
 
 
 class MapFacts:
-    """The kernel arrays of one spectral map and the facts derived from them.
+    """The kernel encoding of one spectral map and the facts derived from it.
 
-    The arrays are built at once; the property bits and the chain masks are
-    each computed on first use and kept, so a caller that reads only the
-    bits never builds a chain. A SpectralMap is immutable over immutable
-    posets, so its facts never go stale.
+    The up, down and comparability masks are the posets' own tuples and
+    `cmap` is the assignment with TOP as the sentinel ns. The property bits
+    and the chain masks are each computed on first use and kept, so a
+    caller that reads only the bits never builds a chain. A SpectralMap is
+    immutable over immutable posets, so its facts never go stale.
     """
 
     def __init__(self, m: SpectralMap):
         s, r = m.s_poset, m.r_poset
         self.ns = s.n
-        self.s_up = s.up_array()
-        self.s_down = np.array(s.down_masks, dtype=np.int64)
-        self.s_comp = np.array(s.comp_masks, dtype=np.int64)
+        self.s_up = s.up_masks
+        self.s_down = s.down_masks
+        self.s_comp = s.comp_masks
         self.nr = r.n
-        self.r_up = r.up_array()
-        self.r_down = np.array(r.down_masks, dtype=np.int64)
-        self.r_comp = np.array(r.comp_masks, dtype=np.int64)
-        self.cmap = m.cmap_array()
+        self.r_up = r.up_masks
+        self.r_down = r.down_masks
+        self.r_comp = r.comp_masks
+        self.cmap = tuple(s.n if v is TOP else v for v in m.assignment)
 
     @cached_property
     def bits(self) -> int:
         """LO, INC, GU, GD, SGB, GB and unitarity as K.property_bits flags."""
-        return int(K.property_bits(self.ns, self.s_up, self.nr, self.r_up, self.cmap))
+        return K.property_bits(self.ns, self.s_up, self.nr, self.r_up, self.cmap)
 
     @cached_property
-    def s_chains(self) -> np.ndarray:
+    def s_chains(self) -> list[int]:
         """Every chain of s as a mask, ascending, the empty chain first."""
         return K._chain_masks(self.ns, self.s_comp)
 
     @cached_property
-    def s_max_chains(self) -> np.ndarray:
-        return K._maximal_chain_masks(self.ns, self.s_comp)
+    def s_max_chains(self) -> list[int]:
+        return K._maximal_chain_masks(self.ns, self.s_up, self.s_down)
 
     @cached_property
-    def r_max_chains(self) -> np.ndarray:
-        return K._maximal_chain_masks(self.nr, self.r_comp)
+    def r_max_chains(self) -> list[int]:
+        return K._maximal_chain_masks(self.nr, self.r_up, self.r_down)
 
     def theorem_args(self) -> tuple:
         """The instance arguments of K.eval_theorem, after tid and waive."""
@@ -233,19 +234,19 @@ def check_GB(m: SpectralMap) -> bool:
 def check_SCLO(m: SpectralMap) -> bool:
     """Starting chain lying over: covers of D grow from any lift of min D."""
     f = m.facts
-    return bool(K.prop_sclo(f.ns, f.s_up, f.s_chains, f.nr, f.r_up, f.r_down, f.cmap))
+    return K.prop_sclo(f.ns, f.s_up, f.s_chains, f.nr, f.r_up, f.r_down, f.cmap)
 
 
 def check_GGD(m: SpectralMap) -> bool:
     """Generalized going down: covers of D grow below any lift of max D."""
     f = m.facts
-    return bool(K.prop_ggd(f.ns, f.s_down, f.s_chains, f.nr, f.r_up, f.r_down, f.cmap))
+    return K.prop_ggd(f.ns, f.s_down, f.s_chains, f.nr, f.r_up, f.r_down, f.cmap)
 
 
 def check_chain_morphism(m: SpectralMap) -> bool:
     """Every chain in s is covered by some chain in r."""
     f = m.facts
-    return bool(K.prop_chain_morphism(f.ns, f.s_chains, f.nr, f.r_up, f.r_down, f.cmap))
+    return K.prop_chain_morphism(f.ns, f.s_chains, f.nr, f.r_up, f.r_down, f.cmap)
 
 
 def check_layer(m: SpectralMap, n: int) -> bool:
@@ -253,7 +254,7 @@ def check_layer(m: SpectralMap, n: int) -> bool:
     if n < 1:
         raise ValueError("layer index must be at least 1")
     f = m.facts
-    return bool(K.layer_holds(n, f.ns, f.s_chains, f.nr, f.r_up, f.r_down, f.cmap))
+    return K.layer_holds(n, f.ns, f.s_chains, f.nr, f.r_up, f.r_down, f.cmap)
 
 
 PROPERTY_NAMES = ("LO", "INC", "GU", "GD", "SGB", "GB", "SCLO", "GGD", "chain_morphism")
@@ -289,15 +290,6 @@ def properties_summary(m: SpectralMap) -> dict:
     return out
 
 
-def _allowed_mask(m: SpectralMap, d_members) -> int:
-    dset = set(d_members)
-    mask = 0
-    for q, v in enumerate(m.assignment):
-        if v is not TOP and v in dset:
-            mask |= 1 << q
-    return mask
-
-
 def is_D_chain(m: SpectralMap, c: ChainRecord, d: ChainRecord) -> bool:
     """True iff every member of c contracts to a member of d (never TOP)."""
     dset = set(d.members)
@@ -311,13 +303,8 @@ def is_maximal_D_chain(m: SpectralMap, c: ChainRecord, d: ChainRecord) -> bool:
     """
     if not is_D_chain(m, c, d):
         raise NotADChain(f"{c.members} is not a D-chain for {d.members}")
-    r = m.r_poset
-    allowed = _allowed_mask(m, d.members)
-    cm = c.mask
-    for x in range(r.n):
-        if allowed >> x & 1 and not (cm >> x & 1) and (cm & ~r.comp_masks[x]) == 0:
-            return False
-    return True
+    f = m.facts
+    return K._is_maximal_sub(f.r_comp, K._allowed_mask(f.ns, f.nr, f.cmap, d.mask), c.mask)
 
 
 def maximal_D_chains(m: SpectralMap, d: ChainRecord) -> list[ChainRecord]:
@@ -326,26 +313,10 @@ def maximal_D_chains(m: SpectralMap, d: ChainRecord) -> list[ChainRecord]:
     When no element contracts into d the only D-chain is the empty one,
     which is then vacuously maximal.
     """
-    r = m.r_poset
-    allowed = _allowed_mask(m, d.members)
-    if allowed == 0:
-        return [ChainRecord(r, ())]
-    out: list[ChainRecord] = []
-
-    def descend(prefix: list[int], universe: int):
-        minimal = [
-            i
-            for i in range(r.n)
-            if universe >> i & 1 and r.down_masks[i] & universe == 1 << i
-        ]
-        if not minimal:
-            out.append(ChainRecord(r, tuple(prefix)))
-            return
-        for i in minimal:
-            descend(prefix + [i], universe & r.up_masks[i] & ~(1 << i))
-
-    descend([], allowed)
-    return out
+    f = m.facts
+    allowed = K._allowed_mask(f.ns, f.nr, f.cmap, d.mask)
+    masks = K._maximal_dchains(f.r_up, f.r_down, allowed)
+    return sorted((chain_from_mask(m.r_poset, c) for c in masks), key=lambda c: c.members)
 
 
 def is_cover(m: SpectralMap, c: ChainRecord, d: ChainRecord) -> bool:
@@ -368,6 +339,6 @@ def is_maximal_cover(m: SpectralMap, c: ChainRecord, d: ChainRecord) -> bool:
 def enumerate_monotone_maps(s: Poset, r: Poset, allow_top: bool):
     """Yield every monotone map r -> s (+TOP if allowed), lexicographically."""
     ns = s.n
-    for vec in K.monotone_maps(ns, s.up_array(), r.n, r.up_array(), allow_top).tolist():
+    for vec in K.monotone_maps(ns, s.up_masks, r.n, r.up_masks, allow_top):
         assignment = tuple(TOP if v == ns else v for v in vec)
         yield SpectralMap(s, r, assignment)

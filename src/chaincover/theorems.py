@@ -18,8 +18,6 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from . import _kernels as K
 from .poset import (
     POSET_ENUM_BOUND,
@@ -229,7 +227,7 @@ def verify(m: SpectralMap, theorem: TheoremId, waive_hypotheses: bool = False) -
     its own.
     """
     start = time.perf_counter()
-    code = int(K.eval_theorem(theorem.value, waive_hypotheses, *m.facts.theorem_args()))
+    code = K.eval_theorem(theorem.value, waive_hypotheses, *m.facts.theorem_args())
     note = None
     unmet = unmet_hypotheses(m, theorem)
     if unmet and not waive_hypotheses:
@@ -254,11 +252,9 @@ def verify(m: SpectralMap, theorem: TheoremId, waive_hypotheses: bool = False) -
     )
 
 
-def _raw_up(strict_rows: tuple[int, ...]) -> np.ndarray:
+def _raw_up(strict_rows: tuple[int, ...]) -> tuple[int, ...]:
     """Up masks, self bits included, of a poset given by strict rows."""
-    return np.array(
-        [row | (1 << i) for i, row in enumerate(strict_rows)], dtype=np.int64
-    )
+    return tuple(row | (1 << i) for i, row in enumerate(strict_rows))
 
 
 def instance_from_raw(s_rows, r_rows, vec) -> SpectralMap:
@@ -304,7 +300,7 @@ def _sweep_chunk(args):
         count, first_bad, code = K.sweep_pair(
             tid, waive, len(s_rows), s_up, len(r_rows), r_up, allow_top, memo=memo
         )
-        results.append((pair_idx, int(count), int(first_bad), int(code)))
+        results.append((pair_idx, count, first_bad, code))
     return results
 
 

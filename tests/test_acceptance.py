@@ -28,10 +28,6 @@ sample_instances/sgb_necessity.json, that the hit replays to a witness, and
 that shrinking keeps all six elements. tests/test_theorems.py,
 TestMaximalChainWitnessBounds, confirms the empty result by a brute-force
 oracle that uses none of chaincover's code.
-
-Timing tolerances are stated for the compiled kernel path but hold with
-slack for the pure-Python fallback (CHAINCOVER_NO_NUMBA=1) as well; the
-fallback mostly costs time in the criterion-4a search.
 """
 
 import contextlib

@@ -166,6 +166,8 @@ class TestSearch:
         report = json.loads(out)
         assert report["found"] is True
         assert report["witness"]["s"]["labels"] == ["e0", "e1"]
+        assert report["witness"]["r"]["labels"] == ["e0"]
+        assert report["witness"]["map"] == {"e0": "e0"}
 
     def test_no_witness_exits_zero(self, capsys):
         code, out, _ = run_cli(

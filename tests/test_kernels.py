@@ -1,26 +1,18 @@
-"""Kernel-level tests: chain mask parity, the maximal-D-chain primitive
-against a brute-force scan, the per-sweep isomorphism-class memo, and the
-interpreter fallback.
-
-The kernels run compiled when numba is importable and CHAINCOVER_NO_NUMBA
-is unset; the same statements interpret as plain Python otherwise. The
-fallback test runs a worker process with the flag flipped relative to this
-process and requires identical answers from both paths.
+"""Kernel-level tests: the chain mask primitives against brute-force scans
+that use only itertools and the order matrix, and the per-sweep
+isomorphism-class memo.
 
 The memo tests compare every memoized per-pair answer of a sweep or a
 search with the same kernel called without a memo on that pair.
 """
 
-import json
-import os
-import subprocess
-import sys
 from itertools import combinations, product
 
-import numpy as np
+import pytest
 
 from chaincover import _kernels as K
 from chaincover.poset import (
+    EmptyPoset,
     _strict_order_masks,
     enumerate_chains,
     enumerate_posets,
@@ -30,65 +22,73 @@ from chaincover.search import GOALS, _flag_masks, _raw_up, _search_chunk
 from chaincover.theorems import TheoremId, _sweep_chunk, sweep_pairs
 
 
-def test_numba_flag_reflects_environment():
-    env_off = os.environ.get("CHAINCOVER_NO_NUMBA", "") not in ("", "0")
-    if env_off:
-        assert not K.NUMBA_ENABLED
-    else:
-        try:
-            import numba  # noqa: F401
-
-            assert K.NUMBA_ENABLED
-        except ImportError:
-            assert not K.NUMBA_ENABLED
-
-
-def test_chain_masks_match_object_enumeration():
-    for p in enumerate_posets(4):
-        comp = np.array(p.comp_masks, dtype=np.int64)
-        kernel_masks = [int(x) for x in K._chain_masks(p.n, comp)]
-        object_masks = [c.mask for c in enumerate_chains(p, include_empty=True)]
-        assert kernel_masks == object_masks
-
-
-def test_maximal_chain_masks_match_object_enumeration():
-    for p in enumerate_posets(4):
-        if p.n == 0:
-            continue
-        comp = np.array(p.comp_masks, dtype=np.int64)
-        kernel_masks = sorted(int(x) for x in K._maximal_chain_masks(p.n, comp))
-        object_masks = sorted(c.mask for c in maximal_chains(p))
-        assert kernel_masks == object_masks
-
-
-def _brute_force_maximal_chains(p, allowed):
-    """Chains inside `allowed` with no one-element extension inside it."""
+def _brute_force_chains(p, allowed):
+    """Subsets of `allowed` whose members are pairwise comparable."""
     members = [i for i in range(p.n) if allowed >> i & 1]
 
     def is_chain(subset):
         return all(p.leq[a, b] or p.leq[b, a] for a, b in combinations(subset, 2))
 
-    found = []
-    for k in range(len(members) + 1):
-        for subset in combinations(members, k):
-            if not is_chain(subset):
-                continue
-            if any(is_chain(subset + (x,)) for x in members if x not in subset):
-                continue
-            found.append(sum(1 << i for i in subset))
-    return sorted(found, reverse=True)
+    return [
+        subset
+        for k in range(len(members) + 1)
+        for subset in combinations(members, k)
+        if is_chain(subset)
+    ]
+
+
+def _brute_force_maximal_chains(p, allowed):
+    """Chains inside `allowed` that no larger chain inside it contains."""
+    chains = _brute_force_chains(p, allowed)
+    return [c for c in chains if not any(set(c) < set(d) for d in chains)]
+
+
+def _mask(members):
+    return sum(1 << i for i in members)
+
+
+def _all_posets():
+    # every labeled poset with at most four elements, the empty one first
+    for n in range(5):
+        yield from enumerate_posets(n)
+
+
+def test_chain_masks_match_object_enumeration():
+    for p in _all_posets():
+        want = sorted(_mask(c) for c in _brute_force_chains(p, (1 << p.n) - 1))
+        assert K._chain_masks(p.n, p.comp_masks) == want, p
+        chains = [c.mask for c in enumerate_chains(p, include_empty=True)]
+        assert chains == want, p
+        nonempty = [c.mask for c in enumerate_chains(p, include_empty=False)]
+        assert nonempty == want[1:], p
+        for mask in range(1 << p.n):
+            assert K._is_chain(p.comp_masks, mask) == (mask in want), (p, mask)
+
+
+def test_maximal_chain_masks_match_object_enumeration():
+    # ascending masks for the kernel: theorems that stop at the first bad
+    # maximal chain report that chain's clause code; member tuples in
+    # lexicographic order for the object level
+    for p in _all_posets():
+        found = _brute_force_maximal_chains(p, (1 << p.n) - 1) if p.n else []
+        got = K._maximal_chain_masks(p.n, p.up_masks, p.down_masks)
+        assert got == sorted(_mask(c) for c in found), p
+        if p.n == 0:
+            assert got == []
+            with pytest.raises(EmptyPoset):
+                maximal_chains(p)
+            continue
+        assert [c.members for c in maximal_chains(p)] == sorted(found), p
 
 
 def test_maximal_dchains_match_brute_force():
     # order included: callers that stop at the first defective chain report
     # the clause code of the first chain in descending mask order
-    for n in range(5):
-        for p in enumerate_posets(n):
-            up = p.up_array()
-            down = np.array(p.down_masks, dtype=np.int64)
-            for allowed in range(1 << n):
-                got = [int(c) for c in K._maximal_dchains(up, down, allowed)]
-                assert got == _brute_force_maximal_chains(p, allowed), (p, allowed)
+    for p in _all_posets():
+        for allowed in range(1 << p.n):
+            got = K._maximal_dchains(p.up_masks, p.down_masks, allowed)
+            want = [_mask(c) for c in _brute_force_maximal_chains(p, allowed)]
+            assert got == sorted(want, reverse=True), (p, allowed)
 
 
 def _counting(monkeypatch, name):
@@ -113,7 +113,7 @@ def test_memoized_sweep_matches_unmemoized_sweep(monkeypatch):
     violations = 0
     for theorem, waive in product(TheoremId, (False, True)):
         expected = [
-            (idx, *(int(x) for x in K.sweep_pair(theorem.value, waive, *args, True)))
+            (idx, *K.sweep_pair(theorem.value, waive, *args, True))
             for (idx, _, _), args in zip(pairs, raw)
         ]
         with monkeypatch.context() as m:
@@ -152,7 +152,7 @@ def test_memoized_search_matches_unmemoized_search(monkeypatch):
                 len(s_rows), _raw_up(s_rows), len(r_rows), _raw_up(r_rows),
                 *params, memo=memo,
             )
-            return int(count), int(hit)
+            return count, hit
 
         expected = [search(s_rows, r_rows) for _, s_rows, r_rows in pairs]
         memo: dict = {}
@@ -171,87 +171,3 @@ def test_memoized_search_matches_unmemoized_search(monkeypatch):
     # some searches hit and some exhaust the space
     assert 0 < hits < len(_SEARCHES)
     assert scans < len(pairs) * len(_SEARCHES)
-
-
-_WORKER = r"""
-import json
-from chaincover.poset import make_poset
-from chaincover.search import WitnessSearchSpec, search_witness
-from chaincover.specmap import make_spectral_map, properties_summary
-from chaincover.theorems import TheoremId, exhaustive_verify
-from chaincover import _kernels as K
-
-out = {"numba": K.NUMBA_ENABLED}
-
-v = exhaustive_verify(TheoremId.C_EQUIVALENT, 2, 3)
-out["equiv"] = [v.holds, v.instances_checked]
-
-v = exhaustive_verify(TheoremId.T_COVER_MAXCHAIN, 1, 2, waive_hypotheses=True)
-out["waived"] = [v.holds, v.instances_checked, v.note,
-                 v.counterexample.detail["code"]]
-
-s = make_poset(["p1", "p2", "p3"], [("p1", "p2"), ("p2", "p3")])
-r = make_poset(
-    ["l1", "x1", "m2", "u2", "x3", "u3"],
-    [("l1", "m2"), ("m2", "x3"), ("x1", "x3"), ("x1", "u2"), ("u2", "u3")],
-)
-to_s = {"l1": "p1", "x1": "p1", "m2": "p2", "u2": "p2", "x3": "p3", "u3": "p3"}
-m = make_spectral_map(s, r, [s.index(to_s[lab]) for lab in r.labels])
-out["witness_props"] = properties_summary(m)
-
-spec = WitnessSearchSpec(required=frozenset({"GU"}), goal="lo-fails",
-                         max_s=3, max_r=2)
-w = search_witness(spec)
-out["search"] = w.describe()
-
-print(json.dumps(out))
-"""
-
-
-def _run_worker(no_numba: bool) -> dict:
-    env = dict(os.environ)
-    env["CHAINCOVER_NO_NUMBA"] = "1" if no_numba else "0"
-    proc = subprocess.run(
-        [sys.executable, "-c", _WORKER],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=600,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
-
-
-def test_fallback_path_agrees_with_compiled_path():
-    flipped = _run_worker(no_numba=K.NUMBA_ENABLED)
-    here = {"numba": K.NUMBA_ENABLED}
-    from chaincover.poset import make_poset
-    from chaincover.search import WitnessSearchSpec, search_witness
-    from chaincover.specmap import make_spectral_map, properties_summary
-    from chaincover.theorems import TheoremId, exhaustive_verify
-
-    v = exhaustive_verify(TheoremId.C_EQUIVALENT, 2, 3)
-    here["equiv"] = [v.holds, v.instances_checked]
-    v = exhaustive_verify(TheoremId.T_COVER_MAXCHAIN, 1, 2, waive_hypotheses=True)
-    here["waived"] = [
-        v.holds, v.instances_checked, v.note, v.counterexample.detail["code"],
-    ]
-    s = make_poset(["p1", "p2", "p3"], [("p1", "p2"), ("p2", "p3")])
-    r = make_poset(
-        ["l1", "x1", "m2", "u2", "x3", "u3"],
-        [("l1", "m2"), ("m2", "x3"), ("x1", "x3"), ("x1", "u2"), ("u2", "u3")],
-    )
-    to_s = {
-        "l1": "p1", "x1": "p1", "m2": "p2", "u2": "p2", "x3": "p3", "u3": "p3",
-    }
-    m = make_spectral_map(s, r, [s.index(to_s[lab]) for lab in r.labels])
-    here["witness_props"] = properties_summary(m)
-    spec = WitnessSearchSpec(
-        required=frozenset({"GU"}), goal="lo-fails", max_s=3, max_r=2
-    )
-    here["search"] = search_witness(spec).describe()
-
-    if K.NUMBA_ENABLED:
-        assert flipped["numba"] is False
-    for key in ("equiv", "waived", "witness_props", "search"):
-        assert flipped[key] == here[key], key

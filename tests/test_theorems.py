@@ -14,7 +14,6 @@ import pathlib
 import sys
 from itertools import combinations, product
 
-import numpy as np
 import pytest
 
 from chaincover import _kernels as K
@@ -235,19 +234,13 @@ class TestExhaustiveVerify:
 def fresh_kernel_args(m):
     """eval_theorem's instance arguments, built from the posets directly."""
     s, r = m.s_poset, m.r_poset
-
-    def masks(values):
-        return np.array(values, dtype=np.int64)
-
-    s_comp = masks(s.comp_masks)
-    r_comp = masks(r.comp_masks)
-    cmap = masks([s.n if v is TOP else v for v in m.assignment])
+    cmap = tuple(s.n if v is TOP else v for v in m.assignment)
     return (
-        s.n, masks(s.up_masks), masks(s.down_masks), s_comp,
-        r.n, masks(r.up_masks), masks(r.down_masks), r_comp, cmap,
-        K._chain_masks(s.n, s_comp),
-        K._maximal_chain_masks(s.n, s_comp),
-        K._maximal_chain_masks(r.n, r_comp),
+        s.n, s.up_masks, s.down_masks, s.comp_masks,
+        r.n, r.up_masks, r.down_masks, r.comp_masks, cmap,
+        K._chain_masks(s.n, s.comp_masks),
+        K._maximal_chain_masks(s.n, s.up_masks, s.down_masks),
+        K._maximal_chain_masks(r.n, r.up_masks, r.down_masks),
     )
 
 
@@ -665,6 +658,10 @@ class TestMaximalChainWitnessBounds:
         assert summary["unitary"] and summary["LO"]
         assert summary["GU"] and summary["GD"]
         assert not summary["SGB"]
+        # x1 < x3 lies over p1 < p3 with nothing between them upstairs
+        assert not summary["GB"]
+        assert summary["INC"] and summary["SCLO"] and summary["GGD"]
+        assert summary["chain_morphism"]
         assert flags_hold(m, frozenset({"UNITARY", "LO", "GU", "GD", "!SGB"}))
         assert goal_holds(m, "maximal-dchain-not-cover", d_size=3)
 
