@@ -13,13 +13,20 @@ lexicographic order whose list indices sweeps and searches report and
 replays look up. `_maximal_dchains` lists the maximal chains inside a set
 of elements; on the elements that contract into a chain D these are the
 maximal D-chains the theorems speak about, and on all elements the maximal
-chains of the poset. The chains D of s are computed once per poset pair
-and passed down.
+chains of the poset.
+
+The theorems read two kinds of facts. A `PosetFacts` record holds what
+depends on one poset: its masks, its chains and a table of its maximal
+chains inside each set of elements. A sweep or search builds one record per
+poset it visits and every map of that poset reads it. Per map there is the
+value tuple `cmap` and the dict `allowed` from `_allowed_masks`, which sends
+each chain D of s to the elements of r contracting into D; the maximal
+D-chains are then the lookup `r.dchains[allowed[D]]`.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations
 
 # The kernels are plain Python; perfbench records this in its `env` line.
@@ -60,7 +67,16 @@ GOAL_MAXDCHAIN_NOT_PERFECT = 2
 
 
 def _down_masks(n, up):
-    return [sum(1 << j for j in range(n) if up[j] >> i & 1) for i in range(n)]
+    # bit i of down[j] for every bit j of up[i]
+    down = [0] * n
+    for i in range(n):
+        bit = 1 << i
+        m = up[i]
+        while m:
+            low = m & -m
+            down[low.bit_length() - 1] |= bit
+            m ^= low
+    return down
 
 
 def _comp_masks(n, up, down):
@@ -133,21 +149,94 @@ def _maximal_dchains(up, down, allowed):
     return out
 
 
-def _allowed_mask(ns, nr, cmap, d_mask):
-    # elements whose contraction is a (non-top) member of D
-    allowed = 0
-    for q in range(nr):
-        c = cmap[q]
-        if c != ns and (d_mask >> c & 1):
-            allowed |= 1 << q
+class _DChainTable(dict):
+    """allowed mask -> _maximal_dchains(up, down, allowed), filled on lookup.
+
+    At most 2^n entries; the lists are shared by every caller, who only
+    reads them.
+    """
+
+    __slots__ = ("up", "down")
+
+    def __init__(self, up, down):
+        super().__init__()
+        self.up = up
+        self.down = down
+
+    def __missing__(self, allowed):
+        chains = self[allowed] = _maximal_dchains(self.up, self.down, allowed)
+        return chains
+
+
+class PosetFacts(tuple):
+    """The up masks of one poset, and the facts every map of it reads.
+
+    The record is the tuple of up masks itself, so it stands wherever up
+    masks are read. Its down and comparability masks and its maximal chains
+    (ascending) are built with it. Its chains (ascending, the empty chain
+    first), its isomorphism key and its D-chain table are built on first
+    use: `dchains[allowed]` equals `_maximal_dchains(up, down, allowed)`,
+    order included. A record lives as long as its owner, one sweep or
+    search chunk or one SpectralMap's facts, and is never changed.
+    """
+
+    def __new__(cls, up):
+        return super().__new__(cls, [int(m) for m in up])
+
+    def __init__(self, up):
+        n = len(self)
+        self.n = n
+        self.down = _down_masks(n, self)
+        self.comp = _comp_masks(n, self, self.down)
+        self.max_chains = _maximal_chain_masks(n, self, self.down)
+
+    @cached_property
+    def chains(self) -> list[int]:
+        return _chain_masks(self.n, self.comp)
+
+    @cached_property
+    def chain_steps(self) -> list[tuple[int, int, int]]:
+        # each nonempty chain, the chain left without its least member, and
+        # that member; the smaller chain comes earlier in ascending order
+        return [(d, d & (d - 1), (d & -d).bit_length() - 1) for d in self.chains[1:]]
+
+    @cached_property
+    def iso(self) -> tuple[int, ...]:
+        return _iso_class(self)
+
+    @cached_property
+    def dchains(self) -> _DChainTable:
+        return _DChainTable(self, self.down)
+
+
+def _facts(up) -> PosetFacts:
+    return up if isinstance(up, PosetFacts) else PosetFacts(up)
+
+
+def _allowed_masks(s, cmap):
+    """Chain D of s -> the elements of r that contract into D (never TOP).
+
+    allowed[D] is the OR of the preimage masks pre[p] over the members p of
+    D, built one member at a time along `s.chain_steps`.
+    """
+    pre = [0] * (s.n + 1)
+    bit = 1
+    for v in cmap:
+        pre[v] |= bit
+        bit <<= 1
+    allowed = {0: 0}
+    for d, rest, p in s.chain_steps:
+        allowed[d] = allowed[rest] | pre[p]
     return allowed
 
 
-def _image_mask(nr, cmap, c_mask):
+def _image_mask(cmap, c_mask):
+    # the contractions of the members of c; bit ns stands for TOP
     img = 0
-    for q in range(nr):
-        if c_mask >> q & 1:
-            img |= 1 << cmap[q]
+    while c_mask:
+        low = c_mask & -c_mask
+        img |= 1 << cmap[low.bit_length() - 1]
+        c_mask ^= low
     return img
 
 
@@ -163,15 +252,6 @@ def _end_of_chain(masks, d_mask):
         m >>= 1
         i += 1
     return -1
-
-
-def _ext_leq(s_up, ns, a, b):
-    # order on s extended by a top value encoded as ns
-    if b == ns:
-        return True
-    if a == ns:
-        return False
-    return (s_up[a] >> b & 1) == 1
 
 
 def prop_unitary(ns, nr, cmap):
@@ -310,26 +390,22 @@ def prop_gb(ns, s_up, nr, r_up, cmap):
     return True
 
 
-def _end_lift_code(ns, s_ends, s_chains, nr, r_up, r_down, cmap):
+def _end_lift_code(s_ends, s, r, cmap, allowed):
     """Covers of each nonempty chain D through the lifts of one end of D.
 
-    The end is the least member of D for s_ends = s_up and the greatest for
-    s_ends = s_down. Returns 1 when some lift of the end lies on no maximal
-    D-chain covering D (a cover through it would extend to such a maximal
-    one), else 2 when some maximal D-chain through a lift is not a cover,
-    else 0.
+    The end is the least member of D for s_ends = s (its up masks) and the
+    greatest for s_ends = s.down. Returns 1 when some lift of the end lies
+    on no maximal D-chain covering D (a cover through it would extend to
+    such a maximal one), else 2 when some maximal D-chain through a lift is
+    not a cover, else 0.
     """
     code = 0
-    for d in s_chains[1:]:
-        e = _end_of_chain(s_ends, d)
-        lifts = 0
-        for q in range(nr):
-            if cmap[q] == e:
-                lifts |= 1 << q
+    for d in s.chains[1:]:
+        lifts = allowed[1 << _end_of_chain(s_ends, d)]
         covering = 0
         other = 0
-        for c in _maximal_dchains(r_up, r_down, _allowed_mask(ns, nr, cmap, d)):
-            if _image_mask(nr, cmap, c) == d:
+        for c in r.dchains[allowed[d]]:
+            if _image_mask(cmap, c) == d:
                 covering |= c
             else:
                 other |= c
@@ -340,23 +416,23 @@ def _end_lift_code(ns, s_ends, s_chains, nr, r_up, r_down, cmap):
     return code
 
 
-def prop_sclo(ns, s_up, s_chains, nr, r_up, r_down, cmap):
+def prop_sclo(s, r, cmap, allowed):
     # every element over the least member of a chain D starts a cover of D
-    return _end_lift_code(ns, s_up, s_chains, nr, r_up, r_down, cmap) != 1
+    return _end_lift_code(s, s, r, cmap, allowed) != 1
 
 
-def prop_ggd(ns, s_down, s_chains, nr, r_up, r_down, cmap):
+def prop_ggd(s, r, cmap, allowed):
     # dual: every element over the greatest member of D ends a cover of D
-    return _end_lift_code(ns, s_down, s_chains, nr, r_up, r_down, cmap) != 1
+    return _end_lift_code(s.down, s, r, cmap, allowed) != 1
 
 
-def prop_chain_morphism(ns, s_chains, nr, r_up, r_down, cmap):
+def prop_chain_morphism(s, r, cmap, allowed):
     # every chain in s is covered by some chain in r, and so by a maximal
     # D-chain: extending a cover inside D keeps its image
-    for d in s_chains[1:]:
+    for d in s.chains[1:]:
         found = False
-        for c in _maximal_dchains(r_up, r_down, _allowed_mask(ns, nr, cmap, d)):
-            if _image_mask(nr, cmap, c) == d:
+        for c in r.dchains[allowed[d]]:
+            if _image_mask(cmap, c) == d:
                 found = True
                 break
         if not found:
@@ -364,12 +440,12 @@ def prop_chain_morphism(ns, s_chains, nr, r_up, r_down, cmap):
     return True
 
 
-def layer_holds(n, ns, s_chains, nr, r_up, r_down, cmap):
+def layer_holds(n, s, r, allowed):
     # every maximal D-chain over every n-element chain D has exactly n elements
-    for d in s_chains:
+    for d in s.chains:
         if d.bit_count() != n:
             continue
-        for c in _maximal_dchains(r_up, r_down, _allowed_mask(ns, nr, cmap, d)):
+        for c in r.dchains[allowed[d]]:
             if c.bit_count() != n:
                 return False
     return True
@@ -394,54 +470,52 @@ def property_bits(ns, s_up, nr, r_up, cmap):
     return bits
 
 
-def _bracketed(ns, s_up, nr, cmap, d_mask, lower, upper):
+def _bracketed(s, cmap, d_mask, lower, upper):
     # each member p of D lies below the contraction of some member of
-    # `lower` or above the contraction of some member of `upper`
-    for p in range(ns):
-        if not (d_mask >> p & 1):
-            continue
-        ok = False
-        for q in range(nr):
-            if (lower >> q & 1) and (s_up[p] >> cmap[q] & 1):
-                ok = True
-                break
-            if (upper >> q & 1) and (s_up[cmap[q]] >> p & 1):
-                ok = True
-                break
-        if not ok:
+    # `lower` or above the contraction of some member of `upper`; both are
+    # parts of a D-chain, so no contraction is TOP
+    below = _image_mask(cmap, lower)
+    above = _image_mask(cmap, upper)
+    m = d_mask
+    while m:
+        low = m & -m
+        p = low.bit_length() - 1
+        if not (s[p] & below or s.down[p] & above):
             return False
+        m ^= low
     return True
 
 
-def _mini_rhs(tid, ns, s_up, s_chains, nr, r_up, r_down, cmap):
+def _mini_rhs(tid, s, r, cmap, allowed):
     # the chain condition of P_MINI_GD, P_MINI_GU or P_MINI_SGB on every
     # nonempty maximal D-chain: each member of D lies above some contraction
     # of the chain (GD), below one (GU), or across each proper cut (SGB)
-    for d in s_chains[1:]:
-        allowed = _allowed_mask(ns, nr, cmap, d)
-        if allowed == 0:
+    for d in s.chains[1:]:
+        d_allowed = allowed[d]
+        if d_allowed == 0:
             continue
-        for c in _maximal_dchains(r_up, r_down, allowed):
+        for c in r.dchains[d_allowed]:
             if tid == TID_P_MINI_GD:
-                if not _bracketed(ns, s_up, nr, cmap, d, 0, c):
+                if not _bracketed(s, cmap, d, 0, c):
                     return False
             elif tid == TID_P_MINI_GU:
-                if not _bracketed(ns, s_up, nr, cmap, d, c, 0):
+                if not _bracketed(s, cmap, d, c, 0):
                     return False
             else:
-                for x in range(nr):
-                    if not (c >> x & 1):
-                        continue
-                    left = c & r_down[x]
-                    if left != c and not _bracketed(ns, s_up, nr, cmap, d, left, c & ~left):
+                m = c
+                while m:
+                    low = m & -m
+                    left = c & r.down[low.bit_length() - 1]
+                    if left != c and not _bracketed(s, cmap, d, left, c & ~left):
                         return False
+                    m ^= low
     return True
 
 
-def _all_max_dchains_cover(ns, s_chains, nr, r_up, r_down, cmap):
-    for d in s_chains[1:]:
-        for c in _maximal_dchains(r_up, r_down, _allowed_mask(ns, nr, cmap, d)):
-            if c != 0 and _image_mask(nr, cmap, c) != d:
+def _all_max_dchains_cover(s, r, cmap, allowed):
+    for d in s.chains[1:]:
+        for c in r.dchains[allowed[d]]:
+            if c != 0 and _image_mask(cmap, c) != d:
                 return False
     return True
 
@@ -453,54 +527,36 @@ def _iff_code(lhs, rhs):
     return 1 if lhs else 2
 
 
-def eval_theorem(
-    tid,
-    waive,
-    ns,
-    s_up,
-    s_down,
-    s_comp,
-    nr,
-    r_up,
-    r_down,
-    r_comp,
-    cmap,
-    s_chain_masks,
-    s_max_chains,
-    r_max_chains,
-):
+def eval_theorem(tid, waive, s, r, cmap, allowed):
     """Evaluate one theorem on one instance.
 
-    Returns 0 when the statement holds on the instance (including the case
-    of an unmet hypothesis, unless `waive` forces the conclusion to be
-    checked anyway) and a positive clause code otherwise.
+    `s` and `r` are PosetFacts records, `cmap` the map's values and
+    `allowed` its `_allowed_masks(s, cmap)`. Returns 0 when the statement
+    holds on the instance (including the case of an unmet hypothesis,
+    unless `waive` forces the conclusion to be checked anyway) and a
+    positive clause code otherwise.
     """
+    ns = s.n
+    nr = r.n
     if tid == TID_T_COVER_MAXCHAIN or tid == TID_C_PERFECT_MAXCHAIN:
         if not waive:
             hyp = (
                 prop_unitary(ns, nr, cmap)
-                and prop_gu(ns, s_up, nr, r_up, cmap)
-                and prop_gd(ns, s_up, nr, r_up, cmap)
-                and prop_sgb(ns, s_up, nr, r_up, cmap)
+                and prop_gu(ns, s, nr, r, cmap)
+                and prop_gd(ns, s, nr, r, cmap)
+                and prop_sgb(ns, s, nr, r, cmap)
             )
             if tid == TID_C_PERFECT_MAXCHAIN:
-                hyp = hyp and prop_inc(ns, s_up, nr, r_up, cmap)
+                hyp = hyp and prop_inc(ns, s, nr, r, cmap)
             if not hyp:
                 return 0
-        for cm in r_max_chains:
-            img = 0
-            has_top = False
-            for q in range(nr):
-                if cm >> q & 1:
-                    if cmap[q] == ns:
-                        has_top = True
-                        break
-                    img |= 1 << cmap[q]
-            if has_top:
+        for cm in r.max_chains:
+            img = _image_mask(cmap, cm)
+            if img >> ns:
                 return 1
-            if not _is_chain(s_comp, img):
+            if not _is_chain(s.comp, img):
                 return 2
-            if not _is_maximal_sub(s_comp, (1 << ns) - 1, img):
+            if not _is_maximal_sub(s.comp, (1 << ns) - 1, img):
                 return 3
             if tid == TID_C_PERFECT_MAXCHAIN and cm.bit_count() != img.bit_count():
                 return 4
@@ -509,73 +565,72 @@ def eval_theorem(
     if tid == TID_L_LO_EXISTENCE:
         lhs = prop_lo(ns, nr, cmap)
         rhs = True
-        for d in s_chain_masks[1:]:
-            if _allowed_mask(ns, nr, cmap, d) == 0:
+        for d in s.chains[1:]:
+            if allowed[d] == 0:
                 rhs = False
                 break
         return _iff_code(lhs, rhs)
 
     if tid == TID_P_LAYERS:
         lo = prop_lo(ns, nr, cmap)
-        inc = prop_inc(ns, s_up, nr, r_up, cmap)
-        l1 = layer_holds(1, ns, s_chain_masks, nr, r_up, r_down, cmap)
+        inc = prop_inc(ns, s, nr, r, cmap)
+        l1 = layer_holds(1, s, r, allowed)
         if l1 != (lo and inc):
             return 1
-        gu = prop_gu(ns, s_up, nr, r_up, cmap)
-        gd = prop_gd(ns, s_up, nr, r_up, cmap)
-        l2 = layer_holds(2, ns, s_chain_masks, nr, r_up, r_down, cmap)
+        gu = prop_gu(ns, s, nr, r, cmap)
+        gd = prop_gd(ns, s, nr, r, cmap)
+        l2 = layer_holds(2, s, r, allowed)
         if (l1 and l2) != (lo and inc and gu and gd):
             return 2
-        sgb = prop_sgb(ns, s_up, nr, r_up, cmap)
-        l3 = layer_holds(3, ns, s_chain_masks, nr, r_up, r_down, cmap)
+        sgb = prop_sgb(ns, s, nr, r, cmap)
+        l3 = layer_holds(3, s, r, allowed)
         if (l1 and l2 and l3) != (lo and inc and gu and gd and sgb):
             return 3
         return 0
 
     if tid == TID_P_MINI_GD or tid == TID_P_MINI_GU or tid == TID_P_MINI_SGB:
         if tid == TID_P_MINI_GD:
-            lhs = prop_gd(ns, s_up, nr, r_up, cmap)
+            lhs = prop_gd(ns, s, nr, r, cmap)
         elif tid == TID_P_MINI_GU:
-            lhs = prop_gu(ns, s_up, nr, r_up, cmap)
+            lhs = prop_gu(ns, s, nr, r, cmap)
         else:
-            lhs = prop_sgb(ns, s_up, nr, r_up, cmap)
-        return _iff_code(lhs, _mini_rhs(tid, ns, s_up, s_chain_masks, nr, r_up, r_down, cmap))
+            lhs = prop_sgb(ns, s, nr, r, cmap)
+        return _iff_code(lhs, _mini_rhs(tid, s, r, cmap, allowed))
 
     if tid == TID_C_GGD:
         if not waive:
-            if not (prop_gd(ns, s_up, nr, r_up, cmap) and prop_sgb(ns, s_up, nr, r_up, cmap)):
+            if not (prop_gd(ns, s, nr, r, cmap) and prop_sgb(ns, s, nr, r, cmap)):
                 return 0
-        return _end_lift_code(ns, s_down, s_chain_masks, nr, r_up, r_down, cmap)
+        return _end_lift_code(s.down, s, r, cmap, allowed)
 
     if tid == TID_C_GGU_DUAL:
         if not waive:
-            if not (prop_gu(ns, s_up, nr, r_up, cmap) and prop_sgb(ns, s_up, nr, r_up, cmap)):
+            if not (prop_gu(ns, s, nr, r, cmap) and prop_sgb(ns, s, nr, r, cmap)):
                 return 0
-        return _end_lift_code(ns, s_up, s_chain_masks, nr, r_up, r_down, cmap)
+        return _end_lift_code(s, s, r, cmap, allowed)
 
     if tid == TID_T_MAXDCHAIN_COVERS:
         lhs = (
-            prop_gd(ns, s_up, nr, r_up, cmap)
-            and prop_gu(ns, s_up, nr, r_up, cmap)
-            and prop_sgb(ns, s_up, nr, r_up, cmap)
+            prop_gd(ns, s, nr, r, cmap)
+            and prop_gu(ns, s, nr, r, cmap)
+            and prop_sgb(ns, s, nr, r, cmap)
         )
-        rhs = _all_max_dchains_cover(ns, s_chain_masks, nr, r_up, r_down, cmap)
-        return _iff_code(lhs, rhs)
+        return _iff_code(lhs, _all_max_dchains_cover(s, r, cmap, allowed))
 
     if tid == TID_T_PERFECT_COVER:
         if not waive:
             hyp = (
                 prop_lo(ns, nr, cmap)
-                and prop_inc(ns, s_up, nr, r_up, cmap)
-                and prop_gu(ns, s_up, nr, r_up, cmap)
-                and prop_gd(ns, s_up, nr, r_up, cmap)
-                and prop_sgb(ns, s_up, nr, r_up, cmap)
+                and prop_inc(ns, s, nr, r, cmap)
+                and prop_gu(ns, s, nr, r, cmap)
+                and prop_gd(ns, s, nr, r, cmap)
+                and prop_sgb(ns, s, nr, r, cmap)
             )
             if not hyp:
                 return 0
-        for d in s_chain_masks:
-            for c in _maximal_dchains(r_up, r_down, _allowed_mask(ns, nr, cmap, d)):
-                if _image_mask(nr, cmap, c) != d:
+        for d in s.chains:
+            for c in r.dchains[allowed[d]]:
+                if _image_mask(cmap, c) != d:
                     return 1
                 if c.bit_count() != d.bit_count():
                     return 2
@@ -584,23 +639,23 @@ def eval_theorem(
     if tid == TID_C_EQUIVALENT:
         cond2 = (
             prop_lo(ns, nr, cmap)
-            and prop_inc(ns, s_up, nr, r_up, cmap)
-            and prop_gu(ns, s_up, nr, r_up, cmap)
-            and prop_gd(ns, s_up, nr, r_up, cmap)
-            and prop_sgb(ns, s_up, nr, r_up, cmap)
+            and prop_inc(ns, s, nr, r, cmap)
+            and prop_gu(ns, s, nr, r, cmap)
+            and prop_gd(ns, s, nr, r, cmap)
+            and prop_sgb(ns, s, nr, r, cmap)
         )
         cond1 = True
         cond3 = True
         cond4 = True
-        for d in s_chain_masks:
+        for d in s.chains:
             k = d.bit_count()
-            for c in _maximal_dchains(r_up, r_down, _allowed_mask(ns, nr, cmap, d)):
+            for c in r.dchains[allowed[d]]:
                 sz = c.bit_count()
                 if sz != k:
                     cond4 = False
                     if 1 <= k <= 3:
                         cond1 = False
-                if sz != k or _image_mask(nr, cmap, c) != d:
+                if sz != k or _image_mask(cmap, c) != d:
                     cond3 = False
         bits = 0
         if cond1:
@@ -618,10 +673,10 @@ def eval_theorem(
     if tid == TID_L_MAXCOVER_MAXCHAIN:
         if not waive and not prop_unitary(ns, nr, cmap):
             return 0
-        for d in s_max_chains:
-            for c in _maximal_dchains(r_up, r_down, _allowed_mask(ns, nr, cmap, d)):
-                if _image_mask(nr, cmap, c) == d and not _is_maximal_sub(
-                    r_comp, (1 << nr) - 1, c
+        for d in s.max_chains:
+            for c in r.dchains[allowed[d]]:
+                if _image_mask(cmap, c) == d and not _is_maximal_sub(
+                    r.comp, (1 << nr) - 1, c
                 ):
                     return 1
         return 0
@@ -630,21 +685,21 @@ def eval_theorem(
         if not waive:
             hyp = (
                 prop_unitary(ns, nr, cmap)
-                and prop_gd(ns, s_up, nr, r_up, cmap)
-                and prop_gu(ns, s_up, nr, r_up, cmap)
-                and prop_sgb(ns, s_up, nr, r_up, cmap)
+                and prop_gd(ns, s, nr, r, cmap)
+                and prop_gu(ns, s, nr, r, cmap)
+                and prop_sgb(ns, s, nr, r, cmap)
             )
             if tid == TID_C_EXISTS_MAXCHAIN_COVER:
                 hyp = hyp and prop_lo(ns, nr, cmap)
             if not hyp:
                 return 0
-        for d in s_max_chains:
+        for d in s.max_chains:
             witnessed = False
-            for c in _maximal_dchains(r_up, r_down, _allowed_mask(ns, nr, cmap, d)):
+            for c in r.dchains[allowed[d]]:
                 if c == 0:
                     continue
-                covers = _image_mask(nr, cmap, c) == d
-                maximal = _is_maximal_sub(r_comp, (1 << nr) - 1, c)
+                covers = _image_mask(cmap, c) == d
+                maximal = _is_maximal_sub(r.comp, (1 << nr) - 1, c)
                 if tid == TID_C_MAXDCHAIN_MAXCHAIN:
                     if not covers:
                         return 1
@@ -659,21 +714,10 @@ def eval_theorem(
     if tid == TID_X_KO_SCLO_EQ_GU:
         if not waive and not prop_unitary(ns, nr, cmap):
             return 0
-        lhs = prop_sclo(ns, s_up, s_chain_masks, nr, r_up, r_down, cmap)
-        return _iff_code(lhs, prop_gu(ns, s_up, nr, r_up, cmap))
+        lhs = prop_sclo(s, r, cmap, allowed)
+        return _iff_code(lhs, prop_gu(ns, s, nr, r, cmap))
 
     return -1  # unknown theorem id
-
-
-def _map_value_ok(ns, s_up, nr, r_up, cmap, pos, v):
-    for j in range(pos):
-        if r_up[j] >> pos & 1:
-            if not _ext_leq(s_up, ns, cmap[j], v):
-                return False
-        if r_up[pos] >> j & 1:
-            if not _ext_leq(s_up, ns, v, cmap[j]):
-                return False
-    return True
 
 
 def monotone_maps(ns, s_up, nr, r_up, allow_top):
@@ -682,31 +726,46 @@ def monotone_maps(ns, s_up, nr, r_up, allow_top):
     The tuples are in lexicographic order, s indices first, then the top
     sentinel ns when allow_top is set. A map's list index is the map index
     that sweeps and searches report.
+
+    The values still possible at a position form a mask: every value, cut
+    down to the values over those of the elements placed below it and
+    under those of the elements placed above it. Its bits are taken in
+    ascending order, TOP (bit ns) last.
     """
     if nr == 0:
         return [()]
-    nvals = ns + 1 if allow_top else ns
+    s_up = [int(m) for m in s_up]
+    r_up = [int(m) for m in r_up]
+    top = 1 << ns
+    over = [m | top for m in s_up] + [top]
+    under = _down_masks(ns, s_up) + [(top << 1) - 1]
+    every = (top << 1) - 1 if allow_top else top - 1
+    below = [[j for j in range(pos) if r_up[j] >> pos & 1] for pos in range(nr)]
+    above = [[j for j in range(pos) if r_up[pos] >> j & 1] for pos in range(nr)]
     maps = []
     cmap = [0] * nr
+    untried = [0] * nr
+    untried[0] = every
+    last = nr - 1
     pos = 0
-    val = 0
-    while True:
-        v = val
-        while v < nvals and not _map_value_ok(ns, s_up, nr, r_up, cmap, pos, v):
-            v += 1
-        if v < nvals:
-            cmap[pos] = v
-            if pos == nr - 1:
-                maps.append(tuple(cmap))
-                val = v + 1
-            else:
-                pos += 1
-                val = 0
-        else:
+    while pos >= 0:
+        m = untried[pos]
+        if not m:
             pos -= 1
-            if pos < 0:
-                break
-            val = cmap[pos] + 1
+            continue
+        low = m & -m
+        untried[pos] = m ^ low
+        cmap[pos] = low.bit_length() - 1
+        if pos == last:
+            maps.append(tuple(cmap))
+            continue
+        pos += 1
+        m = every
+        for j in below[pos]:
+            m &= over[cmap[j]]
+        for j in above[pos]:
+            m &= under[cmap[j]]
+        untried[pos] = m
     return maps
 
 
@@ -715,25 +774,15 @@ def count_monotone_maps(ns, s_up, nr, r_up, allow_top):
     return len(monotone_maps(ns, s_up, nr, r_up, allow_top))
 
 
-def _sweep_maps(tid, waive, ns, s_up, nr, r_up, allow_top):
-    """Evaluate a theorem over the monotone maps of one poset pair.
+def _sweep_maps(tid, waive, s, r, allow_top):
+    """Evaluate a theorem over the monotone maps of one pair of records.
 
     Returns (maps in the pair, index of the first violating map or -1, its
     clause code). Evaluation stops at the first violating map.
     """
-    s_down = _down_masks(ns, s_up)
-    s_comp = _comp_masks(ns, s_up, s_down)
-    r_down = _down_masks(nr, r_up)
-    r_comp = _comp_masks(nr, r_up, r_down)
-    s_chain_masks = _chain_masks(ns, s_comp)
-    s_max_chains = _maximal_chain_masks(ns, s_up, s_down)
-    r_max_chains = _maximal_chain_masks(nr, r_up, r_down)
-    maps = monotone_maps(ns, s_up, nr, r_up, allow_top)
+    maps = monotone_maps(s.n, s, r.n, r, allow_top)
     for k, cmap in enumerate(maps):
-        code = eval_theorem(
-            tid, waive, ns, s_up, s_down, s_comp, nr, r_up, r_down, r_comp,
-            cmap, s_chain_masks, s_max_chains, r_max_chains,
-        )
+        code = eval_theorem(tid, waive, s, r, cmap, _allowed_masks(s, cmap))
         if code != 0:
             return len(maps), k, code
     return len(maps), -1, 0
@@ -765,11 +814,13 @@ def _iso_class(up) -> tuple[int, ...]:
     return _canonical_encoding(tuple(m & ~(1 << i) for i, m in enumerate(up)))
 
 
-def sweep_pair(tid, waive, ns, s_up, nr, r_up, allow_top, memo=None):
+def sweep_pair(tid, waive, ns, s_up, nr, r_up, allow_top, *, memo=None):
     """Evaluate a theorem over every monotone map for one poset pair.
 
-    Maps are the tuples of monotone_maps. Returns (maps checked, index of the
-    first violating map or -1, its clause code).
+    `s_up` and `r_up` are up masks or, from a sweep that keeps one per
+    poset, PosetFacts records. Maps are the tuples of monotone_maps.
+    Returns (maps checked, index of the first violating map or -1, its
+    clause code).
 
     Verdicts are invariant under relabeling s and r, which permutes the maps
     one-to-one. `memo`, a dict owned by one sweep (one tid, waive and
@@ -779,55 +830,55 @@ def sweep_pair(tid, waive, ns, s_up, nr, r_up, allow_top, memo=None):
     is evaluated, and its first violating map index is exact for that
     labeling.
     """
+    s, r = _facts(s_up), _facts(r_up)
     if memo is None:
-        return _sweep_maps(tid, waive, ns, s_up, nr, r_up, allow_top)
-    key = (_iso_class(s_up), _iso_class(r_up))
+        return _sweep_maps(tid, waive, s, r, allow_top)
+    key = (s.iso, r.iso)
     count = memo.get(key)
     if count is not None:
         return count, -1, 0
-    count, first_bad, code = _sweep_maps(tid, waive, ns, s_up, nr, r_up, allow_top)
+    count, first_bad, code = _sweep_maps(tid, waive, s, r, allow_top)
     if first_bad < 0:
         memo[key] = count
     return count, first_bad, code
 
 
-def _goal_met(goal_id, goal_size, ns, s_chains, nr, r_up, r_down, cmap):
+def _goal_met(goal_id, goal_size, s, r, cmap, allowed):
     if goal_id == GOAL_LO_FAILS:
-        return not prop_lo(ns, nr, cmap)
-    for d in s_chains[1:]:
+        return not prop_lo(s.n, r.n, cmap)
+    for d in s.chains[1:]:
         if goal_size > 0 and d.bit_count() != goal_size:
             continue
-        for c in _maximal_dchains(r_up, r_down, _allowed_mask(ns, nr, cmap, d)):
-            if _image_mask(nr, cmap, c) != d:
+        for c in r.dchains[allowed[d]]:
+            if _image_mask(cmap, c) != d:
                 return True
             if goal_id == GOAL_MAXDCHAIN_NOT_PERFECT and c.bit_count() != d.bit_count():
                 return True
     return False
 
 
-def _search_maps(ns, s_up, nr, r_up, allow_top, need_bits, forbid_bits, goal_id, goal_size):
+def _search_maps(s, r, allow_top, need_bits, forbid_bits, goal_id, goal_size):
     """First monotone map meeting the flag and goal constraints, if any.
 
     Returns (maps scanned, index of the hit or -1). Scanning stops at the
     first hit, so a hit at index k reports k+1 scanned.
     """
-    s_chains = _chain_masks(ns, _comp_masks(ns, s_up, _down_masks(ns, s_up)))
-    r_down = _down_masks(nr, r_up)
-    maps = monotone_maps(ns, s_up, nr, r_up, allow_top)
+    maps = monotone_maps(s.n, s, r.n, r, allow_top)
     for k, cmap in enumerate(maps):
-        bits = property_bits(ns, s_up, nr, r_up, cmap)
+        bits = property_bits(s.n, s, r.n, r, cmap)
         if bits & need_bits == need_bits and bits & forbid_bits == 0:
-            if _goal_met(goal_id, goal_size, ns, s_chains, nr, r_up, r_down, cmap):
+            if _goal_met(goal_id, goal_size, s, r, cmap, _allowed_masks(s, cmap)):
                 return k + 1, k
     return len(maps), -1
 
 
 def search_pair(
     ns, s_up, nr, r_up, allow_top, need_bits, forbid_bits, goal_id, goal_size,
-    memo=None,
+    *, memo=None,
 ):
     """First monotone map meeting the flag and goal constraints, if any.
 
+    `s_up` and `r_up` are up masks or PosetFacts records, as in sweep_pair.
     Returns (maps scanned, index of the hit or -1). Scanning stops at the
     first hit, so a hit at index k reports k+1 scanned.
 
@@ -835,10 +886,11 @@ def search_pair(
     arguments): a class without a hit is recorded and skipped on later
     pairs; a class with a hit is scanned on every pair.
     """
-    args = (ns, s_up, nr, r_up, allow_top, need_bits, forbid_bits, goal_id, goal_size)
+    s, r = _facts(s_up), _facts(r_up)
+    args = (s, r, allow_top, need_bits, forbid_bits, goal_id, goal_size)
     if memo is None:
         return _search_maps(*args)
-    key = (_iso_class(s_up), _iso_class(r_up))
+    key = (s.iso, r.iso)
     count = memo.get(key)
     if count is not None:
         return count, -1

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product as iproduct
-from math import gcd
+from math import gcd, lcm
 
 from .poset import Poset, make_poset
 from .specmap import TOP, SpectralMap, check_GD, check_GU, make_spectral_map
@@ -188,11 +189,14 @@ def spec_ideals(ring: RingExpr) -> list[Ideal]:
     return out
 
 
+@lru_cache(maxsize=None)
 def spec(ring: RingExpr) -> Poset:
     """Prime spectrum as a poset ordered by containment.
 
     For cyclic rings and their products the primes are pairwise
-    incomparable, which is asserted rather than assumed.
+    incomparable, which is asserted rather than assumed. Rings are frozen
+    and posets immutable, so each ring's spectrum is computed once and
+    shared.
     """
     ideals = spec_ideals(ring)
     pairs = [
@@ -271,14 +275,17 @@ def enumerate_homs(m: int, target: RingExpr) -> list[RingHom]:
 
 
 def preimage_ideal(h: RingHom, q: Ideal) -> Ideal:
-    """Preimage of a target ideal, computed from the member set."""
+    """Preimage of a target ideal, by divisor arithmetic.
+
+    x lies in it iff d_j divides x * e_j in every factor j, that is iff
+    d_j / gcd(d_j, e_j) divides x. Each of those divides m, since m * e
+    is zero, so the preimage is generated by their lcm, taken mod m.
+    """
     if q.ring != h.target:
         raise ValueError("ideal does not belong to the hom target")
-    d = h.m
-    for x in range(h.m):
-        if q.contains(h.apply(x)):
-            d = gcd(d, x)
-    return Ideal(Zn(h.m), (d,))
+    es = h.e if isinstance(h.e, tuple) else (h.e,)
+    step = lcm(*(d // gcd(d, e) for d, e in zip(q.divisors, es)))
+    return Ideal(Zn(h.m), (gcd(h.m, step),))
 
 
 def kernel(h: RingHom) -> Ideal:

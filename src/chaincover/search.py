@@ -31,7 +31,7 @@ from .specmap import (
     make_spectral_map,
     maximal_D_chains,
 )
-from .theorems import _raw_up, instance_from_raw, pool_plan
+from .theorems import PosetRecords, _raw_up, instance_from_raw, pool_plan
 
 _FLAG_BITS = {**PROPERTY_BITS, "UNITARY": K.PROP_UNITARY}
 
@@ -134,18 +134,11 @@ def _search_chunk(args):
     """
     need, forbid, goal_id, goal_size, allow_top, chunk = args
     memo: dict = {}
+    posets = PosetRecords()
     for pair_idx, s_rows, r_rows in chunk:
+        s, r = posets[s_rows], posets[r_rows]
         _, hit = K.search_pair(
-            len(s_rows),
-            _raw_up(s_rows),
-            len(r_rows),
-            _raw_up(r_rows),
-            allow_top,
-            need,
-            forbid,
-            goal_id,
-            goal_size,
-            memo=memo,
+            s.n, s, r.n, r, allow_top, need, forbid, goal_id, goal_size, memo=memo
         )
         if hit >= 0:
             return [(pair_idx, hit)]

@@ -88,50 +88,36 @@ class SpectralMap:
 class MapFacts:
     """The kernel encoding of one spectral map and the facts derived from it.
 
-    The up, down and comparability masks are the posets' own tuples and
-    `cmap` is the assignment with TOP as the sentinel ns. The property bits
-    and the chain masks are each computed on first use and kept, so a
-    caller that reads only the bits never builds a chain. A SpectralMap is
+    `s` and `r` are the posets' K.PosetFacts records, `cmap` is the
+    assignment with TOP as the sentinel ns, and `allowed` sends each chain
+    D of s to the elements of r contracting into D. The property bits, the
+    records and `allowed` are each computed on first use and kept, so a
+    caller that reads only the bits builds no record. A SpectralMap is
     immutable over immutable posets, so its facts never go stale.
     """
 
     def __init__(self, m: SpectralMap):
-        s, r = m.s_poset, m.r_poset
-        self.ns = s.n
-        self.s_up = s.up_masks
-        self.s_down = s.down_masks
-        self.s_comp = s.comp_masks
-        self.nr = r.n
-        self.r_up = r.up_masks
-        self.r_down = r.down_masks
-        self.r_comp = r.comp_masks
-        self.cmap = tuple(s.n if v is TOP else v for v in m.assignment)
+        self._s_poset = m.s_poset
+        self._r_poset = m.r_poset
+        self.cmap = tuple(m.s_poset.n if v is TOP else v for v in m.assignment)
 
     @cached_property
     def bits(self) -> int:
         """LO, INC, GU, GD, SGB, GB and unitarity as K.property_bits flags."""
-        return K.property_bits(self.ns, self.s_up, self.nr, self.r_up, self.cmap)
+        s, r = self._s_poset, self._r_poset
+        return K.property_bits(s.n, s.up_masks, r.n, r.up_masks, self.cmap)
 
     @cached_property
-    def s_chains(self) -> list[int]:
-        """Every chain of s as a mask, ascending, the empty chain first."""
-        return K._chain_masks(self.ns, self.s_comp)
+    def s(self) -> K.PosetFacts:
+        return K.PosetFacts(self._s_poset.up_masks)
 
     @cached_property
-    def s_max_chains(self) -> list[int]:
-        return K._maximal_chain_masks(self.ns, self.s_up, self.s_down)
+    def r(self) -> K.PosetFacts:
+        return K.PosetFacts(self._r_poset.up_masks)
 
     @cached_property
-    def r_max_chains(self) -> list[int]:
-        return K._maximal_chain_masks(self.nr, self.r_up, self.r_down)
-
-    def theorem_args(self) -> tuple:
-        """The instance arguments of K.eval_theorem, after tid and waive."""
-        return (
-            self.ns, self.s_up, self.s_down, self.s_comp,
-            self.nr, self.r_up, self.r_down, self.r_comp, self.cmap,
-            self.s_chains, self.s_max_chains, self.r_max_chains,
-        )
+    def allowed(self) -> dict[int, int]:
+        return K._allowed_masks(self.s, self.cmap)
 
 
 @dataclass(frozen=True)
@@ -234,19 +220,19 @@ def check_GB(m: SpectralMap) -> bool:
 def check_SCLO(m: SpectralMap) -> bool:
     """Starting chain lying over: covers of D grow from any lift of min D."""
     f = m.facts
-    return K.prop_sclo(f.ns, f.s_up, f.s_chains, f.nr, f.r_up, f.r_down, f.cmap)
+    return K.prop_sclo(f.s, f.r, f.cmap, f.allowed)
 
 
 def check_GGD(m: SpectralMap) -> bool:
     """Generalized going down: covers of D grow below any lift of max D."""
     f = m.facts
-    return K.prop_ggd(f.ns, f.s_down, f.s_chains, f.nr, f.r_up, f.r_down, f.cmap)
+    return K.prop_ggd(f.s, f.r, f.cmap, f.allowed)
 
 
 def check_chain_morphism(m: SpectralMap) -> bool:
     """Every chain in s is covered by some chain in r."""
     f = m.facts
-    return K.prop_chain_morphism(f.ns, f.s_chains, f.nr, f.r_up, f.r_down, f.cmap)
+    return K.prop_chain_morphism(f.s, f.r, f.cmap, f.allowed)
 
 
 def check_layer(m: SpectralMap, n: int) -> bool:
@@ -254,7 +240,7 @@ def check_layer(m: SpectralMap, n: int) -> bool:
     if n < 1:
         raise ValueError("layer index must be at least 1")
     f = m.facts
-    return K.layer_holds(n, f.ns, f.s_chains, f.nr, f.r_up, f.r_down, f.cmap)
+    return K.layer_holds(n, f.s, f.r, f.allowed)
 
 
 PROPERTY_NAMES = ("LO", "INC", "GU", "GD", "SGB", "GB", "SCLO", "GGD", "chain_morphism")
@@ -304,7 +290,7 @@ def is_maximal_D_chain(m: SpectralMap, c: ChainRecord, d: ChainRecord) -> bool:
     if not is_D_chain(m, c, d):
         raise NotADChain(f"{c.members} is not a D-chain for {d.members}")
     f = m.facts
-    return K._is_maximal_sub(f.r_comp, K._allowed_mask(f.ns, f.nr, f.cmap, d.mask), c.mask)
+    return K._is_maximal_sub(f.r.comp, f.allowed[d.mask], c.mask)
 
 
 def maximal_D_chains(m: SpectralMap, d: ChainRecord) -> list[ChainRecord]:
@@ -314,8 +300,7 @@ def maximal_D_chains(m: SpectralMap, d: ChainRecord) -> list[ChainRecord]:
     which is then vacuously maximal.
     """
     f = m.facts
-    allowed = K._allowed_mask(f.ns, f.nr, f.cmap, d.mask)
-    masks = K._maximal_dchains(f.r_up, f.r_down, allowed)
+    masks = f.r.dchains[f.allowed[d.mask]]
     return sorted((chain_from_mask(m.r_poset, c) for c in masks), key=lambda c: c.members)
 
 

@@ -227,7 +227,8 @@ def verify(m: SpectralMap, theorem: TheoremId, waive_hypotheses: bool = False) -
     its own.
     """
     start = time.perf_counter()
-    code = K.eval_theorem(theorem.value, waive_hypotheses, *m.facts.theorem_args())
+    f = m.facts
+    code = K.eval_theorem(theorem.value, waive_hypotheses, f.s, f.r, f.cmap, f.allowed)
     note = None
     unmet = unmet_hypotheses(m, theorem)
     if unmet and not waive_hypotheses:
@@ -290,15 +291,27 @@ def pool_plan(items: list, jobs: int) -> tuple[str, list[list]]:
     return method, [items[k::workers] for k in range(workers)]
 
 
+class PosetRecords(dict):
+    """Strict up rows -> the poset's K.PosetFacts record, built on first lookup.
+
+    One table serves one sweep or search chunk, so each poset's masks,
+    chains, isomorphism key and D-chain table are built once per chunk.
+    """
+
+    def __missing__(self, rows):
+        record = self[rows] = K.PosetFacts(_raw_up(rows))
+        return record
+
+
 def _sweep_chunk(args):
     tid, waive, allow_top, chunk = args
     results = []
     memo: dict = {}
+    posets = PosetRecords()
     for pair_idx, s_rows, r_rows in chunk:
-        s_up = _raw_up(s_rows)
-        r_up = _raw_up(r_rows)
+        s, r = posets[s_rows], posets[r_rows]
         count, first_bad, code = K.sweep_pair(
-            tid, waive, len(s_rows), s_up, len(r_rows), r_up, allow_top, memo=memo
+            tid, waive, s.n, s, r.n, r, allow_top, memo=memo
         )
         results.append((pair_idx, count, first_bad, code))
     return results
@@ -314,6 +327,13 @@ def sweep_pairs(max_s: int, max_r: int):
             (s, r) for s in s_list for r in r_list
         )
     ]
+
+
+def _check_sweep_bounds(max_s: int, max_r: int, size_bound: int):
+    if not 0 <= max_s <= size_bound or not 0 <= max_r <= size_bound:
+        raise BoundExceeded(
+            f"sweep bounds must lie in 0..{size_bound}, got ({max_s}, {max_r})"
+        )
 
 
 def exhaustive_verify(
@@ -332,10 +352,7 @@ def exhaustive_verify(
     and, on failure, the first counterexample in canonical enumeration
     order, independent of the worker count.
     """
-    if not 0 <= max_s <= size_bound or not 0 <= max_r <= size_bound:
-        raise BoundExceeded(
-            f"sweep bounds must lie in 0..{size_bound}, got ({max_s}, {max_r})"
-        )
+    _check_sweep_bounds(max_s, max_r, size_bound)
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     start = time.perf_counter()
@@ -386,7 +403,13 @@ def exhaustive_verify(
 
 
 def estimate_sweep_cost(max_s: int, max_r: int, allow_top: bool) -> dict:
-    """Cheap upper bound on sweep size, for the CLI bound gate."""
+    """Cheap upper bound on sweep size, for the CLI bound gate.
+
+    Raises BoundExceeded, as exhaustive_verify does, before enumerating
+    anything: the labeled posets of a size past POSET_ENUM_BOUND take
+    minutes or more to list.
+    """
+    _check_sweep_bounds(max_s, max_r, POSET_ENUM_BOUND)
     s_sizes = [n for n in range(max_s + 1) for _ in _strict_order_masks(n)]
     r_sizes = [n for n in range(max_r + 1) for _ in _strict_order_masks(n)]
     extra = 1 if allow_top else 0

@@ -1,6 +1,7 @@
 """CLI tests: subcommands, exit codes, and report determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -125,6 +126,17 @@ class TestVerify:
             assert code == 0
             outputs.append(out)
         assert outputs[0] == outputs[1]
+
+    def test_out_of_range_bound_exits_before_enumerating(self, capsys):
+        # listing the labeled posets of nine elements would run for hours
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "verify", "--exhaustive", "--max-s", "9", "--max-r", "2"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err == "error: sweep bounds must lie in 0..5, got (9, 2)\n"
 
     def test_unknown_theorem(self, capsys):
         code, _, err = run_cli(

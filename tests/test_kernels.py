@@ -1,11 +1,14 @@
 """Kernel-level tests: the chain mask primitives against brute-force scans
-that use only itertools and the order matrix, and the per-sweep
-isomorphism-class memo.
+that use only itertools and the order matrix, the per-poset fact records
+against the primitives they tabulate, every per-map verdict against a
+digest pinned from earlier kernels, and the per-sweep isomorphism-class
+memo.
 
 The memo tests compare every memoized per-pair answer of a sweep or a
 search with the same kernel called without a memo on that pair.
 """
 
+import hashlib
 from itertools import combinations, product
 
 import pytest
@@ -89,6 +92,66 @@ def test_maximal_dchains_match_brute_force():
             got = K._maximal_dchains(p.up_masks, p.down_masks, allowed)
             want = [_mask(c) for c in _brute_force_maximal_chains(p, allowed)]
             assert got == sorted(want, reverse=True), (p, allowed)
+
+
+def test_dchain_table_matches_primitive():
+    # order included, on every allowed mask; a second lookup reads the
+    # entry the first one stored
+    for p in _all_posets():
+        record = K.PosetFacts(p.up_masks)
+        for _ in range(2):
+            for allowed in range(1 << p.n):
+                want = K._maximal_dchains(p.up_masks, p.down_masks, allowed)
+                assert record.dchains[allowed] == want, (p, allowed)
+        assert len(record.dchains) == 1 << p.n
+        assert record == p.up_masks
+        assert (record.down, record.comp) == (list(p.down_masks), list(p.comp_masks))
+        assert record.chains == K._chain_masks(p.n, p.comp_masks)
+        assert record.max_chains == K._maximal_chain_masks(p.n, p.up_masks, p.down_masks)
+
+
+def _scanned_allowed(ns, cmap, d):
+    """Elements of r whose value is a member of D, by scanning r."""
+    return sum(1 << q for q, v in enumerate(cmap) if v != ns and d >> v & 1)
+
+
+def test_allowed_masks_match_element_scan():
+    maps = 0
+    for _, s_rows, r_rows in sweep_pairs(3, 3):
+        s, r = K.PosetFacts(_raw_up(s_rows)), K.PosetFacts(_raw_up(r_rows))
+        for cmap in K.monotone_maps(s.n, s, r.n, r, True):
+            allowed = K._allowed_masks(s, cmap)
+            assert sorted(allowed) == s.chains
+            for d, mask in allowed.items():
+                assert mask == _scanned_allowed(s.n, cmap, d), (s, r, cmap, d)
+            maps += 1
+    assert maps == 11614
+
+
+#: sha256 of the lines "<map> <property bits> <clause codes>" of every map
+#: at (3, 3) with TOP allowed, the codes of the 16 theorems unwaived and
+#: waived; pinned with the kernels of commit 93d4c88, which rebuilt every
+#: maximal D-chain per map and enumerated maps one value test at a time
+PER_MAP_DIGEST = "3190c345290ba043e02212f8a2d75ad59d9f20834bf74bfdf289c81857200c1c"
+
+
+def test_per_map_verdicts_match_pinned_digest():
+    digest = hashlib.sha256()
+    maps = 0
+    for _, s_rows, r_rows in sweep_pairs(3, 3):
+        s, r = K.PosetFacts(_raw_up(s_rows)), K.PosetFacts(_raw_up(r_rows))
+        for cmap in K.monotone_maps(s.n, s, r.n, r, True):
+            allowed = K._allowed_masks(s, cmap)
+            codes = [
+                K.eval_theorem(t.value, waive, s, r, cmap, allowed)
+                for t in TheoremId
+                for waive in (False, True)
+            ]
+            bits = K.property_bits(s.n, s, r.n, r, cmap)
+            digest.update(f"{cmap} {bits} {codes}\n".encode())
+            maps += 1
+    assert maps * len(TheoremId) * 2 == 371648
+    assert digest.hexdigest() == PER_MAP_DIGEST
 
 
 def _counting(monkeypatch, name):

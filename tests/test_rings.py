@@ -6,6 +6,8 @@ and extensions against a brute-force closure under addition and scaling.
 Expected values are frozen from those oracles.
 """
 
+from math import gcd
+
 import pytest
 
 from chaincover.poset import make_poset
@@ -89,6 +91,15 @@ def o_generated(ring, gens):
                     members.add(p)
                     changed = True
     return members
+
+
+def o_preimage_divisor(h, q):
+    """Divisor of the preimage of q, from a scan of every element of Z/m."""
+    d = h.m
+    for x in range(h.m):
+        if q.contains(h.apply(x)):
+            d = gcd(d, x)
+    return d
 
 
 def o_prime_divisors(n):
@@ -375,6 +386,21 @@ class TestPreimageAndKernel:
                 pre = preimage_ideal(h, q)
                 brute = {x for x in range(h.m) if q.contains(h.apply(x))}
                 assert o_members(pre) == brute, (h, q)
+
+    def test_preimage_divisor_matches_element_scan(self):
+        # the divisor arithmetic against the scan over Z/m, on every prime
+        # of every target Z/n with n <= 30 or Z/a x Z/b with a, b <= 12
+        targets = [Zn(n) for n in range(2, 31)] + [
+            Product((Zn(a), Zn(b))) for a in range(2, 13) for b in range(2, 13)
+        ]
+        checked = 0
+        for m in range(2, 31):
+            for target in targets:
+                for h in enumerate_homs(m, target):
+                    for q in spec_ideals(target):
+                        assert preimage_ideal(h, q).divisors == (o_preimage_divisor(h, q),), (h, q)
+                        checked += 1
+        assert checked == 21186
 
     def test_kernel_frozen(self):
         assert kernel(make_hom(6, Zn(2), 1)).divisors == (2,)

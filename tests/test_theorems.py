@@ -235,31 +235,26 @@ def fresh_kernel_args(m):
     """eval_theorem's instance arguments, built from the posets directly."""
     s, r = m.s_poset, m.r_poset
     cmap = tuple(s.n if v is TOP else v for v in m.assignment)
-    return (
-        s.n, s.up_masks, s.down_masks, s.comp_masks,
-        r.n, r.up_masks, r.down_masks, r.comp_masks, cmap,
-        K._chain_masks(s.n, s.comp_masks),
-        K._maximal_chain_masks(s.n, s.up_masks, s.down_masks),
-        K._maximal_chain_masks(r.n, r.up_masks, r.down_masks),
-    )
+    s_facts, r_facts = K.PosetFacts(s.up_masks), K.PosetFacts(r.up_masks)
+    return s_facts, r_facts, cmap, K._allowed_masks(s_facts, cmap)
 
 
 def fresh_property(m, name):
     """One of the nine properties from a direct K.prop_* call."""
-    (ns, s_up, s_down, _, nr, r_up, r_down, _, cmap, s_chains, _, _) = fresh_kernel_args(m)
+    s, r, cmap, allowed = fresh_kernel_args(m)
     if name == "LO":
-        return K.prop_lo(ns, nr, cmap)
+        return K.prop_lo(s.n, r.n, cmap)
     if name == "SCLO":
-        return K.prop_sclo(ns, s_up, s_chains, nr, r_up, r_down, cmap)
+        return K.prop_sclo(s, r, cmap, allowed)
     if name == "GGD":
-        return K.prop_ggd(ns, s_down, s_chains, nr, r_up, r_down, cmap)
+        return K.prop_ggd(s, r, cmap, allowed)
     if name == "chain_morphism":
-        return K.prop_chain_morphism(ns, s_chains, nr, r_up, r_down, cmap)
+        return K.prop_chain_morphism(s, r, cmap, allowed)
     prop = {
         "INC": K.prop_inc, "GU": K.prop_gu, "GD": K.prop_gd,
         "SGB": K.prop_sgb, "GB": K.prop_gb,
     }[name]
-    return prop(ns, s_up, nr, r_up, cmap)
+    return prop(s.n, m.s_poset.up_masks, r.n, m.r_poset.up_masks, cmap)
 
 
 def outcome(v):
