@@ -2,10 +2,11 @@
 
 An instance document is a JSON object holding either a poset pair with a
 contraction map or a ring-backed hom expression, never both. Serialization
-is canonical: stable key order, two-space indent, trailing newline, Hasse
-pairs only. Reports share the same discipline and never include wall-clock
-fields, so a report is byte-stable for fixed inputs regardless of worker
-count.
+is canonical: stable key order, Hasse pairs only, and the bytes of
+`json.dumps(value, indent=2)` plus a trailing newline, which `canonical_json`
+writes without json's pure-Python indenting encoder. Reports share the same
+discipline and never include wall-clock fields, so a report is byte-stable
+for fixed inputs regardless of worker count.
 """
 
 from __future__ import annotations
@@ -86,6 +87,79 @@ class InstanceDocument:
     seed: int | None = None
     ring: str | None = None
     violation: dict | None = field(default=None, compare=False)
+
+
+# ---------------------------------------------------------------------------
+# Canonical JSON text
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def canonical_json(value) -> str:
+    """The text of `json.dumps(value, indent=2)` followed by a newline.
+
+    With an indent, json falls back to its pure-Python encoder; this writer
+    gives the same bytes for str-keyed dicts, lists, tuples, str, int,
+    bool and None, escaping strings with json's C-level ASCII encoder as
+    ensure_ascii does. Any other value, and a dict with a non-str key, is
+    written by json.dumps itself.
+    """
+    out: list[str] = []
+    try:
+        _write_json(value, "\n", out)
+    except RecursionError:
+        # a cyclic or very deep value: json.dumps raises what it always has
+        return json.dumps(value, indent=2) + "\n"
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(value, newline: str, out: list[str]) -> None:
+    # `newline` is a line break plus the indent of the line `value` is on
+    kind = type(value)
+    if kind is str:
+        out.append(_encode_str(value))
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        start = len(out)
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            if type(key) is not str:
+                del out[start:]
+                out.append(json.dumps(value, indent=2).replace("\n", newline))
+                return
+            out.append(sep)
+            out.append(_encode_str(key))
+            out.append(": ")
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif kind is int:
+        out.append(repr(value))
+    else:
+        # floats and other types; json writes no raw line break inside a
+        # string, so each line break starts an indented line
+        out.append(json.dumps(value, indent=2).replace("\n", newline))
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +358,7 @@ def instance_dict(doc: InstanceDocument) -> dict:
 
 
 def serialize_instance(doc: InstanceDocument) -> str:
-    return json.dumps(instance_dict(doc), indent=2) + "\n"
+    return canonical_json(instance_dict(doc))
 
 
 def _require_type(value, want, what: str):
@@ -522,7 +596,7 @@ def build_spec_report(ring: RingExpr, poset: Poset) -> dict:
 
 
 def serialize_report(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
+    return canonical_json(report)
 
 
 # ---------------------------------------------------------------------------

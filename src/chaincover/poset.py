@@ -66,18 +66,21 @@ class Poset:
 
     __slots__ = ("labels", "n", "leq", "up_masks", "down_masks", "comp_masks", "_index")
 
-    def __init__(self, labels: tuple[str, ...], leq: np.ndarray):
-        # Internal constructor: `leq` must already be a valid, normalized
-        # order matrix. Use make_poset / from_leq_matrix instead.
+    def __init__(self, labels: tuple[str, ...], up_masks: tuple[int, ...]):
+        # Internal constructor: `up_masks` must already be a valid order in
+        # linear-extension index order. Use make_poset / from_leq_matrix instead.
+        n = len(labels)
         self.labels = labels
-        self.n = len(labels)
-        leq = leq.astype(bool)
+        self.n = n
+        self.up_masks = up_masks
+        # row i of leq is up_masks[i] as little-endian bits
+        width = (n + 7) >> 3
+        rows = np.frombuffer(b"".join([m.to_bytes(width, "little") for m in up_masks]), np.uint8)
+        leq = np.unpackbits(rows, bitorder="little").reshape(n, 8 * width)[:, :n].view(bool)
         leq.setflags(write=False)
         self.leq = leq
-        up = tuple(sum(1 << j for j, le in enumerate(row) if le) for row in leq.tolist())
-        self.up_masks = up
-        self.down_masks = tuple(_down_masks(self.n, up))
-        self.comp_masks = tuple(_comp_masks(self.n, up, self.down_masks))
+        self.down_masks = tuple(_down_masks(n, up_masks))
+        self.comp_masks = tuple(_comp_masks(n, up_masks, self.down_masks))
         self._index = {lab: i for i, lab in enumerate(labels)}
 
     @classmethod
@@ -105,20 +108,8 @@ class Poset:
             )
         if ((leq @ leq) & ~leq).any():
             raise ValueError("order relation must be transitive")
-        # Lexicographically least linear extension: repeatedly take the
-        # smallest original index among the still-unplaced minimal elements.
-        # Keeps incomparable elements in declaration order.
-        remaining = list(range(n))
-        order = []
-        while remaining:
-            i = next(
-                i for i in remaining if not any(leq[j, i] and j != i for j in remaining)
-            )
-            order.append(i)
-            remaining.remove(i)
-        labels = tuple(labels[i] for i in order)
-        leq = leq[np.ix_(order, order)]
-        return cls(labels, leq)
+        up = [sum(1 << j for j, le in enumerate(row) if le) for row in leq.tolist()]
+        return _normalized_poset(labels, up)
 
     def index(self, label: str) -> int:
         """Index of the element carrying `label`."""
@@ -134,7 +125,7 @@ class Poset:
 
     def less(self, i: int, j: int) -> bool:
         """Strict order test."""
-        return i != j and bool(self.leq[i, j])
+        return i != j and bool(self.up_masks[i] >> j & 1)
 
     def up_array(self) -> np.ndarray:
         """Up-set bitmasks as an int64 array."""
@@ -218,40 +209,119 @@ class Cut:
         return 0 < self.split < len(self.chain)
 
 
+def _normalized_poset(labels: tuple[str, ...], up: list[int]) -> Poset:
+    """Poset of a valid order whose bit j of up[i] says labels[i] <= labels[j].
+
+    Indices are renumbered along the lexicographically least linear
+    extension: repeatedly take the smallest original index among the
+    still-unplaced minimal elements, which keeps incomparable elements in
+    declaration order.
+    """
+    n = len(up)
+    down = _down_masks(n, up)
+    order = []
+    left = (1 << n) - 1
+    while left:
+        rest = left
+        while True:
+            low = rest & -rest
+            if down[low.bit_length() - 1] & left == low:
+                break
+            rest ^= low
+        order.append(low.bit_length() - 1)
+        left ^= low
+    if order == list(range(n)):
+        return Poset(labels, tuple(up))
+    new_index = [0] * n
+    for new, old in enumerate(order):
+        new_index[old] = new
+    relabeled = []
+    for old in order:
+        mask = 0
+        rest = up[old]
+        while rest:
+            low = rest & -rest
+            mask |= 1 << new_index[low.bit_length() - 1]
+            rest ^= low
+        relabeled.append(mask)
+    return Poset(tuple(labels[i] for i in order), tuple(relabeled))
+
+
+def _check_order_masks(labels: tuple[str, ...], up: list[int]) -> None:
+    """Raise as from_leq_matrix does unless `up` is a partial order."""
+    n = len(up)
+    if any(not up[i] >> i & 1 for i in range(n)):
+        raise ValueError("order relation must be reflexive")
+    for i in range(n):
+        rest = up[i] ^ (1 << i)
+        while rest:
+            low = rest & -rest
+            j = low.bit_length() - 1
+            if up[j] >> i & 1:
+                raise AntisymmetryViolation(
+                    f"elements {labels[i]!r} and {labels[j]!r} lie on a cycle"
+                )
+            rest ^= low
+    for i in range(n):
+        rest = up[i]
+        while rest:
+            low = rest & -rest
+            if up[low.bit_length() - 1] & ~up[i]:
+                raise ValueError("order relation must be transitive")
+            rest ^= low
+
+
 def make_poset(labels: list[str], pairs: list[tuple[str, str]]) -> Poset:
     """Build the poset generated by `pairs` as order assertions.
 
     The relation is the reflexive-transitive closure of the pairs; a cycle
     through distinct elements raises AntisymmetryViolation.
     """
-    labels = list(labels)
+    labels = tuple(labels)
     n = len(labels)
-    seen: set[str] = set()
-    for lab in labels:
-        if lab in seen:
+    index: dict[str, int] = {}
+    for i, lab in enumerate(labels):
+        if lab in index:
             raise DuplicateLabel(f"label {lab!r} declared twice")
-        seen.add(lab)
-    index = {lab: i for i, lab in enumerate(labels)}
-    rel = np.eye(n, dtype=bool)
+        index[lab] = i
+    up = [1 << i for i in range(n)]
     for a, b in pairs:
         if a not in index:
             raise UnknownLabel(f"no element labeled {a!r}")
         if b not in index:
             raise UnknownLabel(f"no element labeled {b!r}")
-        rel[index[a], index[b]] = True
-    while True:
-        closed = rel | (rel @ rel)
-        if np.array_equal(closed, rel):
-            break
-        rel = closed
-    return Poset.from_leq_matrix(labels, rel)
+        up[index[a]] |= 1 << index[b]
+    # Warshall's algorithm: after step k every path through 0..k is closed.
+    for k in range(n):
+        bit, row = 1 << k, up[k]
+        for i in range(n):
+            if up[i] & bit:
+                up[i] |= row
+    _check_order_masks(labels, up)  # the closure leaves only cycles to find
+    return _normalized_poset(labels, up)
 
 
 def covering_pairs(p: Poset) -> list[tuple[int, int]]:
-    """Transitive reduction: pairs (x, y) with x < y and nothing in between."""
-    lt = p.leq & ~np.eye(p.n, dtype=bool)
-    covers = lt & ~(lt @ lt)
-    return [(int(i), int(j)) for i, j in np.argwhere(covers)]
+    """Transitive reduction: pairs (x, y) with x < y and nothing in between.
+
+    The covers of i are its strict up-set minus everything strictly above a
+    member of it; pairs come in row-major order.
+    """
+    strict = [m ^ (1 << i) for i, m in enumerate(p.up_masks)]
+    pairs = []
+    for i, above in enumerate(strict):
+        beyond = 0
+        rest = above
+        while rest:
+            low = rest & -rest
+            beyond |= strict[low.bit_length() - 1]
+            rest ^= low
+        rest = above & ~beyond
+        while rest:
+            low = rest & -rest
+            pairs.append((i, low.bit_length() - 1))
+            rest ^= low
+    return pairs
 
 
 def is_chain(p: Poset, subset) -> bool:
@@ -392,6 +462,6 @@ def height(p: Poset) -> int:
     """Size of the longest chain (0 for the empty poset)."""
     best = [0] * p.n
     for i in range(p.n):  # index order is a linear extension
-        below = [best[j] for j in range(i) if p.leq[j, i] and j != i]
-        best[i] = 1 + max(below, default=0)
+        below = p.down_masks[i]
+        best[i] = 1 + max((best[j] for j in range(i) if below >> j & 1), default=0)
     return max(best, default=0)

@@ -135,20 +135,13 @@ class ImageChain:
         return self.members + ((TOP,) if self.has_top else ())
 
 
-def _ext_leq(s: Poset, a, b) -> bool:
-    if b is TOP:
-        return True
-    if a is TOP:
-        return False
-    return bool(s.leq[a, b])
-
-
 def make_spectral_map(s: Poset, r: Poset, assignment) -> SpectralMap:
     """Validate an assignment and build a SpectralMap.
 
     Raises LengthMismatch when the assignment does not have one value per
-    r element, IndexOutOfRange on a bad target index, and NotMonotone with
-    the witnessing pair when some q1 <= q2 maps to unrelated values.
+    r element, IndexOutOfRange on a bad target index (bools are not
+    indices), and NotMonotone with the witnessing pair when some q1 <= q2
+    maps to unrelated values.
     """
     assignment = tuple(assignment)
     if len(assignment) != r.n:
@@ -157,18 +150,26 @@ def make_spectral_map(s: Poset, r: Poset, assignment) -> SpectralMap:
         )
     for v in assignment:
         if v is not TOP:
-            if not isinstance(v, (int, np.integer)) or not 0 <= int(v) < s.n:
+            if (not isinstance(v, (int, np.integer)) or isinstance(v, bool)
+                    or not 0 <= int(v) < s.n):
                 raise IndexOutOfRange(f"assignment value {v!r} is not an s index or TOP")
     assignment = tuple(v if v is TOP else int(v) for v in assignment)
-    for q1 in range(r.n):
-        for q2 in range(r.n):
-            if q1 != q2 and r.leq[q1, q2]:
-                if not _ext_leq(s, assignment[q1], assignment[q2]):
-                    raise NotMonotone(
-                        f"{r.labels[q1]} <= {r.labels[q2]} but images are unrelated",
-                        q1,
-                        q2,
-                    )
+    s_up = s.up_masks
+    for q1, up in enumerate(r.up_masks):
+        a = assignment[q1]
+        rest = up ^ (1 << q1)
+        while rest:
+            low = rest & -rest
+            q2 = low.bit_length() - 1
+            b = assignment[q2]
+            # TOP lies above every value and below none but itself
+            if b is not TOP and (a is TOP or not s_up[a] >> b & 1):
+                raise NotMonotone(
+                    f"{r.labels[q1]} <= {r.labels[q2]} but images are unrelated",
+                    q1,
+                    q2,
+                )
+            rest ^= low
     return SpectralMap(s, r, assignment)
 
 

@@ -4,6 +4,7 @@ import json
 import pathlib
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from chaincover.document import (
     DocumentSemanticError,
@@ -13,6 +14,7 @@ from chaincover.document import (
     build_search_report,
     build_spec_report,
     build_verify_report,
+    canonical_json,
     document_for_hom,
     document_for_map,
     elem_text,
@@ -419,3 +421,132 @@ class TestSampleInstances:
         props = build_check_report(doc)["properties"]
         assert props["LO"] and props["GU"] and props["GD"] and props["unitary"]
         assert not props["SGB"]
+
+
+# Deterministic example streams, so the suite gives the same result on
+# every run and writes no example database; no deadline or speed health
+# check, so a loaded host cannot fail a test.
+FUZZ = settings(
+    derandomize=True, database=None, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+json_scalars = (
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.floats()
+    | st.text(st.characters(max_codepoint=0x2FFF))
+)
+json_keys = st.text(max_size=8) | st.integers() | st.booleans() | st.none() | st.floats()
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(st.text(max_size=8), inner, max_size=4)
+        | st.dictionaries(json_keys, inner, max_size=4)
+    ),
+    max_leaves=20,
+)
+
+
+class TestCanonicalJson:
+    @FUZZ
+    @given(json_values)
+    def test_bytes_match_json_dumps(self, value):
+        assert canonical_json(value) == json.dumps(value, indent=2) + "\n"
+
+    def test_edge_values(self):
+        for value in ({}, [], (), {"a": {}, "b": [[], ()]}, "\x00\u00e9\n\"", -(10**40),
+                      {1: {"x": [1.5, float("nan")]}}, [{"k": {2: []}}]):
+            assert canonical_json(value) == json.dumps(value, indent=2) + "\n"
+
+    def test_errors_match_json_dumps(self):
+        cyclic = []
+        cyclic.append(cyclic)
+        for value in ({"a": {(1,): 2}}, [object()], {"a": {1, 2}}, cyclic):
+            with pytest.raises((TypeError, ValueError)) as want:
+                json.dumps(value, indent=2)
+            with pytest.raises(type(want.value)) as got:
+                canonical_json(value)
+            assert str(got.value) == str(want.value)
+
+
+@st.composite
+def fuzz_rings(draw):
+    """A hom expression over small moduli, its e mostly of the right shape."""
+    moduli = draw(st.lists(st.integers(2, 30), min_size=1, max_size=3))
+    ring = ",".join(f"Zn({n})" for n in moduli)
+    ring = ring if len(moduli) == 1 else f"Product({ring})"
+    parts = draw(st.lists(st.sampled_from([0, 1, 2, 5]), min_size=1, max_size=3))
+    if not draw(st.booleans()):
+        parts = (parts * 3)[: len(moduli)]
+    e = str(parts[0]) if len(parts) == 1 else "(" + ",".join(map(str, parts)) + ")"
+    return f"hom(m={draw(st.integers(2, 40))}, target={ring}, e={e})"
+
+
+@st.composite
+def fuzz_documents(draw):
+    """Instance documents that are mostly valid, with occasional faults."""
+    doc: dict = {}
+    if draw(st.booleans()):
+        doc["name"] = draw(st.text(max_size=5))
+    if draw(st.integers(0, 3)) == 0:
+        doc["seed"] = draw(st.integers())
+    kind = draw(st.sampled_from(["poset", "ring", "poset", "both", "ring", "poset"]))
+    if kind != "poset":
+        doc["ring"] = draw(fuzz_rings())
+    if kind != "ring":
+        pool = ["a", "b", "c", "d", "e"]
+        names = st.sampled_from(pool + ["TOP", "", "z"]) | st.sampled_from(pool)
+        blocks = {}
+        for key in ("s", "r"):
+            labels = draw(st.lists(st.sampled_from(pool), max_size=4, unique=True))
+            if draw(st.integers(0, 5)) == 0:
+                labels.append(draw(names))
+            ends = st.sampled_from(labels) if labels else names
+            if draw(st.integers(0, 5)) == 0:
+                ends = ends | names
+            pairs = draw(st.lists(st.lists(ends, min_size=2, max_size=2), max_size=5))
+            blocks[key] = {"labels": labels, "pairs": pairs}
+        doc.update(blocks)
+        targets = st.sampled_from(blocks["s"]["labels"] + ["TOP"])
+        doc["map"] = {q: draw(targets) for q in blocks["r"]["labels"]}
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        path = draw(st.sampled_from(["name", "seed", "s", "r", "map", "ring", "violation",
+                                     "other", "s.labels", "r.pairs", "map.a"]))
+        target = doc
+        *outer, key = path.split(".")
+        for part in outer:
+            target = target.setdefault(part, {})
+            if not isinstance(target, dict):
+                break
+        else:
+            target[key] = draw(json_values)
+    return doc
+
+
+@st.composite
+def fuzz_texts(draw):
+    """A document's JSON text; now and then cut short or replaced by noise."""
+    text = json.dumps(draw(fuzz_documents()))
+    fault = draw(st.integers(0, 7))
+    if fault == 6:
+        return text[: draw(st.integers(0, len(text)))]
+    if fault == 7:
+        return draw(st.text(max_size=30))
+    return text
+
+
+class TestParseInstanceFuzz:
+    @settings(FUZZ, max_examples=400)
+    @given(fuzz_texts())
+    def test_parse_gives_instance_or_positioned_error(self, text):
+        try:
+            doc = parse_instance(text)
+        except DocumentSyntaxError as exc:
+            assert exc.line >= 1 and exc.column >= 1
+        except DocumentSemanticError as exc:
+            assert exc.line is None or (exc.line >= 1 and exc.column >= 1)
+        else:
+            assert isinstance(doc, InstanceDocument)
+            canonical = serialize_instance(doc)
+            assert serialize_instance(parse_instance(canonical)) == canonical

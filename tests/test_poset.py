@@ -5,8 +5,10 @@ with itertools, counts frozen from independent first-principles runs, and
 the order axioms checked over all triples.
 """
 
+import random
 from itertools import chain as ichain, combinations
 
+import numpy as np
 import pytest
 
 from chaincover.poset import (
@@ -58,6 +60,69 @@ def oracle_is_maximal_chain(p, members):
         if x not in mset and all(p.leq[x, b] or p.leq[b, x] for b in mset):
             return False
     return True
+
+
+# The numpy construction, Hasse pairs and height that the mask code replaced,
+# kept as references for it.
+
+
+def oracle_make_poset(labels, pairs):
+    """(labels in index order, leq) by a numpy closure and scalar indexing."""
+    labels = list(labels)
+    n = len(labels)
+    seen = set()
+    for lab in labels:
+        if lab in seen:
+            raise DuplicateLabel(f"label {lab!r} declared twice")
+        seen.add(lab)
+    index = {lab: i for i, lab in enumerate(labels)}
+    rel = np.eye(n, dtype=bool)
+    for a, b in pairs:
+        if a not in index:
+            raise UnknownLabel(f"no element labeled {a!r}")
+        if b not in index:
+            raise UnknownLabel(f"no element labeled {b!r}")
+        rel[index[a], index[b]] = True
+    while True:
+        closed = rel | (rel @ rel)
+        if np.array_equal(closed, rel):
+            break
+        rel = closed
+    sym = rel & rel.T
+    np.fill_diagonal(sym, False)
+    if sym.any():
+        i, j = np.argwhere(sym)[0]
+        raise AntisymmetryViolation(f"elements {labels[i]!r} and {labels[j]!r} lie on a cycle")
+    remaining = list(range(n))
+    order = []
+    while remaining:
+        i = next(i for i in remaining if not any(rel[j, i] and j != i for j in remaining))
+        order.append(i)
+        remaining.remove(i)
+    return tuple(labels[i] for i in order), rel[np.ix_(order, order)]
+
+
+def oracle_covering_pairs(p):
+    lt = p.leq & ~np.eye(p.n, dtype=bool)
+    return [(int(i), int(j)) for i, j in np.argwhere(lt & ~(lt @ lt))]
+
+
+def oracle_height(p):
+    best = [0] * p.n
+    for i in range(p.n):
+        best[i] = 1 + max((best[j] for j in range(i) if p.leq[j, i] and j != i), default=0)
+    return max(best, default=0)
+
+
+def random_poset_input(rng):
+    """Labels and pairs that may repeat labels, name unknown ones, or cycle."""
+    pool = list("abcdef")
+    labels = rng.sample(pool, rng.randint(0, 6))
+    if labels and rng.random() < 0.1:
+        labels.insert(rng.randrange(len(labels) + 1), rng.choice(labels))
+    names = labels + ["z"] if rng.random() < 0.1 else labels or ["z"]
+    pairs = [(rng.choice(names), rng.choice(names)) for _ in range(rng.randint(0, 8))]
+    return labels, pairs
 
 
 def diamond():
@@ -120,6 +185,32 @@ class TestMakePoset:
     def test_random_poset_deterministic(self):
         assert random_poset(5, seed=7) == random_poset(5, seed=7)
 
+    def test_matches_numpy_oracle(self):
+        rng = random.Random(20261018)
+        outcomes = set()
+        for _ in range(3000):
+            labels, pairs = random_poset_input(rng)
+            try:
+                want = oracle_make_poset(labels, pairs)
+            except ValueError as exc:
+                with pytest.raises(type(exc)) as got:
+                    make_poset(labels, pairs)
+                assert str(got.value) == str(exc)
+                outcomes.add(type(exc))
+                continue
+            p = make_poset(labels, pairs)
+            assert p.labels == want[0]
+            assert p.leq.dtype == bool and np.array_equal(p.leq, want[1])
+            assert p.up_masks == tuple(
+                sum(1 << j for j in range(p.n) if want[1][i, j]) for i in range(p.n)
+            )
+            outcomes.add(Poset)
+        assert outcomes == {Poset, DuplicateLabel, UnknownLabel, AntisymmetryViolation}
+
+    def test_leq_is_read_only(self):
+        with pytest.raises(ValueError):
+            diamond().leq[0, 1] = True
+
 
 class TestCoveringPairs:
     def test_chain(self):
@@ -143,6 +234,12 @@ class TestCoveringPairs:
                 [(p.labels[i], p.labels[j]) for i, j in covering_pairs(p)],
             )
             assert rebuilt == p
+
+    def test_matches_numpy_oracle_on_every_small_poset(self):
+        for n in range(6):
+            for p in enumerate_posets(n):
+                assert covering_pairs(p) == oracle_covering_pairs(p)
+                assert height(p) == oracle_height(p)
 
 
 class TestIsChain:

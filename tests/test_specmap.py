@@ -5,8 +5,10 @@ directly from the definitions (sets and loops over the order matrix, no
 bitmask tricks), over all monotone maps between all small posets.
 """
 
+import random
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from chaincover import _kernels as K
@@ -17,6 +19,7 @@ from chaincover.poset import (
     enumerate_chains,
     enumerate_posets,
     make_poset,
+    random_poset,
 )
 from chaincover.specmap import (
     TOP,
@@ -284,6 +287,46 @@ class TestMakeSpectralMap:
         s = chain_poset("ab")
         with pytest.raises(IndexOutOfRange):
             make_spectral_map(s, s, (0, 9))
+
+    def test_bools_are_not_indices(self):
+        s = chain_poset("ab")
+        r = antichain("x")
+        for value in (True, False, np.True_, np.False_):
+            with pytest.raises(IndexOutOfRange):
+                make_spectral_map(s, r, [value])
+        assert make_spectral_map(s, r, [np.int64(1)]).assignment == (1,)
+
+    def test_first_violation_matches_scalar_scan(self):
+        # the scan over r.leq that the mask scan replaced is the reference
+        def first_violation(s, r, assignment):
+            for q1 in range(r.n):
+                for q2 in range(r.n):
+                    if q1 != q2 and r.leq[q1, q2]:
+                        a, b = assignment[q1], assignment[q2]
+                        if b is not TOP and (a is TOP or not s.leq[a, b]):
+                            return q1, q2
+            return None
+
+        rng = random.Random(5)
+        violations = 0
+        for _ in range(3000):
+            s = random_poset(rng.randint(0, 4), rng.randrange(2**32))
+            r = random_poset(rng.randint(0, 5), rng.randrange(2**32))
+            values = list(range(s.n)) + [TOP]
+            assignment = [rng.choice(values) for _ in range(r.n)]
+            want = first_violation(s, r, assignment)
+            if want is None:
+                assert make_spectral_map(s, r, assignment).assignment == tuple(assignment)
+                continue
+            violations += 1
+            with pytest.raises(NotMonotone) as exc:
+                make_spectral_map(s, r, assignment)
+            assert (exc.value.q1, exc.value.q2) == want
+            q1, q2 = want
+            assert str(exc.value) == (
+                f"{r.labels[q1]} <= {r.labels[q2]} but images are unrelated"
+            )
+        assert 300 < violations < 2700
 
     def test_empty_source(self):
         s = chain_poset("ab")
