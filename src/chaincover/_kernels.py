@@ -22,6 +22,10 @@ poset it visits and every map of that poset reads it. Per map there is the
 value tuple `cmap` and the dict `allowed` from `_allowed_masks`, which sends
 each chain D of s to the elements of r contracting into D; the maximal
 D-chains are then the lookup `r.dchains[allowed[D]]`.
+
+Each theorem is one entry of `THEOREMS`: the names of its hypotheses, each
+tested by `PROPERTY_TESTS`, and one conclusion over (s, r, cmap, allowed)
+that returns a clause code. `eval_theorem` looks the theorem up by name.
 """
 
 from __future__ import annotations
@@ -41,24 +45,6 @@ PROP_GD = 8
 PROP_SGB = 16
 PROP_GB = 32
 PROP_UNITARY = 64
-
-# Theorem dispatch codes for eval_theorem / sweep_pair.
-TID_T_COVER_MAXCHAIN = 0
-TID_C_PERFECT_MAXCHAIN = 1
-TID_L_LO_EXISTENCE = 2
-TID_P_LAYERS = 3
-TID_P_MINI_GD = 4
-TID_P_MINI_GU = 5
-TID_P_MINI_SGB = 6
-TID_C_GGD = 7
-TID_C_GGU_DUAL = 8
-TID_T_MAXDCHAIN_COVERS = 9
-TID_T_PERFECT_COVER = 10
-TID_C_EQUIVALENT = 11
-TID_L_MAXCOVER_MAXCHAIN = 12
-TID_C_MAXDCHAIN_MAXCHAIN = 13
-TID_C_EXISTS_MAXCHAIN_COVER = 14
-TID_X_KO_SCLO_EQ_GU = 15
 
 # Goal codes for search_pair.
 GOAL_LO_FAILS = 0
@@ -470,6 +456,96 @@ def property_bits(ns, s_up, nr, r_up, cmap):
     return bits
 
 
+#: property name -> test over (s, r, cmap), for hypotheses and the property
+#: sides of biconditionals
+PROPERTY_TESTS = {
+    "unitary": lambda s, r, cmap: prop_unitary(s.n, r.n, cmap),
+    "LO": lambda s, r, cmap: prop_lo(s.n, r.n, cmap),
+    "INC": lambda s, r, cmap: prop_inc(s.n, s, r.n, r, cmap),
+    "GU": lambda s, r, cmap: prop_gu(s.n, s, r.n, r, cmap),
+    "GD": lambda s, r, cmap: prop_gd(s.n, s, r.n, r, cmap),
+    "SGB": lambda s, r, cmap: prop_sgb(s.n, s, r.n, r, cmap),
+}
+
+
+# Conclusions. Each takes (s, r, cmap, allowed) and returns a clause code,
+# 0 when the conclusion holds on the instance.
+
+
+def _maxchain_images(perfect):
+    # the image of each maximal chain of r is a maximal chain of s
+    # (T_COVER_MAXCHAIN), and with `perfect` one of the same size
+    # (C_PERFECT_MAXCHAIN)
+    def conclusion(s, r, cmap, allowed):
+        ns = s.n
+        for cm in r.max_chains:
+            img = _image_mask(cmap, cm)
+            if img >> ns:
+                return 1
+            if not _is_chain(s.comp, img):
+                return 2
+            if not _is_maximal_sub(s.comp, (1 << ns) - 1, img):
+                return 3
+            if perfect and cm.bit_count() != img.bit_count():
+                return 4
+        return 0
+
+    return conclusion
+
+
+def _iff(lhs, rhs):
+    # a biconditional of two tests over (s, r, cmap, allowed): code 1 when
+    # only the left side holds, 2 when only the right side does
+    def conclusion(s, r, cmap, allowed):
+        left = lhs(s, r, cmap, allowed)
+        if left == rhs(s, r, cmap, allowed):
+            return 0
+        return 1 if left else 2
+
+    return conclusion
+
+
+def _hold(*names):
+    # the named properties hold together
+    tests = [PROPERTY_TESTS[name] for name in names]
+
+    def holds(s, r, cmap, allowed):
+        for test in tests:
+            if not test(s, r, cmap):
+                return False
+        return True
+
+    return holds
+
+
+def _dchains_nonempty(s, r, cmap, allowed):
+    # every nonempty chain D has a nonempty maximal D-chain
+    for d in s.chains[1:]:
+        if allowed[d] == 0:
+            return False
+    return True
+
+
+def _layers(s, r, cmap, allowed):
+    ns = s.n
+    nr = r.n
+    lo = prop_lo(ns, nr, cmap)
+    inc = prop_inc(ns, s, nr, r, cmap)
+    l1 = layer_holds(1, s, r, allowed)
+    if l1 != (lo and inc):
+        return 1
+    gu = prop_gu(ns, s, nr, r, cmap)
+    gd = prop_gd(ns, s, nr, r, cmap)
+    l2 = layer_holds(2, s, r, allowed)
+    if (l1 and l2) != (lo and inc and gu and gd):
+        return 2
+    sgb = prop_sgb(ns, s, nr, r, cmap)
+    l3 = layer_holds(3, s, r, allowed)
+    if (l1 and l2 and l3) != (lo and inc and gu and gd and sgb):
+        return 3
+    return 0
+
+
 def _bracketed(s, cmap, d_mask, lower, upper):
     # each member p of D lies below the contraction of some member of
     # `lower` or above the contraction of some member of `upper`; both are
@@ -486,30 +562,52 @@ def _bracketed(s, cmap, d_mask, lower, upper):
     return True
 
 
-def _mini_rhs(tid, s, r, cmap, allowed):
-    # the chain condition of P_MINI_GD, P_MINI_GU or P_MINI_SGB on every
-    # nonempty maximal D-chain: each member of D lies above some contraction
-    # of the chain (GD), below one (GU), or across each proper cut (SGB)
-    for d in s.chains[1:]:
-        d_allowed = allowed[d]
-        if d_allowed == 0:
-            continue
-        for c in r.dchains[d_allowed]:
-            if tid == TID_P_MINI_GD:
-                if not _bracketed(s, cmap, d, 0, c):
-                    return False
-            elif tid == TID_P_MINI_GU:
-                if not _bracketed(s, cmap, d, c, 0):
-                    return False
-            else:
-                m = c
-                while m:
-                    low = m & -m
-                    left = c & r.down[low.bit_length() - 1]
-                    if left != c and not _bracketed(s, cmap, d, left, c & ~left):
-                        return False
-                    m ^= low
+# The bracketing tests of the mini theorems on a chain D of s and a maximal
+# D-chain C: each member of D lies above some contraction of C (GD), below
+# one (GU), or is bracketed across each proper cut of C (SGB).
+
+
+def _above_some(s, r, cmap, d, c):
+    return _bracketed(s, cmap, d, 0, c)
+
+
+def _below_some(s, r, cmap, d, c):
+    return _bracketed(s, cmap, d, c, 0)
+
+
+def _across_cuts(s, r, cmap, d, c):
+    m = c
+    while m:
+        low = m & -m
+        left = c & r.down[low.bit_length() - 1]
+        if left != c and not _bracketed(s, cmap, d, left, c & ~left):
+            return False
+        m ^= low
     return True
+
+
+def _mini_rhs(brackets):
+    # the chain side of P_MINI_GD, P_MINI_GU or P_MINI_SGB: `brackets` holds
+    # on every nonempty maximal D-chain
+    def holds(s, r, cmap, allowed):
+        for d in s.chains[1:]:
+            d_allowed = allowed[d]
+            if d_allowed == 0:
+                continue
+            for c in r.dchains[d_allowed]:
+                if not brackets(s, r, cmap, d, c):
+                    return False
+        return True
+
+    return holds
+
+
+def _end_lifts(greatest):
+    # C_GGD reads the lifts of max D, C_GGU_DUAL those of min D
+    def conclusion(s, r, cmap, allowed):
+        return _end_lift_code(s.down if greatest else s, s, r, cmap, allowed)
+
+    return conclusion
 
 
 def _all_max_dchains_cover(s, r, cmap, allowed):
@@ -520,204 +618,124 @@ def _all_max_dchains_cover(s, r, cmap, allowed):
     return True
 
 
-def _iff_code(lhs, rhs):
-    # clause code of a biconditional: 1 when only the left side holds
-    if lhs == rhs:
+def _perfect_covers(s, r, cmap, allowed):
+    for d in s.chains:
+        for c in r.dchains[allowed[d]]:
+            if _image_mask(cmap, c) != d:
+                return 1
+            if c.bit_count() != d.bit_count():
+                return 2
+    return 0
+
+
+def _equivalent(s, r, cmap, allowed):
+    ns = s.n
+    nr = r.n
+    cond2 = (
+        prop_lo(ns, nr, cmap)
+        and prop_inc(ns, s, nr, r, cmap)
+        and prop_gu(ns, s, nr, r, cmap)
+        and prop_gd(ns, s, nr, r, cmap)
+        and prop_sgb(ns, s, nr, r, cmap)
+    )
+    cond1 = True
+    cond3 = True
+    cond4 = True
+    for d in s.chains:
+        k = d.bit_count()
+        for c in r.dchains[allowed[d]]:
+            sz = c.bit_count()
+            if sz != k:
+                cond4 = False
+                if 1 <= k <= 3:
+                    cond1 = False
+            if sz != k or _image_mask(cmap, c) != d:
+                cond3 = False
+    bits = cond1 | cond2 << 1 | cond3 << 2 | cond4 << 3
+    if bits == 0 or bits == 15:
         return 0
-    return 1 if lhs else 2
+    return bits + 1
+
+
+def _maxcovers_maximal(s, r, cmap, allowed):
+    full = (1 << r.n) - 1
+    for d in s.max_chains:
+        for c in r.dchains[allowed[d]]:
+            if _image_mask(cmap, c) == d and not _is_maximal_sub(r.comp, full, c):
+                return 1
+    return 0
+
+
+def _maxchain_dchains_maximal(s, r, cmap, allowed):
+    # every nonempty maximal D-chain over a maximal chain D covers D and is
+    # a maximal chain of r
+    full = (1 << r.n) - 1
+    for d in s.max_chains:
+        for c in r.dchains[allowed[d]]:
+            if c == 0:
+                continue
+            if _image_mask(cmap, c) != d:
+                return 1
+            if not _is_maximal_sub(r.comp, full, c):
+                return 2
+    return 0
+
+
+def _maxchain_has_maximal_cover(s, r, cmap, allowed):
+    # every maximal chain D has a maximal D-chain that covers D and is a
+    # maximal chain of r
+    full = (1 << r.n) - 1
+    for d in s.max_chains:
+        for c in r.dchains[allowed[d]]:
+            if c and _image_mask(cmap, c) == d and _is_maximal_sub(r.comp, full, c):
+                break
+        else:
+            return 1
+    return 0
+
+
+#: theorem name -> (hypothesis names, conclusion); the biconditionals have
+#: no hypotheses. The names are the values of theorems.TheoremId, in its
+#: member order.
+THEOREMS = {
+    "T_COVER_MAXCHAIN": (("unitary", "GU", "GD", "SGB"), _maxchain_images(perfect=False)),
+    "C_PERFECT_MAXCHAIN": (
+        ("unitary", "INC", "GU", "GD", "SGB"), _maxchain_images(perfect=True)
+    ),
+    "L_LO_EXISTENCE": ((), _iff(_hold("LO"), _dchains_nonempty)),
+    "P_LAYERS": ((), _layers),
+    "P_MINI_GD": ((), _iff(_hold("GD"), _mini_rhs(_above_some))),
+    "P_MINI_GU": ((), _iff(_hold("GU"), _mini_rhs(_below_some))),
+    "P_MINI_SGB": ((), _iff(_hold("SGB"), _mini_rhs(_across_cuts))),
+    "C_GGD": (("GD", "SGB"), _end_lifts(greatest=True)),
+    "C_GGU_DUAL": (("GU", "SGB"), _end_lifts(greatest=False)),
+    "T_MAXDCHAIN_COVERS": ((), _iff(_hold("GD", "GU", "SGB"), _all_max_dchains_cover)),
+    "T_PERFECT_COVER": (("LO", "INC", "GU", "GD", "SGB"), _perfect_covers),
+    "C_EQUIVALENT": ((), _equivalent),
+    "L_MAXCOVER_MAXCHAIN": (("unitary",), _maxcovers_maximal),
+    "C_MAXDCHAIN_MAXCHAIN": (("unitary", "GD", "GU", "SGB"), _maxchain_dchains_maximal),
+    "C_EXISTS_MAXCHAIN_COVER": (
+        ("unitary", "LO", "GD", "GU", "SGB"), _maxchain_has_maximal_cover
+    ),
+    "X_KO_SCLO_EQ_GU": (("unitary",), _iff(prop_sclo, _hold("GU"))),
+}
 
 
 def eval_theorem(tid, waive, s, r, cmap, allowed):
-    """Evaluate one theorem on one instance.
+    """Evaluate the theorem named `tid` on one instance.
 
     `s` and `r` are PosetFacts records, `cmap` the map's values and
     `allowed` its `_allowed_masks(s, cmap)`. Returns 0 when the statement
-    holds on the instance (including the case of an unmet hypothesis,
-    unless `waive` forces the conclusion to be checked anyway) and a
+    holds on the instance, which it does whenever a hypothesis is unmet
+    unless `waive` forces the conclusion to be checked anyway, and a
     positive clause code otherwise.
     """
-    ns = s.n
-    nr = r.n
-    if tid == TID_T_COVER_MAXCHAIN or tid == TID_C_PERFECT_MAXCHAIN:
-        if not waive:
-            hyp = (
-                prop_unitary(ns, nr, cmap)
-                and prop_gu(ns, s, nr, r, cmap)
-                and prop_gd(ns, s, nr, r, cmap)
-                and prop_sgb(ns, s, nr, r, cmap)
-            )
-            if tid == TID_C_PERFECT_MAXCHAIN:
-                hyp = hyp and prop_inc(ns, s, nr, r, cmap)
-            if not hyp:
+    hypotheses, conclusion = THEOREMS[tid]
+    if not waive:
+        for name in hypotheses:
+            if not PROPERTY_TESTS[name](s, r, cmap):
                 return 0
-        for cm in r.max_chains:
-            img = _image_mask(cmap, cm)
-            if img >> ns:
-                return 1
-            if not _is_chain(s.comp, img):
-                return 2
-            if not _is_maximal_sub(s.comp, (1 << ns) - 1, img):
-                return 3
-            if tid == TID_C_PERFECT_MAXCHAIN and cm.bit_count() != img.bit_count():
-                return 4
-        return 0
-
-    if tid == TID_L_LO_EXISTENCE:
-        lhs = prop_lo(ns, nr, cmap)
-        rhs = True
-        for d in s.chains[1:]:
-            if allowed[d] == 0:
-                rhs = False
-                break
-        return _iff_code(lhs, rhs)
-
-    if tid == TID_P_LAYERS:
-        lo = prop_lo(ns, nr, cmap)
-        inc = prop_inc(ns, s, nr, r, cmap)
-        l1 = layer_holds(1, s, r, allowed)
-        if l1 != (lo and inc):
-            return 1
-        gu = prop_gu(ns, s, nr, r, cmap)
-        gd = prop_gd(ns, s, nr, r, cmap)
-        l2 = layer_holds(2, s, r, allowed)
-        if (l1 and l2) != (lo and inc and gu and gd):
-            return 2
-        sgb = prop_sgb(ns, s, nr, r, cmap)
-        l3 = layer_holds(3, s, r, allowed)
-        if (l1 and l2 and l3) != (lo and inc and gu and gd and sgb):
-            return 3
-        return 0
-
-    if tid == TID_P_MINI_GD or tid == TID_P_MINI_GU or tid == TID_P_MINI_SGB:
-        if tid == TID_P_MINI_GD:
-            lhs = prop_gd(ns, s, nr, r, cmap)
-        elif tid == TID_P_MINI_GU:
-            lhs = prop_gu(ns, s, nr, r, cmap)
-        else:
-            lhs = prop_sgb(ns, s, nr, r, cmap)
-        return _iff_code(lhs, _mini_rhs(tid, s, r, cmap, allowed))
-
-    if tid == TID_C_GGD:
-        if not waive:
-            if not (prop_gd(ns, s, nr, r, cmap) and prop_sgb(ns, s, nr, r, cmap)):
-                return 0
-        return _end_lift_code(s.down, s, r, cmap, allowed)
-
-    if tid == TID_C_GGU_DUAL:
-        if not waive:
-            if not (prop_gu(ns, s, nr, r, cmap) and prop_sgb(ns, s, nr, r, cmap)):
-                return 0
-        return _end_lift_code(s, s, r, cmap, allowed)
-
-    if tid == TID_T_MAXDCHAIN_COVERS:
-        lhs = (
-            prop_gd(ns, s, nr, r, cmap)
-            and prop_gu(ns, s, nr, r, cmap)
-            and prop_sgb(ns, s, nr, r, cmap)
-        )
-        return _iff_code(lhs, _all_max_dchains_cover(s, r, cmap, allowed))
-
-    if tid == TID_T_PERFECT_COVER:
-        if not waive:
-            hyp = (
-                prop_lo(ns, nr, cmap)
-                and prop_inc(ns, s, nr, r, cmap)
-                and prop_gu(ns, s, nr, r, cmap)
-                and prop_gd(ns, s, nr, r, cmap)
-                and prop_sgb(ns, s, nr, r, cmap)
-            )
-            if not hyp:
-                return 0
-        for d in s.chains:
-            for c in r.dchains[allowed[d]]:
-                if _image_mask(cmap, c) != d:
-                    return 1
-                if c.bit_count() != d.bit_count():
-                    return 2
-        return 0
-
-    if tid == TID_C_EQUIVALENT:
-        cond2 = (
-            prop_lo(ns, nr, cmap)
-            and prop_inc(ns, s, nr, r, cmap)
-            and prop_gu(ns, s, nr, r, cmap)
-            and prop_gd(ns, s, nr, r, cmap)
-            and prop_sgb(ns, s, nr, r, cmap)
-        )
-        cond1 = True
-        cond3 = True
-        cond4 = True
-        for d in s.chains:
-            k = d.bit_count()
-            for c in r.dchains[allowed[d]]:
-                sz = c.bit_count()
-                if sz != k:
-                    cond4 = False
-                    if 1 <= k <= 3:
-                        cond1 = False
-                if sz != k or _image_mask(cmap, c) != d:
-                    cond3 = False
-        bits = 0
-        if cond1:
-            bits |= 1
-        if cond2:
-            bits |= 2
-        if cond3:
-            bits |= 4
-        if cond4:
-            bits |= 8
-        if bits == 0 or bits == 15:
-            return 0
-        return bits + 1
-
-    if tid == TID_L_MAXCOVER_MAXCHAIN:
-        if not waive and not prop_unitary(ns, nr, cmap):
-            return 0
-        for d in s.max_chains:
-            for c in r.dchains[allowed[d]]:
-                if _image_mask(cmap, c) == d and not _is_maximal_sub(
-                    r.comp, (1 << nr) - 1, c
-                ):
-                    return 1
-        return 0
-
-    if tid == TID_C_MAXDCHAIN_MAXCHAIN or tid == TID_C_EXISTS_MAXCHAIN_COVER:
-        if not waive:
-            hyp = (
-                prop_unitary(ns, nr, cmap)
-                and prop_gd(ns, s, nr, r, cmap)
-                and prop_gu(ns, s, nr, r, cmap)
-                and prop_sgb(ns, s, nr, r, cmap)
-            )
-            if tid == TID_C_EXISTS_MAXCHAIN_COVER:
-                hyp = hyp and prop_lo(ns, nr, cmap)
-            if not hyp:
-                return 0
-        for d in s.max_chains:
-            witnessed = False
-            for c in r.dchains[allowed[d]]:
-                if c == 0:
-                    continue
-                covers = _image_mask(cmap, c) == d
-                maximal = _is_maximal_sub(r.comp, (1 << nr) - 1, c)
-                if tid == TID_C_MAXDCHAIN_MAXCHAIN:
-                    if not covers:
-                        return 1
-                    if not maximal:
-                        return 2
-                elif covers and maximal:
-                    witnessed = True
-            if tid == TID_C_EXISTS_MAXCHAIN_COVER and not witnessed:
-                return 1
-        return 0
-
-    if tid == TID_X_KO_SCLO_EQ_GU:
-        if not waive and not prop_unitary(ns, nr, cmap):
-            return 0
-        lhs = prop_sclo(s, r, cmap, allowed)
-        return _iff_code(lhs, prop_gu(ns, s, nr, r, cmap))
-
-    return -1  # unknown theorem id
+    return conclusion(s, r, cmap, allowed)
 
 
 def monotone_maps(ns, s_up, nr, r_up, allow_top):

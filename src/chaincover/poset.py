@@ -97,18 +97,8 @@ class Poset:
         leq = np.asarray(leq, dtype=bool)
         if leq.shape != (n, n):
             raise ValueError(f"order matrix must be {n}x{n}")
-        if not np.all(np.diagonal(leq)):
-            raise ValueError("order relation must be reflexive")
-        sym = leq & leq.T
-        np.fill_diagonal(sym, False)
-        if sym.any():
-            i, j = np.argwhere(sym)[0]
-            raise AntisymmetryViolation(
-                f"elements {labels[i]!r} and {labels[j]!r} lie on a cycle"
-            )
-        if ((leq @ leq) & ~leq).any():
-            raise ValueError("order relation must be transitive")
         up = [sum(1 << j for j, le in enumerate(row) if le) for row in leq.tolist()]
+        _check_order_masks(labels, up)
         return _normalized_poset(labels, up)
 
     def index(self, label: str) -> int:
@@ -248,7 +238,11 @@ def _normalized_poset(labels: tuple[str, ...], up: list[int]) -> Poset:
 
 
 def _check_order_masks(labels: tuple[str, ...], up: list[int]) -> None:
-    """Raise as from_leq_matrix does unless `up` is a partial order."""
+    """Raise unless `up` is a partial order.
+
+    A missing self bit is found first, then the first pair on a cycle in
+    row-major order, then a missing transitive pair.
+    """
     n = len(up)
     if any(not up[i] >> i & 1 for i in range(n)):
         raise ValueError("order relation must be reflexive")
@@ -399,14 +393,9 @@ def _strict_order_masks(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _poset_from_strict_rows(rows: tuple[int, ...]) -> Poset:
-    n = len(rows)
-    leq = np.eye(n, dtype=bool)
-    for i in range(n):
-        for j in range(n):
-            if rows[i] >> j & 1:
-                leq[i, j] = True
-    labels = [f"e{i}" for i in range(n)]
-    return Poset.from_leq_matrix(labels, leq)
+    # rows of _strict_order_masks, so already a strict partial order
+    labels = tuple(f"e{i}" for i in range(len(rows)))
+    return _normalized_poset(labels, [row | 1 << i for i, row in enumerate(rows)])
 
 
 def enumerate_posets(n: int, dedup: bool = False, bound: int = POSET_ENUM_BOUND):

@@ -178,15 +178,19 @@ def is_prime_ideal(ideal: Ideal) -> bool:
     return len(ps) == 1 and proper[0] == ps[0]
 
 
-def spec_ideals(ring: RingExpr) -> list[Ideal]:
-    """Prime ideals in canonical order: by factor, then ascending prime."""
+@lru_cache(maxsize=None)
+def spec_ideals(ring: RingExpr) -> tuple[Ideal, ...]:
+    """Prime ideals in canonical order: by factor, then ascending prime.
+
+    Computed once per ring, like `spec`, whose index i is the ideal at
+    position i here.
+    """
     factors = factors_of(ring)
-    out = []
-    for j, f in enumerate(factors):
-        for p in prime_divisors(f.n):
-            divisors = tuple(p if k == j else 1 for k in range(len(factors)))
-            out.append(Ideal(ring, divisors))
-    return out
+    return tuple(
+        Ideal(ring, tuple(p if k == j else 1 for k in range(len(factors))))
+        for j, f in enumerate(factors)
+        for p in prime_divisors(f.n)
+    )
 
 
 @lru_cache(maxsize=None)

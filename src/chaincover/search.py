@@ -110,22 +110,6 @@ def goal_holds(m: SpectralMap, goal: str, d_size: int | None = None) -> bool:
     return False
 
 
-def _rows_height(rows) -> int:
-    n = len(rows)
-    best = [0] * n
-    for _ in range(n):
-        for i in range(n):
-            longest = 0
-            m = rows[i]
-            while m:
-                j = (m & -m).bit_length() - 1
-                if best[j] > longest:
-                    longest = best[j]
-                m &= m - 1
-            best[i] = 1 + longest
-    return max(best, default=0)
-
-
 def _search_chunk(args):
     """The first (pair, map) hit of a chunk in ascending pair order, if any.
 
@@ -172,10 +156,13 @@ def search_witness(
     r_list = [rows for n in range(1, spec.max_r + 1) for rows in _strict_order_masks(n)]
     pairs = []
     idx = 0
+    # a chain-goal witness needs a chain of d_size in s; raw rows are not in
+    # linear-extension order, so the height is read off the maximal chains
+    prunable = goal_id != K.GOAL_LO_FAILS and goal_size > 0
     for s_rows in s_list:
-        # a chain-goal witness needs a chain of d_size in s
-        prunable = goal_id != K.GOAL_LO_FAILS and goal_size > 0
-        if prunable and _rows_height(s_rows) < goal_size:
+        if prunable and max(
+            c.bit_count() for c in K.PosetFacts(_raw_up(s_rows)).max_chains
+        ) < goal_size:
             idx += len(r_list)
             continue
         for r_rows in r_list:

@@ -28,45 +28,12 @@ from .poset import (
 from .specmap import PROPERTY_BITS, TOP, SpectralMap, make_spectral_map
 
 
-class TheoremId(Enum):
-    T_COVER_MAXCHAIN = K.TID_T_COVER_MAXCHAIN
-    C_PERFECT_MAXCHAIN = K.TID_C_PERFECT_MAXCHAIN
-    L_LO_EXISTENCE = K.TID_L_LO_EXISTENCE
-    P_LAYERS = K.TID_P_LAYERS
-    P_MINI_GD = K.TID_P_MINI_GD
-    P_MINI_GU = K.TID_P_MINI_GU
-    P_MINI_SGB = K.TID_P_MINI_SGB
-    C_GGD = K.TID_C_GGD
-    C_GGU_DUAL = K.TID_C_GGU_DUAL
-    T_MAXDCHAIN_COVERS = K.TID_T_MAXDCHAIN_COVERS
-    T_PERFECT_COVER = K.TID_T_PERFECT_COVER
-    C_EQUIVALENT = K.TID_C_EQUIVALENT
-    L_MAXCOVER_MAXCHAIN = K.TID_L_MAXCOVER_MAXCHAIN
-    C_MAXDCHAIN_MAXCHAIN = K.TID_C_MAXDCHAIN_MAXCHAIN
-    C_EXISTS_MAXCHAIN_COVER = K.TID_C_EXISTS_MAXCHAIN_COVER
-    X_KO_SCLO_EQ_GU = K.TID_X_KO_SCLO_EQ_GU
+#: one member per entry of the kernel's theorem table, valued by its name
+TheoremId = Enum("TheoremId", [(name, name) for name in K.THEOREMS], module=__name__)
 
-
-#: ids whose statements carry a hypothesis list; the empty tuple marks
-#: biconditionals that are checked on every instance unconditionally.
-HYPOTHESES: dict[TheoremId, tuple[str, ...]] = {
-    TheoremId.T_COVER_MAXCHAIN: ("unitary", "GU", "GD", "SGB"),
-    TheoremId.C_PERFECT_MAXCHAIN: ("unitary", "INC", "GU", "GD", "SGB"),
-    TheoremId.L_LO_EXISTENCE: (),
-    TheoremId.P_LAYERS: (),
-    TheoremId.P_MINI_GD: (),
-    TheoremId.P_MINI_GU: (),
-    TheoremId.P_MINI_SGB: (),
-    TheoremId.C_GGD: ("GD", "SGB"),
-    TheoremId.C_GGU_DUAL: ("GU", "SGB"),
-    TheoremId.T_MAXDCHAIN_COVERS: (),
-    TheoremId.T_PERFECT_COVER: ("LO", "INC", "GU", "GD", "SGB"),
-    TheoremId.C_EQUIVALENT: (),
-    TheoremId.L_MAXCOVER_MAXCHAIN: ("unitary",),
-    TheoremId.C_MAXDCHAIN_MAXCHAIN: ("unitary", "GD", "GU", "SGB"),
-    TheoremId.C_EXISTS_MAXCHAIN_COVER: ("unitary", "LO", "GD", "GU", "SGB"),
-    TheoremId.X_KO_SCLO_EQ_GU: ("unitary",),
-}
+#: each theorem's hypothesis names; the empty tuple marks biconditionals,
+#: which are checked on every instance unconditionally
+HYPOTHESES: dict[TheoremId, tuple[str, ...]] = {t: K.THEOREMS[t.value][0] for t in TheoremId}
 
 THEOREM_STATEMENTS: dict[TheoremId, str] = {
     TheoremId.T_COVER_MAXCHAIN: (

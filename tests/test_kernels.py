@@ -1,14 +1,17 @@
 """Kernel-level tests: the chain mask primitives against brute-force scans
 that use only itertools and the order matrix, the per-poset fact records
 against the primitives they tabulate, every per-map verdict against a
-digest pinned from earlier kernels, and the per-sweep isomorphism-class
-memo.
+digest pinned from earlier kernels (with the clause codes that occur), the
+kernel module loading without numpy or the package, and the per-sweep
+isomorphism-class memo.
 
 The memo tests compare every memoized per-pair answer of a sweep or a
 search with the same kernel called without a memo on that pair.
 """
 
 import hashlib
+import subprocess
+import sys
 from itertools import combinations, product
 
 import pytest
@@ -135,23 +138,56 @@ def test_allowed_masks_match_element_scan():
 PER_MAP_DIGEST = "3190c345290ba043e02212f8a2d75ad59d9f20834bf74bfdf289c81857200c1c"
 
 
+#: the (theorem, clause code) pairs that occur at (3, 3), all of them with
+#: the hypotheses waived; no clause of a biconditional occurs there
+WAIVED_CODES_AT_3_3 = {
+    "T_COVER_MAXCHAIN": {1, 3},
+    "C_PERFECT_MAXCHAIN": {1, 3, 4},
+    "C_GGD": {1},
+    "C_GGU_DUAL": {1},
+    "T_PERFECT_COVER": {1, 2},
+    "L_MAXCOVER_MAXCHAIN": {1},
+    "C_MAXDCHAIN_MAXCHAIN": {1, 2},
+    "C_EXISTS_MAXCHAIN_COVER": {1},
+}
+
+
 def test_per_map_verdicts_match_pinned_digest():
+    calls = [(t, waive) for t in TheoremId for waive in (False, True)]
     digest = hashlib.sha256()
     maps = 0
+    seen = set()
     for _, s_rows, r_rows in sweep_pairs(3, 3):
         s, r = K.PosetFacts(_raw_up(s_rows)), K.PosetFacts(_raw_up(r_rows))
         for cmap in K.monotone_maps(s.n, s, r.n, r, True):
             allowed = K._allowed_masks(s, cmap)
-            codes = [
-                K.eval_theorem(t.value, waive, s, r, cmap, allowed)
-                for t in TheoremId
-                for waive in (False, True)
-            ]
+            codes = [K.eval_theorem(t.value, waive, s, r, cmap, allowed) for t, waive in calls]
             bits = K.property_bits(s.n, s, r.n, r, cmap)
             digest.update(f"{cmap} {bits} {codes}\n".encode())
+            seen.update((t.name, waive, code) for (t, waive), code in zip(calls, codes) if code)
             maps += 1
     assert maps * len(TheoremId) * 2 == 371648
     assert digest.hexdigest() == PER_MAP_DIGEST
+    # every code is named by its theorem, and none occurs unwaived
+    assert seen == {
+        (name, True, code) for name, codes in WAIVED_CODES_AT_3_3.items() for code in codes
+    }
+
+
+def test_kernels_load_alone_without_numpy():
+    # loaded by path, the module has no package to import from, so a
+    # relative import (say of the theorems) fails, and numpy is blocked
+    script = "\n".join([
+        "import importlib.util, sys",
+        "sys.modules['numpy'] = None",
+        f"spec = importlib.util.spec_from_file_location('kernels', {K.__file__!r})",
+        "module = importlib.util.module_from_spec(spec)",
+        "spec.loader.exec_module(module)",
+        "print(' '.join(module.THEOREMS))",
+    ])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [t.value for t in TheoremId]
 
 
 def _counting(monkeypatch, name):

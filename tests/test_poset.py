@@ -114,6 +114,23 @@ def oracle_height(p):
     return max(best, default=0)
 
 
+def oracle_check_leq_matrix(labels, leq):
+    """The numpy checks Poset.from_leq_matrix once ran, in their order."""
+    n = len(labels)
+    leq = np.asarray(leq, dtype=bool)
+    if leq.shape != (n, n):
+        raise ValueError(f"order matrix must be {n}x{n}")
+    if not np.all(np.diagonal(leq)):
+        raise ValueError("order relation must be reflexive")
+    sym = leq & leq.T
+    np.fill_diagonal(sym, False)
+    if sym.any():
+        i, j = np.argwhere(sym)[0]
+        raise AntisymmetryViolation(f"elements {labels[i]!r} and {labels[j]!r} lie on a cycle")
+    if ((leq @ leq) & ~leq).any():
+        raise ValueError("order relation must be transitive")
+
+
 def random_poset_input(rng):
     """Labels and pairs that may repeat labels, name unknown ones, or cycle."""
     pool = list("abcdef")
@@ -206,6 +223,47 @@ class TestMakePoset:
             )
             outcomes.add(Poset)
         assert outcomes == {Poset, DuplicateLabel, UnknownLabel, AntisymmetryViolation}
+
+    def test_from_leq_matrix_rejects_malformed_orders(self):
+        labels = ["a", "b", "c"]
+        cases = {
+            "order matrix must be 3x3": np.eye(2, dtype=bool),
+            "order relation must be reflexive": [[1, 1, 0], [0, 0, 0], [0, 0, 1]],
+            "elements 'b' and 'c' lie on a cycle": [[1, 0, 0], [0, 1, 1], [0, 1, 1]],
+            "order relation must be transitive": [[1, 1, 0], [0, 1, 1], [0, 0, 1]],
+        }
+        for message, leq in cases.items():
+            with pytest.raises(ValueError) as want:
+                oracle_check_leq_matrix(labels, leq)
+            with pytest.raises(type(want.value)) as got:
+                Poset.from_leq_matrix(labels, leq)
+            assert str(got.value) == str(want.value) == message
+
+    def test_from_leq_matrix_matches_numpy_checks(self):
+        # random matrices, most with a full diagonal; a valid one gives the
+        # poset that make_poset builds from its pairs
+        rng = random.Random(20261019)
+        outcomes = set()
+        for _ in range(3000):
+            n = rng.randint(0, 5)
+            labels = [f"x{i}" for i in range(n)]
+            leq = np.array(
+                [[i == j and rng.random() < 0.97 or rng.random() < 0.2 for j in range(n)]
+                 for i in range(n)],
+                dtype=bool,
+            ).reshape(n, n)
+            try:
+                oracle_check_leq_matrix(labels, leq)
+            except ValueError as exc:
+                with pytest.raises(type(exc)) as got:
+                    Poset.from_leq_matrix(labels, leq)
+                assert str(got.value) == str(exc)
+                outcomes.add(str(exc).split()[-1])
+                continue
+            pairs = [(labels[i], labels[j]) for i in range(n) for j in range(n) if leq[i, j]]
+            assert Poset.from_leq_matrix(labels, leq) == make_poset(labels, pairs)
+            outcomes.add(Poset)
+        assert outcomes == {Poset, "reflexive", "cycle", "transitive"}
 
     def test_leq_is_read_only(self):
         with pytest.raises(ValueError):

@@ -274,6 +274,15 @@ class TestSpec:
         for i, ideal in enumerate(spec_ideals(Zn(30))):
             assert p.index(ideal.label()) == i
 
+    def test_spec_labels_follow_spec_ideals(self):
+        # the ring lemmas read position i of spec_ideals as index i of spec
+        rings = [*SAMPLE_RINGS, Zn(30), Zn(210), Product((Zn(6), Zn(10), Zn(15)))]
+        for ring in rings:
+            ideals = spec_ideals(ring)
+            assert spec(ring).labels == tuple(i.label() for i in ideals), ring
+            # cached and shared, so a tuple nobody can change
+            assert isinstance(ideals, tuple) and spec_ideals(ring) is ideals
+
 
 class TestMakeHom:
     def test_valid(self):

@@ -102,6 +102,13 @@ class TestTables:
             assert t in THEOREM_STATEMENTS
             assert clause_text(t, 1)
 
+    def test_hypotheses_are_the_premises_of_the_statement(self):
+        # a statement names its hypotheses before its colon; the
+        # biconditionals have no colon and no hypotheses
+        for t in TheoremId:
+            premise, colon, _ = THEOREM_STATEMENTS[t].partition(": ")
+            assert HYPOTHESES[t] == (tuple(premise.split(" + ")) if colon else ()), t
+
     def test_core_excludes_exploratory(self):
         assert TheoremId.X_KO_SCLO_EQ_GU not in CORE_THEOREMS
         assert len(CORE_THEOREMS) == 15
@@ -423,6 +430,29 @@ class TestSearch:
         assert w.assignment == (0,)
         assert flags_hold(w, spec.required)
         assert goal_holds(w, spec.goal)
+
+    def test_height_pruning_keeps_the_first_hit(self):
+        # the first hit's s, e0 apart from e1 < e2, has maximal chains of
+        # sizes 1 and 2: only its longest chain may decide the pruning
+        spec = WitnessSearchSpec(
+            required=frozenset({"GU", "GD"}), goal="maximal-dchain-not-cover",
+            max_s=3, max_r=3, d_size=2,
+        )
+        need, forbid = _flag_masks(spec.required)
+        nonempty = [rows for n in range(1, 4) for rows in _strict_order_masks(n)]
+        for s_rows, r_rows in product(nonempty, nonempty):
+            _, hit = K.search_pair(
+                len(s_rows), _raw_up(s_rows), len(r_rows), _raw_up(r_rows),
+                False, need, forbid, GOALS[spec.goal], 2,
+            )
+            if hit >= 0:
+                break
+        assert s_rows == (0, 4, 0)
+        vec = K.monotone_maps(
+            len(s_rows), _raw_up(s_rows), len(r_rows), _raw_up(r_rows), False
+        )[hit]
+        want = instance_from_raw(s_rows, r_rows, vec)
+        assert search_witness(spec, do_shrink=False).describe() == want.describe()
 
     def test_search_determinism_across_jobs(self):
         spec = WitnessSearchSpec(
