@@ -832,32 +832,41 @@ def _iso_class(up) -> tuple[int, ...]:
     return _canonical_encoding(tuple(m & ~(1 << i) for i, m in enumerate(up)))
 
 
-def sweep_pair(tid, waive, ns, s_up, nr, r_up, allow_top, *, memo=None):
+def sweep_pair(
+    tid, waive, ns, s_up, nr, r_up, allow_top, *, memo=None, count_only=False
+):
     """Evaluate a theorem over every monotone map for one poset pair.
 
     `s_up` and `r_up` are up masks or, from a sweep that keeps one per
     poset, PosetFacts records. Maps are the tuples of monotone_maps.
-    Returns (maps checked, index of the first violating map or -1, its
-    clause code).
+    Returns (maps of the pair, index of the first violating map or -1, its
+    clause code). With `count_only` no map is evaluated: the maps are only
+    counted, and no violation is reported. A sweep that has its first
+    violation passes it for every later pair, whose counts it still sums.
 
     Verdicts are invariant under relabeling s and r, which permutes the maps
     one-to-one. `memo`, a dict owned by one sweep (one tid, waive and
-    allow_top), records the isomorphism classes of pairs that came out
-    clean, so a later pair of the same class returns its map count without
-    evaluating a map. A violating class is never recorded: every pair of it
-    is evaluated, and its first violating map index is exact for that
-    labeling.
+    allow_top), records each isomorphism class met with its map count and
+    whether every map of it came out clean. A later pair of a clean class
+    returns its count without evaluating a map, and so does a count_only
+    pair of any recorded class. A violating class is evaluated on every
+    pair, so its first violating map index is exact for that labeling.
     """
     s, r = _facts(s_up), _facts(r_up)
     if memo is None:
+        if count_only:
+            return count_monotone_maps(s.n, s, r.n, r, allow_top), -1, 0
         return _sweep_maps(tid, waive, s, r, allow_top)
     key = (s.iso, r.iso)
-    count = memo.get(key)
-    if count is not None:
+    known = memo.get(key)
+    if known is not None and (known[1] or count_only):
+        return known[0], -1, 0
+    if count_only:
+        count = count_monotone_maps(s.n, s, r.n, r, allow_top)
+        memo[key] = (count, False)
         return count, -1, 0
     count, first_bad, code = _sweep_maps(tid, waive, s, r, allow_top)
-    if first_bad < 0:
-        memo[key] = count
+    memo[key] = (count, first_bad < 0)
     return count, first_bad, code
 
 
@@ -900,9 +909,10 @@ def search_pair(
     Returns (maps scanned, index of the hit or -1). Scanning stops at the
     first hit, so a hit at index k reports k+1 scanned.
 
-    `memo` works as in sweep_pair, for one search (one set of the other
-    arguments): a class without a hit is recorded and skipped on later
-    pairs; a class with a hit is scanned on every pair.
+    `memo`, a dict owned by one search (one set of the other arguments),
+    records the isomorphism classes without a hit, with their map counts,
+    so a later pair of such a class is not scanned; a class with a hit is
+    scanned on every pair.
     """
     s, r = _facts(s_up), _facts(r_up)
     args = (s, r, allow_top, need_bits, forbid_bits, goal_id, goal_size)

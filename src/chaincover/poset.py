@@ -205,7 +205,8 @@ def _normalized_poset(labels: tuple[str, ...], up: list[int]) -> Poset:
     Indices are renumbered along the lexicographically least linear
     extension: repeatedly take the smallest original index among the
     still-unplaced minimal elements, which keeps incomparable elements in
-    declaration order.
+    declaration order. Masks with a cycle leave no element minimal at some
+    step, which raises ValueError.
     """
     n = len(up)
     down = _down_masks(n, up)
@@ -213,11 +214,13 @@ def _normalized_poset(labels: tuple[str, ...], up: list[int]) -> Poset:
     left = (1 << n) - 1
     while left:
         rest = left
-        while True:
+        while rest:
             low = rest & -rest
             if down[low.bit_length() - 1] & left == low:
                 break
             rest ^= low
+        else:
+            raise ValueError("the masks are not a partial order: no element left is minimal")
         order.append(low.bit_length() - 1)
         left ^= low
     if order == list(range(n)):

@@ -19,7 +19,6 @@ from .poset import (
     POSET_ENUM_BOUND,
     BoundExceeded,
     Poset,
-    _strict_order_masks,
     enumerate_chains,
 )
 from .specmap import (
@@ -31,7 +30,14 @@ from .specmap import (
     make_spectral_map,
     maximal_D_chains,
 )
-from .theorems import PosetRecords, _raw_up, instance_from_raw, pool_plan
+from .theorems import (
+    PosetRecords,
+    _raw_up,
+    class_chunks,
+    instance_from_raw,
+    labeled_posets,
+    run_chunks,
+)
 
 _FLAG_BITS = {**PROPERTY_BITS, "UNITARY": K.PROP_UNITARY}
 
@@ -152,8 +158,8 @@ def search_witness(
     goal_size = spec.d_size or 0
     allow_top = "!UNITARY" in spec.required
 
-    s_list = [rows for n in range(1, spec.max_s + 1) for rows in _strict_order_masks(n)]
-    r_list = [rows for n in range(1, spec.max_r + 1) for rows in _strict_order_masks(n)]
+    s_list = labeled_posets(1, spec.max_s)
+    r_list = labeled_posets(1, spec.max_r)
     pairs = []
     idx = 0
     # a chain-goal witness needs a chain of d_size in s; raw rows are not in
@@ -169,16 +175,12 @@ def search_witness(
             pairs.append((idx, s_rows, r_rows))
             idx += 1
 
-    method, chunks = pool_plan(pairs, jobs)
+    method, chunks = class_chunks(pairs, r_list, jobs, allow_top)
     if len(pairs) < 2 * len(chunks):
         chunks = [pairs]
     payloads = [(need, forbid, goal_id, goal_size, allow_top, chunk) for chunk in chunks]
-    if len(payloads) == 1:
-        hits = _search_chunk(payloads[0])
-    else:
-        with mp.get_context(method).Pool(len(payloads)) as pool:
-            parts = pool.map(_search_chunk, payloads)
-        hits = [h for part in parts for h in part]
+    parts = run_chunks(_search_chunk, payloads, lambda n: mp.get_context(method).Pool(n))
+    hits = [hit for part in parts for hit in part]
 
     if not hits:
         return None

@@ -15,8 +15,10 @@ import multiprocessing as mp
 import os
 import sys
 import time
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
+from itertools import product
 
 from . import _kernels as K
 from .poset import (
@@ -246,8 +248,10 @@ def pool_plan(items: list, jobs: int) -> tuple[str, list[list]]:
 
     Fork is used on Linux only: it does not exist on Windows and is unsafe
     on macOS, which spawn instead. No more workers start than there are
-    CPUs this process may run on, since more only add start-up and each
-    worker's own memo; each worker takes one round-robin chunk.
+    CPUs this process may run on, since more only add start-up; each
+    worker, the caller included, takes one round-robin chunk of the items.
+    Sweeps and searches pass whole isomorphism classes as items
+    (class_chunks).
     """
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -256,6 +260,95 @@ def pool_plan(items: list, jobs: int) -> tuple[str, list[list]]:
     workers = max(1, min(jobs, cpus, len(items)))
     method = "fork" if sys.platform.startswith("linux") else "spawn"
     return method, [items[k::workers] for k in range(workers)]
+
+
+def _map_estimate(s_rows, r_rows, allow_top: bool) -> float:
+    """Rough count of the monotone maps r -> s (+ TOP) of raw strict rows.
+
+    Every assignment, thinned by the chance that a uniform one keeps a
+    covering pair of r in order, once per covering pair; exact when r is
+    an antichain, the case with the most maps.
+    """
+    values = len(s_rows) + allow_top
+    if not values:
+        return float(not r_rows)
+    # ordered pairs v <= w among the values; TOP lies over every value
+    ordered = len(s_rows) + sum(row.bit_count() for row in s_rows) + allow_top * values
+    covers = 0
+    for row in r_rows:
+        above = 0
+        rest = row
+        while rest:
+            low = rest & -rest
+            above |= r_rows[low.bit_length() - 1]
+            rest ^= low
+        covers += (row & ~above).bit_count()
+    return values ** len(r_rows) * (ordered / values**2) ** covers
+
+
+def class_chunks(
+    pairs: list, r_list: list, jobs: int, allow_top: bool
+) -> tuple[str, list[list]]:
+    """Start method and chunks of (idx, s_rows, r_rows) pairs for `jobs` workers.
+
+    `pairs` is a run of blocks, one per s poset, each pairing it with every
+    poset of `r_list` in that order. Every pair of one isomorphism class
+    (of s and of r) lands in the same chunk, so no class is evaluated by
+    two workers' memos. Classes are dealt round robin (pool_plan) in
+    descending order of estimated cost: the maps of one member, which a
+    clean class evaluates once, plus a fifth of a map for each labeled
+    pair, which the chunk still visits. The deal is deterministic and each
+    chunk lists its pairs in ascending order, so its first hit is its
+    least. One worker gets `[pairs]`.
+    """
+    if jobs == 1:
+        return pool_plan(pairs, 1)
+    iso = K._canonical_encoding
+    width = len(r_list)
+    r_members = defaultdict(list)  # r class -> positions in a block
+    for j, r_rows in enumerate(r_list):
+        r_members[iso(r_rows)].append(j)
+    starts = range(0, len(pairs), width)
+    block_class = [iso(pairs[b][1]) for b in starts]
+    s_members = defaultdict(list)  # s class -> starts of its blocks
+    for b, s_class in zip(starts, block_class):
+        s_members[s_class].append(b)
+
+    def cost(classes):
+        s_blocks, r_pos = s_members[classes[0]], r_members[classes[1]]
+        estimate = _map_estimate(pairs[s_blocks[0]][1], r_list[r_pos[0]], allow_top)
+        return estimate + len(s_blocks) * len(r_pos) / 5
+
+    classes = sorted(product(s_members, r_members), key=cost, reverse=True)
+    method, dealt = pool_plan(classes, jobs)
+    if len(dealt) == 1:
+        return method, [pairs]
+    chunks = []
+    for part in dealt:
+        mine = defaultdict(list)  # s class -> positions of its r classes here
+        for s_class, r_class in part:
+            mine[s_class] += r_members[r_class]
+        for positions in mine.values():
+            positions.sort()
+        chunk: list = []
+        for b, s_class in zip(starts, block_class):
+            chunk += map(pairs[b : b + width].__getitem__, mine.get(s_class, ()))
+        chunks.append(chunk)
+    return method, chunks
+
+
+def run_chunks(task, payloads: list, open_pool) -> list:
+    """`task` of each payload, in order; the caller runs the first.
+
+    With more than one payload, `open_pool(n)` starts a pool of n children,
+    one fewer than the payloads, which runs the rest meanwhile.
+    """
+    if len(payloads) == 1:
+        return [task(payloads[0])]
+    with open_pool(len(payloads) - 1) as pool:
+        rest = pool.map_async(task, payloads[1:])
+        first = task(payloads[0])
+        return [first, *rest.get()]
 
 
 class PosetRecords(dict):
@@ -271,23 +364,37 @@ class PosetRecords(dict):
 
 
 def _sweep_chunk(args):
+    """Maps in a chunk's pairs, and its first violation (pair, map, code) or None.
+
+    The pairs of a chunk ascend, so its first violation is its least, and
+    the least over all chunks is the same for any number of chunks. After
+    it the chunk only counts the maps of its later pairs.
+    """
     tid, waive, allow_top, chunk = args
-    results = []
+    maps = 0
+    first = None
     memo: dict = {}
     posets = PosetRecords()
     for pair_idx, s_rows, r_rows in chunk:
         s, r = posets[s_rows], posets[r_rows]
         count, first_bad, code = K.sweep_pair(
-            tid, waive, s.n, s, r.n, r, allow_top, memo=memo
+            tid, waive, s.n, s, r.n, r, allow_top,
+            memo=memo, count_only=first is not None,
         )
-        results.append((pair_idx, count, first_bad, code))
-    return results
+        maps += count
+        if first_bad >= 0:
+            first = (pair_idx, first_bad, code)
+    return maps, first
+
+
+def labeled_posets(least: int, most: int) -> list[tuple[int, ...]]:
+    """Strict up rows of every labeled poset of least..most elements, in order."""
+    return [rows for n in range(least, most + 1) for rows in _strict_order_masks(n)]
 
 
 def sweep_pairs(max_s: int, max_r: int):
     """Canonical (s, r) pair stream for exhaustive sweeps."""
-    s_list = [rows for n in range(max_s + 1) for rows in _strict_order_masks(n)]
-    r_list = [rows for n in range(max_r + 1) for rows in _strict_order_masks(n)]
+    s_list, r_list = labeled_posets(0, max_s), labeled_posets(0, max_r)
     return [
         (idx, s_rows, r_rows)
         for idx, (s_rows, r_rows) in enumerate(
@@ -317,7 +424,11 @@ def exhaustive_verify(
     Instances are all monotone maps between all labeled posets with at most
     max_s and max_r elements. The verdict reports the full instance count
     and, on failure, the first counterexample in canonical enumeration
-    order, independent of the worker count.
+    order, independent of the worker count. A worker stops evaluating at
+    its first violation and only counts the maps of its later pairs.
+
+    With `jobs` > 1 the caller is one of the workers, and the isomorphism
+    classes of poset pairs are split between them (class_chunks).
     """
     _check_sweep_bounds(max_s, max_r, size_bound)
     if jobs < 1:
@@ -325,26 +436,16 @@ def exhaustive_verify(
     start = time.perf_counter()
     pairs = sweep_pairs(max_s, max_r)
 
-    method, chunks = pool_plan(pairs, jobs)
+    method, chunks = class_chunks(pairs, labeled_posets(0, max_r), jobs, allow_top)
     payloads = [(theorem.value, waive_hypotheses, allow_top, chunk) for chunk in chunks]
-    if len(payloads) == 1:
-        all_results = _sweep_chunk(payloads[0])
-    else:
-        with mp.get_context(method).Pool(len(payloads)) as pool:
-            parts = pool.map(_sweep_chunk, payloads)
-        all_results = [row for part in parts for row in part]
-
-    total = sum(count for _, count, _, _ in all_results)
-    violations = sorted(
-        (pair_idx, first_bad, code)
-        for pair_idx, _, first_bad, code in all_results
-        if first_bad >= 0
-    )
+    results = run_chunks(_sweep_chunk, payloads, lambda n: mp.get_context(method).Pool(n))
+    total = sum(maps for maps, _ in results)
+    first = min((first for _, first in results if first is not None), default=None)
 
     counterexample = None
     note = None
-    if violations:
-        pair_idx, map_idx, _ = violations[0]
+    if first is not None:
+        pair_idx, map_idx, _ = first
         _, s_rows, r_rows = pairs[pair_idx]
         vec = K.monotone_maps(
             len(s_rows), _raw_up(s_rows), len(r_rows), _raw_up(r_rows), allow_top
@@ -361,7 +462,7 @@ def exhaustive_verify(
 
     return Verdict(
         theorem=theorem,
-        holds=not violations,
+        holds=first is None,
         instances_checked=total,
         counterexample=counterexample,
         elapsed=time.perf_counter() - start,
@@ -377,8 +478,8 @@ def estimate_sweep_cost(max_s: int, max_r: int, allow_top: bool) -> dict:
     minutes or more to list.
     """
     _check_sweep_bounds(max_s, max_r, POSET_ENUM_BOUND)
-    s_sizes = [n for n in range(max_s + 1) for _ in _strict_order_masks(n)]
-    r_sizes = [n for n in range(max_r + 1) for _ in _strict_order_masks(n)]
+    s_sizes = [len(rows) for rows in labeled_posets(0, max_s)]
+    r_sizes = [len(rows) for rows in labeled_posets(0, max_r)]
     extra = 1 if allow_top else 0
     upper = 0
     for ns in s_sizes:

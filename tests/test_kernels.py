@@ -5,8 +5,9 @@ digest pinned from earlier kernels (with the clause codes that occur), the
 kernel module loading without numpy or the package, and the per-sweep
 isomorphism-class memo.
 
-The memo tests compare every memoized per-pair answer of a sweep or a
-search with the same kernel called without a memo on that pair.
+The memo tests compare a memoized sweep chunk's map total and first
+violation, and every memoized per-pair answer of a search, with the same
+kernel called without a memo on each pair.
 """
 
 import hashlib
@@ -211,18 +212,41 @@ def test_memoized_sweep_matches_unmemoized_sweep(monkeypatch):
     ]
     violations = 0
     for theorem, waive in product(TheoremId, (False, True)):
-        expected = [
+        scan = [
             (idx, *K.sweep_pair(theorem.value, waive, *args, True))
             for (idx, _, _), args in zip(pairs, raw)
         ]
+        bad = [(idx, first_bad, code) for idx, _, first_bad, code in scan if first_bad >= 0]
+        expected = (sum(count for _, count, _, _ in scan), min(bad, default=None))
         with monkeypatch.context() as m:
             loops = _counting(m, "_sweep_maps")
             got = _sweep_chunk((theorem.value, waive, True, pairs))
         assert got == expected, (theorem.name, waive)
         assert loops[0] < len(pairs), (theorem.name, waive)
-        violations += sum(first_bad >= 0 for _, _, first_bad, _ in got)
-    # waived sweeps violate, so violating classes are exercised too
+        violations += got[1] is not None
+    # waived sweeps violate, so violating classes and the stop are exercised
     assert violations > 0
+
+
+def test_count_only_sweep_pair_counts_without_evaluating(monkeypatch):
+    s_up, r_up = _raw_up((0b10, 0b00)), _raw_up((0b00, 0b00, 0b011))
+    count = K.count_monotone_maps(2, s_up, 3, r_up, True)
+    memo: dict = {}
+    with monkeypatch.context() as m:
+        loops = _counting(m, "_sweep_maps")
+        for _ in range(2):
+            assert K.sweep_pair(0, True, 2, s_up, 3, r_up, True, count_only=True) == (
+                count, -1, 0,
+            )
+            assert K.sweep_pair(
+                0, True, 2, s_up, 3, r_up, True, memo=memo, count_only=True
+            ) == (count, -1, 0)
+    assert loops[0] == 0
+    # a counted class is not taken for a clean one
+    tid = TheoremId.T_COVER_MAXCHAIN.value
+    assert K.sweep_pair(tid, True, 2, s_up, 3, r_up, True, memo=memo) == K.sweep_pair(
+        tid, True, 2, s_up, 3, r_up, True
+    )
 
 
 # (required flags, goal, d_size): the benchmark's witness searches

@@ -21,6 +21,7 @@ from chaincover.poset import (
     IndexOutOfRange,
     Poset,
     UnknownLabel,
+    _normalized_poset,
     check_order_axioms,
     chain_from_mask,
     covering_pairs,
@@ -168,6 +169,11 @@ class TestMakePoset:
     def test_long_cycle_rejected(self):
         with pytest.raises(AntisymmetryViolation):
             make_poset(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
+
+    def test_normalization_rejects_masks_with_a_cycle(self):
+        # callers check the order first; unchecked masks must not hang
+        with pytest.raises(ValueError, match="no element left is minimal"):
+            _normalized_poset(("a", "b"), [0b11, 0b11])
 
     def test_duplicate_label(self):
         with pytest.raises(DuplicateLabel):

@@ -52,11 +52,15 @@ from chaincover.theorems import (
     HYPOTHESES,
     THEOREM_STATEMENTS,
     TheoremId,
+    _map_estimate,
+    class_chunks,
     clause_text,
     estimate_sweep_cost,
     exhaustive_verify,
     instance_from_raw,
+    labeled_posets,
     pool_plan,
+    sweep_pairs,
     unmet_hypotheses,
     verify,
 )
@@ -382,6 +386,75 @@ class TestPoolPlan:
         monkeypatch.setattr(sys, "platform", "darwin")
         assert self.reports(2) == single
         assert methods == ["fork"] * 3 + ["spawn"] * 3
+
+
+def _oracle_sweep(theorem, waive, max_s, max_r):
+    """Map total and first violating (pair, map) by a plain scan: no memo,
+    no early stop, no workers."""
+    total = 0
+    first = None
+    for idx, s_rows, r_rows in sweep_pairs(max_s, max_r):
+        s, r = K.PosetFacts(_raw_up(s_rows)), K.PosetFacts(_raw_up(r_rows))
+        total += K.count_monotone_maps(s.n, s, r.n, r, True)
+        for k, cmap in enumerate(K.monotone_maps(s.n, s, r.n, r, True)):
+            code = K.eval_theorem(theorem.value, waive, s, r, cmap, K._allowed_masks(s, cmap))
+            if code and first is None:
+                first = (idx, k)
+    return total, first
+
+
+def test_sweeps_at_every_jobs_count_match_an_oracle(monkeypatch):
+    # three usable CPUs, so jobs=3 really splits the classes three ways
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    failing = 0
+    for theorem, waive in product(TheoremId, (False, True)):
+        total, first = _oracle_sweep(theorem, waive, 2, 3)
+        failing += first is not None
+        for jobs in (1, 2, 3):
+            v = exhaustive_verify(theorem, 2, 3, waive_hypotheses=waive, jobs=jobs)
+            assert v.instances_checked == total == SWEEP_COUNTS[2, 3]
+            assert v.holds == (first is None), (theorem.name, waive, jobs)
+            if first is not None:
+                assert v.note == f"first violation at pair {first[0]}, map {first[1]}"
+    assert failing > 0
+
+
+class TestClassChunks:
+    @pytest.mark.parametrize("bounds", [(3, 3), (2, 4)])
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_chunks_split_the_pairs_by_class(self, monkeypatch, bounds, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        pairs = sweep_pairs(*bounds)
+        _, chunks = class_chunks(pairs, labeled_posets(0, bounds[1]), 8, True)
+        assert len(chunks) == cpus
+        owner = {}
+        for k, chunk in enumerate(chunks):
+            idx = [pair[0] for pair in chunk]
+            assert idx == sorted(idx)
+            for _, s_rows, r_rows in chunk:
+                key = (K._canonical_encoding(s_rows), K._canonical_encoding(r_rows))
+                assert owner.setdefault(key, k) == k
+        assert sorted(pair for chunk in chunks for pair in chunk) == pairs
+        # the estimate keeps every worker busy
+        assert all(len(chunk) > len(pairs) / (4 * cpus) for chunk in chunks)
+
+    def test_one_worker_gets_all_pairs(self, monkeypatch):
+        pairs = sweep_pairs(2, 3)
+        r_list = labeled_posets(0, 3)
+        assert class_chunks(pairs, r_list, 1, True)[1] == [pairs]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert class_chunks(pairs, r_list, 4, True)[1] == [pairs]
+
+    def test_the_estimate_is_exact_on_antichains(self):
+        chain3 = (0b110, 0b100, 0b000)
+        for r_rows in [(), (0,), (0, 0, 0)]:
+            for allow_top in (False, True):
+                want = K.count_monotone_maps(
+                    3, _raw_up(chain3), len(r_rows), _raw_up(r_rows), allow_top
+                )
+                assert _map_estimate(chain3, r_rows, allow_top) == want
+        assert _map_estimate((), (0,), False) == 0
+        assert _map_estimate((), (), False) == 1
 
 
 class TestInstanceFromRaw:
