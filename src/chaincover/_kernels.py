@@ -26,6 +26,12 @@ D-chains are then the lookup `r.dchains[allowed[D]]`.
 Each theorem is one entry of `THEOREMS`: the names of its hypotheses, each
 tested by `PROPERTY_TESTS`, and one conclusion over (s, r, cmap, allowed)
 that returns a clause code. `eval_theorem` looks the theorem up by name.
+
+Every statement is invariant under relabeling s and r. Two process-wide
+tables use that: `_canonical_encoding` keys each poset by its isomorphism
+class, and `_map_orbits` lists one map per orbit of Aut(s) x Aut(r) on the
+maps of a labeled pair, which the memoized sweeps and searches scan instead
+of every map.
 """
 
 from __future__ import annotations
@@ -158,23 +164,32 @@ class PosetFacts(tuple):
     """The up masks of one poset, and the facts every map of it reads.
 
     The record is the tuple of up masks itself, so it stands wherever up
-    masks are read. Its down and comparability masks and its maximal chains
-    (ascending) are built with it. Its chains (ascending, the empty chain
-    first), its isomorphism key and its D-chain table are built on first
-    use: `dchains[allowed]` equals `_maximal_dchains(up, down, allowed)`,
-    order included. A record lives as long as its owner, one sweep or
-    search chunk or one SpectralMap's facts, and is never changed.
+    masks are read. Everything else is built on first use, so a record that
+    is only looked up by its isomorphism key costs that key alone: its down
+    and comparability masks, its maximal chains (ascending), its chains
+    (ascending, the empty chain first) and its D-chain table, where
+    `dchains[allowed]` equals `_maximal_dchains(up, down, allowed)`, order
+    included. A record lives as long as its owner, one sweep or search chunk
+    or one SpectralMap's facts, and is never changed.
     """
 
     def __new__(cls, up):
         return super().__new__(cls, [int(m) for m in up])
 
     def __init__(self, up):
-        n = len(self)
-        self.n = n
-        self.down = _down_masks(n, self)
-        self.comp = _comp_masks(n, self, self.down)
-        self.max_chains = _maximal_chain_masks(n, self, self.down)
+        self.n = len(self)
+
+    @cached_property
+    def down(self) -> list[int]:
+        return _down_masks(self.n, self)
+
+    @cached_property
+    def comp(self) -> list[int]:
+        return _comp_masks(self.n, self, self.down)
+
+    @cached_property
+    def max_chains(self) -> list[int]:
+        return _maximal_chain_masks(self.n, self, self.down)
 
     @cached_property
     def chains(self) -> list[int]:
@@ -721,20 +736,23 @@ THEOREMS = {
 }
 
 
-def eval_theorem(tid, waive, s, r, cmap, allowed):
+def eval_theorem(tid, waive, s, r, cmap, allowed=None):
     """Evaluate the theorem named `tid` on one instance.
 
     `s` and `r` are PosetFacts records, `cmap` the map's values and
-    `allowed` its `_allowed_masks(s, cmap)`. Returns 0 when the statement
-    holds on the instance, which it does whenever a hypothesis is unmet
-    unless `waive` forces the conclusion to be checked anyway, and a
-    positive clause code otherwise.
+    `allowed` its `_allowed_masks(s, cmap)`, or None to build it only once
+    the hypotheses pass. Returns 0 when the statement holds on the
+    instance, which it does whenever a hypothesis is unmet unless `waive`
+    forces the conclusion to be checked anyway, and a positive clause code
+    otherwise.
     """
     hypotheses, conclusion = THEOREMS[tid]
     if not waive:
         for name in hypotheses:
             if not PROPERTY_TESTS[name](s, r, cmap):
                 return 0
+    if allowed is None:
+        allowed = _allowed_masks(s, cmap)
     return conclusion(s, r, cmap, allowed)
 
 
@@ -792,44 +810,102 @@ def count_monotone_maps(ns, s_up, nr, r_up, allow_top):
     return len(monotone_maps(ns, s_up, nr, r_up, allow_top))
 
 
-def _sweep_maps(tid, waive, s, r, allow_top):
-    """Evaluate a theorem over the monotone maps of one pair of records.
+def _sweep_maps(tid, waive, s, r, count, indexed):
+    """Evaluate a theorem over (index, map) pairs of one pair of records.
 
-    Returns (maps in the pair, index of the first violating map or -1, its
+    Returns (`count`, the index of the first violating map or -1, its
     clause code). Evaluation stops at the first violating map.
     """
-    maps = monotone_maps(s.n, s, r.n, r, allow_top)
-    for k, cmap in enumerate(maps):
-        code = eval_theorem(tid, waive, s, r, cmap, _allowed_masks(s, cmap))
+    for k, cmap in indexed:
+        code = eval_theorem(tid, waive, s, r, cmap, None)
         if code != 0:
-            return len(maps), k, code
-    return len(maps), -1, 0
+            return count, k, code
+    return count, -1, 0
 
 
-@lru_cache(maxsize=None)
+def _relabel(rows, perm):
+    """The masks `rows` with element i renamed perm[i].
+
+    Bit j of rows[i] becomes bit perm[j] of the image's row perm[i]; rows
+    with or without self bits map alike.
+    """
+    img = [0] * len(rows)
+    for i, m in enumerate(rows):
+        v = 0
+        while m:
+            low = m & -m
+            v |= 1 << perm[low.bit_length() - 1]
+            m ^= low
+        img[perm[i]] = v
+    return tuple(img)
+
+
+#: strict up masks -> the least relabeling; filled one isomorphism class at
+#: a time
+_CANONICAL: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+
 def _canonical_encoding(rows: tuple[int, ...]) -> tuple[int, ...]:
-    """Least relabeling of the strict up masks `rows` over all permutations."""
-    n = len(rows)
-    best = None
-    for perm in permutations(range(n)):
-        img = [0] * n
-        for i in range(n):
-            m = rows[i]
-            v = 0
-            while m:
-                j = (m & -m).bit_length() - 1
-                v |= 1 << perm[j]
-                m &= m - 1
-            img[perm[i]] = v
-        enc = tuple(img)
-        if best is None or enc < best:
-            best = enc
+    """Least relabeling of the strict up masks `rows` over all permutations.
+
+    The n! relabelings of the first poset met of a class are every labeled
+    member of that class, so each of them is stored with their least, and
+    a class is relabeled once per process, not once per poset.
+    """
+    best = _CANONICAL.get(rows)
+    if best is None:
+        images = {_relabel(rows, perm) for perm in permutations(range(len(rows)))}
+        best = min(images)
+        _CANONICAL.update(dict.fromkeys(images, best))
     return best
 
 
 def _iso_class(up) -> tuple[int, ...]:
     """Canonical form of the poset with up masks `up` (self bits included)."""
     return _canonical_encoding(tuple(m & ~(1 << i) for i, m in enumerate(up)))
+
+
+@lru_cache(maxsize=None)
+def _automorphisms(up: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Permutations p with i <= j iff p[i] <= p[j], the identity first."""
+    return tuple(p for p in permutations(range(len(up))) if _relabel(up, p) == up)
+
+
+@lru_cache(maxsize=None)
+def _map_orbits(s_up: tuple[int, ...], r_up: tuple[int, ...], allow_top: bool):
+    """(count, representatives) of the monotone maps of one labeled pair.
+
+    `count` is the number of maps, and the representatives are one
+    (index, map) per orbit of Aut(s) x Aut(r), in ascending order: the
+    orbit's least index. The pair (sigma, tau) sends a map f to the map g
+    with g[tau[q]] = sigma[f[q]], TOP staying TOP. With a trivial group
+    every map is its own orbit.
+
+    Every statement the sweeps and searches decide is invariant under
+    relabeling s and r, so a map decides like its representative. In a
+    scan of the representatives, each map before the first violating (or
+    hitting) one lies in the orbit of an earlier representative that came
+    out clean, so that representative is the first violating map of the
+    whole list. The table is process-wide, like the poset tables: a sweep
+    of another theorem over the same bounds reuses it.
+    """
+    maps = monotone_maps(len(s_up), s_up, len(r_up), r_up, allow_top)
+    top = (len(s_up),)
+    moves = [
+        (sigma + top, tuple(sorted(range(len(tau)), key=tau.__getitem__)))
+        for sigma in _automorphisms(s_up)
+        for tau in _automorphisms(r_up)
+    ][1:]
+    reps = []
+    seen = set()
+    for k, cmap in enumerate(maps):
+        if cmap in seen:
+            continue
+        reps.append((k, cmap))
+        for sigma, back in moves:
+            # g[j] = sigma[f[tau^-1[j]]]
+            seen.add(tuple([sigma[cmap[q]] for q in back]))
+    return len(maps), tuple(reps)
 
 
 def sweep_pair(
@@ -843,20 +919,25 @@ def sweep_pair(
     clause code). With `count_only` no map is evaluated: the maps are only
     counted, and no violation is reported. A sweep that has its first
     violation passes it for every later pair, whose counts it still sums.
+    Without `memo` every map is evaluated in order.
 
     Verdicts are invariant under relabeling s and r, which permutes the maps
-    one-to-one. `memo`, a dict owned by one sweep (one tid, waive and
-    allow_top), records each isomorphism class met with its map count and
-    whether every map of it came out clean. A later pair of a clean class
-    returns its count without evaluating a map, and so does a count_only
-    pair of any recorded class. A violating class is evaluated on every
-    pair, so its first violating map index is exact for that labeling.
+    one-to-one. With `memo`, a dict owned by one sweep (one tid, waive and
+    allow_top), a pair evaluates only its orbit representatives
+    (_map_orbits), whose first violation is the pair's first violating map,
+    exactly. The memo records each isomorphism class met with its map count
+    and whether every map of it came out clean. A later pair of a clean
+    class returns its count without evaluating a map, and so does a
+    count_only pair of any recorded class. A violating class is evaluated
+    on every pair, so its first violating map index is exact for that
+    labeling.
     """
     s, r = _facts(s_up), _facts(r_up)
     if memo is None:
         if count_only:
             return count_monotone_maps(s.n, s, r.n, r, allow_top), -1, 0
-        return _sweep_maps(tid, waive, s, r, allow_top)
+        maps = monotone_maps(s.n, s, r.n, r, allow_top)
+        return _sweep_maps(tid, waive, s, r, len(maps), enumerate(maps))
     key = (s.iso, r.iso)
     known = memo.get(key)
     if known is not None and (known[1] or count_only):
@@ -865,7 +946,9 @@ def sweep_pair(
         count = count_monotone_maps(s.n, s, r.n, r, allow_top)
         memo[key] = (count, False)
         return count, -1, 0
-    count, first_bad, code = _sweep_maps(tid, waive, s, r, allow_top)
+    count, first_bad, code = _sweep_maps(
+        tid, waive, s, r, *_map_orbits(tuple(s), tuple(r), allow_top)
+    )
     memo[key] = (count, first_bad < 0)
     return count, first_bad, code
 
@@ -884,19 +967,18 @@ def _goal_met(goal_id, goal_size, s, r, cmap, allowed):
     return False
 
 
-def _search_maps(s, r, allow_top, need_bits, forbid_bits, goal_id, goal_size):
-    """First monotone map meeting the flag and goal constraints, if any.
+def _search_maps(s, r, count, indexed, need_bits, forbid_bits, goal_id, goal_size):
+    """First of the (index, map) pairs meeting the flag and goal constraints.
 
-    Returns (maps scanned, index of the hit or -1). Scanning stops at the
-    first hit, so a hit at index k reports k+1 scanned.
+    Returns (maps scanned, index of the hit or -1): a hit at index k reports
+    k+1 scanned, where scanning stops, and no hit reports `count`.
     """
-    maps = monotone_maps(s.n, s, r.n, r, allow_top)
-    for k, cmap in enumerate(maps):
+    for k, cmap in indexed:
         bits = property_bits(s.n, s, r.n, r, cmap)
         if bits & need_bits == need_bits and bits & forbid_bits == 0:
             if _goal_met(goal_id, goal_size, s, r, cmap, _allowed_masks(s, cmap)):
                 return k + 1, k
-    return len(maps), -1
+    return count, -1
 
 
 def search_pair(
@@ -907,22 +989,26 @@ def search_pair(
 
     `s_up` and `r_up` are up masks or PosetFacts records, as in sweep_pair.
     Returns (maps scanned, index of the hit or -1). Scanning stops at the
-    first hit, so a hit at index k reports k+1 scanned.
+    first hit, so a hit at index k reports k+1 scanned. Without `memo`
+    every map is scanned in order.
 
-    `memo`, a dict owned by one search (one set of the other arguments),
+    With `memo`, a dict owned by one search (one set of the other
+    arguments), a pair scans only its orbit representatives (_map_orbits),
+    whose first hit is the pair's first hitting map, exactly. The memo
     records the isomorphism classes without a hit, with their map counts,
     so a later pair of such a class is not scanned; a class with a hit is
     scanned on every pair.
     """
     s, r = _facts(s_up), _facts(r_up)
-    args = (s, r, allow_top, need_bits, forbid_bits, goal_id, goal_size)
+    goal = (need_bits, forbid_bits, goal_id, goal_size)
     if memo is None:
-        return _search_maps(*args)
+        maps = monotone_maps(s.n, s, r.n, r, allow_top)
+        return _search_maps(s, r, len(maps), enumerate(maps), *goal)
     key = (s.iso, r.iso)
     count = memo.get(key)
     if count is not None:
         return count, -1
-    count, hit = _search_maps(*args)
+    count, hit = _search_maps(s, r, *_map_orbits(tuple(s), tuple(r), allow_top), *goal)
     if hit < 0:
         memo[key] = count
     return count, hit

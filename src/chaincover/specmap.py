@@ -109,15 +109,27 @@ class MapFacts:
 
     @cached_property
     def s(self) -> K.PosetFacts:
-        return K.PosetFacts(self._s_poset.up_masks)
+        return _record(self._s_poset)
 
     @cached_property
     def r(self) -> K.PosetFacts:
-        return K.PosetFacts(self._r_poset.up_masks)
+        return _record(self._r_poset)
 
     @cached_property
     def allowed(self) -> dict[int, int]:
         return K._allowed_masks(self.s, self.cmap)
+
+
+def _record(p: Poset) -> K.PosetFacts:
+    """The kernel record of `p`, over the masks the poset already holds.
+
+    Its maximal chains are built with it, once per instance: every check of
+    the instance shares them.
+    """
+    record = K.PosetFacts(p.up_masks)
+    record.down, record.comp = p.down_masks, p.comp_masks
+    record.max_chains = K._maximal_chain_masks(p.n, p.up_masks, p.down_masks)
+    return record
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,10 @@
 that use only itertools and the order matrix, the per-poset fact records
 against the primitives they tabulate, every per-map verdict against a
 digest pinned from earlier kernels (with the clause codes that occur), the
-kernel module loading without numpy or the package, and the per-sweep
-isomorphism-class memo.
+kernel module loading without numpy or the package, the per-sweep
+isomorphism-class memo, and the symmetry tables: automorphisms against
+networkx, canonical forms against the plain n! scan, and the orbit
+representatives of the maps against orbits built here.
 
 The memo tests compare a memoized sweep chunk's map total and first
 violation, and every memoized per-pair answer of a search, with the same
@@ -13,8 +15,9 @@ kernel called without a memo on each pair.
 import hashlib
 import subprocess
 import sys
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
+import networkx as nx
 import pytest
 
 from chaincover import _kernels as K
@@ -294,3 +297,121 @@ def test_memoized_search_matches_unmemoized_search(monkeypatch):
     # some searches hit and some exhaust the space
     assert 0 < hits < len(_SEARCHES)
     assert scans < len(pairs) * len(_SEARCHES)
+
+
+def _class_posets(most):
+    # strict rows of one poset per isomorphism class, 0..most elements
+    return [rows for n in range(most + 1) for rows in _strict_order_masks(n)
+            if K._canonical_encoding(rows) == rows]
+
+
+def test_automorphisms_match_networkx():
+    posets = [p.up_masks for p in _all_posets()]
+    posets += [p.up_masks for p in enumerate_posets(5, dedup=True)]
+    for up in posets:
+        graph = nx.DiGraph()
+        graph.add_nodes_from(range(len(up)))
+        graph.add_edges_from(
+            (i, j) for i, m in enumerate(up) for j in range(len(up)) if i != j and m >> j & 1
+        )
+        matcher = nx.algorithms.isomorphism.DiGraphMatcher(graph, graph)
+        want = {tuple(m[i] for i in range(len(up))) for m in matcher.isomorphisms_iter()}
+        got = K._automorphisms(up)
+        assert len(got) == len(set(got)) and set(got) == want, up
+        assert got[0] == tuple(range(len(up))), up
+
+
+def _orbit(s_up, r_up, cmap):
+    """Every image of `cmap` under Aut(s) x Aut(r), TOP (the value ns) fixed."""
+    ns = len(s_up)
+    out = set()
+    for sigma in K._automorphisms(s_up):
+        for tau in K._automorphisms(r_up):
+            image = [0] * len(cmap)
+            for q, v in enumerate(cmap):
+                image[tau[q]] = ns if v == ns else sigma[v]
+            out.add(tuple(image))
+    return out
+
+
+def test_map_orbit_representatives_partition_the_maps():
+    totals = {False: [0, 0], True: [0, 0]}  # allow_top -> [maps, orbits]
+    for s_rows, r_rows, allow_top in product(_class_posets(3), _class_posets(4), (False, True)):
+        s_up, r_up = _raw_up(s_rows), _raw_up(r_rows)
+        maps = K.monotone_maps(len(s_up), s_up, len(r_up), r_up, allow_top)
+        index = {cmap: k for k, cmap in enumerate(maps)}
+        count, reps = K._map_orbits(s_up, r_up, allow_top)
+        assert count == len(maps)
+        assert [k for k, _ in reps] == sorted({k for k, _ in reps})
+        covered = []
+        for k, cmap in reps:
+            assert maps[k] == cmap
+            orbit = _orbit(s_up, r_up, cmap)
+            assert min(index[image] for image in orbit) == k, (s_rows, r_rows, cmap)
+            covered += orbit
+        # disjoint orbits whose union is every map
+        assert sorted(covered, key=index.__getitem__) == maps, (s_rows, r_rows)
+        totals[allow_top][0] += count
+        totals[allow_top][1] += len(reps)
+    assert totals == {False: [2445, 1209], True: [8148, 3666]}
+
+
+def test_representative_scan_matches_full_scan():
+    labeled = [(s, r) for _, s, r in sweep_pairs(2, 3)]
+    classes = list(product(_class_posets(3), _class_posets(3)))
+    classes += product(_class_posets(2), _class_posets(4))
+    compared = 0
+    for s_rows, r_rows in labeled + classes:
+        s, r = K.PosetFacts(_raw_up(s_rows)), K.PosetFacts(_raw_up(r_rows))
+        for allow_top in (False, True):
+            orbits = K._map_orbits(tuple(s), tuple(r), allow_top)
+            for theorem, waive in product(TheoremId, (False, True)):
+                full = K.sweep_pair(theorem.value, waive, s.n, s, r.n, r, allow_top)
+                assert K._sweep_maps(theorem.value, waive, s, r, *orbits) == full, (
+                    theorem.name, waive, s_rows, r_rows, allow_top,
+                )
+                compared += 1
+    assert compared == (len(labeled) + len(classes)) * 2 * 2 * len(TheoremId)
+
+    nonempty = [rows for rows in _class_posets(4) if rows]
+    for required, goal, d_size in _SEARCHES:
+        need, forbid = _flag_masks(required.split(","))
+        allow_top = "!UNITARY" in required
+        goal_args = (need, forbid, GOALS[goal], d_size or 0)
+        for s_rows, r_rows in product([rows for rows in nonempty if len(rows) <= 3], nonempty):
+            s, r = K.PosetFacts(_raw_up(s_rows)), K.PosetFacts(_raw_up(r_rows))
+            full = K.search_pair(s.n, s, r.n, r, allow_top, *goal_args)
+            orbits = K._map_orbits(tuple(s), tuple(r), allow_top)
+            assert K._search_maps(s, r, *orbits, *goal_args) == full, (required, s_rows, r_rows)
+
+
+def _scanned_canonical_encoding(rows):
+    """Least relabeling of strict up masks, one permutation at a time: the
+    kernel's scan before canonical forms were filled a class at a time."""
+    n = len(rows)
+    best = None
+    for perm in permutations(range(n)):
+        img = [0] * n
+        for i in range(n):
+            m = rows[i]
+            v = 0
+            while m:
+                j = (m & -m).bit_length() - 1
+                v |= 1 << perm[j]
+                m &= m - 1
+            img[perm[i]] = v
+        enc = tuple(img)
+        if best is None or enc < best:
+            best = enc
+    return best
+
+
+def test_canonical_encoding_matches_permutation_scan(monkeypatch):
+    # from an empty table, so each class is expanded from its first poset
+    monkeypatch.setattr(K, "_CANONICAL", {})
+    for n in range(6):
+        for rows in _strict_order_masks(n):
+            assert K._canonical_encoding(rows) == _scanned_canonical_encoding(rows), rows
+    assert [sum(1 for _ in enumerate_posets(n, dedup=True)) for n in range(6)] == [
+        1, 1, 2, 5, 16, 63,
+    ]
