@@ -27,11 +27,14 @@ Each theorem is one entry of `THEOREMS`: the names of its hypotheses, each
 tested by `PROPERTY_TESTS`, and one conclusion over (s, r, cmap, allowed)
 that returns a clause code. `eval_theorem` looks the theorem up by name.
 
+Sweeps and searches share one scan: `_scan_pair` checks the maps of a
+poset pair in one loop, `_first_violation`, with a per-map check that
+evaluates a theorem (sweep_pair) or tests a search goal (search_pair).
 Every statement is invariant under relabeling s and r. Two process-wide
-tables use that: `_canonical_encoding` keys each poset by its isomorphism
-class, and `_map_orbits` lists one map per orbit of Aut(s) x Aut(r) on the
-maps of a labeled pair, which the memoized sweeps and searches scan instead
-of every map.
+tables use that: `_CANONICAL` holds each labeled poset's canonical form and
+automorphism group, filled one isomorphism class at a time, and
+`_map_orbits` lists one map per orbit of Aut(s) x Aut(r), which the
+memoized scan checks instead of every map.
 """
 
 from __future__ import annotations
@@ -203,15 +206,12 @@ class PosetFacts(tuple):
 
     @cached_property
     def iso(self) -> tuple[int, ...]:
-        return _iso_class(self)
+        # the canonical form of the strict up masks
+        return _canonical_encoding(tuple(m & ~(1 << i) for i, m in enumerate(self)))
 
     @cached_property
     def dchains(self) -> _DChainTable:
         return _DChainTable(self, self.down)
-
-
-def _facts(up) -> PosetFacts:
-    return up if isinstance(up, PosetFacts) else PosetFacts(up)
 
 
 def _allowed_masks(s, cmap):
@@ -810,19 +810,6 @@ def count_monotone_maps(ns, s_up, nr, r_up, allow_top):
     return len(monotone_maps(ns, s_up, nr, r_up, allow_top))
 
 
-def _sweep_maps(tid, waive, s, r, count, indexed):
-    """Evaluate a theorem over (index, map) pairs of one pair of records.
-
-    Returns (`count`, the index of the first violating map or -1, its
-    clause code). Evaluation stops at the first violating map.
-    """
-    for k, cmap in indexed:
-        code = eval_theorem(tid, waive, s, r, cmap, None)
-        if code != 0:
-            return count, k, code
-    return count, -1, 0
-
-
 def _relabel(rows, perm):
     """The masks `rows` with element i renamed perm[i].
 
@@ -840,35 +827,46 @@ def _relabel(rows, perm):
     return tuple(img)
 
 
-#: strict up masks -> the least relabeling; filled one isomorphism class at
-#: a time
-_CANONICAL: dict[tuple[int, ...], tuple[int, ...]] = {}
+#: strict up masks -> (the least relabeling, the automorphism group with the
+#: identity first); filled one isomorphism class at a time
+_CANONICAL: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]] = {}
+
+
+def _class_entry(rows: tuple[int, ...]):
+    """(least relabeling, automorphisms) of the strict up masks `rows`.
+
+    The n! relabelings of the first poset met of a class are every labeled
+    member of that class, so each member is stored at once, and a class is
+    relabeled once per process, not once per poset. The member that a
+    permutation p makes of `rows` has the group p a p^-1 for each
+    automorphism a of `rows`, the identity still first.
+    """
+    entry = _CANONICAL.get(rows)
+    if entry is None:
+        n = len(rows)
+        made = {}  # member -> a permutation that makes it of `rows`
+        group = []
+        for perm in permutations(range(n)):
+            img = _relabel(rows, perm)
+            made.setdefault(img, perm)
+            if img == rows:
+                group.append(perm)
+        best = min(made)
+        for img, p in made.items():
+            back = sorted(range(n), key=p.__getitem__)
+            _CANONICAL[img] = (best, tuple(tuple([p[a[i]] for i in back]) for a in group))
+        entry = _CANONICAL[rows]
+    return entry
 
 
 def _canonical_encoding(rows: tuple[int, ...]) -> tuple[int, ...]:
-    """Least relabeling of the strict up masks `rows` over all permutations.
-
-    The n! relabelings of the first poset met of a class are every labeled
-    member of that class, so each of them is stored with their least, and
-    a class is relabeled once per process, not once per poset.
-    """
-    best = _CANONICAL.get(rows)
-    if best is None:
-        images = {_relabel(rows, perm) for perm in permutations(range(len(rows)))}
-        best = min(images)
-        _CANONICAL.update(dict.fromkeys(images, best))
-    return best
+    """Least relabeling of the strict up masks `rows` over all permutations."""
+    return _class_entry(rows)[0]
 
 
-def _iso_class(up) -> tuple[int, ...]:
-    """Canonical form of the poset with up masks `up` (self bits included)."""
-    return _canonical_encoding(tuple(m & ~(1 << i) for i, m in enumerate(up)))
-
-
-@lru_cache(maxsize=None)
-def _automorphisms(up: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+def _automorphisms(up) -> tuple[tuple[int, ...], ...]:
     """Permutations p with i <= j iff p[i] <= p[j], the identity first."""
-    return tuple(p for p in permutations(range(len(up))) if _relabel(up, p) == up)
+    return _class_entry(tuple(m & ~(1 << i) for i, m in enumerate(up)))[1]
 
 
 @lru_cache(maxsize=None)
@@ -879,15 +877,8 @@ def _map_orbits(s_up: tuple[int, ...], r_up: tuple[int, ...], allow_top: bool):
     (index, map) per orbit of Aut(s) x Aut(r), in ascending order: the
     orbit's least index. The pair (sigma, tau) sends a map f to the map g
     with g[tau[q]] = sigma[f[q]], TOP staying TOP. With a trivial group
-    every map is its own orbit.
-
-    Every statement the sweeps and searches decide is invariant under
-    relabeling s and r, so a map decides like its representative. In a
-    scan of the representatives, each map before the first violating (or
-    hitting) one lies in the orbit of an earlier representative that came
-    out clean, so that representative is the first violating map of the
-    whole list. The table is process-wide, like the poset tables: a sweep
-    of another theorem over the same bounds reuses it.
+    every map is its own orbit. The table is process-wide, like the poset
+    tables: a sweep of another theorem over the same bounds reuses it.
     """
     maps = monotone_maps(len(s_up), s_up, len(r_up), r_up, allow_top)
     top = (len(s_up),)
@@ -908,49 +899,81 @@ def _map_orbits(s_up: tuple[int, ...], r_up: tuple[int, ...], allow_top: bool):
     return len(maps), tuple(reps)
 
 
+def _first_violation(check, s, r, indexed):
+    """(index, code) of the first (index, map) pair whose check fails, or
+    (-1, 0); `check(s, r, cmap)` returns a clause code or a bool."""
+    for k, cmap in indexed:
+        code = check(s, r, cmap)
+        if code:
+            return k, code
+    return -1, 0
+
+
+def _scan_pair(check, s, r, allow_top, memo, count_only):
+    """(maps of the pair, index of its first map failing `check` or -1, code).
+
+    `s` and `r` are up masks or PosetFacts records. With `count_only` the
+    maps are only counted. Without `memo` every map is checked, in
+    monotone_maps order.
+
+    With `memo`, a dict owned by one sweep or search (one check and one
+    allow_top), only the pair's orbit representatives (_map_orbits) are
+    checked. Every check is invariant under relabeling s and r, and each
+    map before the first failing representative lies in the orbit of an
+    earlier, clean one, so that representative is the pair's first failing
+    map. The memo maps each isomorphism class (s.iso, r.iso) met to (map
+    count, whether every map came out clean). A later pair of a clean
+    class, or a count_only pair of any recorded class, returns its count
+    unchecked; a class with a failing map is scanned on every pair, so the
+    index is exact for each labeling.
+    """
+    s = s if isinstance(s, PosetFacts) else PosetFacts(s)
+    r = r if isinstance(r, PosetFacts) else PosetFacts(r)
+    if memo is None:
+        maps = monotone_maps(s.n, s, r.n, r, allow_top)
+        if count_only:
+            return len(maps), -1, 0
+        return len(maps), *_first_violation(check, s, r, enumerate(maps))
+    key = (s.iso, r.iso)
+    known = memo.get(key)
+    if known is not None and (known[1] or count_only):
+        return known[0], -1, 0
+    if count_only:
+        count, first, code = count_monotone_maps(s.n, s, r.n, r, allow_top), -1, 0
+    else:
+        count, reps = _map_orbits(tuple(s), tuple(r), allow_top)
+        first, code = _first_violation(check, s, r, reps)
+    memo[key] = (count, not count_only and first < 0)
+    return count, first, code
+
+
+#: waive -> theorem name -> the per-map check of its sweeps, which sweep_pair
+#: looks up without allocating; eval_theorem is read at call time, so a
+#: wrapper installed later is seen
+_THEOREM_CHECKS = {
+    waive: {
+        tid: lambda s, r, cmap, tid=tid, waive=waive: eval_theorem(tid, waive, s, r, cmap, None)
+        for tid in THEOREMS
+    }
+    for waive in (False, True)
+}
+
+
 def sweep_pair(
     tid, waive, ns, s_up, nr, r_up, allow_top, *, memo=None, count_only=False
 ):
     """Evaluate a theorem over every monotone map for one poset pair.
 
     `s_up` and `r_up` are up masks or, from a sweep that keeps one per
-    poset, PosetFacts records. Maps are the tuples of monotone_maps.
-    Returns (maps of the pair, index of the first violating map or -1, its
-    clause code). With `count_only` no map is evaluated: the maps are only
-    counted, and no violation is reported. A sweep that has its first
-    violation passes it for every later pair, whose counts it still sums.
-    Without `memo` every map is evaluated in order.
-
-    Verdicts are invariant under relabeling s and r, which permutes the maps
-    one-to-one. With `memo`, a dict owned by one sweep (one tid, waive and
-    allow_top), a pair evaluates only its orbit representatives
-    (_map_orbits), whose first violation is the pair's first violating map,
-    exactly. The memo records each isomorphism class met with its map count
-    and whether every map of it came out clean. A later pair of a clean
-    class returns its count without evaluating a map, and so does a
-    count_only pair of any recorded class. A violating class is evaluated
-    on every pair, so its first violating map index is exact for that
-    labeling.
+    poset, PosetFacts records. Returns (maps of the pair, index of the
+    first violating map or -1, its clause code). A sweep that has its first
+    violation passes `count_only` for every later pair, whose counts it
+    still sums. `memo` is one sweep's (one tid, waive and allow_top); see
+    _scan_pair.
     """
-    s, r = _facts(s_up), _facts(r_up)
-    if memo is None:
-        if count_only:
-            return count_monotone_maps(s.n, s, r.n, r, allow_top), -1, 0
-        maps = monotone_maps(s.n, s, r.n, r, allow_top)
-        return _sweep_maps(tid, waive, s, r, len(maps), enumerate(maps))
-    key = (s.iso, r.iso)
-    known = memo.get(key)
-    if known is not None and (known[1] or count_only):
-        return known[0], -1, 0
-    if count_only:
-        count = count_monotone_maps(s.n, s, r.n, r, allow_top)
-        memo[key] = (count, False)
-        return count, -1, 0
-    count, first_bad, code = _sweep_maps(
-        tid, waive, s, r, *_map_orbits(tuple(s), tuple(r), allow_top)
+    return _scan_pair(
+        _THEOREM_CHECKS[waive][tid], s_up, r_up, allow_top, memo, count_only
     )
-    memo[key] = (count, first_bad < 0)
-    return count, first_bad, code
 
 
 def _goal_met(goal_id, goal_size, s, r, cmap, allowed):
@@ -967,18 +990,18 @@ def _goal_met(goal_id, goal_size, s, r, cmap, allowed):
     return False
 
 
-def _search_maps(s, r, count, indexed, need_bits, forbid_bits, goal_id, goal_size):
-    """First of the (index, map) pairs meeting the flag and goal constraints.
-
-    Returns (maps scanned, index of the hit or -1): a hit at index k reports
-    k+1 scanned, where scanning stops, and no hit reports `count`.
-    """
-    for k, cmap in indexed:
+@lru_cache(maxsize=None)
+def _goal_check(need_bits, forbid_bits, goal_id, goal_size):
+    # a map hits when its property bits meet the flags and the goal holds
+    def check(s, r, cmap):
         bits = property_bits(s.n, s, r.n, r, cmap)
-        if bits & need_bits == need_bits and bits & forbid_bits == 0:
-            if _goal_met(goal_id, goal_size, s, r, cmap, _allowed_masks(s, cmap)):
-                return k + 1, k
-    return count, -1
+        return (
+            bits & need_bits == need_bits
+            and bits & forbid_bits == 0
+            and _goal_met(goal_id, goal_size, s, r, cmap, _allowed_masks(s, cmap))
+        )
+
+    return check
 
 
 def search_pair(
@@ -989,26 +1012,11 @@ def search_pair(
 
     `s_up` and `r_up` are up masks or PosetFacts records, as in sweep_pair.
     Returns (maps scanned, index of the hit or -1). Scanning stops at the
-    first hit, so a hit at index k reports k+1 scanned. Without `memo`
-    every map is scanned in order.
-
-    With `memo`, a dict owned by one search (one set of the other
-    arguments), a pair scans only its orbit representatives (_map_orbits),
-    whose first hit is the pair's first hitting map, exactly. The memo
-    records the isomorphism classes without a hit, with their map counts,
-    so a later pair of such a class is not scanned; a class with a hit is
-    scanned on every pair.
+    first hit, so a hit at index k reports k+1 scanned. `memo` is one
+    search's (one set of the other arguments); see _scan_pair.
     """
-    s, r = _facts(s_up), _facts(r_up)
-    goal = (need_bits, forbid_bits, goal_id, goal_size)
-    if memo is None:
-        maps = monotone_maps(s.n, s, r.n, r, allow_top)
-        return _search_maps(s, r, len(maps), enumerate(maps), *goal)
-    key = (s.iso, r.iso)
-    count = memo.get(key)
-    if count is not None:
-        return count, -1
-    count, hit = _search_maps(s, r, *_map_orbits(tuple(s), tuple(r), allow_top), *goal)
-    if hit < 0:
-        memo[key] = count
-    return count, hit
+    count, hit, _ = _scan_pair(
+        _goal_check(need_bits, forbid_bits, goal_id, goal_size),
+        s_up, r_up, allow_top, memo, False,
+    )
+    return (count, -1) if hit < 0 else (hit + 1, hit)

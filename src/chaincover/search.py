@@ -15,12 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as K
-from .poset import (
-    POSET_ENUM_BOUND,
-    BoundExceeded,
-    Poset,
-    enumerate_chains,
-)
+from .poset import POSET_ENUM_BOUND, Poset, enumerate_chains
 from .specmap import (
     PROPERTY_BITS,
     TOP,
@@ -32,9 +27,10 @@ from .specmap import (
 )
 from .theorems import (
     PosetRecords,
+    _check_bounds,
     _raw_up,
+    _replay,
     class_chunks,
-    instance_from_raw,
     labeled_posets,
     run_chunks,
 )
@@ -147,10 +143,7 @@ def search_witness(
     bounds, in canonical order, up to the first hit, so the outcome is
     deterministic and does not depend on the worker count.
     """
-    if spec.max_s > size_bound or spec.max_r > size_bound:
-        raise BoundExceeded(
-            f"search bounds must lie in 1..{size_bound}, got ({spec.max_s}, {spec.max_r})"
-        )
+    _check_bounds("search", 1, spec.max_s, spec.max_r, size_bound)
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     need, forbid = _flag_masks(spec.required)
@@ -160,20 +153,16 @@ def search_witness(
 
     s_list = labeled_posets(1, spec.max_s)
     r_list = labeled_posets(1, spec.max_r)
-    pairs = []
-    idx = 0
     # a chain-goal witness needs a chain of d_size in s; raw rows are not in
     # linear-extension order, so the height is read off the maximal chains
     prunable = goal_id != K.GOAL_LO_FAILS and goal_size > 0
-    for s_rows in s_list:
-        if prunable and max(
-            c.bit_count() for c in K.PosetFacts(_raw_up(s_rows)).max_chains
-        ) < goal_size:
-            idx += len(r_list)
-            continue
-        for r_rows in r_list:
-            pairs.append((idx, s_rows, r_rows))
-            idx += 1
+    pairs = [
+        (s_pos * len(r_list) + r_pos, s_rows, r_rows)
+        for s_pos, s_rows in enumerate(s_list)
+        if not prunable
+        or max(c.bit_count() for c in K.PosetFacts(_raw_up(s_rows)).max_chains) >= goal_size
+        for r_pos, r_rows in enumerate(r_list)
+    ]
 
     method, chunks = class_chunks(pairs, r_list, jobs, allow_top)
     if len(pairs) < 2 * len(chunks):
@@ -185,12 +174,8 @@ def search_witness(
     if not hits:
         return None
     pair_idx, map_idx = min(hits)
-    by_idx = {i: (s, r) for i, s, r in pairs}
-    s_rows, r_rows = by_idx[pair_idx]
-    vec = K.monotone_maps(
-        len(s_rows), _raw_up(s_rows), len(r_rows), _raw_up(r_rows), allow_top
-    )[map_idx]
-    witness = instance_from_raw(s_rows, r_rows, vec)
+    s_pos, r_pos = divmod(pair_idx, len(r_list))
+    witness = _replay(s_list[s_pos], r_list[r_pos], allow_top, map_idx)
 
     def predicate(m: SpectralMap) -> bool:
         return flags_hold(m, spec.required) and goal_holds(m, spec.goal, spec.d_size)

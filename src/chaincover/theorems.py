@@ -243,6 +243,14 @@ def instance_from_raw(s_rows, r_rows, vec) -> SpectralMap:
     return make_spectral_map(s, r, assignment)
 
 
+def _replay(s_rows, r_rows, allow_top: bool, map_idx: int) -> SpectralMap:
+    """The instance of map `map_idx` of a raw pair, as a sweep or search reports it."""
+    vec = K.monotone_maps(
+        len(s_rows), _raw_up(s_rows), len(r_rows), _raw_up(r_rows), allow_top
+    )[map_idx]
+    return instance_from_raw(s_rows, r_rows, vec)
+
+
 def pool_plan(items: list, jobs: int) -> tuple[str, list[list]]:
     """Start method and chunks for spreading `items` over up to `jobs` workers.
 
@@ -403,10 +411,11 @@ def sweep_pairs(max_s: int, max_r: int):
     ]
 
 
-def _check_sweep_bounds(max_s: int, max_r: int, size_bound: int):
-    if not 0 <= max_s <= size_bound or not 0 <= max_r <= size_bound:
+def _check_bounds(kind: str, least: int, max_s: int, max_r: int, size_bound: int):
+    """Raise BoundExceeded, before enumerating, unless both bounds lie in least..size_bound."""
+    if not least <= max_s <= size_bound or not least <= max_r <= size_bound:
         raise BoundExceeded(
-            f"sweep bounds must lie in 0..{size_bound}, got ({max_s}, {max_r})"
+            f"{kind} bounds must lie in {least}..{size_bound}, got ({max_s}, {max_r})"
         )
 
 
@@ -430,7 +439,7 @@ def exhaustive_verify(
     With `jobs` > 1 the caller is one of the workers, and the isomorphism
     classes of poset pairs are split between them (class_chunks).
     """
-    _check_sweep_bounds(max_s, max_r, size_bound)
+    _check_bounds("sweep", 0, max_s, max_r, size_bound)
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     start = time.perf_counter()
@@ -447,10 +456,7 @@ def exhaustive_verify(
     if first is not None:
         pair_idx, map_idx, _ = first
         _, s_rows, r_rows = pairs[pair_idx]
-        vec = K.monotone_maps(
-            len(s_rows), _raw_up(s_rows), len(r_rows), _raw_up(r_rows), allow_top
-        )[map_idx]
-        m = instance_from_raw(s_rows, r_rows, vec)
+        m = _replay(s_rows, r_rows, allow_top, map_idx)
         replay = verify(m, theorem, waive_hypotheses)
         if replay.holds:
             raise AssertionError(
@@ -477,7 +483,7 @@ def estimate_sweep_cost(max_s: int, max_r: int, allow_top: bool) -> dict:
     anything: the labeled posets of a size past POSET_ENUM_BOUND take
     minutes or more to list.
     """
-    _check_sweep_bounds(max_s, max_r, POSET_ENUM_BOUND)
+    _check_bounds("sweep", 0, max_s, max_r, POSET_ENUM_BOUND)
     s_sizes = [len(rows) for rows in labeled_posets(0, max_s)]
     r_sizes = [len(rows) for rows in labeled_posets(0, max_r)]
     extra = 1 if allow_top else 0

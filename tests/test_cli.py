@@ -200,6 +200,17 @@ class TestSearch:
             outputs.append((code, out))
         assert outputs[0] == outputs[1]
 
+    def test_out_of_range_bound_exits_before_enumerating(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "search", "--require", "GU", "--goal", "lo-fails",
+            "--max-s", "9", "--max-r", "2",
+        )
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert err == "error: search bounds must lie in 1..5, got (9, 2)\n"
+        assert out == ""
+
     def test_bad_flag_name(self, capsys):
         code, _, err = run_cli(
             capsys, "search", "--goal", "lo-fails", "--require", "WHAT",

@@ -222,7 +222,7 @@ def test_memoized_sweep_matches_unmemoized_sweep(monkeypatch):
         bad = [(idx, first_bad, code) for idx, _, first_bad, code in scan if first_bad >= 0]
         expected = (sum(count for _, count, _, _ in scan), min(bad, default=None))
         with monkeypatch.context() as m:
-            loops = _counting(m, "_sweep_maps")
+            loops = _counting(m, "_first_violation")
             got = _sweep_chunk((theorem.value, waive, True, pairs))
         assert got == expected, (theorem.name, waive)
         assert loops[0] < len(pairs), (theorem.name, waive)
@@ -234,19 +234,19 @@ def test_memoized_sweep_matches_unmemoized_sweep(monkeypatch):
 def test_count_only_sweep_pair_counts_without_evaluating(monkeypatch):
     s_up, r_up = _raw_up((0b10, 0b00)), _raw_up((0b00, 0b00, 0b011))
     count = K.count_monotone_maps(2, s_up, 3, r_up, True)
+    tid = TheoremId.T_COVER_MAXCHAIN.value
     memo: dict = {}
     with monkeypatch.context() as m:
-        loops = _counting(m, "_sweep_maps")
+        loops = _counting(m, "_first_violation")
         for _ in range(2):
-            assert K.sweep_pair(0, True, 2, s_up, 3, r_up, True, count_only=True) == (
+            assert K.sweep_pair(tid, True, 2, s_up, 3, r_up, True, count_only=True) == (
                 count, -1, 0,
             )
             assert K.sweep_pair(
-                0, True, 2, s_up, 3, r_up, True, memo=memo, count_only=True
+                tid, True, 2, s_up, 3, r_up, True, memo=memo, count_only=True
             ) == (count, -1, 0)
     assert loops[0] == 0
     # a counted class is not taken for a clean one
-    tid = TheoremId.T_COVER_MAXCHAIN.value
     assert K.sweep_pair(tid, True, 2, s_up, 3, r_up, True, memo=memo) == K.sweep_pair(
         tid, True, 2, s_up, 3, r_up, True
     )
@@ -283,11 +283,12 @@ def test_memoized_search_matches_unmemoized_search(monkeypatch):
         expected = [search(s_rows, r_rows) for _, s_rows, r_rows in pairs]
         memo: dict = {}
         with monkeypatch.context() as m:
-            loops = _counting(m, "_search_maps")
+            loops = _counting(m, "_first_violation")
             got = [search(s_rows, r_rows, memo) for _, s_rows, r_rows in pairs]
         assert got == expected, required
         # one scan per hitting pair, one per class without a hit
-        assert loops[0] == sum(hit >= 0 for _, hit in got) + len(memo), required
+        clean = sum(is_clean for _, is_clean in memo.values())
+        assert loops[0] == sum(hit >= 0 for _, hit in got) + clean, required
         scans += loops[0]
 
         first = [(idx, hit) for idx, (_, hit) in enumerate(expected) if hit >= 0][:1]
@@ -364,10 +365,11 @@ def test_representative_scan_matches_full_scan():
     for s_rows, r_rows in labeled + classes:
         s, r = K.PosetFacts(_raw_up(s_rows)), K.PosetFacts(_raw_up(r_rows))
         for allow_top in (False, True):
-            orbits = K._map_orbits(tuple(s), tuple(r), allow_top)
+            count, reps = K._map_orbits(tuple(s), tuple(r), allow_top)
             for theorem, waive in product(TheoremId, (False, True)):
                 full = K.sweep_pair(theorem.value, waive, s.n, s, r.n, r, allow_top)
-                assert K._sweep_maps(theorem.value, waive, s, r, *orbits) == full, (
+                check = K._THEOREM_CHECKS[waive][theorem.value]
+                assert (count, *K._first_violation(check, s, r, reps)) == full, (
                     theorem.name, waive, s_rows, r_rows, allow_top,
                 )
                 compared += 1
@@ -381,8 +383,11 @@ def test_representative_scan_matches_full_scan():
         for s_rows, r_rows in product([rows for rows in nonempty if len(rows) <= 3], nonempty):
             s, r = K.PosetFacts(_raw_up(s_rows)), K.PosetFacts(_raw_up(r_rows))
             full = K.search_pair(s.n, s, r.n, r, allow_top, *goal_args)
-            orbits = K._map_orbits(tuple(s), tuple(r), allow_top)
-            assert K._search_maps(s, r, *orbits, *goal_args) == full, (required, s_rows, r_rows)
+            count, reps = K._map_orbits(tuple(s), tuple(r), allow_top)
+            hit, _ = K._first_violation(K._goal_check(*goal_args), s, r, reps)
+            assert full == ((count, -1) if hit < 0 else (hit + 1, hit)), (
+                required, s_rows, r_rows,
+            )
 
 
 def _scanned_canonical_encoding(rows):

@@ -419,6 +419,43 @@ def test_sweeps_at_every_jobs_count_match_an_oracle(monkeypatch):
     assert failing > 0
 
 
+def _oracle_search(spec):
+    """First witness of `spec`, unshrunk, by a plain scan: no memo, no
+    orbits, no chunks, every map checked on the object level."""
+    allow_top = "!UNITARY" in spec.required
+    s_list = [rows for n in range(1, spec.max_s + 1) for rows in _strict_order_masks(n)]
+    r_list = [rows for n in range(1, spec.max_r + 1) for rows in _strict_order_masks(n)]
+    for s_rows, r_rows in product(s_list, r_list):
+        s_up, r_up = _raw_up(s_rows), _raw_up(r_rows)
+        for vec in K.monotone_maps(len(s_up), s_up, len(r_up), r_up, allow_top):
+            m = instance_from_raw(s_rows, r_rows, vec)
+            if flags_hold(m, spec.required) and goal_holds(m, spec.goal, spec.d_size):
+                return m
+    return None
+
+
+def test_searches_at_every_jobs_count_match_an_oracle(monkeypatch):
+    from test_kernels import _SEARCHES
+
+    # three usable CPUs, so jobs=3 really splits the classes three ways
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    found = []
+    for required, goal, d_size in _SEARCHES:
+        spec = WitnessSearchSpec(
+            required=frozenset(required.split(",")), goal=goal, max_s=2, max_r=3,
+            d_size=d_size,
+        )
+        want = _oracle_search(spec)
+        found.append(want is not None)
+        for jobs in (1, 2, 3):
+            got = search_witness(spec, jobs=jobs, do_shrink=False)
+            if want is None:
+                assert got is None, (required, goal, jobs)
+            else:
+                assert got.describe() == want.describe(), (required, goal, jobs)
+    assert any(found) and not all(found)
+
+
 class TestClassChunks:
     @pytest.mark.parametrize("bounds", [(3, 3), (2, 4)])
     @pytest.mark.parametrize("cpus", [2, 3])
