@@ -15,17 +15,21 @@ of elements; on the elements that contract into a chain D these are the
 maximal D-chains the theorems speak about, and on all elements the maximal
 chains of the poset.
 
-The theorems read two kinds of facts. A `PosetFacts` record holds what
+The theorems read three kinds of facts. A `PosetFacts` record holds what
 depends on one poset: its masks, its chains and a table of its maximal
 chains inside each set of elements. A sweep or search builds one record per
 poset it visits and every map of that poset reads it. Per map there is the
-value tuple `cmap` and the dict `allowed` from `_allowed_masks`, which sends
-each chain D of s to the elements of r contracting into D; the maximal
-D-chains are then the lookup `r.dchains[allowed[D]]`.
+value tuple `cmap`, its property-bits word from `property_bits` (LO, INC,
+GU, GD, SGB, GB and unitarity as PROP_* flags) and the dict `allowed` from
+`_allowed_masks`, which sends each chain D of s to the elements of r
+contracting into D; the maximal D-chains are then the lookup
+`r.dchains[allowed[D]]`.
 
-Each theorem is one entry of `THEOREMS`: the names of its hypotheses, each
-tested by `PROPERTY_TESTS`, and one conclusion over (s, r, cmap, allowed)
-that returns a clause code. `eval_theorem` looks the theorem up by name.
+Each theorem is one entry of `THEOREMS`: the names of its hypotheses, their
+flags as one mask, one conclusion over (s, r, cmap, bits, allowed) that
+returns a clause code, and whether that conclusion reads the word.
+`eval_theorem` looks the theorem up by name and tests its hypotheses as one
+mask of the word.
 
 Sweeps and searches share one scan: `_scan_pair` checks the maps of a
 poset pair in one loop, `_first_violation`, with a per-map check that
@@ -34,11 +38,13 @@ Every statement is invariant under relabeling s and r. Two process-wide
 tables use that: `_CANONICAL` holds each labeled poset's canonical form and
 automorphism group, filled one isomorphism class at a time, and
 `_map_orbits` lists one map per orbit of Aut(s) x Aut(r), which the
-memoized scan checks instead of every map.
+memoized scan checks instead of every map, with a byte per representative
+for its property-bits word, filled on first read.
 """
 
 from __future__ import annotations
 
+from array import array
 from functools import cached_property, lru_cache
 from itertools import permutations
 
@@ -54,6 +60,16 @@ PROP_GD = 8
 PROP_SGB = 16
 PROP_GB = 32
 PROP_UNITARY = 64
+
+#: the property_bits flag of each hypothesis name
+HYPOTHESIS_BITS = {
+    "unitary": PROP_UNITARY,
+    "LO": PROP_LO,
+    "INC": PROP_INC,
+    "GU": PROP_GU,
+    "GD": PROP_GD,
+    "SGB": PROP_SGB,
+}
 
 # Goal codes for search_pair.
 GOAL_LO_FAILS = 0
@@ -144,6 +160,22 @@ def _maximal_dchains(up, down, allowed):
     return out
 
 
+def _strict_order(up):
+    """Strict up masks, strict down masks and every pair (i, j) with i < j,
+    of up masks given as ints or numpy ints."""
+    strict_up = [int(m) & ~(1 << i) for i, m in enumerate(up)]
+    strict_down = [0] * len(strict_up)
+    pairs = []
+    for i, m in enumerate(strict_up):
+        while m:
+            low = m & -m
+            j = low.bit_length() - 1
+            strict_down[j] |= 1 << i
+            pairs.append((i, j))
+            m ^= low
+    return strict_up, strict_down, pairs
+
+
 class _DChainTable(dict):
     """allowed mask -> _maximal_dchains(up, down, allowed), filled on lookup.
 
@@ -172,8 +204,8 @@ class PosetFacts(tuple):
     and comparability masks, its maximal chains (ascending), its chains
     (ascending, the empty chain first) and its D-chain table, where
     `dchains[allowed]` equals `_maximal_dchains(up, down, allowed)`, order
-    included. A record lives as long as its owner, one sweep or search chunk
-    or one SpectralMap's facts, and is never changed.
+    included. Its `strict_order` is what property_bits reads. A record lives as long as its owner, one
+    sweep or search chunk or one SpectralMap's facts, and is never changed.
     """
 
     def __new__(cls, up):
@@ -189,6 +221,10 @@ class PosetFacts(tuple):
     @cached_property
     def comp(self) -> list[int]:
         return _comp_masks(self.n, self, self.down)
+
+    @cached_property
+    def strict_order(self) -> tuple[list[int], list[int], list[tuple[int, int]]]:
+        return _strict_order(self)
 
     @cached_property
     def max_chains(self) -> list[int]:
@@ -255,142 +291,6 @@ def _end_of_chain(masks, d_mask):
     return -1
 
 
-def prop_unitary(ns, nr, cmap):
-    for q in range(nr):
-        if cmap[q] == ns:
-            return False
-    return True
-
-
-def prop_lo(ns, nr, cmap):
-    for p in range(ns):
-        hit = False
-        for q in range(nr):
-            if cmap[q] == p:
-                hit = True
-                break
-        if not hit:
-            return False
-    return True
-
-
-def prop_inc(ns, s_up, nr, r_up, cmap):
-    for q1 in range(nr):
-        for q2 in range(nr):
-            if q1 == q2 or not (r_up[q1] >> q2 & 1):
-                continue
-            c2 = cmap[q2]
-            if c2 == ns:
-                continue
-            c1 = cmap[q1]
-            if c1 == ns or c1 == c2 or not (s_up[c1] >> c2 & 1):
-                return False
-    return True
-
-
-def prop_gu(ns, s_up, nr, r_up, cmap):
-    for p1 in range(ns):
-        for p2 in range(ns):
-            if p1 == p2 or not (s_up[p1] >> p2 & 1):
-                continue
-            for q1 in range(nr):
-                if cmap[q1] != p1:
-                    continue
-                found = False
-                for q2 in range(nr):
-                    if q2 != q1 and (r_up[q1] >> q2 & 1) and cmap[q2] == p2:
-                        found = True
-                        break
-                if not found:
-                    return False
-    return True
-
-
-def prop_gd(ns, s_up, nr, r_up, cmap):
-    for p1 in range(ns):
-        for p2 in range(ns):
-            if p1 == p2 or not (s_up[p1] >> p2 & 1):
-                continue
-            for q2 in range(nr):
-                if cmap[q2] != p2:
-                    continue
-                found = False
-                for q1 in range(nr):
-                    if q1 != q2 and (r_up[q1] >> q2 & 1) and cmap[q1] == p1:
-                        found = True
-                        break
-                if not found:
-                    return False
-    return True
-
-
-def prop_sgb(ns, s_up, nr, r_up, cmap):
-    for p1 in range(ns):
-        for p2 in range(ns):
-            if p1 == p2 or not (s_up[p1] >> p2 & 1):
-                continue
-            for p3 in range(ns):
-                if p3 == p2 or not (s_up[p2] >> p3 & 1):
-                    continue
-                for q1 in range(nr):
-                    if cmap[q1] != p1:
-                        continue
-                    for q3 in range(nr):
-                        if q3 == q1 or cmap[q3] != p3 or not (r_up[q1] >> q3 & 1):
-                            continue
-                        found = False
-                        for q2 in range(nr):
-                            if (
-                                q2 != q1
-                                and q2 != q3
-                                and cmap[q2] == p2
-                                and (r_up[q1] >> q2 & 1)
-                                and (r_up[q2] >> q3 & 1)
-                            ):
-                                found = True
-                                break
-                        if not found:
-                            return False
-    return True
-
-
-def prop_gb(ns, s_up, nr, r_up, cmap):
-    # guarded form: both endpoint contractions must be proper (not top)
-    for q1 in range(nr):
-        for q3 in range(nr):
-            if q1 == q3 or not (r_up[q1] >> q3 & 1):
-                continue
-            c1 = cmap[q1]
-            c3 = cmap[q3]
-            if c1 == ns or c3 == ns:
-                continue
-            between = False
-            for p in range(ns):
-                if (
-                    p != c1
-                    and p != c3
-                    and (s_up[c1] >> p & 1)
-                    and (s_up[p] >> c3 & 1)
-                ):
-                    between = True
-                    break
-            if not between:
-                continue
-            found = False
-            for q2 in range(nr):
-                if (
-                    q2 != q1
-                    and q2 != q3
-                    and (r_up[q1] >> q2 & 1)
-                    and (r_up[q2] >> q3 & 1)
-                ):
-                    found = True
-                    break
-            if not found:
-                return False
-    return True
-
-
 def _end_lift_code(s_ends, s, r, cmap, allowed):
     """Covers of each nonempty chain D through the lifts of one end of D.
 
@@ -453,45 +353,96 @@ def layer_holds(n, s, r, allowed):
 
 
 def property_bits(ns, s_up, nr, r_up, cmap):
+    """LO, INC, GU, GD, SGB, GB and unitarity of one map as PROP_* flags.
+
+    `s_up` and `r_up` are up masks or PosetFacts records, and `cmap` the
+    map's values; numpy int64 arrays are read too. With pre[p] the elements
+    of r that contract to p (pre[ns] those that contract to TOP), under[p]
+    the elements strictly below some member of pre[p], over[p] those
+    strictly above one, and lower[p] and upper[p] the preimages of the
+    elements strictly below and above p in s, each property is a mask test:
+
+    - unitary: pre[ns] is empty; LO: no pre[p] of s is.
+    - INC: under[p] lies in lower[p]; GU: lower[p] lies in under[p];
+      GD: upper[p] lies in over[p], for every p of s.
+    - SGB: for q1 < q3 in r contracting to p1 and p3 of s, every p2 with
+      p1 < p2 < p3 has a lift in r_sup[q1] & r_sdown[q3]; GB: if there is
+      such a p2, that set is not empty.
+    """
+    s_sup, s_sdown, s_pairs = (
+        s_up.strict_order if isinstance(s_up, PosetFacts) else _strict_order(s_up)
+    )
+    r_sup, r_sdown, r_pairs = (
+        r_up.strict_order if isinstance(r_up, PosetFacts) else _strict_order(r_up)
+    )
+    pre = [0] * (ns + 1)
+    bit = 1
+    for v in cmap:
+        pre[v] |= bit
+        bit <<= 1
+    under = [0] * (ns + 1)
+    over = [0] * (ns + 1)
+    sgb = gb = True
+    for q1, q3 in r_pairs:
+        c1 = cmap[q1]
+        c3 = cmap[q3]
+        under[c3] |= 1 << q1
+        over[c1] |= 1 << q3
+        if c1 == ns or c3 == ns:
+            continue
+        mids = s_sup[c1] & s_sdown[c3]
+        if not mids:
+            continue
+        span = r_sup[q1] & r_sdown[q3]
+        if not span:
+            sgb = gb = False
+            continue
+        while sgb and mids:
+            low = mids & -mids
+            if not span & pre[low.bit_length() - 1]:
+                sgb = False
+            mids ^= low
+    lower = [0] * ns
+    upper = [0] * ns
+    for p1, p2 in s_pairs:
+        lower[p2] |= pre[p1]
+        upper[p1] |= pre[p2]
     bits = 0
-    if prop_lo(ns, nr, cmap):
-        bits |= PROP_LO
-    if prop_inc(ns, s_up, nr, r_up, cmap):
-        bits |= PROP_INC
-    if prop_gu(ns, s_up, nr, r_up, cmap):
-        bits |= PROP_GU
-    if prop_gd(ns, s_up, nr, r_up, cmap):
-        bits |= PROP_GD
-    if prop_sgb(ns, s_up, nr, r_up, cmap):
-        bits |= PROP_SGB
-    if prop_gb(ns, s_up, nr, r_up, cmap):
-        bits |= PROP_GB
-    if prop_unitary(ns, nr, cmap):
+    if not pre[ns]:
         bits |= PROP_UNITARY
+    if all(pre[:ns]):
+        bits |= PROP_LO
+    inc = gu = gd = True
+    for p in range(ns):
+        if under[p] & ~lower[p]:
+            inc = False
+        if lower[p] & ~under[p]:
+            gu = False
+        if upper[p] & ~over[p]:
+            gd = False
+    if inc:
+        bits |= PROP_INC
+    if gu:
+        bits |= PROP_GU
+    if gd:
+        bits |= PROP_GD
+    if sgb:
+        bits |= PROP_SGB
+    if gb:
+        bits |= PROP_GB
     return bits
 
 
-#: property name -> test over (s, r, cmap), for hypotheses and the property
-#: sides of biconditionals
-PROPERTY_TESTS = {
-    "unitary": lambda s, r, cmap: prop_unitary(s.n, r.n, cmap),
-    "LO": lambda s, r, cmap: prop_lo(s.n, r.n, cmap),
-    "INC": lambda s, r, cmap: prop_inc(s.n, s, r.n, r, cmap),
-    "GU": lambda s, r, cmap: prop_gu(s.n, s, r.n, r, cmap),
-    "GD": lambda s, r, cmap: prop_gd(s.n, s, r.n, r, cmap),
-    "SGB": lambda s, r, cmap: prop_sgb(s.n, s, r.n, r, cmap),
-}
-
-
-# Conclusions. Each takes (s, r, cmap, allowed) and returns a clause code,
-# 0 when the conclusion holds on the instance.
+# Conclusions. Each takes (s, r, cmap, bits, allowed) and returns a clause
+# code, 0 when the conclusion holds on the instance; `bits` is the map's
+# property_bits word.
 
 
 def _maxchain_images(perfect):
     # the image of each maximal chain of r is a maximal chain of s
     # (T_COVER_MAXCHAIN), and with `perfect` one of the same size
     # (C_PERFECT_MAXCHAIN)
-    def conclusion(s, r, cmap, allowed):
+    def conclusion(s, r, cmap, bits, allowed):
         ns = s.n
         for cm in r.max_chains:
             img = _image_mask(cmap, cm)
@@ -508,29 +459,17 @@ def _maxchain_images(perfect):
     return conclusion
 
 
-def _iff(lhs, rhs):
-    # a biconditional of two tests over (s, r, cmap, allowed): code 1 when
-    # only the left side holds, 2 when only the right side does
-    def conclusion(s, r, cmap, allowed):
-        left = lhs(s, r, cmap, allowed)
-        if left == rhs(s, r, cmap, allowed):
+def _iff(props, test):
+    # the properties of the mask `props` hold together iff `test` over
+    # (s, r, cmap, allowed) does: code 1 when only the properties hold, 2
+    # when only the test does
+    def conclusion(s, r, cmap, bits, allowed):
+        left = bits & props == props
+        if left == test(s, r, cmap, allowed):
             return 0
         return 1 if left else 2
 
     return conclusion
-
-
-def _hold(*names):
-    # the named properties hold together
-    tests = [PROPERTY_TESTS[name] for name in names]
-
-    def holds(s, r, cmap, allowed):
-        for test in tests:
-            if not test(s, r, cmap):
-                return False
-        return True
-
-    return holds
 
 
 def _dchains_nonempty(s, r, cmap, allowed):
@@ -541,22 +480,21 @@ def _dchains_nonempty(s, r, cmap, allowed):
     return True
 
 
-def _layers(s, r, cmap, allowed):
-    ns = s.n
-    nr = r.n
-    lo = prop_lo(ns, nr, cmap)
-    inc = prop_inc(ns, s, nr, r, cmap)
+#: the properties that layers 1, 1-2 and 1-3 stand for
+_LAYER_1 = PROP_LO | PROP_INC
+_LAYER_2 = _LAYER_1 | PROP_GU | PROP_GD
+_LAYER_3 = _LAYER_2 | PROP_SGB
+
+
+def _layers(s, r, cmap, bits, allowed):
     l1 = layer_holds(1, s, r, allowed)
-    if l1 != (lo and inc):
+    if l1 != (bits & _LAYER_1 == _LAYER_1):
         return 1
-    gu = prop_gu(ns, s, nr, r, cmap)
-    gd = prop_gd(ns, s, nr, r, cmap)
     l2 = layer_holds(2, s, r, allowed)
-    if (l1 and l2) != (lo and inc and gu and gd):
+    if (l1 and l2) != (bits & _LAYER_2 == _LAYER_2):
         return 2
-    sgb = prop_sgb(ns, s, nr, r, cmap)
     l3 = layer_holds(3, s, r, allowed)
-    if (l1 and l2 and l3) != (lo and inc and gu and gd and sgb):
+    if (l1 and l2 and l3) != (bits & _LAYER_3 == _LAYER_3):
         return 3
     return 0
 
@@ -619,7 +557,7 @@ def _mini_rhs(brackets):
 
 def _end_lifts(greatest):
     # C_GGD reads the lifts of max D, C_GGU_DUAL those of min D
-    def conclusion(s, r, cmap, allowed):
+    def conclusion(s, r, cmap, bits, allowed):
         return _end_lift_code(s.down if greatest else s, s, r, cmap, allowed)
 
     return conclusion
@@ -633,7 +571,7 @@ def _all_max_dchains_cover(s, r, cmap, allowed):
     return True
 
 
-def _perfect_covers(s, r, cmap, allowed):
+def _perfect_covers(s, r, cmap, bits, allowed):
     for d in s.chains:
         for c in r.dchains[allowed[d]]:
             if _image_mask(cmap, c) != d:
@@ -643,16 +581,8 @@ def _perfect_covers(s, r, cmap, allowed):
     return 0
 
 
-def _equivalent(s, r, cmap, allowed):
-    ns = s.n
-    nr = r.n
-    cond2 = (
-        prop_lo(ns, nr, cmap)
-        and prop_inc(ns, s, nr, r, cmap)
-        and prop_gu(ns, s, nr, r, cmap)
-        and prop_gd(ns, s, nr, r, cmap)
-        and prop_sgb(ns, s, nr, r, cmap)
-    )
+def _equivalent(s, r, cmap, bits, allowed):
+    cond2 = bits & _LAYER_3 == _LAYER_3
     cond1 = True
     cond3 = True
     cond4 = True
@@ -666,13 +596,21 @@ def _equivalent(s, r, cmap, allowed):
                     cond1 = False
             if sz != k or _image_mask(cmap, c) != d:
                 cond3 = False
-    bits = cond1 | cond2 << 1 | cond3 << 2 | cond4 << 3
-    if bits == 0 or bits == 15:
+    held = cond1 | cond2 << 1 | cond3 << 2 | cond4 << 3
+    if held == 0 or held == 15:
         return 0
-    return bits + 1
+    return held + 1
 
 
-def _maxcovers_maximal(s, r, cmap, allowed):
+def _sclo_iff_gu(s, r, cmap, bits, allowed):
+    # code 1 when only SCLO holds, 2 when only GU does
+    sclo = prop_sclo(s, r, cmap, allowed)
+    if sclo == bool(bits & PROP_GU):
+        return 0
+    return 1 if sclo else 2
+
+
+def _maxcovers_maximal(s, r, cmap, bits, allowed):
     full = (1 << r.n) - 1
     for d in s.max_chains:
         for c in r.dchains[allowed[d]]:
@@ -681,7 +619,7 @@ def _maxcovers_maximal(s, r, cmap, allowed):
     return 0
 
 
-def _maxchain_dchains_maximal(s, r, cmap, allowed):
+def _maxchain_dchains_maximal(s, r, cmap, bits, allowed):
     # every nonempty maximal D-chain over a maximal chain D covers D and is
     # a maximal chain of r
     full = (1 << r.n) - 1
@@ -696,7 +634,7 @@ def _maxchain_dchains_maximal(s, r, cmap, allowed):
     return 0
 
 
-def _maxchain_has_maximal_cover(s, r, cmap, allowed):
+def _maxchain_has_maximal_cover(s, r, cmap, bits, allowed):
     # every maximal chain D has a maximal D-chain that covers D and is a
     # maximal chain of r
     full = (1 << r.n) - 1
@@ -709,51 +647,63 @@ def _maxchain_has_maximal_cover(s, r, cmap, allowed):
     return 0
 
 
-#: theorem name -> (hypothesis names, conclusion); the biconditionals have
-#: no hypotheses. The names are the values of theorems.TheoremId, in its
-#: member order.
+def _statement(hypotheses, conclusion, reads_word=False):
+    # (hypothesis names, their flags as one mask, conclusion, whether the
+    # conclusion reads the property-bits word)
+    mask = 0
+    for name in hypotheses:
+        mask |= HYPOTHESIS_BITS[name]
+    return hypotheses, mask, conclusion, reads_word
+
+
+#: theorem name -> _statement; the biconditionals have no hypotheses. The
+#: names are the values of theorems.TheoremId, in its member order.
 THEOREMS = {
-    "T_COVER_MAXCHAIN": (("unitary", "GU", "GD", "SGB"), _maxchain_images(perfect=False)),
-    "C_PERFECT_MAXCHAIN": (
+    "T_COVER_MAXCHAIN": _statement(
+        ("unitary", "GU", "GD", "SGB"), _maxchain_images(perfect=False)
+    ),
+    "C_PERFECT_MAXCHAIN": _statement(
         ("unitary", "INC", "GU", "GD", "SGB"), _maxchain_images(perfect=True)
     ),
-    "L_LO_EXISTENCE": ((), _iff(_hold("LO"), _dchains_nonempty)),
-    "P_LAYERS": ((), _layers),
-    "P_MINI_GD": ((), _iff(_hold("GD"), _mini_rhs(_above_some))),
-    "P_MINI_GU": ((), _iff(_hold("GU"), _mini_rhs(_below_some))),
-    "P_MINI_SGB": ((), _iff(_hold("SGB"), _mini_rhs(_across_cuts))),
-    "C_GGD": (("GD", "SGB"), _end_lifts(greatest=True)),
-    "C_GGU_DUAL": (("GU", "SGB"), _end_lifts(greatest=False)),
-    "T_MAXDCHAIN_COVERS": ((), _iff(_hold("GD", "GU", "SGB"), _all_max_dchains_cover)),
-    "T_PERFECT_COVER": (("LO", "INC", "GU", "GD", "SGB"), _perfect_covers),
-    "C_EQUIVALENT": ((), _equivalent),
-    "L_MAXCOVER_MAXCHAIN": (("unitary",), _maxcovers_maximal),
-    "C_MAXDCHAIN_MAXCHAIN": (("unitary", "GD", "GU", "SGB"), _maxchain_dchains_maximal),
-    "C_EXISTS_MAXCHAIN_COVER": (
+    "L_LO_EXISTENCE": _statement((), _iff(PROP_LO, _dchains_nonempty), reads_word=True),
+    "P_LAYERS": _statement((), _layers, reads_word=True),
+    "P_MINI_GD": _statement((), _iff(PROP_GD, _mini_rhs(_above_some)), reads_word=True),
+    "P_MINI_GU": _statement((), _iff(PROP_GU, _mini_rhs(_below_some)), reads_word=True),
+    "P_MINI_SGB": _statement((), _iff(PROP_SGB, _mini_rhs(_across_cuts)), reads_word=True),
+    "C_GGD": _statement(("GD", "SGB"), _end_lifts(greatest=True)),
+    "C_GGU_DUAL": _statement(("GU", "SGB"), _end_lifts(greatest=False)),
+    "T_MAXDCHAIN_COVERS": _statement(
+        (), _iff(PROP_GD | PROP_GU | PROP_SGB, _all_max_dchains_cover), reads_word=True
+    ),
+    "T_PERFECT_COVER": _statement(("LO", "INC", "GU", "GD", "SGB"), _perfect_covers),
+    "C_EQUIVALENT": _statement((), _equivalent, reads_word=True),
+    "L_MAXCOVER_MAXCHAIN": _statement(("unitary",), _maxcovers_maximal),
+    "C_MAXDCHAIN_MAXCHAIN": _statement(
+        ("unitary", "GD", "GU", "SGB"), _maxchain_dchains_maximal
+    ),
+    "C_EXISTS_MAXCHAIN_COVER": _statement(
         ("unitary", "LO", "GD", "GU", "SGB"), _maxchain_has_maximal_cover
     ),
-    "X_KO_SCLO_EQ_GU": (("unitary",), _iff(prop_sclo, _hold("GU"))),
+    "X_KO_SCLO_EQ_GU": _statement(("unitary",), _sclo_iff_gu, reads_word=True),
 }
 
 
-def eval_theorem(tid, waive, s, r, cmap, allowed=None):
+def eval_theorem(tid, waive, s, r, cmap, bits, allowed=None):
     """Evaluate the theorem named `tid` on one instance.
 
-    `s` and `r` are PosetFacts records, `cmap` the map's values and
-    `allowed` its `_allowed_masks(s, cmap)`, or None to build it only once
-    the hypotheses pass. Returns 0 when the statement holds on the
-    instance, which it does whenever a hypothesis is unmet unless `waive`
-    forces the conclusion to be checked anyway, and a positive clause code
-    otherwise.
+    `s` and `r` are PosetFacts records, `cmap` the map's values, `bits` its
+    property_bits word and `allowed` its `_allowed_masks(s, cmap)`, or None
+    to build it only once the hypotheses pass. Returns 0 when the statement
+    holds on the instance, which it does whenever a hypothesis is unmet
+    unless `waive` forces the conclusion to be checked anyway, and a
+    positive clause code otherwise.
     """
-    hypotheses, conclusion = THEOREMS[tid]
-    if not waive:
-        for name in hypotheses:
-            if not PROPERTY_TESTS[name](s, r, cmap):
-                return 0
+    _, need, conclusion, _ = THEOREMS[tid]
+    if not waive and bits & need != need:
+        return 0
     if allowed is None:
         allowed = _allowed_masks(s, cmap)
-    return conclusion(s, r, cmap, allowed)
+    return conclusion(s, r, cmap, bits, allowed)
 
 
 def monotone_maps(ns, s_up, nr, r_up, allow_top):
@@ -869,16 +819,24 @@ def _automorphisms(up) -> tuple[tuple[int, ...], ...]:
     return _class_entry(tuple(m & ~(1 << i) for i, m in enumerate(up)))[1]
 
 
+#: the byte of a representative whose property-bits word is not read yet;
+#: words use the low seven bits
+_UNREAD = 0xFF
+
+
 @lru_cache(maxsize=None)
 def _map_orbits(s_up: tuple[int, ...], r_up: tuple[int, ...], allow_top: bool):
-    """(count, representatives) of the monotone maps of one labeled pair.
+    """(count, indices, maps, words) of the monotone maps of one labeled pair.
 
-    `count` is the number of maps, and the representatives are one
-    (index, map) per orbit of Aut(s) x Aut(r), in ascending order: the
-    orbit's least index. The pair (sigma, tau) sends a map f to the map g
-    with g[tau[q]] = sigma[f[q]], TOP staying TOP. With a trivial group
-    every map is its own orbit. The table is process-wide, like the poset
-    tables: a sweep of another theorem over the same bounds reuses it.
+    `count` is the number of maps, and `maps` holds one representative per
+    orbit of Aut(s) x Aut(r), in ascending order of index: the orbit's
+    least map, whose index is indices[i]. words[i] is the property_bits
+    word of maps[i], or _UNREAD until _first_violation first reads it. The
+    pair (sigma, tau) sends a map f to the map g with g[tau[q]] =
+    sigma[f[q]], TOP staying TOP. With a trivial group every map is its own
+    orbit, and the indices are a range. The table is process-wide, like the
+    poset tables: a sweep of another theorem over the same bounds reuses
+    it, words included.
     """
     maps = monotone_maps(len(s_up), s_up, len(r_up), r_up, allow_top)
     top = (len(s_up),)
@@ -887,45 +845,61 @@ def _map_orbits(s_up: tuple[int, ...], r_up: tuple[int, ...], allow_top: bool):
         for sigma in _automorphisms(s_up)
         for tau in _automorphisms(r_up)
     ][1:]
-    reps = []
-    seen = set()
-    for k, cmap in enumerate(maps):
-        if cmap in seen:
-            continue
-        reps.append((k, cmap))
-        for sigma, back in moves:
-            # g[j] = sigma[f[tau^-1[j]]]
-            seen.add(tuple([sigma[cmap[q]] for q in back]))
-    return len(maps), tuple(reps)
+    if not moves:
+        indices, reps = range(len(maps)), maps
+    else:
+        indices, reps = array("I"), []
+        seen = set()
+        for k, cmap in enumerate(maps):
+            if cmap in seen:
+                continue
+            indices.append(k)
+            reps.append(cmap)
+            for sigma, back in moves:
+                # g[j] = sigma[f[tau^-1[j]]]
+                seen.add(tuple([sigma[cmap[q]] for q in back]))
+    return len(maps), indices, reps, bytearray([_UNREAD]) * len(reps)
 
 
-def _first_violation(check, s, r, indexed):
-    """(index, code) of the first (index, map) pair whose check fails, or
-    (-1, 0); `check(s, r, cmap)` returns a clause code or a bool."""
-    for k, cmap in indexed:
-        code = check(s, r, cmap)
+def _first_violation(check, args, s, r, indices, maps, words):
+    """(index, code) of the first map whose check fails, or (-1, 0).
+
+    maps[i] has the index indices[i]. `check(*args, s, r, cmap, bits)`
+    returns a clause code or a bool, where `bits` is the map's property_bits
+    word: words[i], computed and stored there on first read, or 0 when
+    `words` is None because the check does not read it.
+    """
+    for i, cmap in enumerate(maps):
+        bits = 0
+        if words is not None:
+            bits = words[i]
+            if bits == _UNREAD:
+                bits = words[i] = property_bits(s.n, s, r.n, r, cmap)
+        code = check(*args, s, r, cmap, bits)
         if code:
-            return k, code
+            return indices[i], code
     return -1, 0
 
 
-def _scan_pair(check, s, r, allow_top, memo, count_only):
+def _scan_pair(check, args, reads_word, s, r, allow_top, memo, count_only):
     """(maps of the pair, index of its first map failing `check` or -1, code).
 
-    `s` and `r` are up masks or PosetFacts records. With `count_only` the
-    maps are only counted. Without `memo` every map is checked, in
-    monotone_maps order.
+    `check` and `args` are as in _first_violation, and `reads_word` says
+    whether the check reads the property-bits word. `s` and `r` are up
+    masks or PosetFacts records. With `count_only` the maps are only
+    counted. Without `memo` every map is checked, in monotone_maps order,
+    and its word computed.
 
     With `memo`, a dict owned by one sweep or search (one check and one
     allow_top), only the pair's orbit representatives (_map_orbits) are
-    checked. Every check is invariant under relabeling s and r, and each
-    map before the first failing representative lies in the orbit of an
-    earlier, clean one, so that representative is the pair's first failing
-    map. The memo maps each isomorphism class (s.iso, r.iso) met to (map
-    count, whether every map came out clean). A later pair of a clean
-    class, or a count_only pair of any recorded class, returns its count
-    unchecked; a class with a failing map is scanned on every pair, so the
-    index is exact for each labeling.
+    checked, each word computed at most once per process. Every check is
+    invariant under relabeling s and r, and each map before the first
+    failing representative lies in the orbit of an earlier, clean one, so
+    that representative is the pair's first failing map. The memo maps each
+    isomorphism class (s.iso, r.iso) met to (map count, whether every map
+    came out clean). A later pair of a clean class, or a count_only pair of
+    any recorded class, returns its count unchecked; a class with a failing
+    map is scanned on every pair, so the index is exact for each labeling.
     """
     s = s if isinstance(s, PosetFacts) else PosetFacts(s)
     r = r if isinstance(r, PosetFacts) else PosetFacts(r)
@@ -933,7 +907,10 @@ def _scan_pair(check, s, r, allow_top, memo, count_only):
         maps = monotone_maps(s.n, s, r.n, r, allow_top)
         if count_only:
             return len(maps), -1, 0
-        return len(maps), *_first_violation(check, s, r, enumerate(maps))
+        words = bytearray([_UNREAD]) * len(maps) if reads_word else None
+        return len(maps), *_first_violation(
+            check, args, s, r, range(len(maps)), maps, words
+        )
     key = (s.iso, r.iso)
     known = memo.get(key)
     if known is not None and (known[1] or count_only):
@@ -941,22 +918,12 @@ def _scan_pair(check, s, r, allow_top, memo, count_only):
     if count_only:
         count, first, code = count_monotone_maps(s.n, s, r.n, r, allow_top), -1, 0
     else:
-        count, reps = _map_orbits(tuple(s), tuple(r), allow_top)
-        first, code = _first_violation(check, s, r, reps)
+        count, indices, maps, words = _map_orbits(tuple(s), tuple(r), allow_top)
+        first, code = _first_violation(
+            check, args, s, r, indices, maps, words if reads_word else None
+        )
     memo[key] = (count, not count_only and first < 0)
     return count, first, code
-
-
-#: waive -> theorem name -> the per-map check of its sweeps, which sweep_pair
-#: looks up without allocating; eval_theorem is read at call time, so a
-#: wrapper installed later is seen
-_THEOREM_CHECKS = {
-    waive: {
-        tid: lambda s, r, cmap, tid=tid, waive=waive: eval_theorem(tid, waive, s, r, cmap, None)
-        for tid in THEOREMS
-    }
-    for waive in (False, True)
-}
 
 
 def sweep_pair(
@@ -969,16 +936,21 @@ def sweep_pair(
     first violating map or -1, its clause code). A sweep that has its first
     violation passes `count_only` for every later pair, whose counts it
     still sums. `memo` is one sweep's (one tid, waive and allow_top); see
-    _scan_pair.
+    _scan_pair. The maps' words are read only when the theorem reads them:
+    for its hypotheses unless `waive`, or in its conclusion.
     """
+    _, need, _, reads_word = THEOREMS[tid]
+    # eval_theorem is read at call time, so a wrapper installed later is seen
     return _scan_pair(
-        _THEOREM_CHECKS[waive][tid], s_up, r_up, allow_top, memo, count_only
+        eval_theorem, (tid, waive), reads_word or (need != 0 and not waive),
+        s_up, r_up, allow_top, memo, count_only,
     )
 
 
-def _goal_met(goal_id, goal_size, s, r, cmap, allowed):
+def _goal_met(goal_id, goal_size, s, r, cmap, bits):
     if goal_id == GOAL_LO_FAILS:
-        return not prop_lo(s.n, r.n, cmap)
+        return not bits & PROP_LO
+    allowed = _allowed_masks(s, cmap)
     for d in s.chains[1:]:
         if goal_size > 0 and d.bit_count() != goal_size:
             continue
@@ -990,18 +962,13 @@ def _goal_met(goal_id, goal_size, s, r, cmap, allowed):
     return False
 
 
-@lru_cache(maxsize=None)
-def _goal_check(need_bits, forbid_bits, goal_id, goal_size):
+def _goal_check(need_bits, forbid_bits, goal_id, goal_size, s, r, cmap, bits):
     # a map hits when its property bits meet the flags and the goal holds
-    def check(s, r, cmap):
-        bits = property_bits(s.n, s, r.n, r, cmap)
-        return (
-            bits & need_bits == need_bits
-            and bits & forbid_bits == 0
-            and _goal_met(goal_id, goal_size, s, r, cmap, _allowed_masks(s, cmap))
-        )
-
-    return check
+    return (
+        bits & need_bits == need_bits
+        and not bits & forbid_bits
+        and _goal_met(goal_id, goal_size, s, r, cmap, bits)
+    )
 
 
 def search_pair(
@@ -1016,7 +983,7 @@ def search_pair(
     search's (one set of the other arguments); see _scan_pair.
     """
     count, hit, _ = _scan_pair(
-        _goal_check(need_bits, forbid_bits, goal_id, goal_size),
+        _goal_check, (need_bits, forbid_bits, goal_id, goal_size), True,
         s_up, r_up, allow_top, memo, False,
     )
     return (count, -1) if hit < 0 else (hit + 1, hit)

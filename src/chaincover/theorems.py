@@ -27,7 +27,7 @@ from .poset import (
     _poset_from_strict_rows,
     _strict_order_masks,
 )
-from .specmap import PROPERTY_BITS, TOP, SpectralMap, make_spectral_map
+from .specmap import TOP, SpectralMap, make_spectral_map
 
 
 #: one member per entry of the kernel's theorem table, valued by its name
@@ -137,9 +137,6 @@ _CLAUSES: dict[tuple[TheoremId, int], str] = {
     (TheoremId.X_KO_SCLO_EQ_GU, 2): "GU holds but SCLO fails",
 }
 
-#: the property_bits flag of each hypothesis name
-_HYPOTHESIS_BITS = {**PROPERTY_BITS, "unitary": K.PROP_UNITARY}
-
 #: ids verified by the acceptance-level sweeps; the exploratory id is
 #: checked by its own tests but kept out of default verification runs.
 CORE_THEOREMS: tuple[TheoremId, ...] = tuple(
@@ -185,7 +182,7 @@ def clause_text(theorem: TheoremId, code: int) -> str:
 
 def unmet_hypotheses(m: SpectralMap, theorem: TheoremId) -> list[str]:
     bits = m.facts.bits
-    return [name for name in HYPOTHESES[theorem] if not bits & _HYPOTHESIS_BITS[name]]
+    return [name for name in HYPOTHESES[theorem] if not bits & K.HYPOTHESIS_BITS[name]]
 
 
 def verify(m: SpectralMap, theorem: TheoremId, waive_hypotheses: bool = False) -> Verdict:
@@ -197,7 +194,7 @@ def verify(m: SpectralMap, theorem: TheoremId, waive_hypotheses: bool = False) -
     """
     start = time.perf_counter()
     f = m.facts
-    code = K.eval_theorem(theorem.value, waive_hypotheses, f.s, f.r, f.cmap, f.allowed)
+    code = K.eval_theorem(theorem.value, waive_hypotheses, f.s, f.r, f.cmap, f.bits, f.allowed)
     note = None
     unmet = unmet_hypotheses(m, theorem)
     if unmet and not waive_hypotheses:

@@ -18,7 +18,9 @@ import sys
 from itertools import combinations, permutations, product
 
 import networkx as nx
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from chaincover import _kernels as K
 from chaincover.poset import (
@@ -27,9 +29,11 @@ from chaincover.poset import (
     enumerate_chains,
     enumerate_posets,
     maximal_chains,
+    random_poset,
 )
 from chaincover.search import GOALS, _flag_masks, _raw_up, _search_chunk
 from chaincover.theorems import TheoremId, _sweep_chunk, sweep_pairs
+from property_oracles import scalar_property_bits
 
 
 def _brute_force_chains(p, allowed):
@@ -122,6 +126,53 @@ def _scanned_allowed(ns, cmap, d):
     return sum(1 << q for q, v in enumerate(cmap) if v != ns and d >> v & 1)
 
 
+def test_property_bits_match_scalar_deciders_at_3_3():
+    maps = 0
+    seen = set()
+    for _, s_rows, r_rows in sweep_pairs(3, 3):
+        s, r = K.PosetFacts(_raw_up(s_rows)), K.PosetFacts(_raw_up(r_rows))
+        for cmap in K.monotone_maps(s.n, s, r.n, r, True):
+            bits = K.property_bits(s.n, s, r.n, r, cmap)
+            assert bits == scalar_property_bits(s.n, tuple(s), r.n, tuple(r), cmap), (s, r, cmap)
+            seen.add(bits)
+            maps += 1
+    assert maps == 11614
+    # every flag is met and missed somewhere
+    assert all(any(b & flag for b in seen) and any(not b & flag for b in seen)
+               for flag in (1, 2, 4, 8, 16, 32, 64))
+
+
+@st.composite
+def _poset_pair_and_map(draw):
+    """Random posets with at most 5 and 6 elements and a monotone map, TOP
+    allowed; values are drawn along the order of r, whose indices follow a
+    linear extension, from those over the values already below."""
+    ns, nr = draw(st.integers(0, 5)), draw(st.integers(0, 6))
+    s = random_poset(ns, draw(st.integers(0, 2**32 - 1)))
+    r = random_poset(nr, draw(st.integers(0, 2**32 - 1)))
+    cmap = []
+    for q in range(nr):
+        below = [cmap[j] for j in range(q) if r.up_masks[j] >> q & 1]
+        options = [v for v in range(ns) if all(b != ns and s.up_masks[b] >> v & 1 for b in below)]
+        cmap.append(draw(st.sampled_from(options + [ns])))
+    return s, r, tuple(cmap)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_poset_pair_and_map())
+def test_property_bits_match_scalar_deciders_on_random_pairs(instance):
+    s, r, cmap = instance
+    want = scalar_property_bits(s.n, s.up_masks, r.n, r.up_masks, cmap)
+    assert K.property_bits(s.n, s.up_masks, r.n, r.up_masks, cmap) == want
+    # records, and the int64 arrays the benchmark passes, give the same word
+    records = K.PosetFacts(s.up_masks), K.PosetFacts(r.up_masks)
+    assert K.property_bits(s.n, records[0], r.n, records[1], cmap) == want
+    arrays = [np.array(up, dtype=np.int64) for up in (s.up_masks, r.up_masks)]
+    got = K.property_bits(s.n, arrays[0], r.n, arrays[1], np.array(cmap, dtype=np.int64))
+    assert got == want
+
+
 def test_allowed_masks_match_element_scan():
     maps = 0
     for _, s_rows, r_rows in sweep_pairs(3, 3):
@@ -165,8 +216,8 @@ def test_per_map_verdicts_match_pinned_digest():
         s, r = K.PosetFacts(_raw_up(s_rows)), K.PosetFacts(_raw_up(r_rows))
         for cmap in K.monotone_maps(s.n, s, r.n, r, True):
             allowed = K._allowed_masks(s, cmap)
-            codes = [K.eval_theorem(t.value, waive, s, r, cmap, allowed) for t, waive in calls]
             bits = K.property_bits(s.n, s, r.n, r, cmap)
+            codes = [K.eval_theorem(t.value, waive, s, r, cmap, bits, allowed) for t, waive in calls]
             digest.update(f"{cmap} {bits} {codes}\n".encode())
             seen.update((t.name, waive, code) for (t, waive), code in zip(calls, codes) if code)
             maps += 1
@@ -341,7 +392,8 @@ def test_map_orbit_representatives_partition_the_maps():
         s_up, r_up = _raw_up(s_rows), _raw_up(r_rows)
         maps = K.monotone_maps(len(s_up), s_up, len(r_up), r_up, allow_top)
         index = {cmap: k for k, cmap in enumerate(maps)}
-        count, reps = K._map_orbits(s_up, r_up, allow_top)
+        count, indices, cmaps, _ = K._map_orbits(s_up, r_up, allow_top)
+        reps = list(zip(indices, cmaps))
         assert count == len(maps)
         assert [k for k, _ in reps] == sorted({k for k, _ in reps})
         covered = []
@@ -365,11 +417,13 @@ def test_representative_scan_matches_full_scan():
     for s_rows, r_rows in labeled + classes:
         s, r = K.PosetFacts(_raw_up(s_rows)), K.PosetFacts(_raw_up(r_rows))
         for allow_top in (False, True):
-            count, reps = K._map_orbits(tuple(s), tuple(r), allow_top)
+            count, indices, maps, words = K._map_orbits(tuple(s), tuple(r), allow_top)
             for theorem, waive in product(TheoremId, (False, True)):
                 full = K.sweep_pair(theorem.value, waive, s.n, s, r.n, r, allow_top)
-                check = K._THEOREM_CHECKS[waive][theorem.value]
-                assert (count, *K._first_violation(check, s, r, reps)) == full, (
+                args = (theorem.value, waive)
+                assert (count, *K._first_violation(
+                    K.eval_theorem, args, s, r, indices, maps, words
+                )) == full, (
                     theorem.name, waive, s_rows, r_rows, allow_top,
                 )
                 compared += 1
@@ -383,8 +437,8 @@ def test_representative_scan_matches_full_scan():
         for s_rows, r_rows in product([rows for rows in nonempty if len(rows) <= 3], nonempty):
             s, r = K.PosetFacts(_raw_up(s_rows)), K.PosetFacts(_raw_up(r_rows))
             full = K.search_pair(s.n, s, r.n, r, allow_top, *goal_args)
-            count, reps = K._map_orbits(tuple(s), tuple(r), allow_top)
-            hit, _ = K._first_violation(K._goal_check(*goal_args), s, r, reps)
+            count, indices, maps, words = K._map_orbits(tuple(s), tuple(r), allow_top)
+            hit, _ = K._first_violation(K._goal_check, goal_args, s, r, indices, maps, words)
             assert full == ((count, -1) if hit < 0 else (hit + 1, hit)), (
                 required, s_rows, r_rows,
             )

@@ -17,6 +17,15 @@ from itertools import combinations, product
 import pytest
 
 from chaincover import _kernels as K
+from property_oracles import (
+    prop_gb,
+    prop_gd,
+    prop_gu,
+    prop_inc,
+    prop_lo,
+    prop_sgb,
+    scalar_property_bits,
+)
 from chaincover.document import (
     build_search_report,
     build_verify_report,
@@ -243,18 +252,20 @@ class TestExhaustiveVerify:
 
 
 def fresh_kernel_args(m):
-    """eval_theorem's instance arguments, built from the posets directly."""
+    """eval_theorem's instance arguments, built from the posets directly;
+    the property bits come from the scalar deciders."""
     s, r = m.s_poset, m.r_poset
     cmap = tuple(s.n if v is TOP else v for v in m.assignment)
     s_facts, r_facts = K.PosetFacts(s.up_masks), K.PosetFacts(r.up_masks)
-    return s_facts, r_facts, cmap, K._allowed_masks(s_facts, cmap)
+    bits = scalar_property_bits(s.n, s.up_masks, r.n, r.up_masks, cmap)
+    return s_facts, r_facts, cmap, bits, K._allowed_masks(s_facts, cmap)
 
 
 def fresh_property(m, name):
-    """One of the nine properties from a direct K.prop_* call."""
-    s, r, cmap, allowed = fresh_kernel_args(m)
+    """One of the nine properties from a direct kernel or scalar decider call."""
+    s, r, cmap, _, allowed = fresh_kernel_args(m)
     if name == "LO":
-        return K.prop_lo(s.n, r.n, cmap)
+        return prop_lo(s.n, r.n, cmap)
     if name == "SCLO":
         return K.prop_sclo(s, r, cmap, allowed)
     if name == "GGD":
@@ -262,8 +273,8 @@ def fresh_property(m, name):
     if name == "chain_morphism":
         return K.prop_chain_morphism(s, r, cmap, allowed)
     prop = {
-        "INC": K.prop_inc, "GU": K.prop_gu, "GD": K.prop_gd,
-        "SGB": K.prop_sgb, "GB": K.prop_gb,
+        "INC": prop_inc, "GU": prop_gu, "GD": prop_gd,
+        "SGB": prop_sgb, "GB": prop_gb,
     }[name]
     return prop(s.n, m.s_poset.up_masks, r.n, m.r_poset.up_masks, cmap)
 
@@ -397,7 +408,10 @@ def _oracle_sweep(theorem, waive, max_s, max_r):
         s, r = K.PosetFacts(_raw_up(s_rows)), K.PosetFacts(_raw_up(r_rows))
         total += K.count_monotone_maps(s.n, s, r.n, r, True)
         for k, cmap in enumerate(K.monotone_maps(s.n, s, r.n, r, True)):
-            code = K.eval_theorem(theorem.value, waive, s, r, cmap, K._allowed_masks(s, cmap))
+            bits = K.property_bits(s.n, s, r.n, r, cmap)
+            code = K.eval_theorem(
+                theorem.value, waive, s, r, cmap, bits, K._allowed_masks(s, cmap)
+            )
             if code and first is None:
                 first = (idx, k)
     return total, first
