@@ -11,6 +11,7 @@ or witness found, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -191,7 +192,12 @@ def _add_jobs_flag(p):
     )
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process.
+
+    Parsing leaves the parser as it was, so every `main` call shares it.
+    """
     parser = argparse.ArgumentParser(
         prog="chaincover",
         description="Finite-model verification of chain covering properties "

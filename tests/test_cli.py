@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from chaincover.cli import main
+from chaincover.cli import build_parser, main
 
 
 @pytest.fixture
@@ -307,3 +307,34 @@ class TestDogfooding:
         assert code == 1
         replay = json.loads(out)["theorems"][0]["counterexample"]
         assert replay["violation"]["code"] == dump["violation"]["code"]
+
+
+class TestSharedParser:
+    # each call's argv, among them an argparse error that exits 2
+    CALLS = (
+        ("verify", "--exhaustive", "--max-s", "2", "--max-r", "2", "--theorems", "all"),
+        ("search", "--require", "GU", "--goal", "lo-fails", "--max-s", "2", "--max-r", "2"),
+        ("verify", "--exhaustive", "--max-s", "two"),
+        ("verify", "--exhaustive", "--max-s", "1", "--max-r", "2", "--text",
+         "--theorems", "T_COVER_MAXCHAIN", "--debug-waive-hypotheses"),
+    )
+
+    def outcomes(self, capsys, fresh):
+        out = []
+        for argv in self.CALLS:
+            if fresh:
+                build_parser.cache_clear()
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            out.append((code, captured.out, captured.err))
+        return out
+
+    def test_one_parser_answers_like_fresh_ones(self, capsys):
+        shared = self.outcomes(capsys, fresh=False)
+        assert build_parser() is build_parser()
+        assert shared == self.outcomes(capsys, fresh=True)
+        assert [code for code, _, _ in shared] == [0, 1, 2, 1]
+        assert "invalid int value: 'two'" in shared[2][2]
