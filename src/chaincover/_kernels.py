@@ -204,8 +204,9 @@ class PosetFacts(tuple):
     and comparability masks, its maximal chains (ascending), its chains
     (ascending, the empty chain first) and its D-chain table, where
     `dchains[allowed]` equals `_maximal_dchains(up, down, allowed)`, order
-    included. Its `strict_order` is what property_bits reads. A record lives as long as its owner, one
-    sweep or search chunk or one SpectralMap's facts, and is never changed.
+    included. Its `strict_order` is what property_bits reads. A record
+    lives as long as its owner, one sweep or search chunk or one
+    SpectralMap's facts, and is never changed.
     """
 
     def __new__(cls, up):
