@@ -592,11 +592,14 @@ def _equivalent(s, r, cmap, bits, allowed):
         for c in r.dchains[allowed[d]]:
             sz = c.bit_count()
             if sz != k:
-                cond4 = False
+                cond3 = cond4 = False
                 if 1 <= k <= 3:
                     cond1 = False
-            if sz != k or _image_mask(cmap, c) != d:
+            elif cond3 and _image_mask(cmap, c) != d:
                 cond3 = False
+        if not (cond1 or cond3 or cond4):
+            # the conditions only ever turn false, so the code is settled
+            break
     held = cond1 | cond2 << 1 | cond3 << 2 | cond4 << 3
     if held == 0 or held == 15:
         return 0

@@ -1,6 +1,7 @@
-"""Scalar property deciders: the element-by-element loops over the definitions
-of LO, INC, GU, GD, SGB, GB and unitarity that `_kernels.property_bits`
-replaced with preimage-mask tests. Tests compare the kernel with them.
+"""Scalar property deciders: element-by-element loops over the definitions
+of LO, INC, GU, GD, SGB, GB and unitarity. Tests compare
+`_kernels.property_bits`, which decides the same flags with preimage masks,
+with them.
 
 Posets are up masks (bit j of up[i] means i <= j), a map is a sequence of
 values with ns standing for TOP.
