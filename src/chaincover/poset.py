@@ -1,8 +1,8 @@
 """Finite partially ordered sets with deterministic enumeration.
 
-Posets are stored as a full boolean order matrix plus per-element bitmasks,
-which keeps comparability O(1) and makes chain enumeration cheap at the sizes
-this package targets. Element indices are assigned along a linear extension
+Posets are stored as per-element up, down and comparability bitmasks, which
+keeps comparability O(1) and makes chain enumeration cheap at the sizes this
+package targets. Element indices are assigned along a linear extension
 of the order, so ascending-index members of a chain are automatically in
 ascending poset order and every enumeration stream has one canonical order.
 """
@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-
-import numpy as np
 
 from ._kernels import (
     _canonical_encoding,
@@ -58,13 +56,14 @@ class BoundExceeded(ValueError):
 class Poset:
     """Immutable finite partial order over labeled elements.
 
-    ``leq[i, j]`` is True iff element i is below or equal to element j.
+    Bit j of ``up_masks[i]`` is set iff element i is below or equal to
+    element j; ``leq`` is the same relation as a read-only bool matrix.
     Construction normalizes the element order to a linear extension
     (smaller strict down-sets first, stable), so ``i < j`` as integers never
     contradicts the partial order.
     """
 
-    __slots__ = ("labels", "n", "leq", "up_masks", "down_masks", "comp_masks", "_index")
+    __slots__ = ("labels", "n", "up_masks", "down_masks", "comp_masks", "_index", "_leq")
 
     def __init__(self, labels: tuple[str, ...], up_masks: tuple[int, ...]):
         # Internal constructor: `up_masks` must already be a valid order in
@@ -73,19 +72,27 @@ class Poset:
         self.labels = labels
         self.n = n
         self.up_masks = up_masks
-        # row i of leq is up_masks[i] as little-endian bits
-        width = (n + 7) >> 3
-        rows = np.frombuffer(b"".join([m.to_bytes(width, "little") for m in up_masks]), np.uint8)
-        leq = np.unpackbits(rows, bitorder="little").reshape(n, 8 * width)[:, :n].view(bool)
-        leq.setflags(write=False)
-        self.leq = leq
+        self._leq = None
         self.down_masks = tuple(_down_masks(n, up_masks))
         self.comp_masks = tuple(_comp_masks(n, up_masks, self.down_masks))
         self._index = {lab: i for i, lab in enumerate(labels)}
 
+    @property
+    def leq(self):
+        """Read-only numpy bool matrix: ``leq[i, j]`` iff element i <= element j."""
+        if self._leq is None:
+            import numpy as np
+
+            rows = [[up >> j & 1 for j in range(self.n)] for up in self.up_masks]
+            self._leq = np.array(rows, dtype=bool).reshape(self.n, self.n)
+            self._leq.setflags(write=False)
+        return self._leq
+
     @classmethod
-    def from_leq_matrix(cls, labels: list[str] | tuple[str, ...], leq: np.ndarray) -> "Poset":
+    def from_leq_matrix(cls, labels: list[str] | tuple[str, ...], leq) -> "Poset":
         """Validate an order matrix, normalize the index order, build a Poset."""
+        import numpy as np
+
         labels = tuple(labels)
         n = len(labels)
         if len(set(labels)) != n:
@@ -117,26 +124,28 @@ class Poset:
         """Strict order test."""
         return i != j and bool(self.up_masks[i] >> j & 1)
 
-    def up_array(self) -> np.ndarray:
-        """Up-set bitmasks as an int64 array."""
+    def up_array(self):
+        """Up-set bitmasks as a numpy int64 array."""
+        import numpy as np
+
         return np.array(self.up_masks, dtype=np.int64)
 
     def order_pairs(self) -> list[tuple[int, int]]:
         """All strict pairs (i, j) with i < j in the order."""
         return [
             (i, j)
-            for i in range(self.n)
+            for i, up in enumerate(self.up_masks)
             for j in range(self.n)
-            if i != j and self.leq[i, j]
+            if i != j and up >> j & 1
         ]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poset):
             return NotImplemented
-        return self.labels == other.labels and np.array_equal(self.leq, other.leq)
+        return self.labels == other.labels and self.up_masks == other.up_masks
 
     def __hash__(self) -> int:
-        return hash((self.labels, self.leq.tobytes()))
+        return hash((self.labels, self.up_masks))
 
     def __repr__(self) -> str:
         rel = ",".join(f"{self.labels[i]}<{self.labels[j]}" for i, j in covering_pairs(self))
@@ -420,6 +429,8 @@ def random_poset(n: int, seed: int) -> Poset:
     """Random DAG under a random relabeling, transitively closed."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     adj = np.eye(n, dtype=bool)

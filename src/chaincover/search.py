@@ -12,10 +12,8 @@ from __future__ import annotations
 import multiprocessing as mp
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import _kernels as K
-from .poset import POSET_ENUM_BOUND, Poset, enumerate_chains
+from .poset import POSET_ENUM_BOUND, Poset, _normalized_poset, covering_pairs, enumerate_chains
 from .specmap import (
     PROPERTY_BITS,
     TOP,
@@ -187,67 +185,51 @@ def search_witness(
     return witness
 
 
-def _drop_r_element(m: SpectralMap, q: int) -> SpectralMap:
-    r = m.r_poset
-    keep = [i for i in range(r.n) if i != q]
-    new_r = Poset.from_leq_matrix(
-        [r.labels[i] for i in keep], r.leq[np.ix_(keep, keep)]
+def _subposet(p: Poset, keep, cover: tuple[int, int] | None = None) -> Poset:
+    """The order p induces on the indices `keep`, less the covering pair `cover`.
+
+    Removing a covering pair keeps transitivity: any two-step path through
+    a third element would disqualify it as a cover.
+    """
+    up = []
+    for i in keep:
+        row = p.up_masks[i]
+        if cover is not None and i == cover[0]:
+            row &= ~(1 << cover[1])
+        up.append(sum(1 << new for new, j in enumerate(keep) if row >> j & 1))
+    return _normalized_poset(tuple(p.labels[i] for i in keep), up)
+
+
+def _with_r(m: SpectralMap, new_r: Poset) -> SpectralMap:
+    """m on new_r, each element keeping the value of its label."""
+    value = dict(zip(m.r_poset.labels, m.assignment))
+    return make_spectral_map(m.s_poset, new_r, [value[lab] for lab in new_r.labels])
+
+
+def _with_s(m: SpectralMap, new_s: Poset) -> SpectralMap:
+    """m into new_s, each value moved to the index of its label."""
+    labels = m.s_poset.labels
+    return make_spectral_map(
+        new_s, m.r_poset, [v if v is TOP else new_s.index(labels[v]) for v in m.assignment]
     )
-    assignment: list = [None] * new_r.n
-    for old in keep:
-        assignment[new_r.index(r.labels[old])] = m.assignment[old]
-    return make_spectral_map(m.s_poset, new_r, assignment)
-
-
-def _drop_s_element(m: SpectralMap, p: int) -> SpectralMap:
-    s = m.s_poset
-    keep = [i for i in range(s.n) if i != p]
-    new_s = Poset.from_leq_matrix(
-        [s.labels[i] for i in keep], s.leq[np.ix_(keep, keep)]
-    )
-    trans = {old: new_s.index(s.labels[old]) for old in keep}
-    assignment = tuple(v if v is TOP else trans[v] for v in m.assignment)
-    return make_spectral_map(new_s, m.r_poset, assignment)
-
-
-def _drop_pair(p: Poset, i: int, j: int) -> Poset:
-    # removing a covering pair keeps transitivity: any two-step path through
-    # a third element would disqualify (i, j) as a cover
-    leq = np.array(p.leq)
-    leq[i, j] = False
-    return Poset.from_leq_matrix(p.labels, leq)
-
-
-def _drop_r_pair(m: SpectralMap, i: int, j: int) -> SpectralMap:
-    new_r = _drop_pair(m.r_poset, i, j)
-    assignment: list = [None] * new_r.n
-    for old in range(m.r_poset.n):
-        assignment[new_r.index(m.r_poset.labels[old])] = m.assignment[old]
-    return make_spectral_map(m.s_poset, new_r, assignment)
-
-
-def _drop_s_pair(m: SpectralMap, i: int, j: int) -> SpectralMap:
-    new_s = _drop_pair(m.s_poset, i, j)
-    trans = {old: new_s.index(m.s_poset.labels[old]) for old in range(m.s_poset.n)}
-    assignment = tuple(v if v is TOP else trans[v] for v in m.assignment)
-    return make_spectral_map(new_s, m.r_poset, assignment)
 
 
 def _shrink_candidates(m: SpectralMap):
-    from .poset import covering_pairs
-
-    if m.r_poset.n > 1:
-        for q in range(m.r_poset.n):
-            yield lambda q=q: _drop_r_element(m, q)
-    if m.s_poset.n > 1:
+    r, s = m.r_poset, m.s_poset
+    if r.n > 1:
+        for q in range(r.n):
+            keep = [i for i in range(r.n) if i != q]
+            yield lambda keep=keep: _with_r(m, _subposet(r, keep))
+    if s.n > 1:
         used = {v for v in m.assignment if v is not TOP}
-        for p in range(m.s_poset.n):
+        for p in range(s.n):
             if p not in used:
-                yield lambda p=p: _drop_s_element(m, p)
-    for i, j in covering_pairs(m.r_poset):
-        yield lambda i=i, j=j: _drop_r_pair(m, i, j)
-    for i, j in covering_pairs(m.s_poset):
-        yield lambda i=i, j=j: _drop_s_pair(m, i, j)
+                keep = [i for i in range(s.n) if i != p]
+                yield lambda keep=keep: _with_s(m, _subposet(s, keep))
+    for pair in covering_pairs(r):
+        yield lambda pair=pair: _with_r(m, _subposet(r, range(r.n), pair))
+    for pair in covering_pairs(s):
+        yield lambda pair=pair: _with_s(m, _subposet(s, range(s.n), pair))
 
 
 def shrink(m: SpectralMap, violation) -> SpectralMap:

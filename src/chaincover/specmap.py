@@ -9,10 +9,9 @@ members all contract into a prescribed chain D in s.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
 
 from . import _kernels as K
 from .poset import ChainRecord, IndexOutOfRange, Poset, chain_from_mask
@@ -65,8 +64,10 @@ class SpectralMap:
         self.r_poset.check_index(q)
         return self.assignment[q]
 
-    def cmap_array(self) -> np.ndarray:
-        # kernel encoding: TOP becomes the sentinel index ns
+    def cmap_array(self):
+        # kernel encoding as a numpy int64 array: TOP becomes the sentinel index ns
+        import numpy as np
+
         ns = self.s_poset.n
         return np.array(
             [ns if v is TOP else v for v in self.assignment], dtype=np.int64
@@ -162,7 +163,8 @@ def make_spectral_map(s: Poset, r: Poset, assignment) -> SpectralMap:
         )
     for v in assignment:
         if v is not TOP:
-            if (not isinstance(v, (int, np.integer)) or isinstance(v, bool)
+            # int first: it spares plain ints the slower ABC check
+            if (not isinstance(v, (int, numbers.Integral)) or isinstance(v, bool)
                     or not 0 <= int(v) < s.n):
                 raise IndexOutOfRange(f"assignment value {v!r} is not an s index or TOP")
     assignment = tuple(v if v is TOP else int(v) for v in assignment)

@@ -1,11 +1,19 @@
 """CLI tests: subcommands, exit codes, and report determinism."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
 
+import chaincover
 from chaincover.cli import build_parser, main
+
+SRC = str(pathlib.Path(chaincover.__file__).parents[1])
+SAMPLES = pathlib.Path(__file__).parents[1] / "sample_instances"
 
 
 @pytest.fixture
@@ -338,3 +346,50 @@ class TestSharedParser:
         assert shared == self.outcomes(capsys, fresh=True)
         assert [code for code, _, _ in shared] == [0, 1, 2, 1]
         assert "invalid int value: 'two'" in shared[2][2]
+
+
+def _python(*args):
+    """Run a fresh interpreter on the package sources; stdout on success."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    done = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+# prints [exit code, stdout] per argv of argv[2]; argv[1] == "block" hides numpy
+_RUN_MAIN = """
+import contextlib, io, json, sys
+if sys.argv[1] == "block":
+    sys.modules["numpy"] = None
+from chaincover.cli import main
+results = []
+for argv in json.loads(sys.argv[2]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    results.append([code, out.getvalue()])
+print(json.dumps(results))
+"""
+
+
+class TestWithoutNumpy:
+    def test_import_leaves_numpy_unloaded(self):
+        script = "import sys, chaincover, chaincover.cli; print('numpy' in sys.modules)"
+        assert _python("-c", script) == "False\n"
+
+    def test_cli_runs_with_numpy_blocked(self):
+        doc = str(SAMPLES / "z6_to_z2.json")
+        calls = [
+            ["verify", "--exhaustive", "--theorems", "all", "--max-s", "2", "--max-r", "2"],
+            ["search", "--require", "GU", "--goal", "lo-fails", "--max-s", "2", "--max-r", "2"],
+            ["search", "--require", "UNITARY", "--goal", "maximal-dchain-not-perfect-cover",
+             "--max-s", "2", "--max-r", "3"],
+            ["check", doc],
+            ["verify", "--theorems", "all", doc],
+            ["spec", "Zn(12)"],
+            ["export-dot", doc],
+        ]
+        blocked = json.loads(_python("-c", _RUN_MAIN, "block", json.dumps(calls)))
+        loaded = json.loads(_python("-c", _RUN_MAIN, "load", json.dumps(calls)))
+        assert blocked == loaded
+        assert [code for code, _ in blocked] == [0, 1, 1, 0, 0, 0, 0]

@@ -11,6 +11,7 @@ import json
 import multiprocessing
 import os
 import pathlib
+import random
 import sys
 from itertools import combinations, product
 
@@ -18,6 +19,7 @@ import pytest
 
 from chaincover import _kernels as K
 from property_oracles import (
+    oracle_shrink_candidates,
     prop_gb,
     prop_gd,
     prop_gu,
@@ -36,12 +38,14 @@ from chaincover.poset import (
     _strict_order_masks,
     enumerate_posets,
     make_poset,
+    random_poset,
 )
 from chaincover.search import (
     GOALS,
     WitnessSearchSpec,
     _flag_masks,
     _raw_up,
+    _shrink_candidates,
     flags_hold,
     goal_holds,
     search_witness,
@@ -50,6 +54,7 @@ from chaincover.search import (
 from chaincover.specmap import (
     PROPERTY_NAMES,
     TOP,
+    NotMonotone,
     SpectralMap,
     check_property,
     enumerate_monotone_maps,
@@ -659,6 +664,40 @@ class TestSearch:
         small = shrink(m, violation)
         assert small.s_poset.n == 2
         assert small.r_poset.n == 1
+
+    def test_shrink_candidates_match_matrix_oracle(self):
+        # every mask-built candidate equals the one the old numpy submatrix
+        # code built, or fails monotonicity with the same message
+        def outcome(build):
+            try:
+                m = build()
+            except NotMonotone as exc:
+                return str(exc)
+            s, r = m.s_poset, m.r_poset
+            return s.labels, s.up_masks, r.labels, r.up_masks, m.assignment
+
+        rng = random.Random(14)
+        builds = refusals = 0
+        for _ in range(2000):
+            s = random_poset(rng.randint(1, 4), rng.randrange(2**32))
+            r = random_poset(rng.randint(1, 6), rng.randrange(2**32))
+            assignment = []
+            for q in range(r.n):
+                below = [assignment[p] for p in range(q) if r.up_masks[p] >> q & 1]
+                fits = [] if TOP in below else [
+                    v for v in range(s.n) if all(s.up_masks[b] >> v & 1 for b in below)
+                ]
+                if not fits or rng.random() < 0.2:
+                    assignment.append(TOP)
+                else:
+                    assignment.append(rng.choice(fits))
+            m = make_spectral_map(s, r, assignment)
+            got = [outcome(build) for build in _shrink_candidates(m)]
+            want = [outcome(build) for build in oracle_shrink_candidates(m)]
+            assert got == want, m.describe()
+            builds += len(got)
+            refusals += sum(isinstance(o, str) for o in got)
+        assert builds > 10_000 and refusals > 100
 
 
 def _oracle_strict_orders(n):
