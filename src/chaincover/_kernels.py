@@ -17,8 +17,10 @@ chains of the poset.
 
 The theorems read three kinds of facts. A `PosetFacts` record holds what
 depends on one poset: its masks, its chains and a table of its maximal
-chains inside each set of elements. A sweep or search builds one record per
-poset it visits and every map of that poset reads it. Per map there is the
+chains inside each set of elements. Sweeps and searches take their records
+from the process-wide table `_RECORDS`, so each labeled poset's record is
+built once per process and every map of that poset reads it, in every sweep
+and search after the first. Per map there is the
 value tuple `cmap`, its property-bits word from `property_bits` (LO, INC,
 GU, GD, SGB, GB and unitarity as PROP_* flags) and the dict `allowed` from
 `_allowed_masks`, which sends each chain D of s to the elements of r
@@ -34,12 +36,15 @@ mask of the word.
 Sweeps and searches share one scan: `_scan_pair` checks the maps of a
 poset pair in one loop, `_first_violation`, with a per-map check that
 evaluates a theorem (sweep_pair) or tests a search goal (search_pair).
-Every statement is invariant under relabeling s and r. Two process-wide
-tables use that: `_CANONICAL` holds each labeled poset's canonical form and
-automorphism group, filled one isomorphism class at a time, and
-`_map_orbits` lists one map per orbit of Aut(s) x Aut(r), which the
-memoized scan checks instead of every map, with a byte per representative
-for its property-bits word, filled on first read.
+Three process-wide tables are filled on lookup and never shrink. Within
+POSET_ENUM_BOUND there are at most 4,474 labeled posets, so their size is
+bounded. `_RECORDS` maps each labeled poset's strict up masks to its
+PosetFacts record. Every statement is invariant under relabeling s and r,
+and the two other tables use that: `_CANONICAL` holds each labeled poset's
+canonical form and automorphism group, filled one isomorphism class at a
+time, and `_map_orbits` lists one map per orbit of Aut(s) x Aut(r), which
+the memoized scan checks instead of every map, with a byte per
+representative for its property-bits word, filled on first read.
 """
 
 from __future__ import annotations
@@ -204,9 +209,10 @@ class PosetFacts(tuple):
     and comparability masks, its maximal chains (ascending), its chains
     (ascending, the empty chain first) and its D-chain table, where
     `dchains[allowed]` equals `_maximal_dchains(up, down, allowed)`, order
-    included. Its `strict_order` is what property_bits reads. A record
-    lives as long as its owner, one sweep or search chunk or one
-    SpectralMap's facts, and is never changed.
+    included. Its `strict_order` is what property_bits reads. A field, once
+    built, is never changed. The records of sweeps and searches live in
+    `_RECORDS` for the life of the process; a SpectralMap's facts keep
+    records of their own.
     """
 
     def __new__(cls, up):
@@ -249,6 +255,28 @@ class PosetFacts(tuple):
     @cached_property
     def dchains(self) -> _DChainTable:
         return _DChainTable(self, self.down)
+
+
+def _raw_up(strict_rows: tuple[int, ...]) -> tuple[int, ...]:
+    """Up masks, self bits included, of a poset given by strict rows."""
+    return tuple(row | (1 << i) for i, row in enumerate(strict_rows))
+
+
+class PosetRecords(dict):
+    """Strict up rows -> the poset's PosetFacts record, built on first lookup.
+
+    `_RECORDS` is the one table of the process. A forked worker inherits it
+    as it stood at the fork, keys included.
+    """
+
+    def __missing__(self, rows):
+        record = self[rows] = PosetFacts(_raw_up(rows))
+        return record
+
+
+#: strict up rows -> PosetFacts record of every labeled poset a sweep, a
+#: search or a class split has looked up
+_RECORDS = PosetRecords()
 
 
 def _allowed_masks(s, cmap):

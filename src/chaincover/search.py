@@ -24,9 +24,7 @@ from .specmap import (
     maximal_D_chains,
 )
 from .theorems import (
-    PosetRecords,
     _check_bounds,
-    _raw_up,
     _replay,
     class_chunks,
     labeled_posets,
@@ -61,9 +59,13 @@ class WitnessSearchSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "required", frozenset(self.required))
-        for flag in self.required:
-            if flag.lstrip("!") not in _FLAG_BITS:
+        for flag in sorted(self.required):
+            name = flag[1:] if flag.startswith("!") else flag
+            if name not in _FLAG_BITS:
                 raise ValueError(f"unknown property flag {flag!r}")
+            if name != flag and name in self.required:
+                # no map meets both, so the scan could only report no witness
+                raise ValueError(f"property flag {name!r} is both required and forbidden")
         if self.goal not in GOALS:
             raise ValueError(f"unknown goal {self.goal!r}")
         if self.max_s < 1 or self.max_r < 1:
@@ -118,7 +120,7 @@ def _search_chunk(args):
     """
     need, forbid, goal_id, goal_size, allow_top, chunk = args
     memo: dict = {}
-    posets = PosetRecords()
+    posets = K._RECORDS
     for pair_idx, s_rows, r_rows in chunk:
         s, r = posets[s_rows], posets[r_rows]
         _, hit = K.search_pair(
@@ -158,7 +160,7 @@ def search_witness(
         (s_pos * len(r_list) + r_pos, s_rows, r_rows)
         for s_pos, s_rows in enumerate(s_list)
         if not prunable
-        or max(c.bit_count() for c in K.PosetFacts(_raw_up(s_rows)).max_chains) >= goal_size
+        or max(c.bit_count() for c in K._RECORDS[s_rows].max_chains) >= goal_size
         for r_pos, r_rows in enumerate(r_list)
     ]
 

@@ -21,6 +21,7 @@ from enum import Enum
 from itertools import product
 
 from . import _kernels as K
+from ._kernels import _raw_up
 from .poset import (
     POSET_ENUM_BOUND,
     BoundExceeded,
@@ -219,11 +220,6 @@ def verify(m: SpectralMap, theorem: TheoremId, waive_hypotheses: bool = False) -
     )
 
 
-def _raw_up(strict_rows: tuple[int, ...]) -> tuple[int, ...]:
-    """Up masks, self bits included, of a poset given by strict rows."""
-    return tuple(row | (1 << i) for i, row in enumerate(strict_rows))
-
-
 def instance_from_raw(s_rows, r_rows, vec) -> SpectralMap:
     """Object-level instance for a raw enumeration triple.
 
@@ -304,17 +300,18 @@ def class_chunks(
     clean class evaluates once, plus a fifth of a map for each labeled
     pair, which the chunk still visits. The deal is deterministic and each
     chunk lists its pairs in ascending order, so its first hit is its
-    least. One worker gets `[pairs]`.
+    least. One worker gets `[pairs]`. The class keys are the `iso` of the
+    posets' records in K._RECORDS, which forked workers inherit.
     """
     if jobs == 1:
         return pool_plan(pairs, 1)
-    iso = K._canonical_encoding
+    records = K._RECORDS
     width = len(r_list)
     r_members = defaultdict(list)  # r class -> positions in a block
     for j, r_rows in enumerate(r_list):
-        r_members[iso(r_rows)].append(j)
+        r_members[records[r_rows].iso].append(j)
     starts = range(0, len(pairs), width)
-    block_class = [iso(pairs[b][1]) for b in starts]
+    block_class = [records[pairs[b][1]].iso for b in starts]
     s_members = defaultdict(list)  # s class -> starts of its blocks
     for b, s_class in zip(starts, block_class):
         s_members[s_class].append(b)
@@ -356,30 +353,19 @@ def run_chunks(task, payloads: list, open_pool) -> list:
         return [first, *rest.get()]
 
 
-class PosetRecords(dict):
-    """Strict up rows -> the poset's K.PosetFacts record, built on first lookup.
-
-    One table serves one sweep or search chunk, so each poset's masks,
-    chains, isomorphism key and D-chain table are built once per chunk.
-    """
-
-    def __missing__(self, rows):
-        record = self[rows] = K.PosetFacts(_raw_up(rows))
-        return record
-
-
 def _sweep_chunk(args):
     """Maps in a chunk's pairs, and its first violation (pair, map, code) or None.
 
     The pairs of a chunk ascend, so its first violation is its least, and
     the least over all chunks is the same for any number of chunks. After
-    it the chunk only counts the maps of its later pairs.
+    it the chunk only counts the maps of its later pairs. The posets'
+    records come from the process-wide K._RECORDS.
     """
     tid, waive, allow_top, chunk = args
     maps = 0
     first = None
     memo: dict = {}
-    posets = PosetRecords()
+    posets = K._RECORDS
     for pair_idx, s_rows, r_rows in chunk:
         s, r = posets[s_rows], posets[r_rows]
         count, first_bad, code = K.sweep_pair(

@@ -227,6 +227,19 @@ class TestSearch:
         assert code == 2
         assert "error:" in err
 
+    def test_contradictory_flags_exit_two(self, capsys):
+        code, out, err = run_cli(
+            capsys, "search", "--require", "GU,!GU", "--goal", "lo-fails",
+            "--max-s", "3", "--max-r", "5",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: property flag 'GU' is both required and forbidden\n"
+        code, out, err = run_cli(
+            capsys, "search", "--require", "!!GU", "--goal", "lo-fails",
+            "--max-s", "2", "--max-r", "2",
+        )
+        assert (code, out, err) == (2, "", "error: unknown property flag '!!GU'\n")
+
     def test_d_size(self, capsys):
         code, out, _ = run_cli(
             capsys, "search", "--goal", "maximal-dchain-not-cover",

@@ -31,8 +31,8 @@ from chaincover.poset import (
     maximal_chains,
     random_poset,
 )
-from chaincover.search import GOALS, _flag_masks, _raw_up, _search_chunk
-from chaincover.theorems import TheoremId, _sweep_chunk, sweep_pairs
+from chaincover.search import GOALS, _flag_masks, _search_chunk
+from chaincover.theorems import TheoremId, _raw_up, _sweep_chunk, sweep_pairs
 from property_oracles import scalar_property_bits
 
 
@@ -258,7 +258,7 @@ def _counting(monkeypatch, name):
     return calls
 
 
-def test_memoized_sweep_matches_unmemoized_sweep(monkeypatch):
+def test_memoized_sweep_matches_unmemoized_sweep(monkeypatch, empty_records):
     pairs = sweep_pairs(3, 3)
     raw = [
         (len(s_rows), _raw_up(s_rows), len(r_rows), _raw_up(r_rows))
@@ -314,7 +314,7 @@ _SEARCHES = (
 )
 
 
-def test_memoized_search_matches_unmemoized_search(monkeypatch):
+def test_memoized_search_matches_unmemoized_search(monkeypatch, empty_records):
     nonempty = [rows for n in range(1, 4) for rows in _strict_order_masks(n)]
     pairs = [(idx, s, r) for idx, (s, r) in enumerate(product(nonempty, nonempty))]
     hits = 0

@@ -44,7 +44,6 @@ from chaincover.search import (
     GOALS,
     WitnessSearchSpec,
     _flag_masks,
-    _raw_up,
     _shrink_candidates,
     flags_hold,
     goal_holds,
@@ -52,6 +51,7 @@ from chaincover.search import (
     shrink,
 )
 from chaincover.specmap import (
+    PROPERTY_BITS,
     PROPERTY_NAMES,
     TOP,
     NotMonotone,
@@ -67,6 +67,7 @@ from chaincover.theorems import (
     THEOREM_STATEMENTS,
     TheoremId,
     _map_estimate,
+    _raw_up,
     class_chunks,
     clause_text,
     estimate_sweep_cost,
@@ -454,24 +455,18 @@ def _oracle_search(spec):
 
 
 def test_searches_at_every_jobs_count_match_an_oracle(monkeypatch):
-    from test_kernels import _SEARCHES
-
     # three usable CPUs, so jobs=3 really splits the classes three ways
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     found = []
-    for required, goal, d_size in _SEARCHES:
-        spec = WitnessSearchSpec(
-            required=frozenset(required.split(",")), goal=goal, max_s=2, max_r=3,
-            d_size=d_size,
-        )
+    for spec in _benchmark_specs(2, 3):
         want = _oracle_search(spec)
         found.append(want is not None)
         for jobs in (1, 2, 3):
             got = search_witness(spec, jobs=jobs, do_shrink=False)
             if want is None:
-                assert got is None, (required, goal, jobs)
+                assert got is None, (spec.required, spec.goal, jobs)
             else:
-                assert got.describe() == want.describe(), (required, goal, jobs)
+                assert got.describe() == want.describe(), (spec.required, spec.goal, jobs)
     assert any(found) and not all(found)
 
 
@@ -513,6 +508,80 @@ class TestClassChunks:
         assert _map_estimate((), (), False) == 1
 
 
+def _benchmark_specs(max_s, max_r):
+    """The benchmark's six witness searches at the given bounds."""
+    from test_kernels import _SEARCHES
+
+    return [
+        WitnessSearchSpec(
+            required=frozenset(required.split(",")), goal=goal, max_s=max_s,
+            max_r=max_r, d_size=d_size,
+        )
+        for required, goal, d_size in _SEARCHES
+    ]
+
+
+class TestRecordTable:
+    """K._RECORDS, the one poset record table of the process."""
+
+    #: plain, waived and --no-top sweeps
+    MODES = ({}, {"waive_hypotheses": True}, {"allow_top": False})
+
+    def test_records_match_fresh_records(self, empty_records):
+        for theorem, waive in product(TheoremId, (False, True)):
+            exhaustive_verify(theorem, 2, 3, waive_hypotheses=waive)
+        for spec in _benchmark_specs(2, 3):
+            search_witness(spec)
+        # every labeled poset of at most three elements
+        assert len(empty_records) == 24
+        rows_list = [rows for n in range(5) for rows in _strict_order_masks(n)]
+        rows_list += [rows for rows in _strict_order_masks(5) if K._canonical_encoding(rows) == rows]
+        for rows in rows_list:
+            record, fresh = empty_records[rows], K.PosetFacts(_raw_up(rows))
+            assert record == fresh, rows
+            for field in (
+                "down", "comp", "strict_order", "chains", "chain_steps", "max_chains", "iso",
+            ):
+                assert getattr(record, field) == getattr(fresh, field), (rows, field)
+            for allowed in range(1 << len(rows)):
+                assert record.dchains[allowed] == fresh.dchains[allowed], (rows, allowed)
+
+    def outcomes(self, order, jobs=1, between=None):
+        """(holds, count, note, report bytes) of each theorem's sweep at (2, 3)
+        in each mode, run in the given order of theorems."""
+        out = {}
+        for theorem in order:
+            for k, mode in enumerate(self.MODES):
+                v = exhaustive_verify(theorem, 2, 3, jobs=jobs, **mode)
+                report = serialize_report(build_verify_report(None, [v], {"max_s": 2, "max_r": 3}))
+                out[theorem, k] = (v.holds, v.instances_checked, v.note, report)
+                if between is not None:
+                    between()
+        return out
+
+    def test_results_do_not_depend_on_the_sweep_order(self, empty_records, monkeypatch):
+        # three usable CPUs, so jobs=3 really splits the classes three ways
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        theorems = list(TheoremId)
+        cold = self.outcomes(theorems)
+        # waived sweeps fail, so counterexamples are compared too
+        assert not all(holds for holds, *_ in cold.values())
+        assert self.outcomes(theorems) == cold
+        assert self.outcomes(theorems[::-1]) == cold
+        specs = _benchmark_specs(2, 3)
+        searched = []
+
+        def search():
+            spec = specs[len(searched) % len(specs)]
+            searched.append(search_witness(spec) is not None)
+
+        assert self.outcomes(theorems, between=search) == cold
+        assert any(searched) and not all(searched)
+        # forked workers inherit the filled table
+        for jobs in (1, 2, 3):
+            assert self.outcomes(theorems, jobs=jobs) == cold, jobs
+
+
 class TestInstanceFromRaw:
     def test_normalization_reorders_by_label(self):
         # raw element 1 sits below raw element 0, so labels swap positions
@@ -541,6 +610,13 @@ class TestSearch:
         with pytest.raises(ValueError):
             WitnessSearchSpec(required=frozenset(), goal="lo-fails",
                               max_s=0, max_r=2)
+        with pytest.raises(ValueError, match="unknown property flag '!!GU'"):
+            WitnessSearchSpec(required=frozenset({"!!GU"}), goal="lo-fails",
+                              max_s=2, max_r=2)
+        for flag in (*PROPERTY_BITS, "UNITARY"):
+            with pytest.raises(ValueError, match=f"{flag!r} is both required and forbidden"):
+                WitnessSearchSpec(required=frozenset({"LO", flag, "!" + flag}),
+                                  goal="maximal-dchain-not-cover", max_s=2, max_r=2)
         assert set(GOALS) == {
             "lo-fails",
             "maximal-dchain-not-cover",
@@ -591,7 +667,7 @@ class TestSearch:
         w2 = search_witness(spec, jobs=3)
         assert w1.describe() == w2.describe()
 
-    def test_search_stops_at_the_first_hit(self, monkeypatch):
+    def test_search_stops_at_the_first_hit(self, monkeypatch, empty_records):
         # independent route: scan the pairs in canonical order without a
         # memo and find the first one with a hit
         spec = WitnessSearchSpec(
