@@ -16,16 +16,18 @@ maximal D-chains the theorems speak about, and on all elements the maximal
 chains of the poset.
 
 The theorems read three kinds of facts. A `PosetFacts` record holds what
-depends on one poset: its masks, its chains and a table of its maximal
-chains inside each set of elements. Sweeps and searches take their records
-from the process-wide table `_RECORDS`, so each labeled poset's record is
-built once per process and every map of that poset reads it, in every sweep
-and search after the first. Per map there is the
-value tuple `cmap`, its property-bits word from `property_bits` (LO, INC,
-GU, GD, SGB, GB and unitarity as PROP_* flags) and the dict `allowed` from
-`_allowed_masks`, which sends each chain D of s to the elements of r
-contracting into D; the maximal D-chains are then the lookup
-`r.dchains[allowed[D]]`.
+depends on one poset: its masks, its chains, a table of its maximal chains
+inside each set of elements and a table of allowed masks per map value
+tuple. Sweeps and searches take their records from the process-wide table
+`_RECORDS`, so each labeled poset's record is built once per process and
+every map of that poset reads it, in every sweep and search after the
+first. Per map there is the value tuple `cmap`, its property-bits word from
+`property_bits` (LO, INC, GU, GD, SGB, GB and unitarity as PROP_* flags)
+and the dict `allowed` from `_allowed_masks`, which sends each chain D of s
+to the elements of r contracting into D; the maximal D-chains are then the
+lookup `r.dchains[allowed[D]]`. That dict depends only on s and `cmap`, so
+a sweep or search reads it from `s.allowed[cmap]`, built once per process
+for every theorem, goal and r that share the values.
 
 Each theorem is one entry of `THEOREMS`: the names of its hypotheses, their
 flags as one mask, one conclusion over (s, r, cmap, bits, allowed) that
@@ -33,9 +35,13 @@ returns a clause code, and whether that conclusion reads the word.
 `eval_theorem` looks the theorem up by name and tests its hypotheses as one
 mask of the word.
 
-Sweeps and searches share one scan: `_scan_pair` checks the maps of a
-poset pair in one loop, `_first_violation`, with a per-map check that
-evaluates a theorem (sweep_pair) or tests a search goal (search_pair).
+Sweeps and searches walk their labeled poset pairs as blocks, one s poset
+with ascending positions in the list of r posets, and call sweep_pair or
+search_pair once per pair with both posets' records. Those share one scan:
+`_scan_pair` checks the maps of a poset pair in one loop,
+`_first_violation`, with a per-map check that evaluates a theorem
+(sweep_pair) or tests a search goal (search_pair); a pair whose
+isomorphism class the sweep's memo has settled is answered without a scan.
 Three process-wide tables are filled on lookup and never shrink. Within
 POSET_ENUM_BOUND there are at most 4,474 labeled posets, so their size is
 bounded. `_RECORDS` maps each labeled poset's strict up masks to its
@@ -44,7 +50,10 @@ and the two other tables use that: `_CANONICAL` holds each labeled poset's
 canonical form and automorphism group, filled one isomorphism class at a
 time, and `_map_orbits` lists one map per orbit of Aut(s) x Aut(r), which
 the memoized scan checks instead of every map, with a byte per
-representative for its property-bits word, filled on first read.
+representative for its property-bits word, filled on first read. A
+record's allowed table holds an entry per value tuple that a scan of its
+poset has read; memoized scans read only representatives, so at (4, 5)
+the sixteen theorem sweeps fill them within a peak of about 51 MB.
 """
 
 from __future__ import annotations
@@ -181,23 +190,22 @@ def _strict_order(up):
     return strict_up, strict_down, pairs
 
 
-class _DChainTable(dict):
-    """allowed mask -> _maximal_dchains(up, down, allowed), filled on lookup.
+class _FilledTable(dict):
+    """key -> build(*args, key), filled on lookup.
 
-    At most 2^n entries; the lists are shared by every caller, who only
-    reads them.
+    The entries are shared by every caller, who only reads them.
     """
 
-    __slots__ = ("up", "down")
+    __slots__ = ("build", "args")
 
-    def __init__(self, up, down):
+    def __init__(self, build, *args):
         super().__init__()
-        self.up = up
-        self.down = down
+        self.build = build
+        self.args = args
 
-    def __missing__(self, allowed):
-        chains = self[allowed] = _maximal_dchains(self.up, self.down, allowed)
-        return chains
+    def __missing__(self, key):
+        value = self[key] = self.build(*self.args, key)
+        return value
 
 
 class PosetFacts(tuple):
@@ -207,10 +215,12 @@ class PosetFacts(tuple):
     masks are read. Everything else is built on first use, so a record that
     is only looked up by its isomorphism key costs that key alone: its down
     and comparability masks, its maximal chains (ascending), its chains
-    (ascending, the empty chain first) and its D-chain table, where
+    (ascending, the empty chain first), its D-chain table, where
     `dchains[allowed]` equals `_maximal_dchains(up, down, allowed)`, order
-    included. Its `strict_order` is what property_bits reads. A field, once
-    built, is never changed. The records of sweeps and searches live in
+    included, and its allowed table, where `allowed[cmap]` equals
+    `_allowed_masks(self, cmap)` for a map with the values `cmap`. Its
+    `strict_order` is what property_bits reads. A field, once built, is
+    never changed. The records of sweeps and searches live in
     `_RECORDS` for the life of the process; a SpectralMap's facts keep
     records of their own.
     """
@@ -253,8 +263,14 @@ class PosetFacts(tuple):
         return _canonical_encoding(tuple(m & ~(1 << i) for i, m in enumerate(self)))
 
     @cached_property
-    def dchains(self) -> _DChainTable:
-        return _DChainTable(self, self.down)
+    def dchains(self) -> _FilledTable:
+        # at most 2^n entries
+        return _FilledTable(_maximal_dchains, self, self.down)
+
+    @cached_property
+    def allowed(self) -> _FilledTable:
+        # one entry per value tuple a scan of this poset has read
+        return _FilledTable(_allowed_masks, self)
 
 
 def _raw_up(strict_rows: tuple[int, ...]) -> tuple[int, ...]:
@@ -723,18 +739,18 @@ THEOREMS = {
 def eval_theorem(tid, waive, s, r, cmap, bits, allowed=None):
     """Evaluate the theorem named `tid` on one instance.
 
-    `s` and `r` are PosetFacts records, `cmap` the map's values, `bits` its
-    property_bits word and `allowed` its `_allowed_masks(s, cmap)`, or None
-    to build it only once the hypotheses pass. Returns 0 when the statement
-    holds on the instance, which it does whenever a hypothesis is unmet
-    unless `waive` forces the conclusion to be checked anyway, and a
-    positive clause code otherwise.
+    `s` and `r` are PosetFacts records, `cmap` the map's values as a tuple,
+    `bits` its property_bits word and `allowed` its `_allowed_masks(s,
+    cmap)`, or None to read it from `s.allowed` once the hypotheses pass.
+    Returns 0 when the statement holds on the instance, which it does
+    whenever a hypothesis is unmet unless `waive` forces the conclusion to
+    be checked anyway, and a positive clause code otherwise.
     """
     _, need, conclusion, _ = THEOREMS[tid]
     if not waive and bits & need != need:
         return 0
     if allowed is None:
-        allowed = _allowed_masks(s, cmap)
+        allowed = s.allowed[cmap]
     return conclusion(s, r, cmap, bits, allowed)
 
 
@@ -744,14 +760,31 @@ def monotone_maps(ns, s_up, nr, r_up, allow_top):
     The tuples are in lexicographic order, s indices first, then the top
     sentinel ns when allow_top is set. A map's list index is the map index
     that sweeps and searches report.
+    """
+    maps = []
+    _walk_maps(ns, s_up, nr, r_up, allow_top, maps)
+    return maps
+
+
+def count_monotone_maps(ns, s_up, nr, r_up, allow_top):
+    """Number of monotone maps for one poset pair, without listing them."""
+    return _walk_maps(ns, s_up, nr, r_up, allow_top, None)
+
+
+def _walk_maps(ns, s_up, nr, r_up, allow_top, maps):
+    """Count the monotone maps r -> s (+ top), appending each to `maps`
+    in the order of monotone_maps unless `maps` is None.
 
     The values still possible at a position form a mask: every value, cut
     down to the values over those of the elements placed below it and
     under those of the elements placed above it. Its bits are taken in
-    ascending order, TOP (bit ns) last.
+    ascending order, TOP (bit ns) last. At the last position every bit of
+    the mask completes one map, so a count adds its popcount.
     """
     if nr == 0:
-        return [()]
+        if maps is not None:
+            maps.append(())
+        return 1
     s_up = [int(m) for m in s_up]
     r_up = [int(m) for m in r_up]
     top = 1 << ns
@@ -760,7 +793,7 @@ def monotone_maps(ns, s_up, nr, r_up, allow_top):
     every = (top << 1) - 1 if allow_top else top - 1
     below = [[j for j in range(pos) if r_up[j] >> pos & 1] for pos in range(nr)]
     above = [[j for j in range(pos) if r_up[pos] >> j & 1] for pos in range(nr)]
-    maps = []
+    count = 0
     cmap = [0] * nr
     untried = [0] * nr
     untried[0] = every
@@ -768,15 +801,21 @@ def monotone_maps(ns, s_up, nr, r_up, allow_top):
     pos = 0
     while pos >= 0:
         m = untried[pos]
+        if pos == last:
+            count += m.bit_count()
+            while maps is not None and m:
+                low = m & -m
+                cmap[pos] = low.bit_length() - 1
+                maps.append(tuple(cmap))
+                m ^= low
+            pos -= 1
+            continue
         if not m:
             pos -= 1
             continue
         low = m & -m
         untried[pos] = m ^ low
         cmap[pos] = low.bit_length() - 1
-        if pos == last:
-            maps.append(tuple(cmap))
-            continue
         pos += 1
         m = every
         for j in below[pos]:
@@ -784,12 +823,7 @@ def monotone_maps(ns, s_up, nr, r_up, allow_top):
         for j in above[pos]:
             m &= under[cmap[j]]
         untried[pos] = m
-    return maps
-
-
-def count_monotone_maps(ns, s_up, nr, r_up, allow_top):
-    """Number of monotone maps for one poset pair."""
-    return len(monotone_maps(ns, s_up, nr, r_up, allow_top))
+    return count
 
 
 def _relabel(rows, perm):
@@ -922,8 +956,8 @@ def _scan_pair(check, args, reads_word, s, r, allow_top, memo, count_only):
     counted. Without `memo` every map is checked, in monotone_maps order,
     and its word computed.
 
-    With `memo`, a dict owned by one sweep or search (one check and one
-    allow_top), only the pair's orbit representatives (_map_orbits) are
+    With `memo`, a dict owned by one sweep or search chunk (one check and
+    one allow_top), only the pair's orbit representatives (_map_orbits) are
     checked, each word computed at most once per process. Every check is
     invariant under relabeling s and r, and each map before the first
     failing representative lies in the orbit of an earlier, clean one, so
@@ -936,9 +970,9 @@ def _scan_pair(check, args, reads_word, s, r, allow_top, memo, count_only):
     s = s if isinstance(s, PosetFacts) else PosetFacts(s)
     r = r if isinstance(r, PosetFacts) else PosetFacts(r)
     if memo is None:
-        maps = monotone_maps(s.n, s, r.n, r, allow_top)
         if count_only:
-            return len(maps), -1, 0
+            return count_monotone_maps(s.n, s, r.n, r, allow_top), -1, 0
+        maps = monotone_maps(s.n, s, r.n, r, allow_top)
         words = bytearray([_UNREAD]) * len(maps) if reads_word else None
         return len(maps), *_first_violation(
             check, args, s, r, range(len(maps)), maps, words
@@ -963,14 +997,21 @@ def sweep_pair(
 ):
     """Evaluate a theorem over every monotone map for one poset pair.
 
-    `s_up` and `r_up` are up masks or, from a sweep that keeps one per
-    poset, PosetFacts records. Returns (maps of the pair, index of the
-    first violating map or -1, its clause code). A sweep that has its first
-    violation passes `count_only` for every later pair, whose counts it
-    still sums. `memo` is one sweep's (one tid, waive and allow_top); see
-    _scan_pair. The maps' words are read only when the theorem reads them:
-    for its hypotheses unless `waive`, or in its conclusion.
+    `s_up` and `r_up` are up masks or, from a sweep, the posets' records
+    in `_RECORDS`. Returns (maps of the pair, index of the first violating
+    map or -1, its clause code). A sweep calls it once per labeled pair of
+    its blocks, and once it has its first violation passes `count_only` for
+    every later pair, whose counts it still sums. `memo` is one sweep
+    chunk's (one tid, waive and allow_top); see _scan_pair. On two records,
+    a pair the memo settles is answered here, before any other lookup. The
+    maps' words are read only when the theorem reads them: for its
+    hypotheses unless `waive`, or in its conclusion.
     """
+    if memo is not None and isinstance(s_up, PosetFacts) and isinstance(r_up, PosetFacts):
+        # most pairs of a sweep are answered by the memo, so its test comes first
+        known = memo.get((s_up.iso, r_up.iso))
+        if known is not None and (known[1] or count_only):
+            return known[0], -1, 0
     _, need, _, reads_word = THEOREMS[tid]
     # eval_theorem is read at call time, so a wrapper installed later is seen
     return _scan_pair(
@@ -982,7 +1023,7 @@ def sweep_pair(
 def _goal_met(goal_id, goal_size, s, r, cmap, bits):
     if goal_id == GOAL_LO_FAILS:
         return not bits & PROP_LO
-    allowed = _allowed_masks(s, cmap)
+    allowed = s.allowed[cmap]
     for d in s.chains[1:]:
         if goal_size > 0 and d.bit_count() != goal_size:
             continue

@@ -72,6 +72,9 @@ class WitnessSearchSpec:
             raise ValueError("search bounds must be at least 1")
         if self.d_size is not None and self.d_size < 1:
             raise ValueError("d_size must be at least 1")
+        if self.d_size is not None and self.goal == "lo-fails":
+            # the goal reads no chain, so the report would record an unused size
+            raise ValueError("d_size applies to chain goals only, not to 'lo-fails'")
 
 
 def _flag_masks(required) -> tuple[int, int]:
@@ -115,19 +118,23 @@ def goal_holds(m: SpectralMap, goal: str, d_size: int | None = None) -> bool:
 def _search_chunk(args):
     """The first (pair, map) hit of a chunk in ascending pair order, if any.
 
-    The pair indices of a chunk ascend, so its first hit is its least, and
-    the least over all chunks is the same for any number of chunks.
+    The chunk is a list of blocks (class_chunks), whose pairs ascend, so its
+    first hit is its least, and the least over all chunks is the same for
+    any number of chunks.
     """
-    need, forbid, goal_id, goal_size, allow_top, chunk = args
+    need, forbid, goal_id, goal_size, allow_top, s_list, r_list, blocks = args
     memo: dict = {}
-    posets = K._RECORDS
-    for pair_idx, s_rows, r_rows in chunk:
-        s, r = posets[s_rows], posets[r_rows]
-        _, hit = K.search_pair(
-            s.n, s, r.n, r, allow_top, need, forbid, goal_id, goal_size, memo=memo
-        )
-        if hit >= 0:
-            return [(pair_idx, hit)]
+    records = K._RECORDS
+    r_records = [records[rows] for rows in r_list]
+    for s_pos, r_positions in blocks:
+        s = records[s_list[s_pos]]
+        for r_pos in r_positions:
+            r = r_records[r_pos]
+            _, hit = K.search_pair(
+                s.n, s, r.n, r, allow_top, need, forbid, goal_id, goal_size, memo=memo
+            )
+            if hit >= 0:
+                return [(s_pos * len(r_list) + r_pos, hit)]
     return []
 
 
@@ -141,7 +148,10 @@ def search_witness(
 
     The scan covers every monotone map between nonempty posets within the
     bounds, in canonical order, up to the first hit, so the outcome is
-    deterministic and does not depend on the worker count.
+    deterministic and does not depend on the worker count. The pair of the
+    s poset at position i and the r poset at position j has the index
+    i * len(r_list) + j; workers walk blocks of one s poset and its r
+    posets (class_chunks), so the pairs are never listed.
     """
     _check_bounds("search", 1, spec.max_s, spec.max_r, size_bound)
     if jobs < 1:
@@ -155,19 +165,19 @@ def search_witness(
     r_list = labeled_posets(1, spec.max_r)
     # a chain-goal witness needs a chain of d_size in s; raw rows are not in
     # linear-extension order, so the height is read off the maximal chains
-    prunable = goal_id != K.GOAL_LO_FAILS and goal_size > 0
-    pairs = [
-        (s_pos * len(r_list) + r_pos, s_rows, r_rows)
+    s_positions = [
+        s_pos
         for s_pos, s_rows in enumerate(s_list)
-        if not prunable
+        if not goal_size
         or max(c.bit_count() for c in K._RECORDS[s_rows].max_chains) >= goal_size
-        for r_pos, r_rows in enumerate(r_list)
     ]
 
-    method, chunks = class_chunks(pairs, r_list, jobs, allow_top)
-    if len(pairs) < 2 * len(chunks):
-        chunks = [pairs]
-    payloads = [(need, forbid, goal_id, goal_size, allow_top, chunk) for chunk in chunks]
+    method, chunks = class_chunks(s_list, s_positions, r_list, jobs, allow_top)
+    if len(s_positions) * len(r_list) < 2 * len(chunks):
+        method, chunks = class_chunks(s_list, s_positions, r_list, 1, allow_top)
+    payloads = [
+        (need, forbid, goal_id, goal_size, allow_top, s_list, r_list, chunk) for chunk in chunks
+    ]
     parts = run_chunks(_search_chunk, payloads, lambda n: mp.get_context(method).Pool(n))
     hits = [hit for part in parts for hit in part]
 

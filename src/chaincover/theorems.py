@@ -288,54 +288,56 @@ def _map_estimate(s_rows, r_rows, allow_top: bool) -> float:
 
 
 def class_chunks(
-    pairs: list, r_list: list, jobs: int, allow_top: bool
+    s_list: list, s_positions, r_list: list, jobs: int, allow_top: bool
 ) -> tuple[str, list[list]]:
-    """Start method and chunks of (idx, s_rows, r_rows) pairs for `jobs` workers.
+    """Start method and chunks of (s position, r positions) blocks for `jobs` workers.
 
-    `pairs` is a run of blocks, one per s poset, each pairing it with every
-    poset of `r_list` in that order. Every pair of one isomorphism class
-    (of s and of r) lands in the same chunk, so no class is evaluated by
-    two workers' memos. Classes are dealt round robin (pool_plan) in
-    descending order of estimated cost: the maps of one member, which a
-    clean class evaluates once, plus a fifth of a map for each labeled
-    pair, which the chunk still visits. The deal is deterministic and each
-    chunk lists its pairs in ascending order, so its first hit is its
-    least. One worker gets `[pairs]`. The class keys are the `iso` of the
-    posets' records in K._RECORDS, which forked workers inherit.
+    The labeled pairs are those of each s poset at `s_positions` (ascending
+    positions in `s_list`) with every poset of `r_list`; the pair of
+    s_list[i] and r_list[j] has the index i * len(r_list) + j. A block
+    pairs one s poset with ascending positions in `r_list`, and the blocks
+    of a chunk ascend by s, so a chunk visits its pairs in ascending order
+    and its first hit is its least. Every pair of one isomorphism class (of
+    s and of r) lands in the same chunk, so no class is evaluated by two
+    workers' memos. Classes are dealt round robin (pool_plan) in descending
+    order of estimated cost: the maps of one member, which a clean class
+    evaluates once, plus a fifth of a map for each labeled pair, which the
+    chunk still visits. The deal is deterministic. One worker gets every
+    pair. The class keys are the `iso` of the posets' records in
+    K._RECORDS, which forked workers inherit.
     """
+    every = range(len(r_list))
+    whole = [(s_pos, every) for s_pos in s_positions]
     if jobs == 1:
-        return pool_plan(pairs, 1)
+        return pool_plan(whole, 1)
     records = K._RECORDS
-    width = len(r_list)
-    r_members = defaultdict(list)  # r class -> positions in a block
+    r_members = defaultdict(list)  # r class -> its positions in r_list
     for j, r_rows in enumerate(r_list):
         r_members[records[r_rows].iso].append(j)
-    starts = range(0, len(pairs), width)
-    block_class = [records[pairs[b][1]].iso for b in starts]
-    s_members = defaultdict(list)  # s class -> starts of its blocks
-    for b, s_class in zip(starts, block_class):
-        s_members[s_class].append(b)
+    s_class = {s_pos: records[s_list[s_pos]].iso for s_pos in s_positions}
+    s_members = defaultdict(list)  # s class -> its positions in s_list
+    for s_pos, key in s_class.items():
+        s_members[key].append(s_pos)
 
     def cost(classes):
-        s_blocks, r_pos = s_members[classes[0]], r_members[classes[1]]
-        estimate = _map_estimate(pairs[s_blocks[0]][1], r_list[r_pos[0]], allow_top)
-        return estimate + len(s_blocks) * len(r_pos) / 5
+        s_pos, r_pos = s_members[classes[0]], r_members[classes[1]]
+        estimate = _map_estimate(s_list[s_pos[0]], r_list[r_pos[0]], allow_top)
+        return estimate + len(s_pos) * len(r_pos) / 5
 
     classes = sorted(product(s_members, r_members), key=cost, reverse=True)
     method, dealt = pool_plan(classes, jobs)
     if len(dealt) == 1:
-        return method, [pairs]
+        return method, [whole]
     chunks = []
     for part in dealt:
         mine = defaultdict(list)  # s class -> positions of its r classes here
-        for s_class, r_class in part:
-            mine[s_class] += r_members[r_class]
+        for s_key, r_key in part:
+            mine[s_key] += r_members[r_key]
         for positions in mine.values():
             positions.sort()
-        chunk: list = []
-        for b, s_class in zip(starts, block_class):
-            chunk += map(pairs[b : b + width].__getitem__, mine.get(s_class, ()))
-        chunks.append(chunk)
+        chunks.append(
+            [(s_pos, mine[key]) for s_pos, key in s_class.items() if key in mine]
+        )
     return method, chunks
 
 
@@ -356,25 +358,29 @@ def run_chunks(task, payloads: list, open_pool) -> list:
 def _sweep_chunk(args):
     """Maps in a chunk's pairs, and its first violation (pair, map, code) or None.
 
-    The pairs of a chunk ascend, so its first violation is its least, and
-    the least over all chunks is the same for any number of chunks. After
-    it the chunk only counts the maps of its later pairs. The posets'
-    records come from the process-wide K._RECORDS.
+    The chunk is a list of blocks (class_chunks), whose pairs ascend, so its
+    first violation is its least, and the least over all chunks is the same
+    for any number of chunks. After it the chunk only counts the maps of
+    its later pairs. The posets' records come from the process-wide
+    K._RECORDS: the r posets' once per chunk, each s poset's once per block.
     """
-    tid, waive, allow_top, chunk = args
+    tid, waive, allow_top, s_list, r_list, blocks = args
     maps = 0
     first = None
     memo: dict = {}
-    posets = K._RECORDS
-    for pair_idx, s_rows, r_rows in chunk:
-        s, r = posets[s_rows], posets[r_rows]
-        count, first_bad, code = K.sweep_pair(
-            tid, waive, s.n, s, r.n, r, allow_top,
-            memo=memo, count_only=first is not None,
-        )
-        maps += count
-        if first_bad >= 0:
-            first = (pair_idx, first_bad, code)
+    records = K._RECORDS
+    r_records = [records[rows] for rows in r_list]
+    for s_pos, r_positions in blocks:
+        s = records[s_list[s_pos]]
+        for r_pos in r_positions:
+            r = r_records[r_pos]
+            count, first_bad, code = K.sweep_pair(
+                tid, waive, s.n, s, r.n, r, allow_top,
+                memo=memo, count_only=first is not None,
+            )
+            maps += count
+            if first_bad >= 0:
+                first = (s_pos * len(r_list) + r_pos, first_bad, code)
     return maps, first
 
 
@@ -419,17 +425,21 @@ def exhaustive_verify(
     order, independent of the worker count. A worker stops evaluating at
     its first violation and only counts the maps of its later pairs.
 
+    The pairs are numbered as in sweep_pairs, but never listed: each
+    worker walks blocks of one s poset and its r posets (class_chunks).
     With `jobs` > 1 the caller is one of the workers, and the isomorphism
-    classes of poset pairs are split between them (class_chunks).
+    classes of poset pairs are split between them.
     """
     _check_bounds("sweep", 0, max_s, max_r, size_bound)
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     start = time.perf_counter()
-    pairs = sweep_pairs(max_s, max_r)
+    s_list, r_list = labeled_posets(0, max_s), labeled_posets(0, max_r)
 
-    method, chunks = class_chunks(pairs, labeled_posets(0, max_r), jobs, allow_top)
-    payloads = [(theorem.value, waive_hypotheses, allow_top, chunk) for chunk in chunks]
+    method, chunks = class_chunks(s_list, range(len(s_list)), r_list, jobs, allow_top)
+    payloads = [
+        (theorem.value, waive_hypotheses, allow_top, s_list, r_list, chunk) for chunk in chunks
+    ]
     results = run_chunks(_sweep_chunk, payloads, lambda n: mp.get_context(method).Pool(n))
     total = sum(maps for maps, _ in results)
     first = min((first for _, first in results if first is not None), default=None)
@@ -438,8 +448,8 @@ def exhaustive_verify(
     note = None
     if first is not None:
         pair_idx, map_idx, _ = first
-        _, s_rows, r_rows = pairs[pair_idx]
-        m = _replay(s_rows, r_rows, allow_top, map_idx)
+        s_pos, r_pos = divmod(pair_idx, len(r_list))
+        m = _replay(s_list[s_pos], r_list[r_pos], allow_top, map_idx)
         replay = verify(m, theorem, waive_hypotheses)
         if replay.holds:
             raise AssertionError(
@@ -462,19 +472,20 @@ def exhaustive_verify(
 def estimate_sweep_cost(max_s: int, max_r: int, allow_top: bool) -> dict:
     """Cheap upper bound on sweep size, for the CLI bound gate.
 
-    Raises BoundExceeded, as exhaustive_verify does, before enumerating
-    anything: the labeled posets of a size past POSET_ENUM_BOUND take
-    minutes or more to list.
+    Every assignment of each labeled pair, summed per pair of sizes from
+    the number of labeled posets of each size. Raises BoundExceeded, as
+    exhaustive_verify does, before enumerating anything: the labeled posets
+    of a size past POSET_ENUM_BOUND take minutes or more to list.
     """
     _check_bounds("sweep", 0, max_s, max_r, POSET_ENUM_BOUND)
-    s_sizes = [len(rows) for rows in labeled_posets(0, max_s)]
-    r_sizes = [len(rows) for rows in labeled_posets(0, max_r)]
+    counts = [len(_strict_order_masks(n)) for n in range(max(max_s, max_r) + 1)]
     extra = 1 if allow_top else 0
-    upper = 0
-    for ns in s_sizes:
-        for nr in r_sizes:
-            upper += (ns + extra) ** nr if nr else 1
+    upper = sum(
+        counts[ns] * counts[nr] * (ns + extra) ** nr
+        for ns in range(max_s + 1)
+        for nr in range(max_r + 1)
+    )
     return {
-        "poset_pairs": len(s_sizes) * len(r_sizes),
+        "poset_pairs": sum(counts[: max_s + 1]) * sum(counts[: max_r + 1]),
         "map_upper_bound": upper,
     }

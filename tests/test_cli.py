@@ -249,6 +249,14 @@ class TestSearch:
         assert code == 0
         assert json.loads(out)["found"] is False
 
+    def test_d_size_with_the_lo_goal_exits_two(self, capsys):
+        code, out, err = run_cli(
+            capsys, "search", "--require", "GU", "--goal", "lo-fails", "--d-size", "3",
+            "--max-s", "2", "--max-r", "2",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: d_size applies to chain goals only, not to 'lo-fails'\n"
+
 
 class TestSpec:
     def test_json(self, capsys):

@@ -32,7 +32,14 @@ from chaincover.poset import (
     random_poset,
 )
 from chaincover.search import GOALS, _flag_masks, _search_chunk
-from chaincover.theorems import TheoremId, _raw_up, _sweep_chunk, sweep_pairs
+from chaincover.theorems import (
+    TheoremId,
+    _raw_up,
+    _sweep_chunk,
+    class_chunks,
+    labeled_posets,
+    sweep_pairs,
+)
 from property_oracles import scalar_property_bits
 
 
@@ -264,6 +271,9 @@ def test_memoized_sweep_matches_unmemoized_sweep(monkeypatch, empty_records):
         (len(s_rows), _raw_up(s_rows), len(r_rows), _raw_up(r_rows))
         for _, s_rows, r_rows in pairs
     ]
+    s_list = r_list = labeled_posets(0, 3)
+    # the one chunk of a single worker: a block of every r poset per s poset
+    (blocks,) = class_chunks(s_list, range(len(s_list)), r_list, 1, True)[1]
     violations = 0
     for theorem, waive in product(TheoremId, (False, True)):
         scan = [
@@ -274,12 +284,28 @@ def test_memoized_sweep_matches_unmemoized_sweep(monkeypatch, empty_records):
         expected = (sum(count for _, count, _, _ in scan), min(bad, default=None))
         with monkeypatch.context() as m:
             loops = _counting(m, "_first_violation")
-            got = _sweep_chunk((theorem.value, waive, True, pairs))
+            got = _sweep_chunk((theorem.value, waive, True, s_list, r_list, blocks))
         assert got == expected, (theorem.name, waive)
         assert loops[0] < len(pairs), (theorem.name, waive)
         violations += got[1] is not None
     # waived sweeps violate, so violating classes and the stop are exercised
     assert violations > 0
+
+
+def test_map_count_equals_the_length_of_the_map_list():
+    for allow_top in (False, True):
+        total = 0
+        for _, s_rows, r_rows in sweep_pairs(3, 4):
+            args = (len(s_rows), _raw_up(s_rows), len(r_rows), _raw_up(r_rows), allow_top)
+            count = K.count_monotone_maps(*args)
+            assert count == len(K.monotone_maps(*args)), (s_rows, r_rows, allow_top)
+            total += count
+        assert total == (287430 if allow_top else 89698)
+    # numpy int64 up masks are counted alike
+    s_up, r_up = _raw_up((0b10, 0b00)), _raw_up((0b00, 0b00, 0b011))
+    arrays = [np.array(up, dtype=np.int64) for up in (s_up, r_up)]
+    want = len(K.monotone_maps(2, s_up, 3, r_up, True))
+    assert K.count_monotone_maps(2, arrays[0], 3, arrays[1], True) == want
 
 
 def test_count_only_sweep_pair_counts_without_evaluating(monkeypatch):
@@ -343,7 +369,8 @@ def test_memoized_search_matches_unmemoized_search(monkeypatch, empty_records):
         scans += loops[0]
 
         first = [(idx, hit) for idx, (_, hit) in enumerate(expected) if hit >= 0][:1]
-        chunk_args = (need, forbid, GOALS[goal], d_size or 0, allow_top, pairs)
+        blocks = [(s_pos, range(len(nonempty))) for s_pos in range(len(nonempty))]
+        chunk_args = (need, forbid, GOALS[goal], d_size or 0, allow_top, nonempty, nonempty, blocks)
         assert _search_chunk(chunk_args) == first, required
         hits += len(first)
     # some searches hit and some exhaust the space

@@ -256,6 +256,17 @@ class TestExhaustiveVerify:
             assert est["map_upper_bound"] >= actual
             assert est["poset_pairs"] >= 1
 
+    def test_estimate_matches_the_per_pair_formula(self):
+        # every assignment of each labeled pair, one pair at a time
+        for bounds in [*product(range(5), range(5)), (3, 5)]:
+            pairs = sweep_pairs(*bounds)
+            for allow_top in (False, True):
+                extra = 1 if allow_top else 0
+                upper = sum((len(s) + extra) ** len(r) if r else 1 for _, s, r in pairs)
+                assert estimate_sweep_cost(*bounds, allow_top) == {
+                    "poset_pairs": len(pairs), "map_upper_bound": upper,
+                }, (bounds, allow_top)
+
 
 def fresh_kernel_args(m):
     """eval_theorem's instance arguments, built from the posets directly;
@@ -439,6 +450,58 @@ def test_sweeps_at_every_jobs_count_match_an_oracle(monkeypatch):
     assert failing > 0
 
 
+def test_a_sweep_calls_sweep_pair_once_per_labeled_pair(monkeypatch):
+    calls = []
+    sweep_pair = K.sweep_pair
+
+    def recording(*args, **kwargs):
+        calls.append((len(args), sorted(kwargs)))
+        return sweep_pair(*args, **kwargs)
+
+    monkeypatch.setattr(K, "sweep_pair", recording)
+    for bounds, waive, pairs in (((1, 2), True, 10), ((3, 3), False, 576), ((3, 3), True, 576)):
+        for theorem in TheoremId:
+            calls.clear()
+            exhaustive_verify(theorem, *bounds, waive_hypotheses=waive)
+            assert calls == [(7, ["count_only", "memo"])] * pairs, (theorem.name, bounds, waive)
+
+
+def _labeled_pair_sweep(theorem, waive, allow_top, pairs):
+    """Map total and note of a sweep over listed (idx, s, r) labeled pairs,
+    each scanned by sweep_pair without a memo, as sweeps ran before blocks."""
+    total = 0
+    note = None
+    for idx, s, r in pairs:
+        count, first_bad, _ = K.sweep_pair(
+            theorem.value, waive, s.n, s, r.n, r, allow_top, count_only=note is not None
+        )
+        total += count
+        if first_bad >= 0:
+            note = f"first violation at pair {idx}, map {first_bad}"
+    return total, note
+
+
+@pytest.mark.parametrize("bounds", [(3, 3), (2, 4)])
+def test_block_sweeps_match_the_labeled_pair_oracle(monkeypatch, bounds):
+    # three usable CPUs, so jobs=3 really splits the classes three ways
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    # records of the oracle's own, apart from K._RECORDS
+    fresh = {rows: K.PosetFacts(_raw_up(rows)) for rows in labeled_posets(0, max(bounds))}
+    pairs = [(idx, fresh[s_rows], fresh[r_rows]) for idx, s_rows, r_rows in sweep_pairs(*bounds)]
+    failing = 0
+    for theorem, waive, allow_top in product(TheoremId, (False, True), (False, True)):
+        total, note = _labeled_pair_sweep(theorem, waive, allow_top, pairs)
+        failing += note is not None
+        for jobs in (1, 2, 3):
+            v = exhaustive_verify(
+                theorem, *bounds, allow_top=allow_top, waive_hypotheses=waive, jobs=jobs
+            )
+            assert (v.instances_checked, v.holds, v.note) == (total, note is None, note), (
+                theorem.name, waive, allow_top, jobs,
+            )
+    assert failing > 0
+
+
 def _oracle_search(spec):
     """First witness of `spec`, unshrunk, by a plain scan: no memo, no
     orbits, no chunks, every map checked on the object level."""
@@ -476,25 +539,29 @@ class TestClassChunks:
     def test_chunks_split_the_pairs_by_class(self, monkeypatch, bounds, cpus):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         pairs = sweep_pairs(*bounds)
-        _, chunks = class_chunks(pairs, labeled_posets(0, bounds[1]), 8, True)
+        s_list, r_list = labeled_posets(0, bounds[0]), labeled_posets(0, bounds[1])
+        _, chunks = class_chunks(s_list, range(len(s_list)), r_list, 8, True)
         assert len(chunks) == cpus
         owner = {}
+        dealt = []
         for k, chunk in enumerate(chunks):
-            idx = [pair[0] for pair in chunk]
+            idx = [s_pos * len(r_list) + r_pos for s_pos, positions in chunk for r_pos in positions]
             assert idx == sorted(idx)
-            for _, s_rows, r_rows in chunk:
+            for pair_idx in idx:
+                _, s_rows, r_rows = pairs[pair_idx]
                 key = (K._canonical_encoding(s_rows), K._canonical_encoding(r_rows))
                 assert owner.setdefault(key, k) == k
-        assert sorted(pair for chunk in chunks for pair in chunk) == pairs
-        # the estimate keeps every worker busy
-        assert all(len(chunk) > len(pairs) / (4 * cpus) for chunk in chunks)
+            # the estimate keeps every worker busy
+            assert len(idx) > len(pairs) / (4 * cpus)
+            dealt += idx
+        assert sorted(dealt) == list(range(len(pairs)))
 
     def test_one_worker_gets_all_pairs(self, monkeypatch):
-        pairs = sweep_pairs(2, 3)
-        r_list = labeled_posets(0, 3)
-        assert class_chunks(pairs, r_list, 1, True)[1] == [pairs]
+        s_list, r_list = labeled_posets(0, 2), labeled_posets(0, 3)
+        whole = [(s_pos, range(len(r_list))) for s_pos in range(len(s_list))]
+        assert class_chunks(s_list, range(len(s_list)), r_list, 1, True)[1] == [whole]
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert class_chunks(pairs, r_list, 4, True)[1] == [pairs]
+        assert class_chunks(s_list, range(len(s_list)), r_list, 4, True)[1] == [whole]
 
     def test_the_estimate_is_exact_on_antichains(self):
         chain3 = (0b110, 0b100, 0b000)
@@ -527,13 +594,34 @@ class TestRecordTable:
     #: plain, waived and --no-top sweeps
     MODES = ({}, {"waive_hypotheses": True}, {"allow_top": False})
 
-    def test_records_match_fresh_records(self, empty_records):
+    @staticmethod
+    def sweep_and_search():
         for theorem, waive in product(TheoremId, (False, True)):
             exhaustive_verify(theorem, 2, 3, waive_hypotheses=waive)
         for spec in _benchmark_specs(2, 3):
             search_witness(spec)
+
+    def test_records_match_fresh_records(self, empty_records):
+        self.sweep_and_search()
         # every labeled poset of at most three elements
         assert len(empty_records) == 24
+        # the allowed entries the sweeps and searches filled, read without
+        # filling a table
+        entries = {
+            (rows, cmap): (allowed, dict(allowed))
+            for rows, record in empty_records.items()
+            for cmap, allowed in vars(record).get("allowed", {}).items()
+        }
+        assert entries
+        # sweeping and searching again shares every entry and changes none
+        self.sweep_and_search()
+        for (rows, cmap), (allowed, before) in entries.items():
+            assert empty_records[rows].allowed[cmap] is allowed
+            assert allowed == before, (rows, cmap)
+        for rows, record in empty_records.items():
+            fresh = K.PosetFacts(_raw_up(rows))
+            for cmap, allowed in vars(record).get("allowed", {}).items():
+                assert allowed == K._allowed_masks(fresh, cmap), (rows, cmap)
         rows_list = [rows for n in range(5) for rows in _strict_order_masks(n)]
         rows_list += [rows for rows in _strict_order_masks(5) if K._canonical_encoding(rows) == rows]
         for rows in rows_list:
