@@ -48,9 +48,11 @@ bounded. `_RECORDS` maps each labeled poset's strict up masks to its
 PosetFacts record. Every statement is invariant under relabeling s and r,
 and the two other tables use that: `_CANONICAL` holds each labeled poset's
 canonical form and automorphism group, filled one isomorphism class at a
-time, and `_map_orbits` lists one map per orbit of Aut(s) x Aut(r), which
-the memoized scan checks instead of every map, with a byte per
-representative for its property-bits word, filled on first read. A
+time, and `_ORBITS` lists, per labeled pair, one map per orbit of
+Aut(s) x Aut(r) (`_map_orbits`), which the memoized scan checks instead of
+every map, with a byte per representative for its property-bits word,
+filled on first read. Pool children hand the `_ORBITS` entries they build
+back to the caller, so later pools fork with them. A
 record's allowed table holds an entry per value tuple that a scan of its
 poset has read; memoized scans read only representatives, so at (4, 5)
 the sixteen theorem sweeps fill them within a peak of about 51 MB.
@@ -59,7 +61,7 @@ the sixteen theorem sweeps fill them within a peak of about 51 MB.
 from __future__ import annotations
 
 from array import array
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import permutations
 
 # The kernels are plain Python; perfbench records this in its `env` line.
@@ -890,7 +892,11 @@ def _automorphisms(up) -> tuple[tuple[int, ...], ...]:
 _UNREAD = 0xFF
 
 
-@lru_cache(maxsize=None)
+#: (s_up, r_up, allow_top) -> the _map_orbits entry of that labeled pair,
+#: in the order the entries were built; filled on lookup, never shrinks
+_ORBITS: dict = {}
+
+
 def _map_orbits(s_up: tuple[int, ...], r_up: tuple[int, ...], allow_top: bool):
     """(count, indices, maps, words) of the monotone maps of one labeled pair.
 
@@ -900,10 +906,19 @@ def _map_orbits(s_up: tuple[int, ...], r_up: tuple[int, ...], allow_top: bool):
     word of maps[i], or _UNREAD until _first_violation first reads it. The
     pair (sigma, tau) sends a map f to the map g with g[tau[q]] =
     sigma[f[q]], TOP staying TOP. With a trivial group every map is its own
-    orbit, and the indices are a range. The table is process-wide, like the
+    orbit, and the indices are a range.
+
+    The entry is built once per process and kept in `_ORBITS`, like the
     poset tables: a sweep of another theorem over the same bounds reuses
-    it, words included.
+    it, words included. Since `_ORBITS` keeps the order in which entries
+    were built, the entries a pool task builds are the tail it adds to the
+    table; a pool child hands that tail back with its result, so the
+    caller holds every entry its pools built (theorems.run_chunks).
     """
+    key = (s_up, r_up, allow_top)
+    entry = _ORBITS.get(key)
+    if entry is not None:
+        return entry
     maps = monotone_maps(len(s_up), s_up, len(r_up), r_up, allow_top)
     top = (len(s_up),)
     moves = [
@@ -924,7 +939,8 @@ def _map_orbits(s_up: tuple[int, ...], r_up: tuple[int, ...], allow_top: bool):
             for sigma, back in moves:
                 # g[j] = sigma[f[tau^-1[j]]]
                 seen.add(tuple([sigma[cmap[q]] for q in back]))
-    return len(maps), indices, reps, bytearray([_UNREAD]) * len(reps)
+    entry = _ORBITS[key] = len(maps), indices, reps, bytearray([_UNREAD]) * len(reps)
+    return entry
 
 
 def _first_violation(check, args, s, r, indices, maps, words):

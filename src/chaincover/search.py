@@ -151,7 +151,9 @@ def search_witness(
     deterministic and does not depend on the worker count. The pair of the
     s poset at position i and the r poset at position j has the index
     i * len(r_list) + j; workers walk blocks of one s poset and its r
-    posets (class_chunks), so the pairs are never listed.
+    posets (class_chunks), so the pairs are never listed. With `jobs` > 1
+    the caller is one of the workers, and the children hand back the orbit
+    entries they build (run_chunks), which sweeps share.
     """
     _check_bounds("search", 1, spec.max_s, spec.max_r, size_bound)
     if jobs < 1:

@@ -18,7 +18,7 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product
+from itertools import islice, product
 
 from . import _kernels as K
 from ._kernels import _raw_up
@@ -302,9 +302,11 @@ def class_chunks(
     workers' memos. Classes are dealt round robin (pool_plan) in descending
     order of estimated cost: the maps of one member, which a clean class
     evaluates once, plus a fifth of a map for each labeled pair, which the
-    chunk still visits. The deal is deterministic. One worker gets every
-    pair. The class keys are the `iso` of the posets' records in
-    K._RECORDS, which forked workers inherit.
+    chunk still visits. The deal is deterministic, so every sweep over the
+    same lists gives a child the same classes; after the first, the caller
+    holds their orbit entries, which a child handed back (run_chunks). One
+    worker gets every pair. The class keys are the `iso` of the posets'
+    records in K._RECORDS, which forked workers inherit.
     """
     every = range(len(r_list))
     whole = [(s_pos, every) for s_pos in s_positions]
@@ -341,18 +343,40 @@ def class_chunks(
     return method, chunks
 
 
+def _handback(job):
+    """(task(payload), the K._ORBITS entries built meanwhile) of a pool job.
+
+    `job` is (task, payload). The entries are the tail that the task added
+    to the table, each as (key, entry), words filled so far included.
+    """
+    task, payload = job
+    start = len(K._ORBITS)
+    result = task(payload)
+    return result, list(islice(K._ORBITS.items(), start, None))
+
+
 def run_chunks(task, payloads: list, open_pool) -> list:
     """`task` of each payload, in order; the caller runs the first.
 
     With more than one payload, `open_pool(n)` starts a pool of n children,
-    one fewer than the payloads, which runs the rest meanwhile.
+    one fewer than the payloads, which runs the rest meanwhile, each
+    through _handback. The caller adds every orbit entry a child built and
+    it does not hold yet to its own K._ORBITS, so the next pool, of this
+    or of a later sweep or search, forks from a caller that holds them and
+    its children build none of them again. The pool is opened and closed
+    per call.
     """
     if len(payloads) == 1:
         return [task(payloads[0])]
     with open_pool(len(payloads) - 1) as pool:
-        rest = pool.map_async(task, payloads[1:])
+        rest = pool.map_async(_handback, [(task, payload) for payload in payloads[1:]])
         first = task(payloads[0])
-        return [first, *rest.get()]
+        handed = rest.get()
+    orbits = K._ORBITS
+    for _, entries in handed:
+        for key, entry in entries:
+            orbits.setdefault(key, entry)
+    return [first, *(result for result, _ in handed)]
 
 
 def _sweep_chunk(args):
@@ -428,7 +452,10 @@ def exhaustive_verify(
     The pairs are numbered as in sweep_pairs, but never listed: each
     worker walks blocks of one s poset and its r posets (class_chunks).
     With `jobs` > 1 the caller is one of the workers, and the isomorphism
-    classes of poset pairs are split between them.
+    classes of poset pairs are split between them. Each call opens its own
+    pool, whose children hand back the orbit entries they build
+    (run_chunks), so the sweep of the next theorem over the same bounds
+    forks with every entry of this one.
     """
     _check_bounds("sweep", 0, max_s, max_r, size_bound)
     if jobs < 1:

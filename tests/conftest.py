@@ -15,3 +15,15 @@ def empty_records():
     K._RECORDS.clear()
     yield K._RECORDS
     K._RECORDS.clear()
+
+
+@pytest.fixture
+def empty_orbits():
+    """The process-wide orbit table K._ORBITS, emptied before and after the test.
+
+    A test that checks which orbit entries a sweep or search builds or hands
+    back starts from it cold, and no entry it leaves reaches a later test.
+    """
+    K._ORBITS.clear()
+    yield K._ORBITS
+    K._ORBITS.clear()

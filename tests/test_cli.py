@@ -124,16 +124,25 @@ class TestVerify:
         cx = report["theorems"][0]["counterexample"]
         assert cx["violation"]["waived"] is True
 
-    def test_reports_byte_identical_across_jobs(self, capsys):
-        outputs = []
-        for jobs in ("1", "3"):
-            code, out, _ = run_cli(
-                capsys, "verify", "--exhaustive", "--max-s", "2", "--max-r", "3",
-                "--jobs", jobs,
-            )
-            assert code == 0
-            outputs.append(out)
-        assert outputs[0] == outputs[1]
+    def test_reports_byte_identical_across_jobs(self, capsys, monkeypatch, empty_orbits):
+        # three usable CPUs, so jobs=3 really splits the classes three ways;
+        # one process, a cold orbit table and the most jobs first, so later
+        # runs read the entries that earlier children handed back
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        for flags, want_code in (
+            ((), 0),
+            (("--debug-waive-hypotheses",), 1),
+            (("--debug-waive-hypotheses", "--no-top"), 1),
+        ):
+            outputs = set()
+            for jobs in ("3", "2", "1"):
+                code, out, _ = run_cli(
+                    capsys, "verify", "--exhaustive", "--theorems", "all",
+                    "--max-s", "3", "--max-r", "4", "--jobs", jobs, *flags,
+                )
+                assert code == want_code, (flags, jobs)
+                outputs.add(out)
+            assert len(outputs) == 1, flags
 
     def test_out_of_range_bound_exits_before_enumerating(self, capsys):
         # listing the labeled posets of nine elements would run for hours

@@ -68,6 +68,7 @@ from chaincover.theorems import (
     TheoremId,
     _map_estimate,
     _raw_up,
+    _sweep_chunk,
     class_chunks,
     clause_text,
     estimate_sweep_cost,
@@ -365,6 +366,21 @@ class TestFactTable:
         assert counts == {"_maximal_chain_masks": 4, "property_bits": 2}
 
 
+def _pool_reports(jobs):
+    """Report bytes of two waived sweeps with violations and of a search with a hit."""
+    sweeps = [
+        exhaustive_verify(TheoremId.T_COVER_MAXCHAIN, 1, 2, waive_hypotheses=True, jobs=jobs),
+        exhaustive_verify(TheoremId.C_GGD, 2, 3, waive_hypotheses=True, jobs=jobs),
+    ]
+    spec = WitnessSearchSpec(
+        required=frozenset({"GU", "GD"}), goal="lo-fails", max_s=3, max_r=3
+    )
+    return (
+        serialize_report(build_verify_report(None, sweeps, {"max_s": 2, "max_r": 3})),
+        serialize_report(build_search_report(spec, search_witness(spec, jobs=jobs))),
+    )
+
+
 class TestPoolPlan:
     def test_workers_are_capped_at_the_usable_cpus(self, monkeypatch):
         monkeypatch.setattr(sys, "platform", "linux")
@@ -382,19 +398,6 @@ class TestPoolPlan:
         monkeypatch.setattr(sys, "platform", "darwin")
         assert pool_plan(items, 8)[0] == "spawn"
 
-    def reports(self, jobs):
-        sweeps = [
-            exhaustive_verify(TheoremId.T_COVER_MAXCHAIN, 1, 2, waive_hypotheses=True, jobs=jobs),
-            exhaustive_verify(TheoremId.C_GGD, 2, 3, waive_hypotheses=True, jobs=jobs),
-        ]
-        spec = WitnessSearchSpec(
-            required=frozenset({"GU", "GD"}), goal="lo-fails", max_s=3, max_r=3
-        )
-        return (
-            serialize_report(build_verify_report(None, sweeps, {"max_s": 2, "max_r": 3})),
-            serialize_report(build_search_report(spec, search_witness(spec, jobs=jobs))),
-        )
-
     def test_spawn_and_excess_jobs_give_the_same_report_bytes(self, monkeypatch):
         methods = []
         get_context = multiprocessing.get_context
@@ -406,14 +409,91 @@ class TestPoolPlan:
         monkeypatch.setattr(multiprocessing, "get_context", recording)
         # two usable CPUs, whatever the host has
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        single = self.reports(1)
+        single = _pool_reports(1)
         assert "first violation" in single[0] and '"found": true' in single[1]
         assert methods == []
-        assert self.reports(8) == single
+        assert _pool_reports(8) == single
         assert methods == ["fork"] * 3
         monkeypatch.setattr(sys, "platform", "darwin")
-        assert self.reports(2) == single
+        assert _pool_reports(2) == single
         assert methods == ["fork"] * 3 + ["spawn"] * 3
+
+
+def _assert_fresh_entries(entries: dict):
+    """Each K._ORBITS entry in `entries` equals a build from an empty table:
+    count, indices and maps, and every word read so far equals property_bits."""
+    saved = K._ORBITS
+    K._ORBITS = {}
+    try:
+        for key, (count, indices, maps, words) in entries.items():
+            fresh = K._map_orbits(*key)
+            assert (count, list(indices), maps) == (fresh[0], list(fresh[1]), fresh[2]), key
+            assert len(words) == len(maps), key
+            s_up, r_up, _ = key
+            for cmap, word in zip(maps, words):
+                if word != K._UNREAD:
+                    assert word == K.property_bits(len(s_up), s_up, len(r_up), r_up, cmap), key
+    finally:
+        K._ORBITS = saved
+
+
+class TestOrbitHandback:
+    """Pool children hand the K._ORBITS entries they build back to the caller."""
+
+    def test_forked_children_hand_back_their_entries(self, monkeypatch, empty_orbits):
+        monkeypatch.setattr(sys, "platform", "linux")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        # C_EQUIVALENT holds at (3, 3) and reads the words, so each chunk
+        # scans the first pair of each of its classes and fills words
+        theorem = TheoremId.C_EQUIVALENT
+        s_list = r_list = labeled_posets(0, 3)
+        _, chunks = class_chunks(s_list, range(len(s_list)), r_list, 2, True)
+        assert len(chunks) == 2
+        built = []  # the keys each chunk builds from an empty table
+        for chunk in chunks:
+            empty_orbits.clear()
+            _sweep_chunk((theorem.value, True, True, s_list, r_list, chunk))
+            built.append(set(empty_orbits))
+        child_only = built[1] - built[0]
+        assert child_only
+
+        empty_orbits.clear()
+        assert exhaustive_verify(theorem, 3, 3, waive_hypotheses=True, jobs=2).holds
+        assert set(empty_orbits) == built[0] | built[1]
+        handed = dict(empty_orbits)
+        assert any(w != K._UNREAD for key in child_only for w in handed[key][3])
+
+        # the next theorem's pool forks with every entry: building one, in
+        # the caller or in the child, raises
+        def no_build(*args):
+            raise AssertionError("an orbit entry was built again")
+
+        with monkeypatch.context() as m:
+            m.setattr(K, "monotone_maps", no_build)
+            assert exhaustive_verify(TheoremId.T_PERFECT_COVER, 3, 3, jobs=2).holds
+        assert set(empty_orbits) == set(handed)
+        _assert_fresh_entries(handed)
+
+    def test_spawned_children_hand_back_their_entries(self, monkeypatch, empty_orbits):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        single = _pool_reports(1)
+        empty_orbits.clear()
+        caller_built = set()  # keys of the maps the caller lists itself
+        monotone_maps = K.monotone_maps
+
+        def recording(ns, s_up, nr, r_up, allow_top):
+            caller_built.add((tuple(s_up), tuple(r_up), allow_top))
+            return monotone_maps(ns, s_up, nr, r_up, allow_top)
+
+        monkeypatch.setattr(K, "monotone_maps", recording)
+        monkeypatch.setattr(sys, "platform", "darwin")
+        assert _pool_reports(2) == single
+        assert multiprocessing.active_children() == []
+        # a spawned child starts from an empty table; the entries only it
+        # built reach the caller all the same
+        handed = {key: e for key, e in empty_orbits.items() if key not in caller_built}
+        assert handed
+        _assert_fresh_entries(handed)
 
 
 def _oracle_sweep(theorem, waive, max_s, max_r):
