@@ -21,13 +21,15 @@ inside each set of elements and a table of allowed masks per map value
 tuple. Sweeps and searches take their records from the process-wide table
 `_RECORDS`, so each labeled poset's record is built once per process and
 every map of that poset reads it, in every sweep and search after the
-first. Per map there is the value tuple `cmap`, its property-bits word from
+first. At the object level each `Poset` holds its own record
+(`Poset.facts`), which every map over that Poset object reads. Per map
+there is the value tuple `cmap`, its property-bits word from
 `property_bits` (LO, INC, GU, GD, SGB, GB and unitarity as PROP_* flags)
 and the dict `allowed` from `_allowed_masks`, which sends each chain D of s
 to the elements of r contracting into D; the maximal D-chains are then the
 lookup `r.dchains[allowed[D]]`. That dict depends only on s and `cmap`, so
-a sweep or search reads it from `s.allowed[cmap]`, built once per process
-for every theorem, goal and r that share the values.
+sweeps, searches and maps read it from `s.allowed[cmap]`, built once per
+record for every theorem, goal and r that share the values.
 
 Each theorem is one entry of `THEOREMS`: the names of its hypotheses, their
 flags as one mask, one conclusion over (s, r, cmap, bits, allowed) that
@@ -223,8 +225,8 @@ class PosetFacts(tuple):
     `_allowed_masks(self, cmap)` for a map with the values `cmap`. Its
     `strict_order` is what property_bits reads. A field, once built, is
     never changed. The records of sweeps and searches live in
-    `_RECORDS` for the life of the process; a SpectralMap's facts keep
-    records of their own.
+    `_RECORDS` for the life of the process; a `Poset` keeps its own record,
+    `Poset.facts`, which every SpectralMap over it reads.
     """
 
     def __new__(cls, up):
@@ -280,21 +282,10 @@ def _raw_up(strict_rows: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(row | (1 << i) for i, row in enumerate(strict_rows))
 
 
-class PosetRecords(dict):
-    """Strict up rows -> the poset's PosetFacts record, built on first lookup.
-
-    `_RECORDS` is the one table of the process. A forked worker inherits it
-    as it stood at the fork, keys included.
-    """
-
-    def __missing__(self, rows):
-        record = self[rows] = PosetFacts(_raw_up(rows))
-        return record
-
-
 #: strict up rows -> PosetFacts record of every labeled poset a sweep, a
-#: search or a class split has looked up
-_RECORDS = PosetRecords()
+#: search or a class split has looked up; the one table of the process,
+#: which a forked worker inherits as it stood at the fork
+_RECORDS = _FilledTable(lambda rows: PosetFacts(_raw_up(rows)))
 
 
 def _allowed_masks(s, cmap):

@@ -527,10 +527,15 @@ def _verdict_dict(v: Verdict) -> dict:
 
 
 def build_check_report(doc: InstanceDocument, max_layer: int | None = None) -> dict:
-    """Properties and layer results for one instance."""
+    """Properties and layer results for one instance, layer-1 to layer-max_layer.
+
+    `max_layer` defaults to the height of s; 0 reports no layer.
+    """
     m = doc.smap
     if max_layer is None:
         max_layer = height(m.s_poset)
+    elif max_layer < 0:
+        raise ValueError(f"max layer must be at least 0, got {max_layer}")
     layers = {str(n): check_layer(m, n) for n in range(1, max_layer + 1)}
     return {
         "command": "check",

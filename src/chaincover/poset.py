@@ -5,6 +5,9 @@ keeps comparability O(1) and makes chain enumeration cheap at the sizes this
 package targets. Element indices are assigned along a linear extension
 of the order, so ascending-index members of a chain are automatically in
 ascending poset order and every enumeration stream has one canonical order.
+Each poset owns one kernel fact record, `Poset.facts`, built on first use:
+its chains, maximal chains and height here, and every spectral map from or
+into the poset, read that one record.
 """
 
 from __future__ import annotations
@@ -13,14 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from ._kernels import (
-    _canonical_encoding,
-    _chain_masks,
-    _comp_masks,
-    _down_masks,
-    _is_chain,
-    _maximal_dchains,
-)
+from ._kernels import PosetFacts, _canonical_encoding, _comp_masks, _down_masks, _is_chain
 
 # Labeled-poset enumeration scans 3^(n(n-1)/2) candidate relations.
 POSET_ENUM_BOUND = 5
@@ -60,10 +56,12 @@ class Poset:
     element j; ``leq`` is the same relation as a read-only bool matrix.
     Construction normalizes the element order to a linear extension
     (smaller strict down-sets first, stable), so ``i < j`` as integers never
-    contradicts the partial order.
+    contradicts the partial order. ``facts`` is the poset's kernel record.
     """
 
-    __slots__ = ("labels", "n", "up_masks", "down_masks", "comp_masks", "_index", "_leq")
+    __slots__ = (
+        "labels", "n", "up_masks", "down_masks", "comp_masks", "_index", "_leq", "_facts"
+    )
 
     def __init__(self, labels: tuple[str, ...], up_masks: tuple[int, ...]):
         # Internal constructor: `up_masks` must already be a valid order in
@@ -73,6 +71,7 @@ class Poset:
         self.n = n
         self.up_masks = up_masks
         self._leq = None
+        self._facts = None
         self.down_masks = tuple(_down_masks(n, up_masks))
         self.comp_masks = tuple(_comp_masks(n, up_masks, self.down_masks))
         self._index = {lab: i for i, lab in enumerate(labels)}
@@ -87,6 +86,20 @@ class Poset:
             self._leq = np.array(rows, dtype=bool).reshape(self.n, self.n)
             self._leq.setflags(write=False)
         return self._leq
+
+    @property
+    def facts(self) -> PosetFacts:
+        """The poset's one PosetFacts record, over the masks it already holds.
+
+        Built on first use and kept as long as the poset lives, so every map
+        over the poset and every chain query on it share its chains, maximal
+        chains, D-chain and allowed tables. It is not put in the kernels'
+        process-wide table of labeled posets.
+        """
+        if self._facts is None:
+            record = self._facts = PosetFacts(self.up_masks)
+            record.down, record.comp = self.down_masks, self.comp_masks
+        return self._facts
 
     @classmethod
     def from_leq_matrix(cls, labels: list[str] | tuple[str, ...], leq) -> "Poset":
@@ -349,17 +362,17 @@ def enumerate_chains(p: Poset, include_empty: bool):
     """Yield every chain exactly once, in ascending-bitmask order."""
     if p.n > MASK_ENUM_BOUND:
         raise BoundExceeded(f"chain enumeration supports at most {MASK_ENUM_BOUND} elements")
-    for mask in _chain_masks(p.n, p.comp_masks):
-        if mask or include_empty:
-            yield chain_from_mask(p, mask)
+    masks = p.facts.chains  # the empty chain first
+    for mask in masks if include_empty else masks[1:]:
+        yield chain_from_mask(p, mask)
 
 
 def maximal_chains(p: Poset) -> list[ChainRecord]:
     """All maximal chains, in lexicographic member order."""
     if p.n == 0:
         raise EmptyPoset("maximal chains need a nonempty poset")
-    masks = _maximal_dchains(p.up_masks, p.down_masks, (1 << p.n) - 1)
-    return sorted((chain_from_mask(p, mask) for mask in masks), key=lambda c: c.members)
+    chains = (chain_from_mask(p, mask) for mask in p.facts.max_chains)
+    return sorted(chains, key=lambda c: c.members)
 
 
 def cuts_of(chain: ChainRecord, proper_only: bool) -> list[Cut]:
@@ -462,9 +475,5 @@ def check_order_axioms(p: Poset) -> bool:
 
 
 def height(p: Poset) -> int:
-    """Size of the longest chain (0 for the empty poset)."""
-    best = [0] * p.n
-    for i in range(p.n):  # index order is a linear extension
-        below = p.down_masks[i]
-        best[i] = 1 + max((best[j] for j in range(i) if below >> j & 1), default=0)
-    return max(best, default=0)
+    """Size of the longest chain (0 for the empty poset), a maximal one."""
+    return max((mask.bit_count() for mask in p.facts.max_chains), default=0)

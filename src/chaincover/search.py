@@ -141,7 +141,6 @@ def _search_chunk(args):
 def search_witness(
     spec: WitnessSearchSpec,
     jobs: int = 1,
-    size_bound: int = POSET_ENUM_BOUND,
     do_shrink: bool = True,
 ) -> SpectralMap | None:
     """First instance meeting the flags and the goal, shrunk, or None.
@@ -155,7 +154,7 @@ def search_witness(
     the caller is one of the workers, and the children hand back the orbit
     entries they build (run_chunks), which sweeps share.
     """
-    _check_bounds("search", 1, spec.max_s, spec.max_r, size_bound)
+    _check_bounds("search", 1, spec.max_s, spec.max_r, POSET_ENUM_BOUND)
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     need, forbid = _flag_masks(spec.required)

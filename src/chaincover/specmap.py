@@ -89,48 +89,29 @@ class SpectralMap:
 class MapFacts:
     """The kernel encoding of one spectral map and the facts derived from it.
 
-    `s` and `r` are the posets' K.PosetFacts records, `cmap` is the
-    assignment with TOP as the sentinel ns, and `allowed` sends each chain
-    D of s to the elements of r contracting into D. The property bits, the
-    records and `allowed` are each computed on first use and kept, so a
-    caller that reads only the bits builds no record. A SpectralMap is
-    immutable over immutable posets, so its facts never go stale.
+    `s` and `r` are the posets' own records (`Poset.facts`), shared by every
+    map over the same Poset objects, `cmap` is the assignment with TOP as
+    the sentinel ns, and `allowed` sends each chain D of s to the elements
+    of r contracting into D, the entry of s's allowed table for `cmap`. The
+    property bits and `allowed` are each computed on first use and kept. A
+    SpectralMap is immutable over immutable posets, so its facts never go
+    stale.
     """
 
     def __init__(self, m: SpectralMap):
-        self._s_poset = m.s_poset
-        self._r_poset = m.r_poset
+        self.s = m.s_poset.facts
+        self.r = m.r_poset.facts
         self.cmap = tuple(m.s_poset.n if v is TOP else v for v in m.assignment)
 
     @cached_property
     def bits(self) -> int:
         """LO, INC, GU, GD, SGB, GB and unitarity as K.property_bits flags."""
-        s, r = self._s_poset, self._r_poset
-        return K.property_bits(s.n, s.up_masks, r.n, r.up_masks, self.cmap)
-
-    @cached_property
-    def s(self) -> K.PosetFacts:
-        return _record(self._s_poset)
-
-    @cached_property
-    def r(self) -> K.PosetFacts:
-        return _record(self._r_poset)
+        s, r = self.s, self.r
+        return K.property_bits(s.n, s, r.n, r, self.cmap)
 
     @cached_property
     def allowed(self) -> dict[int, int]:
-        return K._allowed_masks(self.s, self.cmap)
-
-
-def _record(p: Poset) -> K.PosetFacts:
-    """The kernel record of `p`, over the masks the poset already holds.
-
-    Its maximal chains are built with it, once per instance: every check of
-    the instance shares them.
-    """
-    record = K.PosetFacts(p.up_masks)
-    record.down, record.comp = p.down_masks, p.comp_masks
-    record.max_chains = K._maximal_chain_masks(p.n, p.up_masks, p.down_masks)
-    return record
+        return self.s.allowed[self.cmap]
 
 
 @dataclass(frozen=True)

@@ -439,7 +439,6 @@ def exhaustive_verify(
     allow_top: bool = True,
     waive_hypotheses: bool = False,
     jobs: int = 1,
-    size_bound: int = POSET_ENUM_BOUND,
 ) -> Verdict:
     """Check a theorem on every instance within the size bounds.
 
@@ -457,7 +456,7 @@ def exhaustive_verify(
     (run_chunks), so the sweep of the next theorem over the same bounds
     forks with every entry of this one.
     """
-    _check_bounds("sweep", 0, max_s, max_r, size_bound)
+    _check_bounds("sweep", 0, max_s, max_r, POSET_ENUM_BOUND)
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     start = time.perf_counter()

@@ -84,6 +84,17 @@ class TestCheck:
         assert code == 0
         assert list(json.loads(out)["layers"]) == ["1", "2", "3", "4", "5"]
 
+    def test_max_layer_zero_reports_no_layer(self, capsys, diamond_path):
+        code, out, _ = run_cli(capsys, "check", diamond_path, "--max-layer", "0")
+        assert code == 0
+        assert json.loads(out)["layers"] == {}
+
+    def test_negative_max_layer_is_an_error(self, capsys, diamond_path):
+        code, out, err = run_cli(capsys, "check", diamond_path, "--max-layer", "-1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "max layer" in err
+
 
 class TestVerify:
     def test_instance_all_core(self, capsys, diamond_path):

@@ -29,15 +29,20 @@ from property_oracles import (
     scalar_property_bits,
 )
 from chaincover.document import (
+    build_check_report,
     build_search_report,
     build_verify_report,
+    parse_instance,
     serialize_report,
 )
 from chaincover.poset import (
     BoundExceeded,
     _strict_order_masks,
+    enumerate_chains,
     enumerate_posets,
+    height,
     make_poset,
+    maximal_chains,
     random_poset,
 )
 from chaincover.search import (
@@ -56,9 +61,11 @@ from chaincover.specmap import (
     TOP,
     NotMonotone,
     SpectralMap,
+    check_layer,
     check_property,
     enumerate_monotone_maps,
     make_spectral_map,
+    maximal_D_chains,
     properties_summary,
 )
 from chaincover.theorems import (
@@ -346,7 +353,7 @@ class TestFactTable:
                     name, m.describe()
                 )
 
-    def test_facts_are_computed_once_per_instance(self, monkeypatch):
+    def test_facts_are_computed_once_per_poset(self, monkeypatch):
         counts = {"_maximal_chain_masks": 0, "property_bits": 0}
         for name in counts:
             original = getattr(K, name)
@@ -357,13 +364,145 @@ class TestFactTable:
 
             monkeypatch.setattr(K, name, counting)
         m = six_element_witness()
-        for t in TheoremId:
-            verify(m, t)
-        properties_summary(m)
-        # once for s and once for r, and the bits once
-        assert counts == {"_maximal_chain_masks": 2, "property_bits": 1}
-        verify(SpectralMap(m.s_poset, m.r_poset, m.assignment), TheoremId.P_LAYERS)
-        assert counts == {"_maximal_chain_masks": 4, "property_bits": 2}
+        other = SpectralMap(m.s_poset, m.r_poset, m.assignment)
+        # two maps over the same Poset objects share both posets' records
+        assert other.facts.s is m.facts.s is m.s_poset.facts
+        assert other.facts.r is m.facts.r is m.r_poset.facts
+        for smap in (m, other):
+            for t in TheoremId:
+                verify(smap, t)
+            properties_summary(smap)
+        assert other.facts.allowed is m.facts.allowed
+        height(m.s_poset)
+        maximal_chains(m.r_poset)
+        # the maximal chains once per poset, and the bits once per map
+        assert counts == {"_maximal_chain_masks": 2, "property_bits": 2}
+        # equal posets that are other objects have records of their own
+        again = six_element_witness()
+        assert again.facts.s is not m.facts.s and again.facts.s == m.facts.s
+        verify(again, TheoremId.P_LAYERS)
+        assert counts["property_bits"] == 3
+
+
+SAMPLE_PATHS = sorted(
+    (pathlib.Path(__file__).resolve().parent.parent / "sample_instances").glob("*.json")
+)
+
+#: the record fields that are one value each; `dchains` and `allowed` are tables
+RECORD_FIELDS = ("down", "comp", "strict_order", "chains", "chain_steps", "max_chains", "iso")
+
+
+class TestSharedRecords:
+    """Every map over a Poset reads that poset's one record, `Poset.facts`.
+
+    After checks, theorem verdicts and shrinks have filled the shared
+    records, each filled field equals the one of a fresh record, and every
+    verdict equals one computed from fresh records built for it alone.
+    """
+
+    @staticmethod
+    def profile(m):
+        return (
+            properties_summary(m),
+            goal_holds(m, "maximal-dchain-not-cover"),
+            goal_holds(m, "maximal-dchain-not-perfect-cover"),
+        )
+
+    def shrink_all(self, m, seen):
+        """Shrink m while its properties and chain goals stay the same."""
+        want = self.profile(m)
+
+        def same(candidate):
+            seen.append(candidate)
+            return self.profile(candidate) == want
+
+        seen.append(shrink(m, same))
+
+    @staticmethod
+    def assert_records_match_fresh(maps):
+        posets = {id(p): p for m in maps for p in (m.s_poset, m.r_poset)}
+        multi = 0
+        for p in posets.values():
+            record, fresh = vars(p.facts), K.PosetFacts(p.up_masks)
+            assert p.facts == fresh, p
+            for field in RECORD_FIELDS:
+                if field in record:
+                    assert tuple(record[field]) == tuple(getattr(fresh, field)), (p, field)
+            for allowed, chains in record.get("dchains", {}).items():
+                assert chains == fresh.dchains[allowed], (p, allowed)
+                multi += len(chains) > 1
+            for cmap, allowed in record.get("allowed", {}).items():
+                assert allowed == fresh.allowed[cmap], (p, cmap)
+        # an entry whose order a reader could disturb was compared
+        assert multi > 0
+
+    @staticmethod
+    def assert_verdicts_match_fresh(maps):
+        for m in maps:
+            s, r = m.s_poset, m.r_poset
+            fs, fr = K.PosetFacts(s.up_masks), K.PosetFacts(r.up_masks)
+            cmap = tuple(s.n if v is TOP else v for v in m.assignment)
+            bits = K.property_bits(s.n, fs, r.n, fr, cmap)
+            allowed = K._allowed_masks(fs, cmap)
+            where = m.describe()
+            for t, waive in product(TheoremId, (False, True)):
+                code = K.eval_theorem(t.value, waive, fs, fr, cmap, bits, allowed)
+                assert outcome(verify(m, t, waive))[0] == code, (t, waive, where)
+            assert m.facts.bits == bits, where
+            for name in ("SCLO", "GGD", "chain_morphism"):
+                prop = getattr(K, f"prop_{name.lower()}")
+                assert check_property(m, name) == prop(fs, fr, cmap, allowed), (name, where)
+            for n in range(1, height(s) + 2):
+                assert check_layer(m, n) == K.layer_holds(n, fs, fr, allowed), (n, where)
+            for d in enumerate_chains(s, include_empty=False):
+                got = [c.mask for c in maximal_D_chains(m, d)]
+                # lexicographic member order
+                want = sorted(
+                    fr.dchains[allowed[d.mask]],
+                    key=lambda c: [i for i in range(r.n) if c >> i & 1],
+                )
+                assert got == want, (d.members, where)
+
+    def test_sample_instances(self):
+        maps = []
+        for path in SAMPLE_PATHS:
+            doc = parse_instance(path.read_text())
+            m = doc.smap
+            build_check_report(doc)
+            build_verify_report(doc, [verify(m, t) for t in TheoremId])
+            # a shrink candidate that keeps s or r keeps that poset's record
+            for build in _shrink_candidates(m):
+                try:
+                    candidate = build()
+                except NotMonotone:
+                    continue
+                assert (candidate.facts.s is m.facts.s) != (candidate.facts.r is m.facts.r)
+                maps.append(candidate)
+            maps.append(m)
+            self.shrink_all(m, maps)
+        self.assert_records_match_fresh(maps)
+        self.assert_verdicts_match_fresh(maps)
+        self.assert_records_match_fresh(maps)
+
+    def test_random_maps_over_shared_posets(self):
+        rng = random.Random(18)
+        posets = [random_poset(n, seed) for n in range(1, 5) for seed in range(3)]
+        maps = []
+        for _ in range(40):
+            s, r = rng.choice(posets), rng.choice(posets)
+            every = list(enumerate_monotone_maps(s, r, allow_top=True))
+            maps += rng.sample(every, min(4, len(every)))
+        rng.shuffle(maps)
+        for m in maps:
+            for t in rng.sample(list(TheoremId), 6):
+                verify(m, t, rng.random() < 0.5)
+            for d in enumerate_chains(m.s_poset, include_empty=False):
+                maximal_D_chains(m, d)
+        for m in maps[:10]:
+            self.shrink_all(m, maps)
+        self.assert_records_match_fresh(maps)
+        self.assert_verdicts_match_fresh(maps)
+        self.assert_records_match_fresh(maps)
 
 
 def _pool_reports(jobs):
