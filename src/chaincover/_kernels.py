@@ -35,35 +35,45 @@ Each theorem is one entry of `THEOREMS`: the names of its hypotheses, their
 flags as one mask, one conclusion over (s, r, cmap, bits, allowed) that
 returns a clause code, and whether that conclusion reads the word.
 `eval_theorem` looks the theorem up by name and tests its hypotheses as one
-mask of the word.
+mask of the word; it evaluates one map, for the object level and the
+replays of sweep and search hits.
 
 Sweeps and searches walk their labeled poset pairs as blocks, one s poset
 with ascending positions in the list of r posets, and call sweep_pair or
 search_pair once per pair with both posets' records. Those share one scan:
 `_scan_pair` checks the maps of a poset pair in one loop,
-`_first_violation`, with a per-map check that evaluates a theorem
-(sweep_pair) or tests a search goal (search_pair); a pair whose
-isomorphism class the sweep's memo has settled is answered without a scan.
-Three process-wide tables are filled on lookup and never shrink. Within
+`_first_violation`, which first filters the maps by their words, a map
+passing when its word holds every flag of a `need` mask and none of a
+`forbid` mask, and then calls a predicate on those that pass: the
+theorem's conclusion, with its hypotheses as `need` unless waived
+(sweep_pair), or the search goal `_goal_met`, with the search's flags
+(search_pair). The next map that may pass is found in C, by `find` on the
+words translated through a 256-byte table per filter (`_FILTERS`), so a
+map the filter rejects costs no Python call. A pair whose isomorphism
+class the scan's memo has settled is answered without a scan; the memo is
+keyed by the records' class ids (`PosetFacts.cls`).
+
+Process-wide tables are filled on lookup and never shrink. Within
 POSET_ENUM_BOUND there are at most 4,474 labeled posets, so their size is
 bounded. `_RECORDS` maps each labeled poset's strict up masks to its
 PosetFacts record. Every statement is invariant under relabeling s and r,
-and the two other tables use that: `_CANONICAL` holds each labeled poset's
+and the other tables use that: `_CANONICAL` holds each labeled poset's
 canonical form and automorphism group, filled one isomorphism class at a
-time, and `_ORBITS` lists, per labeled pair, one map per orbit of
-Aut(s) x Aut(r) (`_map_orbits`), which the memoized scan checks instead of
-every map, with a byte per representative for its property-bits word,
-filled on first read. Pool children hand the `_ORBITS` entries they build
-back to the caller, so later pools fork with them. A
-record's allowed table holds an entry per value tuple that a scan of its
-poset has read; memoized scans read only representatives, so at (4, 5)
-the sixteen theorem sweeps fill them within a peak of about 51 MB.
+time, `_CLASS_IDS` numbers the canonical forms, and `_ORBITS` lists, per
+labeled pair, one map per orbit of Aut(s) x Aut(r) (`_map_orbits`), which
+the memoized scan checks instead of every map, with a byte per
+representative for its property-bits word, filled on first read. Pool
+children hand the `_ORBITS` entries they build back to the caller, so
+later pools fork with them. A record's allowed table holds an entry per
+value tuple that a scan of its poset has checked; memoized scans check
+only representatives that pass their filter, so at (4, 5) the sixteen
+theorem sweeps fill them within a peak of about 51 MB.
 """
 
 from __future__ import annotations
 
 from array import array
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import permutations
 
 # The kernels are plain Python; perfbench records this in its `env` line.
@@ -217,9 +227,10 @@ class PosetFacts(tuple):
 
     The record is the tuple of up masks itself, so it stands wherever up
     masks are read. Everything else is built on first use, so a record that
-    is only looked up by its isomorphism key costs that key alone: its down
-    and comparability masks, its maximal chains (ascending), its chains
-    (ascending, the empty chain first), its D-chain table, where
+    is only looked up by its isomorphism class costs its canonical form
+    `iso` and class id `cls` alone: its down and comparability masks, its
+    maximal chains (ascending), its chains (ascending, the empty chain
+    first), its D-chain table, where
     `dchains[allowed]` equals `_maximal_dchains(up, down, allowed)`, order
     included, and its allowed table, where `allowed[cmap]` equals
     `_allowed_masks(self, cmap)` for a map with the values `cmap`. Its
@@ -267,6 +278,12 @@ class PosetFacts(tuple):
         return _canonical_encoding(tuple(m & ~(1 << i) for i, m in enumerate(self)))
 
     @cached_property
+    def cls(self) -> int:
+        # a small id of the isomorphism class, the same for every record of
+        # the class within one process: the scan memos' key
+        return _CLASS_IDS.setdefault(self.iso, len(_CLASS_IDS))
+
+    @cached_property
     def dchains(self) -> _FilledTable:
         # at most 2^n entries
         return _FilledTable(_maximal_dchains, self, self.down)
@@ -286,6 +303,10 @@ def _raw_up(strict_rows: tuple[int, ...]) -> tuple[int, ...]:
 #: search or a class split has looked up; the one table of the process,
 #: which a forked worker inherits as it stood at the fork
 _RECORDS = _FilledTable(lambda rows: PosetFacts(_raw_up(rows)))
+
+#: canonical form -> the class id that PosetFacts.cls reads, in the order
+#: the classes were met; ids agree only within one process
+_CLASS_IDS: dict[tuple[int, ...], int] = {}
 
 
 def _allowed_masks(s, cmap):
@@ -729,21 +750,18 @@ THEOREMS = {
 }
 
 
-def eval_theorem(tid, waive, s, r, cmap, bits, allowed=None):
+def eval_theorem(tid, waive, s, r, cmap, bits, allowed):
     """Evaluate the theorem named `tid` on one instance.
 
     `s` and `r` are PosetFacts records, `cmap` the map's values as a tuple,
     `bits` its property_bits word and `allowed` its `_allowed_masks(s,
-    cmap)`, or None to read it from `s.allowed` once the hypotheses pass.
-    Returns 0 when the statement holds on the instance, which it does
+    cmap)`. Returns 0 when the statement holds on the instance, which it does
     whenever a hypothesis is unmet unless `waive` forces the conclusion to
     be checked anyway, and a positive clause code otherwise.
     """
     _, need, conclusion, _ = THEOREMS[tid]
     if not waive and bits & need != need:
         return 0
-    if allowed is None:
-        allowed = s.allowed[cmap]
     return conclusion(s, r, cmap, bits, allowed)
 
 
@@ -934,68 +952,107 @@ def _map_orbits(s_up: tuple[int, ...], r_up: tuple[int, ...], allow_top: bool):
     return entry
 
 
-def _first_violation(check, args, s, r, indices, maps, words):
-    """(index, code) of the first map whose check fails, or (-1, 0).
+#: (need, forbid) -> the 256-byte table that `bytes.translate` uses to mark
+#: the words a scan must look at: 1 at each word w with w & need == need and
+#: not w & forbid, and at _UNREAD, whose word is not known yet; 0 elsewhere
+_FILTERS: dict[tuple[int, int], bytes] = {}
 
-    maps[i] has the index indices[i]. `check(*args, s, r, cmap, bits)`
-    returns a clause code or a bool, where `bits` is the map's property_bits
-    word: words[i], computed and stored there on first read, or 0 when
-    `words` is None because the check does not read it.
+
+def _filter_table(need: int, forbid: int) -> bytes:
+    table = _FILTERS.get((need, forbid))
+    if table is None:
+        table = _FILTERS[need, forbid] = bytes(
+            w == _UNREAD or (w & need == need and not w & forbid) for w in range(256)
+        )
+    return table
+
+
+def _first_violation(need, forbid, check, args, s, r, indices, maps, words):
+    """(index, code) of the first map that passes the filter and fails the check,
+    or (-1, 0).
+
+    maps[i] has the index indices[i]. A map passes the filter when its
+    property-bits word has every flag of `need` and none of `forbid`;
+    `check(*args, s, r, cmap, bits, allowed)` then returns a clause code or
+    a bool, with `allowed` the map's entry `s.allowed[cmap]`. words[i] is
+    maps[i]'s word or _UNREAD, and the next map that may pass is found in C,
+    by `find` on the words translated through _filter_table: an unread word
+    is computed and stored there first, then tested. When `words` is None
+    the check does not read the word (`bits` is 0) and the filter is empty,
+    so every map is checked.
     """
-    for i, cmap in enumerate(maps):
-        bits = 0
-        if words is not None:
-            bits = words[i]
-            if bits == _UNREAD:
-                bits = words[i] = property_bits(s.n, s, r.n, r, cmap)
-        code = check(*args, s, r, cmap, bits)
+    if args:
+        # bound once, so each map costs a plain call
+        check = partial(check, *args)
+    allowed = s.allowed
+    if words is None:
+        for i, cmap in enumerate(maps):
+            code = check(s, r, cmap, 0, allowed[cmap])
+            if code:
+                return indices[i], code
+        return -1, 0
+    find = words.translate(_filter_table(need, forbid)).find
+    i = find(1)
+    while i >= 0:
+        cmap = maps[i]
+        bits = words[i]
+        if bits == _UNREAD:
+            bits = words[i] = property_bits(s.n, s, r.n, r, cmap)
+            if bits & need != need or bits & forbid:
+                i = find(1, i + 1)
+                continue
+        code = check(s, r, cmap, bits, allowed[cmap])
         if code:
             return indices[i], code
+        i = find(1, i + 1)
     return -1, 0
 
 
-def _scan_pair(check, args, reads_word, s, r, allow_top, memo, count_only):
+def _scan_pair(need, forbid, check, args, reads_word, s, r, allow_top, memo, count_only):
     """(maps of the pair, index of its first map failing `check` or -1, code).
 
-    `check` and `args` are as in _first_violation, and `reads_word` says
-    whether the check reads the property-bits word. `s` and `r` are up
-    masks or PosetFacts records. With `count_only` the maps are only
-    counted. Without `memo` every map is checked, in monotone_maps order,
-    and its word computed.
+    `need`, `forbid`, `check` and `args` are as in _first_violation, and
+    `reads_word` says whether the check reads the property-bits word. `s`
+    and `r` are up masks or PosetFacts records. With `count_only` the maps
+    are only counted. Without `memo` every map that passes the filter is
+    checked, in monotone_maps order; the words are computed unless the
+    filter is empty and the check does not read them.
 
-    With `memo`, a dict owned by one sweep or search chunk (one check and
-    one allow_top), only the pair's orbit representatives (_map_orbits) are
-    checked, each word computed at most once per process. Every check is
-    invariant under relabeling s and r, and each map before the first
-    failing representative lies in the orbit of an earlier, clean one, so
-    that representative is the pair's first failing map. The memo maps each
-    isomorphism class (s.iso, r.iso) met to (map count, whether every map
-    came out clean). A later pair of a clean class, or a count_only pair of
-    any recorded class, returns its count unchecked; a class with a failing
-    map is scanned on every pair, so the index is exact for each labeling.
+    With `memo`, a dict owned by one sweep or search chunk (one filter, one
+    check and one allow_top), only the pair's orbit representatives
+    (_map_orbits) are looked at, each word computed at most once per
+    process. The filter and every check are invariant under relabeling s
+    and r, and each map before the first failing representative lies in the
+    orbit of an earlier, clean one, so that representative is the pair's
+    first failing map. The memo maps each isomorphism class (s.cls, r.cls)
+    met to ((map count, -1, 0), whether every map came out clean). A later
+    pair of a clean class, or a count_only pair of any recorded class,
+    returns that answer unchecked; a class with a failing map is scanned on
+    every pair, so the index is exact for each labeling.
     """
     s = s if isinstance(s, PosetFacts) else PosetFacts(s)
     r = r if isinstance(r, PosetFacts) else PosetFacts(r)
+    reads_word = reads_word or need or forbid
     if memo is None:
         if count_only:
             return count_monotone_maps(s.n, s, r.n, r, allow_top), -1, 0
         maps = monotone_maps(s.n, s, r.n, r, allow_top)
         words = bytearray([_UNREAD]) * len(maps) if reads_word else None
         return len(maps), *_first_violation(
-            check, args, s, r, range(len(maps)), maps, words
+            need, forbid, check, args, s, r, range(len(maps)), maps, words
         )
-    key = (s.iso, r.iso)
+    key = (s.cls, r.cls)
     known = memo.get(key)
     if known is not None and (known[1] or count_only):
-        return known[0], -1, 0
+        return known[0]
     if count_only:
         count, first, code = count_monotone_maps(s.n, s, r.n, r, allow_top), -1, 0
     else:
         count, indices, maps, words = _map_orbits(tuple(s), tuple(r), allow_top)
         first, code = _first_violation(
-            check, args, s, r, indices, maps, words if reads_word else None
+            need, forbid, check, args, s, r, indices, maps, words if reads_word else None
         )
-    memo[key] = (count, not count_only and first < 0)
+    memo[key] = ((count, -1, 0), not count_only and first < 0)
     return count, first, code
 
 
@@ -1010,27 +1067,34 @@ def sweep_pair(
     its blocks, and once it has its first violation passes `count_only` for
     every later pair, whose counts it still sums. `memo` is one sweep
     chunk's (one tid, waive and allow_top); see _scan_pair. On two records,
-    a pair the memo settles is answered here, before any other lookup. The
-    maps' words are read only when the theorem reads them: for its
-    hypotheses unless `waive`, or in its conclusion.
+    a pair the memo settles is answered here, before any other lookup.
+
+    The scan filters the maps on the theorem's hypothesis mask, unless
+    `waive`, and checks the theorem's conclusion on those that pass, so a
+    map that misses a hypothesis costs a byte of the filter and no call.
+    The maps' words are read only when the theorem reads them: for its
+    hypotheses unless `waive`, or in its conclusion. `eval_theorem` is the
+    same statement on one map, for the object level and the replays.
     """
-    if memo is not None and isinstance(s_up, PosetFacts) and isinstance(r_up, PosetFacts):
-        # most pairs of a sweep are answered by the memo, so its test comes first
-        known = memo.get((s_up.iso, r_up.iso))
+    if memo is not None:
+        # most pairs of a sweep are answered by the memo, so its test comes
+        # first, on the records' class ids
+        try:
+            known = memo.get((s_up.cls, r_up.cls))
+        except AttributeError:  # up masks, whose records _scan_pair builds
+            known = None
         if known is not None and (known[1] or count_only):
-            return known[0], -1, 0
-    _, need, _, reads_word = THEOREMS[tid]
-    # eval_theorem is read at call time, so a wrapper installed later is seen
+            return known[0]
+    _, need, conclusion, reads_word = THEOREMS[tid]
     return _scan_pair(
-        eval_theorem, (tid, waive), reads_word or (need != 0 and not waive),
+        0 if waive else need, 0, conclusion, (), reads_word,
         s_up, r_up, allow_top, memo, count_only,
     )
 
 
-def _goal_met(goal_id, goal_size, s, r, cmap, bits):
+def _goal_met(goal_id, goal_size, s, r, cmap, bits, allowed):
     if goal_id == GOAL_LO_FAILS:
         return not bits & PROP_LO
-    allowed = s.allowed[cmap]
     for d in s.chains[1:]:
         if goal_size > 0 and d.bit_count() != goal_size:
             continue
@@ -1042,15 +1106,6 @@ def _goal_met(goal_id, goal_size, s, r, cmap, bits):
     return False
 
 
-def _goal_check(need_bits, forbid_bits, goal_id, goal_size, s, r, cmap, bits):
-    # a map hits when its property bits meet the flags and the goal holds
-    return (
-        bits & need_bits == need_bits
-        and not bits & forbid_bits
-        and _goal_met(goal_id, goal_size, s, r, cmap, bits)
-    )
-
-
 def search_pair(
     ns, s_up, nr, r_up, allow_top, need_bits, forbid_bits, goal_id, goal_size,
     *, memo=None,
@@ -1058,12 +1113,15 @@ def search_pair(
     """First monotone map meeting the flag and goal constraints, if any.
 
     `s_up` and `r_up` are up masks or PosetFacts records, as in sweep_pair.
-    Returns (maps scanned, index of the hit or -1). Scanning stops at the
-    first hit, so a hit at index k reports k+1 scanned. `memo` is one
-    search's (one set of the other arguments); see _scan_pair.
+    Returns (maps scanned, index of the hit or -1). The scan filters the
+    maps on the flags, `need_bits` and `forbid_bits`, and tests the goal
+    (_goal_met) on those that pass. It stops at the first hit, so a hit at
+    index k reports k+1 scanned. `memo` is one search's (one set of the
+    other arguments); see _scan_pair.
     """
+    # _goal_met is read at call time, so a wrapper installed later is seen
     count, hit, _ = _scan_pair(
-        _goal_check, (need_bits, forbid_bits, goal_id, goal_size), True,
+        need_bits, forbid_bits, _goal_met, (goal_id, goal_size), True,
         s_up, r_up, allow_top, memo, False,
     )
     return (count, -1) if hit < 0 else (hit + 1, hit)

@@ -98,6 +98,8 @@ def cmd_verify(args) -> int:
     theorems = _parse_theorem_list(args.theorems)
     jobs = args.jobs if args.jobs is not None else _default_jobs()
     if args.exhaustive:
+        if args.instance is not None:
+            raise ValueError("verify takes an instance document or --exhaustive, not both")
         estimate = estimate_sweep_cost(args.max_s, args.max_r, args.allow_top)
         if estimate["map_upper_bound"] > SAFE_MAP_BOUND and not args.unsafe_bounds:
             raise ValueError(

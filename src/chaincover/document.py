@@ -12,6 +12,7 @@ for fixed inputs regardless of worker count.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 
 from .poset import (
@@ -264,10 +265,19 @@ def _parse_elem(tokens: _Tokens):
     return tokens.take_int()
 
 
+def _parse_nested_ring(tokens: _Tokens) -> RingExpr:
+    # the grammar recurses once per nested Product; where the interpreter's
+    # stack runs out, the expression is reported at the point reached
+    try:
+        return _parse_ring(tokens)
+    except RecursionError:
+        tokens.error("ring expression nests too deeply")
+
+
 def parse_ring_expr(text: str) -> RingExpr:
     """Parse `Zn(12)` or `Product(Zn(2),Zn(3))`."""
     tokens = _Tokens(text)
-    ring = _parse_ring(tokens)
+    ring = _parse_nested_ring(tokens)
     tokens.expect_end()
     return ring
 
@@ -287,7 +297,7 @@ def parse_hom_expr(text: str) -> RingHom:
     if tokens.take_ident() != "target":
         tokens.error("expected target=...")
     tokens.take_symbol("=")
-    target = _parse_ring(tokens)
+    target = _parse_nested_ring(tokens)
     tokens.take_symbol(",")
     if tokens.take_ident() != "e":
         tokens.error("expected e=...")
@@ -399,6 +409,24 @@ def _parse_poset_block(block, what: str) -> Poset:
         raise DocumentSemanticError(f"{what}: {exc}") from exc
 
 
+#: a JSON string or one bracket
+_STRING_OR_BRACKET = re.compile(r'"(?:[^"\\]|\\.)*"|[][{}]')
+
+
+def _deepest_bracket(text: str) -> int:
+    """Offset of the first opening bracket at the deepest nesting of JSON text."""
+    depth = deepest = at = 0
+    for match in _STRING_OR_BRACKET.finditer(text):
+        token = match.group()
+        if token == "[" or token == "{":
+            depth += 1
+            if depth > deepest:
+                deepest, at = depth, match.start()
+        elif token == "]" or token == "}":
+            depth -= 1
+    return at
+
+
 def parse_instance(text: str) -> InstanceDocument:
     """Parse and validate an instance document.
 
@@ -409,6 +437,9 @@ def parse_instance(text: str) -> InstanceDocument:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentSyntaxError(exc.msg, exc.lineno, exc.colno) from exc
+    except RecursionError:
+        line, column = _Tokens(text)._location(_deepest_bracket(text))
+        raise DocumentSyntaxError("document nests too deeply", line, column) from None
     if not isinstance(data, dict):
         raise DocumentSemanticError("instance document must be a JSON object")
     unknown = set(data) - {"name", "seed", "s", "r", "map", "ring", "violation"}

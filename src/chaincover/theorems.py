@@ -394,17 +394,20 @@ def _sweep_chunk(args):
     memo: dict = {}
     records = K._RECORDS
     r_records = [records[rows] for rows in r_list]
+    count_only = False
     for s_pos, r_positions in blocks:
         s = records[s_list[s_pos]]
+        ns = s.n
         for r_pos in r_positions:
             r = r_records[r_pos]
             count, first_bad, code = K.sweep_pair(
-                tid, waive, s.n, s, r.n, r, allow_top,
-                memo=memo, count_only=first is not None,
+                tid, waive, ns, s, r.n, r, allow_top,
+                memo=memo, count_only=count_only,
             )
             maps += count
             if first_bad >= 0:
                 first = (s_pos * len(r_list) + r_pos, first_bad, code)
+                count_only = True
     return maps, first
 
 

@@ -95,6 +95,13 @@ class TestCheck:
         assert out == ""
         assert err.startswith("error: ") and "max layer" in err
 
+    def test_deep_nesting_is_a_syntax_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        code, out, err = run_cli(capsys, "check", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: document nests too deeply (line 1, column 100000)\n"
+
 
 class TestVerify:
     def test_instance_all_core(self, capsys, diamond_path):
@@ -178,6 +185,13 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify")
         assert code == 2
         assert "instance document or --exhaustive" in err
+
+    def test_instance_with_exhaustive_exits_two(self, capsys, diamond_path):
+        code, out, err = run_cli(
+            capsys, "verify", diamond_path, "--exhaustive", "--max-s", "1", "--max-r", "1"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: verify takes an instance document or --exhaustive, not both\n"
 
     def test_cost_gate(self, capsys):
         code, _, err = run_cli(
@@ -294,6 +308,16 @@ class TestSpec:
         code, _, err = run_cli(capsys, "spec", "Zn(nope)")
         assert code == 2
         assert "error:" in err
+
+    def test_deep_nesting_is_a_syntax_error(self, capsys, tmp_path):
+        ring = "Product(" * 5000 + "Zn(2)" + ")" * 5000
+        path = tmp_path / "deep_ring.json"
+        path.write_text(json.dumps({"ring": f"hom(m=2, target={ring}, e=1)"}))
+        for argv in (("spec", ring), ("check", str(path))):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            # the column is where the stack ran out, inside the nesting
+            assert err.startswith("error: ring expression nests too deeply (line 1, column ")
 
 
 class TestExportDot:

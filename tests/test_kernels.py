@@ -9,7 +9,9 @@ representatives of the maps against orbits built here.
 
 The memo tests compare a memoized sweep chunk's map total and first
 violation, and every memoized per-pair answer of a search, with the same
-kernel called without a memo on each pair.
+kernel called without a memo on each pair. The filter tests check the scan's
+word filter, table by table against the mask test and pair by pair against
+plain loops that call eval_theorem or _goal_met on every map.
 """
 
 import hashlib
@@ -448,8 +450,9 @@ def test_representative_scan_matches_full_scan():
             for theorem, waive in product(TheoremId, (False, True)):
                 full = K.sweep_pair(theorem.value, waive, s.n, s, r.n, r, allow_top)
                 args = (theorem.value, waive)
+                # no filter: eval_theorem tests the hypotheses itself
                 assert (count, *K._first_violation(
-                    K.eval_theorem, args, s, r, indices, maps, words
+                    0, 0, K.eval_theorem, args, s, r, indices, maps, words
                 )) == full, (
                     theorem.name, waive, s_rows, r_rows, allow_top,
                 )
@@ -460,15 +463,156 @@ def test_representative_scan_matches_full_scan():
     for required, goal, d_size in _SEARCHES:
         need, forbid = _flag_masks(required.split(","))
         allow_top = "!UNITARY" in required
-        goal_args = (need, forbid, GOALS[goal], d_size or 0)
+        goal_args = (GOALS[goal], d_size or 0)
         for s_rows, r_rows in product([rows for rows in nonempty if len(rows) <= 3], nonempty):
             s, r = K.PosetFacts(_raw_up(s_rows)), K.PosetFacts(_raw_up(r_rows))
-            full = K.search_pair(s.n, s, r.n, r, allow_top, *goal_args)
+            full = K.search_pair(s.n, s, r.n, r, allow_top, need, forbid, *goal_args)
             count, indices, maps, words = K._map_orbits(tuple(s), tuple(r), allow_top)
-            hit, _ = K._first_violation(K._goal_check, goal_args, s, r, indices, maps, words)
+            hit, _ = K._first_violation(
+                need, forbid, K._goal_met, goal_args, s, r, indices, maps, words
+            )
             assert full == ((count, -1) if hit < 0 else (hit + 1, hit)), (
                 required, s_rows, r_rows,
             )
+
+
+def _word_filters():
+    """Every (need, forbid) a sweep or a search of _SEARCHES filters its maps on."""
+    sweeps = {(need, 0) for _, need, _, _ in K.THEOREMS.values()} | {(0, 0)}
+    searches = {_flag_masks(required.split(",")) for required, _, _ in _SEARCHES}
+    return sorted(sweeps | searches)
+
+
+def test_filter_tables_match_the_mask_test():
+    filters = _word_filters()
+    assert len(filters) > 10
+    for need, forbid in filters:
+        table = K._filter_table(need, forbid)
+        assert len(table) == 256
+        for w in range(256):
+            passes = w & need == need and w & forbid == 0
+            assert table[w] == (w == K._UNREAD or passes), (need, forbid, w)
+        # an unread word is always looked at
+        assert table[0xFF] == 1
+
+
+def _plain_first_hits(s, r, allow_top, checks):
+    """(maps, [(first index, code) or (-1, 0) per check]) of one labeled pair,
+    the maps as a list.
+
+    Each check is called as check(cmap, bits, allowed) on every map of
+    K.monotone_maps, in order, with its property_bits word, and its first
+    nonzero answer is kept.
+    """
+    maps = K.monotone_maps(s.n, s, r.n, r, allow_top)
+    first = [(-1, 0)] * len(checks)
+    for k, cmap in enumerate(maps):
+        bits = K.property_bits(s.n, s, r.n, r, cmap)
+        allowed = K._allowed_masks(s, cmap)
+        for c, check in enumerate(checks):
+            if first[c][0] < 0:
+                code = check(cmap, bits, allowed)
+                if code:
+                    first[c] = (k, code)
+    return maps, first
+
+
+def _always(*args):
+    return 1
+
+
+def test_filtered_sweeps_match_a_plain_theorem_loop():
+    # every labeled pair at (3, 3), which holds those at (2, 3); the plain
+    # loop tests the hypotheses through eval_theorem, not through a filter
+    calls = [(t.value, waive) for t in TheoremId for waive in (False, True)]
+    s_list = r_list = labeled_posets(0, 3)
+    # no theorem fails unwaived there, so each hypothesis mask is also probed
+    # with a check that always fails: the first map meeting the hypotheses
+    needs = sorted({need for _, need, _, _ in K.THEOREMS.values() if need})
+    violations = 0
+    for allow_top in (False, True):
+        memos = {call: {} for call in calls}
+        for s_rows, r_rows in product(s_list, r_list):
+            s, r = K._RECORDS[s_rows], K._RECORDS[r_rows]
+            checks = [
+                lambda cmap, bits, allowed, tid=tid, waive=waive: K.eval_theorem(
+                    tid, waive, s, r, cmap, bits, allowed
+                )
+                for tid, waive in calls
+            ]
+            maps, first = _plain_first_hits(s, r, allow_top, checks)
+            for (tid, waive), want in zip(calls, first):
+                want = (len(maps), *want)
+                plain_up = (s.n, _raw_up(s_rows), r.n, _raw_up(r_rows), allow_top)
+                assert K.sweep_pair(tid, waive, *plain_up) == want, (tid, waive, s_rows, r_rows)
+                got = K.sweep_pair(
+                    tid, waive, s.n, s, r.n, r, allow_top, memo=memos[tid, waive]
+                )
+                assert got == want, (tid, waive, s_rows, r_rows, allow_top)
+                violations += want[1] >= 0
+            probes = [
+                lambda cmap, bits, allowed, need=need: bits & need == need for need in needs
+            ]
+            _, first = _plain_first_hits(s, r, allow_top, probes)
+            # the hypotheses are invariant under relabeling, so the first
+            # representative meeting them is the first map that does
+            _, indices, reps, words = K._map_orbits(tuple(s), tuple(r), allow_top)
+            for need, (k, _) in zip(needs, first):
+                fresh = bytearray([K._UNREAD]) * len(maps)
+                want = (k, 1) if k >= 0 else (-1, 0)
+                scans = (
+                    (range(len(maps)), maps, fresh), (indices, reps, words),
+                )
+                for scan in scans:
+                    got = K._first_violation(need, 0, _always, (), s, r, *scan)
+                    assert got == want, (need, s_rows, r_rows, allow_top)
+    assert violations > 0
+
+
+def test_filtered_searches_match_a_plain_goal_loop():
+    nonempty = labeled_posets(1, 3)
+    hits = 0
+    for required, goal, d_size in _SEARCHES:
+        need, forbid = _flag_masks(required.split(","))
+        allow_top = "!UNITARY" in required
+        goal_args = (GOALS[goal], d_size or 0)
+        memo: dict = {}
+        for s_rows, r_rows in product(nonempty, nonempty):
+            s, r = K._RECORDS[s_rows], K._RECORDS[r_rows]
+
+            def hit(cmap, bits, allowed):
+                return (
+                    bits & need == need
+                    and not bits & forbid
+                    and K._goal_met(*goal_args, s, r, cmap, bits, allowed)
+                )
+
+            maps, ((k, _),) = _plain_first_hits(s, r, allow_top, [hit])
+            want = (len(maps), -1) if k < 0 else (k + 1, k)
+            args = (allow_top, need, forbid, *goal_args)
+            plain_up = (s.n, _raw_up(s_rows), r.n, _raw_up(r_rows))
+            assert K.search_pair(*plain_up, *args) == want, (required, s_rows, r_rows)
+            got = K.search_pair(s.n, s, r.n, r, *args, memo=memo)
+            assert got == want, (required, s_rows, r_rows)
+            hits += k >= 0
+    assert hits > 0
+
+
+def test_scans_do_not_call_eval_theorem(monkeypatch, empty_records):
+    def refuse(*args):
+        raise AssertionError("a scan called eval_theorem")
+
+    monkeypatch.setattr(K, "eval_theorem", refuse)
+    s_list, r_list = labeled_posets(0, 2), labeled_posets(0, 3)
+    blocks = [(s_pos, range(len(r_list))) for s_pos in range(len(s_list))]
+    for theorem, waive in product(TheoremId, (False, True)):
+        _sweep_chunk((theorem.value, waive, True, s_list, r_list, blocks))
+    for required, goal, d_size in _SEARCHES:
+        need, forbid = _flag_masks(required.split(","))
+        allow_top = "!UNITARY" in required
+        _search_chunk(
+            (need, forbid, GOALS[goal], d_size or 0, allow_top, s_list, r_list, blocks)
+        )
 
 
 def _scanned_canonical_encoding(rows):
