@@ -38,20 +38,22 @@ returns a clause code, and whether that conclusion reads the word.
 mask of the word; it evaluates one map, for the object level and the
 replays of sweep and search hits.
 
-Sweeps and searches walk their labeled poset pairs as blocks, one s poset
-with ascending positions in the list of r posets, and call sweep_pair or
-search_pair once per pair with both posets' records. Those share one scan:
-`_scan_pair` checks the maps of a poset pair in one loop,
-`_first_violation`, which first filters the maps by their words, a map
-passing when its word holds every flag of a `need` mask and none of a
-`forbid` mask, and then calls a predicate on those that pass: the
+Sweeps walk their labeled poset pairs as blocks, one s poset with
+ascending positions in the list of r posets, and call sweep_pair once per
+pair with both posets' records. Searches call search_pair once per pair of
+isomorphism classes, on the records of its least labeled member. Both share
+one map loop, `_first_violation`, which first filters the maps by their
+words, a map passing when its word holds every flag of a `need` mask and
+none of a `forbid` mask, and then calls a predicate on those that pass: the
 theorem's conclusion, with its hypotheses as `need` unless waived
 (sweep_pair), or the search goal `_goal_met`, with the search's flags
 (search_pair). The next map that may pass is found in C, by `find` on the
 words translated through a 256-byte table per filter (`_FILTERS`), so a
-map the filter rejects costs no Python call. A pair whose isomorphism
-class the scan's memo has settled is answered without a scan; the memo is
-keyed by the records' class ids (`PosetFacts.cls`).
+map the filter rejects costs no Python call. search_pair runs that loop
+over a pair's orbit representatives, and `_scan_pair`, for sweep_pair,
+over every map or, with a sweep chunk's memo, over the representatives of
+each class not settled yet; the memo is keyed by the records' class ids
+(`PosetFacts.cls`).
 
 Process-wide tables are filled on lookup and never shrink. Within
 POSET_ENUM_BOUND there are at most 4,474 labeled posets, so their size is
@@ -61,11 +63,11 @@ and the other tables use that: `_CANONICAL` holds each labeled poset's
 canonical form and automorphism group, filled one isomorphism class at a
 time, `_CLASS_IDS` numbers the canonical forms, and `_ORBITS` lists, per
 labeled pair, one map per orbit of Aut(s) x Aut(r) (`_map_orbits`), which
-the memoized scan checks instead of every map, with a byte per
+orbit scans check instead of every map, with a byte per
 representative for its property-bits word, filled on first read. Pool
 children hand the `_ORBITS` entries they build back to the caller, so
 later pools fork with them. A record's allowed table holds an entry per
-value tuple that a scan of its poset has checked; memoized scans check
+value tuple that a scan of its poset has checked; orbit scans check
 only representatives that pass their filter, so at (4, 5) the sixteen
 theorem sweeps fill them within a peak of about 51 MB.
 """
@@ -1018,7 +1020,7 @@ def _scan_pair(need, forbid, check, args, reads_word, s, r, allow_top, memo, cou
     checked, in monotone_maps order; the words are computed unless the
     filter is empty and the check does not read them.
 
-    With `memo`, a dict owned by one sweep or search chunk (one filter, one
+    With `memo`, a dict owned by one sweep chunk (one filter, one
     check and one allow_top), only the pair's orbit representatives
     (_map_orbits) are looked at, each word computed at most once per
     process. The filter and every check are invariant under relabeling s
@@ -1107,21 +1109,30 @@ def _goal_met(goal_id, goal_size, s, r, cmap, bits, allowed):
 
 
 def search_pair(
-    ns, s_up, nr, r_up, allow_top, need_bits, forbid_bits, goal_id, goal_size,
-    *, memo=None,
+    ns, s_up, nr, r_up, allow_top, need_bits, forbid_bits, goal_id, goal_size
 ):
     """First monotone map meeting the flag and goal constraints, if any.
 
-    `s_up` and `r_up` are up masks or PosetFacts records, as in sweep_pair.
     Returns (maps scanned, index of the hit or -1). The scan filters the
     maps on the flags, `need_bits` and `forbid_bits`, and tests the goal
     (_goal_met) on those that pass. It stops at the first hit, so a hit at
-    index k reports k+1 scanned. `memo` is one search's (one set of the
-    other arguments); see _scan_pair.
+    index k reports k+1 scanned. On plain up masks every map is scanned,
+    which is the tests' reference. On two PosetFacts records, as a search
+    passes them from `_RECORDS`, only the pair's orbit representatives
+    (_map_orbits) are looked at, each word computed at most once per
+    process: the flags and the goal are invariant under relabeling, so the
+    first hitting representative is the pair's first hitting map.
     """
     # _goal_met is read at call time, so a wrapper installed later is seen
-    count, hit, _ = _scan_pair(
-        need_bits, forbid_bits, _goal_met, (goal_id, goal_size), True,
-        s_up, r_up, allow_top, memo, False,
-    )
+    goal_args = (goal_id, goal_size)
+    if isinstance(s_up, PosetFacts) and isinstance(r_up, PosetFacts):
+        count, indices, maps, words = _map_orbits(tuple(s_up), tuple(r_up), allow_top)
+        hit, _ = _first_violation(
+            need_bits, forbid_bits, _goal_met, goal_args, s_up, r_up, indices, maps, words
+        )
+    else:
+        count, hit, _ = _scan_pair(
+            need_bits, forbid_bits, _goal_met, goal_args, True,
+            s_up, r_up, allow_top, None, False,
+        )
     return (count, -1) if hit < 0 else (hit + 1, hit)

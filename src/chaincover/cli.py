@@ -154,6 +154,9 @@ def cmd_search(args) -> int:
         d_size=args.d_size,
         seed=args.seed,
     )
+    if spec.d_size is not None and spec.d_size > spec.max_s:
+        # no s poset has such a chain, so "found": false would only say that
+        raise ValueError(f"--d-size {spec.d_size} exceeds --max-s {spec.max_s}")
     jobs = args.jobs if args.jobs is not None else _default_jobs()
     witness = search_witness(spec, jobs=jobs)
     report = build_search_report(spec, witness)

@@ -174,15 +174,24 @@ def _write_json(value, newline: str, out: list[str]) -> None:
 # lands on the canonical constructor forms.
 
 
+def _text_location(text: str, pos: int) -> tuple[int, int]:
+    """1-based (line, column) of offset `pos` in `text`."""
+    line = text.count("\n", 0, pos) + 1
+    column = pos - (text.rfind("\n", 0, pos) + 1) + 1
+    return line, column
+
+
 class _Tokens:
-    def __init__(self, text: str):
+    def __init__(self, text: str, locate=None):
         self.text = text
         self.pos = 0
+        # offset in `text` -> (line, column) that an error reports
+        self._locate = locate
 
     def _location(self, pos: int) -> tuple[int, int]:
-        line = self.text.count("\n", 0, pos) + 1
-        column = pos - (self.text.rfind("\n", 0, pos) + 1) + 1
-        return line, column
+        if self._locate is not None:
+            return self._locate(pos)
+        return _text_location(self.text, pos)
 
     def error(self, message: str, pos: int | None = None):
         line, column = self._location(self.pos if pos is None else pos)
@@ -284,7 +293,10 @@ def parse_ring_expr(text: str) -> RingExpr:
 
 def parse_hom_expr(text: str) -> RingHom:
     """Parse and validate `hom(m=6, target=Zn(2), e=1)`."""
-    tokens = _Tokens(text)
+    return _parse_hom(_Tokens(text))
+
+
+def _parse_hom(tokens: _Tokens) -> RingHom:
     start = tokens.pos
     if tokens.take_ident() != "hom":
         tokens.error("expected hom(...)", start)
@@ -427,6 +439,42 @@ def _deepest_bracket(text: str) -> int:
     return at
 
 
+#: the colon after a member name and the opening quote of a string value
+_COLON_QUOTE = re.compile(r'\s*:\s*"')
+
+
+def _ring_locator(text: str):
+    """Offset in the top-level "ring" string of JSON `text` -> (line, column) in `text`.
+
+    The offset's own character is reported when the raw string holds no
+    escape, so that it is the decoded string's character; otherwise the
+    string's opening quote. The last "ring" member counts, as in json.loads.
+    """
+
+    def locate(pos: int) -> tuple[int, int]:
+        value = None
+        depth = 0
+        matches = _STRING_OR_BRACKET.finditer(text)
+        for match in matches:
+            token = match.group()
+            if token == "[" or token == "{":
+                depth += 1
+            elif token == "]" or token == "}":
+                depth -= 1
+            elif (
+                depth == 1
+                and _COLON_QUOTE.match(text, match.end())
+                and json.loads(token) == "ring"
+            ):
+                value = next(matches)
+        start = value.start()
+        if "\\" in value.group():
+            return _text_location(text, start)
+        return _text_location(text, start + 1 + pos)
+
+    return locate
+
+
 def parse_instance(text: str) -> InstanceDocument:
     """Parse and validate an instance document.
 
@@ -438,7 +486,7 @@ def parse_instance(text: str) -> InstanceDocument:
     except json.JSONDecodeError as exc:
         raise DocumentSyntaxError(exc.msg, exc.lineno, exc.colno) from exc
     except RecursionError:
-        line, column = _Tokens(text)._location(_deepest_bracket(text))
+        line, column = _text_location(text, _deepest_bracket(text))
         raise DocumentSyntaxError("document nests too deeply", line, column) from None
     if not isinstance(data, dict):
         raise DocumentSemanticError("instance document must be a JSON object")
@@ -466,7 +514,8 @@ def parse_instance(text: str) -> InstanceDocument:
         )
     if has_ring:
         ring_text = _require_type(data["ring"], str, "ring")
-        hom = parse_hom_expr(ring_text)
+        # errors in the ring expression are placed in the document
+        hom = _parse_hom(_Tokens(ring_text, _ring_locator(text)))
         return InstanceDocument(
             smap=to_spectral_map(hom),
             name=name,

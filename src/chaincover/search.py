@@ -1,10 +1,13 @@
 """Witness search over the instance space, with greedy shrinking.
 
 A witness is an instance meeting a set of property flags together with a
-violation goal. The search scans nonempty poset pairs in the same canonical
-order as the exhaustive sweeps; adjoined-TOP assignments enter the space
-only when the flags ask for a non-unitary map, so degenerate all-TOP
-instances cannot shadow structural witnesses.
+violation goal. The search reports the first witness in the canonical order
+of the exhaustive sweeps over nonempty poset pairs, but scans each pair of
+isomorphism classes once, on its least labeled member: the flags and the
+goals are invariant under relabeling, so every member of a class pair hits
+or none does. Adjoined-TOP assignments enter the space only when the flags
+ask for a non-unitary map, so degenerate all-TOP instances cannot shadow
+structural witnesses.
 """
 
 from __future__ import annotations
@@ -26,12 +29,23 @@ from .specmap import (
 from .theorems import (
     _check_bounds,
     _replay,
-    class_chunks,
+    class_pairs,
     labeled_posets,
+    pool_plan,
     run_chunks,
 )
 
 _FLAG_BITS = {**PROPERTY_BITS, "UNITARY": K.PROP_UNITARY}
+
+#: estimated maps (_map_estimate, summed over the class pairs a search
+#: scans) per extra worker before a search opens a pool. Measured at jobs=2
+#: on a shared 2-vCPU Linux host, each search cold in a fresh interpreter,
+#: medians of 3 (BENCH_class_search.json): searches that scan their whole
+#: space ran faster in the caller up to 48,386 estimated maps (0.17 s
+#: against 0.22 s) and pooled from 117,671 (0.74 s against 1.22 s) to
+#: 3,212,312 (7.7 s against 14.0 s). Warm, with the orbit tables filled,
+#: the caller won at every bound up to (4, 5).
+MAPS_PER_FORK = 100_000
 
 GOALS = {
     "lo-fails": K.GOAL_LO_FAILS,
@@ -116,25 +130,25 @@ def goal_holds(m: SpectralMap, goal: str, d_size: int | None = None) -> bool:
 
 
 def _search_chunk(args):
-    """The first (pair, map) hit of a chunk in ascending pair order, if any.
+    """The least hit (pair index, map index) of a chunk's class pairs, in a
+    list, or the empty list.
 
-    The chunk is a list of blocks (class_chunks), whose pairs ascend, so its
-    first hit is its least, and the least over all chunks is the same for
-    any number of chunks.
+    The chunk lists class pairs by their least labeled member, as (pair
+    index, s rows, r rows) in ascending pair index. Every member of a class
+    pair hits or none does, and no member's index is below the least
+    member's, so the first class pair of the chunk that hits holds the
+    chunk's least hitting labeled pair, and it is scanned on that very
+    labeling: its first hitting orbit representative is the pair's exact
+    first hitting map (search_pair). The least over all chunks is the same
+    for any number of chunks.
     """
-    need, forbid, goal_id, goal_size, allow_top, s_list, r_list, blocks = args
-    memo: dict = {}
+    need, forbid, goal_id, goal_size, allow_top, pairs = args
     records = K._RECORDS
-    r_records = [records[rows] for rows in r_list]
-    for s_pos, r_positions in blocks:
-        s = records[s_list[s_pos]]
-        for r_pos in r_positions:
-            r = r_records[r_pos]
-            _, hit = K.search_pair(
-                s.n, s, r.n, r, allow_top, need, forbid, goal_id, goal_size, memo=memo
-            )
-            if hit >= 0:
-                return [(s_pos * len(r_list) + r_pos, hit)]
+    for pair_idx, s_rows, r_rows in pairs:
+        s, r = records[s_rows], records[r_rows]
+        _, hit = K.search_pair(s.n, s, r.n, r, allow_top, need, forbid, goal_id, goal_size)
+        if hit >= 0:
+            return [(pair_idx, hit)]
     return []
 
 
@@ -145,14 +159,22 @@ def search_witness(
 ) -> SpectralMap | None:
     """First instance meeting the flags and the goal, shrunk, or None.
 
-    The scan covers every monotone map between nonempty posets within the
-    bounds, in canonical order, up to the first hit, so the outcome is
-    deterministic and does not depend on the worker count. The pair of the
+    The outcome is the first hit of a scan of every monotone map between
+    nonempty posets within the bounds, in canonical order: the pair of the
     s poset at position i and the r poset at position j has the index
-    i * len(r_list) + j; workers walk blocks of one s poset and its r
-    posets (class_chunks), so the pairs are never listed. With `jobs` > 1
-    the caller is one of the workers, and the children hand back the orbit
-    entries they build (run_chunks), which sweeps share.
+    i * len(r_list) + j, and within a pair the maps are in monotone_maps
+    order. So it is deterministic and does not depend on the worker count.
+    The search scans each pair of isomorphism classes (class_pairs) once,
+    on its least labeled member, and the first hit is the least such member
+    among the class pairs that hit (_search_chunk). With a `d_size`, s
+    classes without a chain of that size are left out.
+
+    With `jobs` > 1, class pairs are dealt to the workers in descending
+    order of their map estimates (pool_plan), and the caller is one of the
+    workers. A pool is opened only when the estimated maps reach
+    MAPS_PER_FORK per extra worker; below that the work costs less than
+    opening the pool. The children hand back the orbit entries they build
+    (run_chunks), which later searches and sweeps share.
     """
     _check_bounds("search", 1, spec.max_s, spec.max_r, POSET_ENUM_BOUND)
     if jobs < 1:
@@ -164,20 +186,28 @@ def search_witness(
 
     s_list = labeled_posets(1, spec.max_s)
     r_list = labeled_posets(1, spec.max_r)
+    records = K._RECORDS
     # a chain-goal witness needs a chain of d_size in s; raw rows are not in
     # linear-extension order, so the height is read off the maximal chains
-    s_positions = [
-        s_pos
-        for s_pos, s_rows in enumerate(s_list)
+    pairs = [
+        pair
+        for pair in class_pairs(s_list, r_list, allow_top)
         if not goal_size
-        or max(c.bit_count() for c in K._RECORDS[s_rows].max_chains) >= goal_size
+        or max(c.bit_count() for c in records[s_list[pair[1][0]]].max_chains) >= goal_size
     ]
-
-    method, chunks = class_chunks(s_list, s_positions, r_list, jobs, allow_top)
-    if len(s_positions) * len(r_list) < 2 * len(chunks):
-        method, chunks = class_chunks(s_list, s_positions, r_list, 1, allow_top)
+    work = sum(estimate for estimate, _, _ in pairs)
+    workers = jobs
+    if work < MAPS_PER_FORK * (jobs - 1):
+        workers = 1 + int(work // MAPS_PER_FORK)
+    pairs.sort(key=lambda pair: pair[0], reverse=True)
+    method, dealt = pool_plan(pairs, workers)
+    width = len(r_list)
     payloads = [
-        (need, forbid, goal_id, goal_size, allow_top, s_list, r_list, chunk) for chunk in chunks
+        (need, forbid, goal_id, goal_size, allow_top, sorted(
+            (s_pos[0] * width + r_pos[0], s_list[s_pos[0]], r_list[r_pos[0]])
+            for _, s_pos, r_pos in part
+        ))
+        for part in dealt
     ]
     parts = run_chunks(_search_chunk, payloads, lambda n: mp.get_context(method).Pool(n))
     hits = [hit for part in parts for hit in part]
@@ -185,7 +215,7 @@ def search_witness(
     if not hits:
         return None
     pair_idx, map_idx = min(hits)
-    s_pos, r_pos = divmod(pair_idx, len(r_list))
+    s_pos, r_pos = divmod(pair_idx, width)
     witness = _replay(s_list[s_pos], r_list[r_pos], allow_top, map_idx)
 
     def predicate(m: SpectralMap) -> bool:

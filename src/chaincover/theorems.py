@@ -11,6 +11,7 @@ statements are exhibited.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing as mp
 import os
 import sys
@@ -18,7 +19,7 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice, product
+from itertools import islice
 
 from . import _kernels as K
 from ._kernels import _raw_up
@@ -251,8 +252,8 @@ def pool_plan(items: list, jobs: int) -> tuple[str, list[list]]:
     on macOS, which spawn instead. No more workers start than there are
     CPUs this process may run on, since more only add start-up; each
     worker, the caller included, takes one round-robin chunk of the items.
-    Sweeps and searches pass whole isomorphism classes as items
-    (class_chunks).
+    Sweeps and searches pass pairs of isomorphism classes as items
+    (class_chunks, search.search_witness).
     """
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -263,12 +264,16 @@ def pool_plan(items: list, jobs: int) -> tuple[str, list[list]]:
     return method, [items[k::workers] for k in range(workers)]
 
 
+@functools.cache
 def _map_estimate(s_rows, r_rows, allow_top: bool) -> float:
     """Rough count of the monotone maps r -> s (+ TOP) of raw strict rows.
 
     Every assignment, thinned by the chance that a uniform one keeps a
     covering pair of r in order, once per covering pair; exact when r is
-    an antichain, the case with the most maps.
+    an antichain, the case with the most maps. Each search and each split
+    sweep asks again for its class pairs, so the estimates are kept for
+    the process: at most one per class pair within POSET_ENUM_BOUND and
+    allow_top, since callers pass each class's least member.
     """
     values = len(s_rows) + allow_top
     if not values:
@@ -287,59 +292,71 @@ def _map_estimate(s_rows, r_rows, allow_top: bool) -> float:
     return values ** len(r_rows) * (ordered / values**2) ** covers
 
 
+def class_pairs(s_list: list, r_list: list, allow_top: bool) -> list:
+    """(map estimate, s positions, r positions) of each pair of isomorphism classes.
+
+    The positions of a class are those of its members in `s_list` or
+    `r_list`, ascending, so the least labeled member of a class pair is the
+    pair of its first positions, whose index is s position * len(r_list) +
+    r position. The estimate is `_map_estimate` of that member. Class pairs
+    come in the order of their least members' indices. The class keys are
+    the `iso` of the posets' records in K._RECORDS, which forked workers
+    inherit.
+    """
+    records = K._RECORDS
+
+    def members(rows_list):
+        classes = defaultdict(list)  # class -> its positions in rows_list
+        for pos, rows in enumerate(rows_list):
+            classes[records[rows].iso].append(pos)
+        return list(classes.values())
+
+    r_members = members(r_list)
+    return [
+        (_map_estimate(s_list[s_pos[0]], r_list[r_pos[0]], allow_top), s_pos, r_pos)
+        for s_pos in members(s_list)
+        for r_pos in r_members
+    ]
+
+
 def class_chunks(
-    s_list: list, s_positions, r_list: list, jobs: int, allow_top: bool
+    s_list: list, r_list: list, jobs: int, allow_top: bool
 ) -> tuple[str, list[list]]:
     """Start method and chunks of (s position, r positions) blocks for `jobs` workers.
 
-    The labeled pairs are those of each s poset at `s_positions` (ascending
-    positions in `s_list`) with every poset of `r_list`; the pair of
-    s_list[i] and r_list[j] has the index i * len(r_list) + j. A block
-    pairs one s poset with ascending positions in `r_list`, and the blocks
-    of a chunk ascend by s, so a chunk visits its pairs in ascending order
-    and its first hit is its least. Every pair of one isomorphism class (of
-    s and of r) lands in the same chunk, so no class is evaluated by two
-    workers' memos. Classes are dealt round robin (pool_plan) in descending
-    order of estimated cost: the maps of one member, which a clean class
-    evaluates once, plus a fifth of a map for each labeled pair, which the
-    chunk still visits. The deal is deterministic, so every sweep over the
-    same lists gives a child the same classes; after the first, the caller
-    holds their orbit entries, which a child handed back (run_chunks). One
-    worker gets every pair. The class keys are the `iso` of the posets'
-    records in K._RECORDS, which forked workers inherit.
+    The labeled pairs are those of each poset of `s_list` with every poset
+    of `r_list`; the pair of s_list[i] and r_list[j] has the index
+    i * len(r_list) + j. A block pairs one s poset with ascending positions
+    in `r_list`, and the blocks of a chunk ascend by s, so a chunk visits
+    its pairs in ascending order and its first violation is its least.
+    Every pair of one class pair (class_pairs) lands in the same chunk, so
+    no class is evaluated by two workers' memos. Class pairs are dealt
+    round robin (pool_plan) in descending order of estimated cost: the maps
+    of one member, which a clean class evaluates once, plus a fifth of a
+    map for each labeled pair, which the chunk still visits. The deal is
+    deterministic, so every sweep over the same lists gives a child the
+    same classes; after the first, the caller holds their orbit entries,
+    which a child handed back (run_chunks). One worker gets every pair.
     """
     every = range(len(r_list))
-    whole = [(s_pos, every) for s_pos in s_positions]
+    whole = [(s_pos, every) for s_pos in range(len(s_list))]
     if jobs == 1:
         return pool_plan(whole, 1)
-    records = K._RECORDS
-    r_members = defaultdict(list)  # r class -> its positions in r_list
-    for j, r_rows in enumerate(r_list):
-        r_members[records[r_rows].iso].append(j)
-    s_class = {s_pos: records[s_list[s_pos]].iso for s_pos in s_positions}
-    s_members = defaultdict(list)  # s class -> its positions in s_list
-    for s_pos, key in s_class.items():
-        s_members[key].append(s_pos)
-
-    def cost(classes):
-        s_pos, r_pos = s_members[classes[0]], r_members[classes[1]]
-        estimate = _map_estimate(s_list[s_pos[0]], r_list[r_pos[0]], allow_top)
-        return estimate + len(s_pos) * len(r_pos) / 5
-
-    classes = sorted(product(s_members, r_members), key=cost, reverse=True)
-    method, dealt = pool_plan(classes, jobs)
+    pairs = class_pairs(s_list, r_list, allow_top)
+    pairs.sort(key=lambda p: p[0] + len(p[1]) * len(p[2]) / 5, reverse=True)
+    method, dealt = pool_plan(pairs, jobs)
     if len(dealt) == 1:
         return method, [whole]
     chunks = []
     for part in dealt:
-        mine = defaultdict(list)  # s class -> positions of its r classes here
-        for s_key, r_key in part:
-            mine[s_key] += r_members[r_key]
-        for positions in mine.values():
-            positions.sort()
-        chunks.append(
-            [(s_pos, mine[key]) for s_pos, key in s_class.items() if key in mine]
-        )
+        mine = {}  # least s position of a class -> (its s positions, r positions here)
+        for _, s_positions, r_positions in part:
+            mine.setdefault(s_positions[0], (s_positions, []))[1].extend(r_positions)
+        blocks = []
+        for s_positions, r_positions in mine.values():
+            r_positions.sort()
+            blocks += [(s_pos, r_positions) for s_pos in s_positions]
+        chunks.append(sorted(blocks, key=lambda block: block[0]))
     return method, chunks
 
 
@@ -465,7 +482,7 @@ def exhaustive_verify(
     start = time.perf_counter()
     s_list, r_list = labeled_posets(0, max_s), labeled_posets(0, max_r)
 
-    method, chunks = class_chunks(s_list, range(len(s_list)), r_list, jobs, allow_top)
+    method, chunks = class_chunks(s_list, r_list, jobs, allow_top)
     payloads = [
         (theorem.value, waive_hypotheses, allow_top, s_list, r_list, chunk) for chunk in chunks
     ]

@@ -291,6 +291,13 @@ class TestSearch:
         assert (code, out) == (2, "")
         assert err == "error: d_size applies to chain goals only, not to 'lo-fails'\n"
 
+    def test_d_size_above_max_s_exits_two(self, capsys):
+        code, out, err = run_cli(
+            capsys, "search", "--require", "GU", "--goal", "maximal-dchain-not-cover",
+            "--d-size", "4", "--max-s", "3", "--max-r", "3",
+        )
+        assert (code, out, err) == (2, "", "error: --d-size 4 exceeds --max-s 3\n")
+
 
 class TestSpec:
     def test_json(self, capsys):
@@ -318,6 +325,39 @@ class TestSpec:
             assert (code, out) == (2, ""), argv
             # the column is where the stack ran out, inside the nesting
             assert err.startswith("error: ring expression nests too deeply (line 1, column ")
+
+
+class TestRingPositions:
+    """Errors inside a document's "ring" string are placed in the document."""
+
+    def run_check(self, capsys, tmp_path, text):
+        path = tmp_path / "ring.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "check", str(path))
+        assert (code, out) == (2, "")
+        return err
+
+    def test_syntax_error_in_the_ring_string(self, capsys, tmp_path):
+        text = '{\n  "name": "bad",\n  "ring": "hom(m=6, target=Zn(2), e=oops)"\n}\n'
+        err = self.run_check(capsys, tmp_path, text)
+        assert err == "error: expected an integer (line 3, column 37)\n"
+        # the grammar alone counts from the start of the expression
+        code, _, err = run_cli(capsys, "spec", "Product(Zn(2),oops)")
+        assert (code, err) == (2, "error: expected Zn or Product (line 1, column 15)\n")
+
+    def test_a_string_with_escapes_reports_its_opening_quote(self, capsys, tmp_path):
+        text = '{\n  "name": "bad",\n  "ring": "hom(m=6, target=Zn(2), e=\\u006fops)"\n}\n'
+        err = self.run_check(capsys, tmp_path, text)
+        assert err == "error: expected an integer (line 3, column 11)\n"
+
+    def test_the_last_top_level_ring_member_counts(self, capsys, tmp_path):
+        # a nested "ring" and an earlier object value are passed over
+        text = (
+            '{"violation": {"ring": "x"}, "ring": {"a": "b"},\n'
+            ' "ring":\n   "hom(m=6, target=Zn(1), e=1)"}\n'
+        )
+        err = self.run_check(capsys, tmp_path, text)
+        assert err == "error: cyclic ring modulus must be at least 2, got 1 (line 3, column 21)\n"
 
 
 class TestExportDot:

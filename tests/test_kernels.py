@@ -7,11 +7,13 @@ isomorphism-class memo, and the symmetry tables: automorphisms against
 networkx, canonical forms against the plain n! scan, and the orbit
 representatives of the maps against orbits built here.
 
-The memo tests compare a memoized sweep chunk's map total and first
-violation, and every memoized per-pair answer of a search, with the same
-kernel called without a memo on each pair. The filter tests check the scan's
-word filter, table by table against the mask test and pair by pair against
-plain loops that call eval_theorem or _goal_met on every map.
+The memo test compares a memoized sweep chunk's map total and first
+violation with the same kernel called without a memo on each pair; the
+search test compares the orbit scan of search_pair on records, and a search
+chunk over class pairs, with the full scan on plain up masks of each
+labeled pair. The filter tests check the scan's word filter, table by table
+against the mask test and pair by pair against plain loops that call
+eval_theorem or _goal_met on every map.
 """
 
 import hashlib
@@ -39,6 +41,7 @@ from chaincover.theorems import (
     _raw_up,
     _sweep_chunk,
     class_chunks,
+    class_pairs,
     labeled_posets,
     sweep_pairs,
 )
@@ -275,7 +278,7 @@ def test_memoized_sweep_matches_unmemoized_sweep(monkeypatch, empty_records):
     ]
     s_list = r_list = labeled_posets(0, 3)
     # the one chunk of a single worker: a block of every r poset per s poset
-    (blocks,) = class_chunks(s_list, range(len(s_list)), r_list, 1, True)[1]
+    (blocks,) = class_chunks(s_list, r_list, 1, True)[1]
     violations = 0
     for theorem, waive in product(TheoremId, (False, True)):
         scan = [
@@ -342,42 +345,42 @@ _SEARCHES = (
 )
 
 
-def test_memoized_search_matches_unmemoized_search(monkeypatch, empty_records):
-    nonempty = [rows for n in range(1, 4) for rows in _strict_order_masks(n)]
+def test_orbit_search_matches_full_search(monkeypatch, empty_records):
+    nonempty = labeled_posets(1, 3)
     pairs = [(idx, s, r) for idx, (s, r) in enumerate(product(nonempty, nonempty))]
     hits = 0
-    scans = 0
     for required, goal, d_size in _SEARCHES:
         need, forbid = _flag_masks(required.split(","))
         allow_top = "!UNITARY" in required
         params = (allow_top, need, forbid, GOALS[goal], d_size or 0)
+        # plain up masks: every map is scanned
+        expected = [
+            K.search_pair(len(s), _raw_up(s), len(r), _raw_up(r), *params)
+            for _, s, r in pairs
+        ]
+        records = K._RECORDS
+        got = [
+            K.search_pair(len(s), records[s], len(r), records[r], *params)
+            for _, s, r in pairs
+        ]
+        assert got == expected, required
 
-        def search(s_rows, r_rows, memo=None):
-            count, hit = K.search_pair(
-                len(s_rows), _raw_up(s_rows), len(r_rows), _raw_up(r_rows),
-                *params, memo=memo,
-            )
-            return count, hit
-
-        expected = [search(s_rows, r_rows) for _, s_rows, r_rows in pairs]
-        memo: dict = {}
+        # one chunk of every class pair, each on its least labeled member:
+        # one scan per class pair up to the first that hits
+        least = [
+            (s_pos[0] * len(nonempty) + r_pos[0], nonempty[s_pos[0]], nonempty[r_pos[0]])
+            for _, s_pos, r_pos in class_pairs(nonempty, nonempty, allow_top)
+        ]
+        first = [(idx, hit) for idx, (_, hit) in enumerate(expected) if hit >= 0][:1]
         with monkeypatch.context() as m:
             loops = _counting(m, "_first_violation")
-            got = [search(s_rows, r_rows, memo) for _, s_rows, r_rows in pairs]
-        assert got == expected, required
-        # one scan per hitting pair, one per class without a hit
-        clean = sum(is_clean for _, is_clean in memo.values())
-        assert loops[0] == sum(hit >= 0 for _, hit in got) + clean, required
-        scans += loops[0]
-
-        first = [(idx, hit) for idx, (_, hit) in enumerate(expected) if hit >= 0][:1]
-        blocks = [(s_pos, range(len(nonempty))) for s_pos in range(len(nonempty))]
-        chunk_args = (need, forbid, GOALS[goal], d_size or 0, allow_top, nonempty, nonempty, blocks)
-        assert _search_chunk(chunk_args) == first, required
+            assert _search_chunk((*params[1:4], d_size or 0, allow_top, least)) == first, required
+        assert loops[0] == (
+            len(least) if not first else sum(idx <= first[0][0] for idx, _, _ in least)
+        ), required
         hits += len(first)
     # some searches hit and some exhaust the space
     assert 0 < hits < len(_SEARCHES)
-    assert scans < len(pairs) * len(_SEARCHES)
 
 
 def _class_posets(most):
@@ -466,7 +469,8 @@ def test_representative_scan_matches_full_scan():
         goal_args = (GOALS[goal], d_size or 0)
         for s_rows, r_rows in product([rows for rows in nonempty if len(rows) <= 3], nonempty):
             s, r = K.PosetFacts(_raw_up(s_rows)), K.PosetFacts(_raw_up(r_rows))
-            full = K.search_pair(s.n, s, r.n, r, allow_top, need, forbid, *goal_args)
+            # on plain up masks search_pair scans every map
+            full = K.search_pair(s.n, tuple(s), r.n, tuple(r), allow_top, need, forbid, *goal_args)
             count, indices, maps, words = K._map_orbits(tuple(s), tuple(r), allow_top)
             hit, _ = K._first_violation(
                 need, forbid, K._goal_met, goal_args, s, r, indices, maps, words
@@ -576,7 +580,6 @@ def test_filtered_searches_match_a_plain_goal_loop():
         need, forbid = _flag_masks(required.split(","))
         allow_top = "!UNITARY" in required
         goal_args = (GOALS[goal], d_size or 0)
-        memo: dict = {}
         for s_rows, r_rows in product(nonempty, nonempty):
             s, r = K._RECORDS[s_rows], K._RECORDS[r_rows]
 
@@ -592,7 +595,8 @@ def test_filtered_searches_match_a_plain_goal_loop():
             args = (allow_top, need, forbid, *goal_args)
             plain_up = (s.n, _raw_up(s_rows), r.n, _raw_up(r_rows))
             assert K.search_pair(*plain_up, *args) == want, (required, s_rows, r_rows)
-            got = K.search_pair(s.n, s, r.n, r, *args, memo=memo)
+            # on the records only the orbit representatives are scanned
+            got = K.search_pair(s.n, s, r.n, r, *args)
             assert got == want, (required, s_rows, r_rows)
             hits += k >= 0
     assert hits > 0
@@ -607,12 +611,16 @@ def test_scans_do_not_call_eval_theorem(monkeypatch, empty_records):
     blocks = [(s_pos, range(len(r_list))) for s_pos in range(len(s_list))]
     for theorem, waive in product(TheoremId, (False, True)):
         _sweep_chunk((theorem.value, waive, True, s_list, r_list, blocks))
+    # a search over the nonempty posets, one scan per class pair
+    s_list, r_list = labeled_posets(1, 2), labeled_posets(1, 3)
     for required, goal, d_size in _SEARCHES:
         need, forbid = _flag_masks(required.split(","))
         allow_top = "!UNITARY" in required
-        _search_chunk(
-            (need, forbid, GOALS[goal], d_size or 0, allow_top, s_list, r_list, blocks)
-        )
+        pairs = [
+            (s_pos[0] * len(r_list) + r_pos[0], s_list[s_pos[0]], r_list[r_pos[0]])
+            for _, s_pos, r_pos in class_pairs(s_list, r_list, allow_top)
+        ]
+        _search_chunk((need, forbid, GOALS[goal], d_size or 0, allow_top, pairs))
 
 
 def _scanned_canonical_encoding(rows):

@@ -6,6 +6,7 @@ the instance stream shows up as a count mismatch before anything subtler
 goes wrong.
 """
 
+import dataclasses
 import hashlib
 import json
 import multiprocessing
@@ -13,11 +14,12 @@ import os
 import pathlib
 import random
 import sys
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import pytest
 
 from chaincover import _kernels as K
+from chaincover import search as search_module
 from property_oracles import (
     oracle_shrink_candidates,
     prop_gb,
@@ -548,6 +550,9 @@ class TestPoolPlan:
         monkeypatch.setattr(multiprocessing, "get_context", recording)
         # two usable CPUs, whatever the host has
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        # the search's few maps stay below the pool gate; forced past it,
+        # the search forks or spawns like the two sweeps
+        monkeypatch.setattr(search_module, "MAPS_PER_FORK", 0)
         single = _pool_reports(1)
         assert "first violation" in single[0] and '"found": true' in single[1]
         assert methods == []
@@ -586,7 +591,7 @@ class TestOrbitHandback:
         # scans the first pair of each of its classes and fills words
         theorem = TheoremId.C_EQUIVALENT
         s_list = r_list = labeled_posets(0, 3)
-        _, chunks = class_chunks(s_list, range(len(s_list)), r_list, 2, True)
+        _, chunks = class_chunks(s_list, r_list, 2, True)
         assert len(chunks) == 2
         built = []  # the keys each chunk builds from an empty table
         for chunk in chunks:
@@ -615,6 +620,7 @@ class TestOrbitHandback:
 
     def test_spawned_children_hand_back_their_entries(self, monkeypatch, empty_orbits):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(search_module, "MAPS_PER_FORK", 0)
         single = _pool_reports(1)
         empty_orbits.clear()
         caller_built = set()  # keys of the maps the caller lists itself
@@ -752,6 +758,81 @@ def test_searches_at_every_jobs_count_match_an_oracle(monkeypatch):
     assert any(found) and not all(found)
 
 
+def _labeled_pair_search_report(spec):
+    """Report bytes of the unshrunk first witness of `spec`, by a plain loop
+    over the labeled pairs in canonical order, each pair's maps scanned in
+    full by search_pair on plain up masks: no classes, no orbits, no chunks,
+    no pruning by d_size."""
+    need, forbid = _flag_masks(spec.required)
+    allow_top = "!UNITARY" in spec.required
+    s_list = [rows for n in range(1, spec.max_s + 1) for rows in _strict_order_masks(n)]
+    r_list = [rows for n in range(1, spec.max_r + 1) for rows in _strict_order_masks(n)]
+    witness = None
+    for s_rows, r_rows in product(s_list, r_list):
+        s_up, r_up = _raw_up(s_rows), _raw_up(r_rows)
+        _, hit = K.search_pair(
+            len(s_up), s_up, len(r_up), r_up, allow_top, need, forbid,
+            GOALS[spec.goal], spec.d_size or 0,
+        )
+        if hit >= 0:
+            vec = K.monotone_maps(len(s_up), s_up, len(r_up), r_up, allow_top)[hit]
+            witness = instance_from_raw(s_rows, r_rows, vec)
+            break
+    return serialize_report(build_search_report(spec, witness))
+
+
+@pytest.mark.parametrize("bounds", [(2, 3), (3, 3), (2, 4)])
+def test_class_pair_searches_match_a_labeled_pair_loop(monkeypatch, bounds):
+    # three usable CPUs, so jobs=3 really splits the class pairs three ways
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    workers = []
+    run_chunks = search_module.run_chunks
+
+    def recording(task, payloads, open_pool):
+        workers.append(len(payloads))
+        return run_chunks(task, payloads, open_pool)
+
+    monkeypatch.setattr(search_module, "run_chunks", recording)
+    specs = _benchmark_specs(*bounds)
+    specs += [
+        dataclasses.replace(spec, d_size=d_size)
+        for spec in specs
+        if spec.goal != "lo-fails"
+        for d_size in (1, 2, 3)
+    ]
+    # the first class pairs that these hit have members whose first hits
+    # lie at other map indices than the least member's
+    specs += [
+        WitnessSearchSpec(
+            required=frozenset(required.split(",")), goal=goal, max_s=bounds[0],
+            max_r=bounds[1], d_size=d_size,
+        )
+        for required, goal, d_size in (
+            ("!GU", "lo-fails", None),
+            ("!UNITARY,!INC", "maximal-dchain-not-cover", 2),
+        )
+    ]
+    found = []
+    for spec in dict.fromkeys(specs):
+        want = _labeled_pair_search_report(spec)
+        found.append('"found": true' in want)
+        for forced, jobs in product((False, True), (1, 2, 3)):
+            workers.clear()
+            with monkeypatch.context() as m:
+                if forced:
+                    # past the gate, the class pairs are split between workers
+                    m.setattr(search_module, "MAPS_PER_FORK", 0)
+                got = serialize_report(
+                    build_search_report(spec, search_witness(spec, jobs=jobs, do_shrink=False))
+                )
+            assert got == want, (spec, forced, jobs)
+            # these bounds hold too few maps to pay for a pool; a d_size above
+            # max_s leaves no class pair to deal
+            pruned = (spec.d_size or 0) > spec.max_s
+            assert workers == [jobs if forced and not pruned else 1], (spec, forced, jobs)
+    assert any(found) and not all(found)
+
+
 class TestClassChunks:
     @pytest.mark.parametrize("bounds", [(3, 3), (2, 4)])
     @pytest.mark.parametrize("cpus", [2, 3])
@@ -759,7 +840,7 @@ class TestClassChunks:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         pairs = sweep_pairs(*bounds)
         s_list, r_list = labeled_posets(0, bounds[0]), labeled_posets(0, bounds[1])
-        _, chunks = class_chunks(s_list, range(len(s_list)), r_list, 8, True)
+        _, chunks = class_chunks(s_list, r_list, 8, True)
         assert len(chunks) == cpus
         owner = {}
         dealt = []
@@ -778,9 +859,9 @@ class TestClassChunks:
     def test_one_worker_gets_all_pairs(self, monkeypatch):
         s_list, r_list = labeled_posets(0, 2), labeled_posets(0, 3)
         whole = [(s_pos, range(len(r_list))) for s_pos in range(len(s_list))]
-        assert class_chunks(s_list, range(len(s_list)), r_list, 1, True)[1] == [whole]
+        assert class_chunks(s_list, r_list, 1, True)[1] == [whole]
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert class_chunks(s_list, range(len(s_list)), r_list, 4, True)[1] == [whole]
+        assert class_chunks(s_list, r_list, 4, True)[1] == [whole]
 
     def test_the_estimate_is_exact_on_antichains(self):
         chain3 = (0b110, 0b100, 0b000)
@@ -975,8 +1056,8 @@ class TestSearch:
         assert w1.describe() == w2.describe()
 
     def test_search_stops_at_the_first_hit(self, monkeypatch, empty_records):
-        # independent route: scan the pairs in canonical order without a
-        # memo and find the first one with a hit
+        # independent route: scan the labeled pairs in canonical order, every
+        # map of each, and find the first one with a hit
         spec = WitnessSearchSpec(
             required=frozenset({"GU"}), goal="lo-fails", max_s=3, max_r=4
         )
@@ -992,6 +1073,12 @@ class TestSearch:
             )[1] >= 0
         )
         assert position < len(s_list) * len(r_list) - 1
+        # one scan per class pair whose least labeled member comes no later
+        classes = {
+            (K._canonical_encoding(s_rows), K._canonical_encoding(r_rows))
+            for s_rows, r_rows in islice(product(s_list, r_list), position + 1)
+        }
+        assert len(classes) == 25
 
         calls = 0
         search_pair = K.search_pair
@@ -1003,7 +1090,7 @@ class TestSearch:
 
         monkeypatch.setattr(K, "search_pair", counting)
         w = search_witness(spec, jobs=1)
-        assert calls == position + 1
+        assert calls == len(classes)
         # the report bytes of this search before the early stop existed
         text = serialize_report(build_search_report(spec, w))
         assert hashlib.sha256(text.encode()).hexdigest() == (
