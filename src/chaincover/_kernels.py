@@ -32,11 +32,10 @@ sweeps, searches and maps read it from `s.allowed[cmap]`, built once per
 record for every theorem, goal and r that share the values.
 
 Each theorem is one entry of `THEOREMS`: the names of its hypotheses, their
-flags as one mask, one conclusion over (s, r, cmap, bits, allowed) that
-returns a clause code, and whether that conclusion reads the word.
-`eval_theorem` looks the theorem up by name and tests its hypotheses as one
-mask of the word; it evaluates one map, for the object level and the
-replays of sweep and search hits.
+flags as one mask and one conclusion over (s, r, cmap, bits, allowed) that
+returns a clause code. `eval_theorem` looks the theorem up by name and
+tests its hypotheses as one mask of the word; it evaluates one map, for
+the object level and the replays of sweep and search hits.
 
 Sweeps walk their labeled poset pairs as blocks, one s poset with
 ascending positions in the list of r posets, and call sweep_pair once per
@@ -47,13 +46,14 @@ words, a map passing when its word holds every flag of a `need` mask and
 none of a `forbid` mask, and then calls a predicate on those that pass: the
 theorem's conclusion, with its hypotheses as `need` unless waived
 (sweep_pair), or the search goal `_goal_met`, with the search's flags
-(search_pair). The next map that may pass is found in C, by `find` on the
+(search_pair). The next map that passes is found in C, by `find` on the
 words translated through a 256-byte table per filter (`_FILTERS`), so a
 map the filter rejects costs no Python call. search_pair runs that loop
-over a pair's orbit representatives, and `_scan_pair`, for sweep_pair,
-over every map or, with a sweep chunk's memo, over the representatives of
-each class not settled yet; the memo is keyed by the records' class ids
-(`PosetFacts.cls`).
+over a pair's orbit representatives, and sweep_pair over the
+representatives of each class that its sweep chunk's memo, keyed by the
+records' class ids (`PosetFacts.cls`), has not settled yet. sweep_pair
+without a memo and search_pair on plain up masks run it over every map
+(`_full_scan`).
 
 Process-wide tables are filled on lookup and never shrink. Within
 POSET_ENUM_BOUND there are at most 4,474 labeled posets, so their size is
@@ -62,14 +62,14 @@ PosetFacts record. Every statement is invariant under relabeling s and r,
 and the other tables use that: `_CANONICAL` holds each labeled poset's
 canonical form and automorphism group, filled one isomorphism class at a
 time, `_CLASS_IDS` numbers the canonical forms, and `_ORBITS` lists, per
-labeled pair, one map per orbit of Aut(s) x Aut(r) (`_map_orbits`), which
-orbit scans check instead of every map, with a byte per
-representative for its property-bits word, filled on first read. Pool
-children hand the `_ORBITS` entries they build back to the caller, so
-later pools fork with them. A record's allowed table holds an entry per
-value tuple that a scan of its poset has checked; orbit scans check
-only representatives that pass their filter, so at (4, 5) the sixteen
-theorem sweeps fill them within a peak of about 51 MB.
+labeled pair, one map per orbit of Aut(s) x Aut(r) (`_map_orbits`), each
+with its property-bits word, computed when the entry is built; orbit
+scans check these instead of every map. Pool children hand the `_ORBITS`
+entries they build back to the caller, so later pools fork with them. A
+record's allowed table holds an entry per value tuple that a scan of its
+poset has checked; orbit scans check only representatives that pass
+their filter, so at (4, 5) the sixteen theorem sweeps fill them within a
+peak of about 51 MB.
 """
 
 from __future__ import annotations
@@ -711,13 +711,12 @@ def _maxchain_has_maximal_cover(s, r, cmap, bits, allowed):
     return 0
 
 
-def _statement(hypotheses, conclusion, reads_word=False):
-    # (hypothesis names, their flags as one mask, conclusion, whether the
-    # conclusion reads the property-bits word)
+def _statement(hypotheses, conclusion):
+    # (hypothesis names, their flags as one mask, conclusion)
     mask = 0
     for name in hypotheses:
         mask |= HYPOTHESIS_BITS[name]
-    return hypotheses, mask, conclusion, reads_word
+    return hypotheses, mask, conclusion
 
 
 #: theorem name -> _statement; the biconditionals have no hypotheses. The
@@ -729,18 +728,18 @@ THEOREMS = {
     "C_PERFECT_MAXCHAIN": _statement(
         ("unitary", "INC", "GU", "GD", "SGB"), _maxchain_images(perfect=True)
     ),
-    "L_LO_EXISTENCE": _statement((), _iff(PROP_LO, _dchains_nonempty), reads_word=True),
-    "P_LAYERS": _statement((), _layers, reads_word=True),
-    "P_MINI_GD": _statement((), _iff(PROP_GD, _mini_rhs(_above_some)), reads_word=True),
-    "P_MINI_GU": _statement((), _iff(PROP_GU, _mini_rhs(_below_some)), reads_word=True),
-    "P_MINI_SGB": _statement((), _iff(PROP_SGB, _mini_rhs(_across_cuts)), reads_word=True),
+    "L_LO_EXISTENCE": _statement((), _iff(PROP_LO, _dchains_nonempty)),
+    "P_LAYERS": _statement((), _layers),
+    "P_MINI_GD": _statement((), _iff(PROP_GD, _mini_rhs(_above_some))),
+    "P_MINI_GU": _statement((), _iff(PROP_GU, _mini_rhs(_below_some))),
+    "P_MINI_SGB": _statement((), _iff(PROP_SGB, _mini_rhs(_across_cuts))),
     "C_GGD": _statement(("GD", "SGB"), _end_lifts(greatest=True)),
     "C_GGU_DUAL": _statement(("GU", "SGB"), _end_lifts(greatest=False)),
     "T_MAXDCHAIN_COVERS": _statement(
-        (), _iff(PROP_GD | PROP_GU | PROP_SGB, _all_max_dchains_cover), reads_word=True
+        (), _iff(PROP_GD | PROP_GU | PROP_SGB, _all_max_dchains_cover)
     ),
     "T_PERFECT_COVER": _statement(("LO", "INC", "GU", "GD", "SGB"), _perfect_covers),
-    "C_EQUIVALENT": _statement((), _equivalent, reads_word=True),
+    "C_EQUIVALENT": _statement((), _equivalent),
     "L_MAXCOVER_MAXCHAIN": _statement(("unitary",), _maxcovers_maximal),
     "C_MAXDCHAIN_MAXCHAIN": _statement(
         ("unitary", "GD", "GU", "SGB"), _maxchain_dchains_maximal
@@ -748,7 +747,7 @@ THEOREMS = {
     "C_EXISTS_MAXCHAIN_COVER": _statement(
         ("unitary", "LO", "GD", "GU", "SGB"), _maxchain_has_maximal_cover
     ),
-    "X_KO_SCLO_EQ_GU": _statement(("unitary",), _sclo_iff_gu, reads_word=True),
+    "X_KO_SCLO_EQ_GU": _statement(("unitary",), _sclo_iff_gu),
 }
 
 
@@ -761,7 +760,7 @@ def eval_theorem(tid, waive, s, r, cmap, bits, allowed):
     whenever a hypothesis is unmet unless `waive` forces the conclusion to
     be checked anyway, and a positive clause code otherwise.
     """
-    _, need, conclusion, _ = THEOREMS[tid]
+    _, need, conclusion = THEOREMS[tid]
     if not waive and bits & need != need:
         return 0
     return conclusion(s, r, cmap, bits, allowed)
@@ -898,11 +897,6 @@ def _automorphisms(up) -> tuple[tuple[int, ...], ...]:
     return _class_entry(tuple(m & ~(1 << i) for i, m in enumerate(up)))[1]
 
 
-#: the byte of a representative whose property-bits word is not read yet;
-#: words use the low seven bits
-_UNREAD = 0xFF
-
-
 #: (s_up, r_up, allow_top) -> the _map_orbits entry of that labeled pair,
 #: in the order the entries were built; filled on lookup, never shrinks
 _ORBITS: dict = {}
@@ -914,14 +908,14 @@ def _map_orbits(s_up: tuple[int, ...], r_up: tuple[int, ...], allow_top: bool):
     `count` is the number of maps, and `maps` holds one representative per
     orbit of Aut(s) x Aut(r), in ascending order of index: the orbit's
     least map, whose index is indices[i]. words[i] is the property_bits
-    word of maps[i], or _UNREAD until _first_violation first reads it. The
-    pair (sigma, tau) sends a map f to the map g with g[tau[q]] =
-    sigma[f[q]], TOP staying TOP. With a trivial group every map is its own
-    orbit, and the indices are a range.
+    word of maps[i], all computed here, from the pair's strict orders, into
+    one immutable `bytes`. The pair (sigma, tau) sends a map f to the map g
+    with g[tau[q]] = sigma[f[q]], TOP staying TOP. With a trivial group
+    every map is its own orbit, and the indices are a range.
 
     The entry is built once per process and kept in `_ORBITS`, like the
-    poset tables: a sweep of another theorem over the same bounds reuses
-    it, words included. Since `_ORBITS` keeps the order in which entries
+    poset tables: a sweep of another theorem over the same bounds, or a
+    search, reuses it. Since `_ORBITS` keeps the order in which entries
     were built, the entries a pool task builds are the tail it adds to the
     table; a pool child hands that tail back with its result, so the
     caller holds every entry its pools built (theorems.run_chunks).
@@ -930,8 +924,9 @@ def _map_orbits(s_up: tuple[int, ...], r_up: tuple[int, ...], allow_top: bool):
     entry = _ORBITS.get(key)
     if entry is not None:
         return entry
-    maps = monotone_maps(len(s_up), s_up, len(r_up), r_up, allow_top)
-    top = (len(s_up),)
+    s, r = PosetFacts(s_up), PosetFacts(r_up)
+    maps = monotone_maps(s.n, s, r.n, r, allow_top)
+    top = (s.n,)
     moves = [
         (sigma + top, tuple(sorted(range(len(tau)), key=tau.__getitem__)))
         for sigma in _automorphisms(s_up)
@@ -950,13 +945,14 @@ def _map_orbits(s_up: tuple[int, ...], r_up: tuple[int, ...], allow_top: bool):
             for sigma, back in moves:
                 # g[j] = sigma[f[tau^-1[j]]]
                 seen.add(tuple([sigma[cmap[q]] for q in back]))
-    entry = _ORBITS[key] = len(maps), indices, reps, bytearray([_UNREAD]) * len(reps)
+    words = bytes([property_bits(s.n, s, r.n, r, cmap) for cmap in reps])
+    entry = _ORBITS[key] = len(maps), indices, reps, words
     return entry
 
 
 #: (need, forbid) -> the 256-byte table that `bytes.translate` uses to mark
 #: the words a scan must look at: 1 at each word w with w & need == need and
-#: not w & forbid, and at _UNREAD, whose word is not known yet; 0 elsewhere
+#: not w & forbid, 0 elsewhere
 _FILTERS: dict[tuple[int, int], bytes] = {}
 
 
@@ -964,7 +960,7 @@ def _filter_table(need: int, forbid: int) -> bytes:
     table = _FILTERS.get((need, forbid))
     if table is None:
         table = _FILTERS[need, forbid] = bytes(
-            w == _UNREAD or (w & need == need and not w & forbid) for w in range(256)
+            w & need == need and not w & forbid for w in range(256)
         )
     return table
 
@@ -973,89 +969,45 @@ def _first_violation(need, forbid, check, args, s, r, indices, maps, words):
     """(index, code) of the first map that passes the filter and fails the check,
     or (-1, 0).
 
-    maps[i] has the index indices[i]. A map passes the filter when its
-    property-bits word has every flag of `need` and none of `forbid`;
-    `check(*args, s, r, cmap, bits, allowed)` then returns a clause code or
-    a bool, with `allowed` the map's entry `s.allowed[cmap]`. words[i] is
-    maps[i]'s word or _UNREAD, and the next map that may pass is found in C,
-    by `find` on the words translated through _filter_table: an unread word
-    is computed and stored there first, then tested. When `words` is None
-    the check does not read the word (`bits` is 0) and the filter is empty,
-    so every map is checked.
+    maps[i] has the index indices[i] and the property-bits word words[i]. A
+    map passes the filter when its word has every flag of `need` and none
+    of `forbid`; `check(*args, s, r, cmap, bits, allowed)` then returns a
+    clause code or a bool, with `allowed` the map's entry `s.allowed[cmap]`.
+    The next map that passes is found in C, by `find` on the words
+    translated through _filter_table, so a map the filter rejects costs no
+    Python call.
     """
     if args:
         # bound once, so each map costs a plain call
         check = partial(check, *args)
     allowed = s.allowed
-    if words is None:
-        for i, cmap in enumerate(maps):
-            code = check(s, r, cmap, 0, allowed[cmap])
-            if code:
-                return indices[i], code
-        return -1, 0
     find = words.translate(_filter_table(need, forbid)).find
     i = find(1)
     while i >= 0:
         cmap = maps[i]
-        bits = words[i]
-        if bits == _UNREAD:
-            bits = words[i] = property_bits(s.n, s, r.n, r, cmap)
-            if bits & need != need or bits & forbid:
-                i = find(1, i + 1)
-                continue
-        code = check(s, r, cmap, bits, allowed[cmap])
+        code = check(s, r, cmap, words[i], allowed[cmap])
         if code:
             return indices[i], code
         i = find(1, i + 1)
     return -1, 0
 
 
-def _scan_pair(need, forbid, check, args, reads_word, s, r, allow_top, memo, count_only):
+def _full_scan(need, forbid, check, args, s, r, allow_top):
     """(maps of the pair, index of its first map failing `check` or -1, code).
 
     `need`, `forbid`, `check` and `args` are as in _first_violation, and
-    `reads_word` says whether the check reads the property-bits word. `s`
-    and `r` are up masks or PosetFacts records. With `count_only` the maps
-    are only counted. Without `memo` every map that passes the filter is
-    checked, in monotone_maps order; the words are computed unless the
-    filter is empty and the check does not read them.
-
-    With `memo`, a dict owned by one sweep chunk (one filter, one
-    check and one allow_top), only the pair's orbit representatives
-    (_map_orbits) are looked at, each word computed at most once per
-    process. The filter and every check are invariant under relabeling s
-    and r, and each map before the first failing representative lies in the
-    orbit of an earlier, clean one, so that representative is the pair's
-    first failing map. The memo maps each isomorphism class (s.cls, r.cls)
-    met to ((map count, -1, 0), whether every map came out clean). A later
-    pair of a clean class, or a count_only pair of any recorded class,
-    returns that answer unchecked; a class with a failing map is scanned on
-    every pair, so the index is exact for each labeling.
+    `s` and `r` are up masks or PosetFacts records. Every map and its word
+    is computed, and every map that passes the filter is checked, in
+    monotone_maps order, with no orbits and no memo: the reference that the
+    tests hold the orbit scans to.
     """
     s = s if isinstance(s, PosetFacts) else PosetFacts(s)
     r = r if isinstance(r, PosetFacts) else PosetFacts(r)
-    reads_word = reads_word or need or forbid
-    if memo is None:
-        if count_only:
-            return count_monotone_maps(s.n, s, r.n, r, allow_top), -1, 0
-        maps = monotone_maps(s.n, s, r.n, r, allow_top)
-        words = bytearray([_UNREAD]) * len(maps) if reads_word else None
-        return len(maps), *_first_violation(
-            need, forbid, check, args, s, r, range(len(maps)), maps, words
-        )
-    key = (s.cls, r.cls)
-    known = memo.get(key)
-    if known is not None and (known[1] or count_only):
-        return known[0]
-    if count_only:
-        count, first, code = count_monotone_maps(s.n, s, r.n, r, allow_top), -1, 0
-    else:
-        count, indices, maps, words = _map_orbits(tuple(s), tuple(r), allow_top)
-        first, code = _first_violation(
-            need, forbid, check, args, s, r, indices, maps, words if reads_word else None
-        )
-    memo[key] = ((count, -1, 0), not count_only and first < 0)
-    return count, first, code
+    maps = monotone_maps(s.n, s, r.n, r, allow_top)
+    words = bytes([property_bits(s.n, s, r.n, r, cmap) for cmap in maps])
+    return len(maps), *_first_violation(
+        need, forbid, check, args, s, r, range(len(maps)), maps, words
+    )
 
 
 def sweep_pair(
@@ -1067,31 +1019,50 @@ def sweep_pair(
     in `_RECORDS`. Returns (maps of the pair, index of the first violating
     map or -1, its clause code). A sweep calls it once per labeled pair of
     its blocks, and once it has its first violation passes `count_only` for
-    every later pair, whose counts it still sums. `memo` is one sweep
-    chunk's (one tid, waive and allow_top); see _scan_pair. On two records,
-    a pair the memo settles is answered here, before any other lookup.
+    every later pair, whose counts it still sums; with `count_only` the
+    maps are only counted.
 
     The scan filters the maps on the theorem's hypothesis mask, unless
     `waive`, and checks the theorem's conclusion on those that pass, so a
     map that misses a hypothesis costs a byte of the filter and no call.
-    The maps' words are read only when the theorem reads them: for its
-    hypotheses unless `waive`, or in its conclusion. `eval_theorem` is the
-    same statement on one map, for the object level and the replays.
+    Without `memo` that is _full_scan. `memo` is a dict owned by one sweep
+    chunk (one tid, waive and allow_top); with it only the pair's orbit
+    representatives (_map_orbits) are scanned. The filter and every
+    conclusion are invariant under relabeling s and r, and each map before
+    the first failing representative lies in the orbit of an earlier,
+    clean one, so that representative is the pair's first failing map. The
+    memo maps each isomorphism class (s.cls, r.cls) met to ((map count,
+    -1, 0), whether every map came out clean). A later pair of a clean
+    class, or a count_only pair of any recorded class, returns that answer
+    unchecked; a class with a failing map is scanned on every pair, so the
+    index is exact for each labeling. `eval_theorem` is the same statement
+    on one map, for the object level and the replays.
     """
-    if memo is not None:
-        # most pairs of a sweep are answered by the memo, so its test comes
-        # first, on the records' class ids
-        try:
-            known = memo.get((s_up.cls, r_up.cls))
-        except AttributeError:  # up masks, whose records _scan_pair builds
-            known = None
-        if known is not None and (known[1] or count_only):
-            return known[0]
-    _, need, conclusion, reads_word = THEOREMS[tid]
-    return _scan_pair(
-        0 if waive else need, 0, conclusion, (), reads_word,
-        s_up, r_up, allow_top, memo, count_only,
-    )
+    if memo is None:
+        if count_only:
+            return count_monotone_maps(ns, s_up, nr, r_up, allow_top), -1, 0
+        _, need, conclusion = THEOREMS[tid]
+        return _full_scan(0 if waive else need, 0, conclusion, (), s_up, r_up, allow_top)
+    # most pairs of a sweep are answered by the memo, so its test comes
+    # first, on the records' class ids
+    try:
+        key = (s_up.cls, r_up.cls)
+    except AttributeError:  # up masks
+        s_up, r_up = PosetFacts(s_up), PosetFacts(r_up)
+        key = (s_up.cls, r_up.cls)
+    known = memo.get(key)
+    if known is not None and (known[1] or count_only):
+        return known[0]
+    if count_only:
+        count, first, code = count_monotone_maps(ns, s_up, nr, r_up, allow_top), -1, 0
+    else:
+        _, need, conclusion = THEOREMS[tid]
+        count, indices, maps, words = _map_orbits(tuple(s_up), tuple(r_up), allow_top)
+        first, code = _first_violation(
+            0 if waive else need, 0, conclusion, (), s_up, r_up, indices, maps, words
+        )
+    memo[key] = ((count, -1, 0), not count_only and first < 0)
+    return count, first, code
 
 
 def _goal_met(goal_id, goal_size, s, r, cmap, bits, allowed):
@@ -1116,12 +1087,12 @@ def search_pair(
     Returns (maps scanned, index of the hit or -1). The scan filters the
     maps on the flags, `need_bits` and `forbid_bits`, and tests the goal
     (_goal_met) on those that pass. It stops at the first hit, so a hit at
-    index k reports k+1 scanned. On plain up masks every map is scanned,
-    which is the tests' reference. On two PosetFacts records, as a search
-    passes them from `_RECORDS`, only the pair's orbit representatives
-    (_map_orbits) are looked at, each word computed at most once per
-    process: the flags and the goal are invariant under relabeling, so the
-    first hitting representative is the pair's first hitting map.
+    index k reports k+1 scanned. On plain up masks every map is scanned
+    (_full_scan), which is the tests' reference. On two PosetFacts records,
+    as a search passes them from `_RECORDS`, only the pair's orbit
+    representatives (_map_orbits) are looked at: the flags and the goal are
+    invariant under relabeling, so the first hitting representative is the
+    pair's first hitting map.
     """
     # _goal_met is read at call time, so a wrapper installed later is seen
     goal_args = (goal_id, goal_size)
@@ -1131,8 +1102,7 @@ def search_pair(
             need_bits, forbid_bits, _goal_met, goal_args, s_up, r_up, indices, maps, words
         )
     else:
-        count, hit, _ = _scan_pair(
-            need_bits, forbid_bits, _goal_met, goal_args, True,
-            s_up, r_up, allow_top, None, False,
+        count, hit, _ = _full_scan(
+            need_bits, forbid_bits, _goal_met, goal_args, s_up, r_up, allow_top
         )
     return (count, -1) if hit < 0 else (hit + 1, hit)

@@ -263,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="run sweeps past the built-in cost gate",
     )
-    p.add_argument("--seed", type=int, default=0, help="accepted for report parity")
     _add_jobs_flag(p)
     _add_text_flag(p)
     p.set_defaults(func=cmd_verify)

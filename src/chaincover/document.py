@@ -73,6 +73,10 @@ class DocumentSemanticError(ValueError):
 
 _TOP_LITERAL = "TOP"
 
+#: the largest modulus a ring expression may name; rings.prime_divisors
+#: factors each one by trial division up to its square root
+MAX_MODULUS = 10**9
+
 
 @dataclass(frozen=True)
 class InstanceDocument:
@@ -229,6 +233,17 @@ class _Tokens:
             self.error("expected an integer")
         return int(self.text[start:self.pos])
 
+    def take_modulus(self) -> int:
+        self._skip_ws()
+        start = self.pos
+        n = self.take_int()
+        if n > MAX_MODULUS:
+            raise DocumentSemanticError(
+                f"ring modulus must be at most {MAX_MODULUS}, got {n}",
+                *self._location(start),
+            )
+        return n
+
     def expect_end(self):
         self._skip_ws()
         if self.pos < len(self.text):
@@ -240,7 +255,7 @@ def _parse_ring(tokens: _Tokens) -> RingExpr:
     name = tokens.take_ident()
     if name == "Zn":
         tokens.take_symbol("(")
-        n = tokens.take_int()
+        n = tokens.take_modulus()
         tokens.take_symbol(")")
         if n < 2:
             raise DocumentSemanticError(
@@ -304,7 +319,7 @@ def _parse_hom(tokens: _Tokens) -> RingHom:
     if tokens.take_ident() != "m":
         tokens.error("expected m=...")
     tokens.take_symbol("=")
-    m = tokens.take_int()
+    m = tokens.take_modulus()
     tokens.take_symbol(",")
     if tokens.take_ident() != "target":
         tokens.error("expected target=...")

@@ -364,7 +364,8 @@ def _handback(job):
     """(task(payload), the K._ORBITS entries built meanwhile) of a pool job.
 
     `job` is (task, payload). The entries are the tail that the task added
-    to the table, each as (key, entry), words filled so far included.
+    to the table, each as (key, entry); an entry is complete when it is
+    built, its words included, and never changes after.
     """
     task, payload = job
     start = len(K._ORBITS)

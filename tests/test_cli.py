@@ -193,6 +193,13 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == "error: verify takes an instance document or --exhaustive, not both\n"
 
+    def test_seed_is_not_an_option(self, capsys):
+        # only search reports a seed; verify has none to take
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--seed", "1", "--exhaustive", "--max-s", "1", "--max-r", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
     def test_cost_gate(self, capsys):
         code, _, err = run_cli(
             capsys, "verify", "--exhaustive", "--max-s", "4", "--max-r", "5",
@@ -326,6 +333,18 @@ class TestSpec:
             # the column is where the stack ran out, inside the nesting
             assert err.startswith("error: ring expression nests too deeply (line 1, column ")
 
+    def test_a_modulus_past_the_bound_exits_two(self, capsys):
+        # a large prime would be factored by trial division up to its root
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "spec", "Product(Zn(2), Zn(1000000000000000003))")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: ring modulus must be at most 1000000000,"
+            " got 1000000000000000003 (line 1, column 19)\n"
+        )
+        assert run_cli(capsys, "spec", "Zn(1000000000)")[0] == 0
+
 
 class TestRingPositions:
     """Errors inside a document's "ring" string are placed in the document."""
@@ -358,6 +377,19 @@ class TestRingPositions:
         )
         err = self.run_check(capsys, tmp_path, text)
         assert err == "error: cyclic ring modulus must be at least 2, got 1 (line 3, column 21)\n"
+
+    def test_a_modulus_past_the_bound_is_placed_at_the_number(self, capsys, tmp_path):
+        for ring, column in (
+            ("hom(m=1000000000000000003, target=Zn(2), e=0)", 17),
+            ("hom(m=2, target=Zn(1000000000000000003), e=0)", 30),
+        ):
+            start = time.perf_counter()
+            err = self.run_check(capsys, tmp_path, json.dumps({"ring": ring}))
+            assert time.perf_counter() - start < 1
+            assert err == (
+                "error: ring modulus must be at most 1000000000,"
+                f" got 1000000000000000003 (line 1, column {column})\n"
+            ), ring
 
 
 class TestExportDot:

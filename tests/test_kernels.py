@@ -5,7 +5,8 @@ digest pinned from earlier kernels (with the clause codes that occur), the
 kernel module loading without numpy or the package, the per-sweep
 isomorphism-class memo, and the symmetry tables: automorphisms against
 networkx, canonical forms against the plain n! scan, and the orbit
-representatives of the maps against orbits built here.
+representatives of the maps against orbits built here, with their words
+against property_bits.
 
 The memo test compares a memoized sweep chunk's map total and first
 violation with the same kernel called without a memo on each pair; the
@@ -418,13 +419,17 @@ def _orbit(s_up, r_up, cmap):
     return out
 
 
-def test_map_orbit_representatives_partition_the_maps():
+def test_map_orbit_representatives_partition_the_maps(empty_orbits):
     totals = {False: [0, 0], True: [0, 0]}  # allow_top -> [maps, orbits]
     for s_rows, r_rows, allow_top in product(_class_posets(3), _class_posets(4), (False, True)):
         s_up, r_up = _raw_up(s_rows), _raw_up(r_rows)
         maps = K.monotone_maps(len(s_up), s_up, len(r_up), r_up, allow_top)
         index = {cmap: k for k, cmap in enumerate(maps)}
-        count, indices, cmaps, _ = K._map_orbits(s_up, r_up, allow_top)
+        count, indices, cmaps, words = K._map_orbits(s_up, r_up, allow_top)
+        # built, before any scan, with every representative's word
+        assert type(words) is bytes and list(words) == [
+            K.property_bits(len(s_up), s_up, len(r_up), r_up, cmap) for cmap in cmaps
+        ], (s_rows, r_rows, allow_top)
         reps = list(zip(indices, cmaps))
         assert count == len(maps)
         assert [k for k, _ in reps] == sorted({k for k, _ in reps})
@@ -482,7 +487,7 @@ def test_representative_scan_matches_full_scan():
 
 def _word_filters():
     """Every (need, forbid) a sweep or a search of _SEARCHES filters its maps on."""
-    sweeps = {(need, 0) for _, need, _, _ in K.THEOREMS.values()} | {(0, 0)}
+    sweeps = {(need, 0) for _, need, _ in K.THEOREMS.values()} | {(0, 0)}
     searches = {_flag_masks(required.split(",")) for required, _, _ in _SEARCHES}
     return sorted(sweeps | searches)
 
@@ -494,31 +499,30 @@ def test_filter_tables_match_the_mask_test():
         table = K._filter_table(need, forbid)
         assert len(table) == 256
         for w in range(256):
-            passes = w & need == need and w & forbid == 0
-            assert table[w] == (w == K._UNREAD or passes), (need, forbid, w)
-        # an unread word is always looked at
-        assert table[0xFF] == 1
+            assert table[w] == (w & need == need and w & forbid == 0), (need, forbid, w)
 
 
 def _plain_first_hits(s, r, allow_top, checks):
-    """(maps, [(first index, code) or (-1, 0) per check]) of one labeled pair,
-    the maps as a list.
+    """(maps, words, [(first index, code) or (-1, 0) per check]) of one
+    labeled pair, the maps as a list and their property_bits words as bytes.
 
     Each check is called as check(cmap, bits, allowed) on every map of
-    K.monotone_maps, in order, with its property_bits word, and its first
-    nonzero answer is kept.
+    K.monotone_maps, in order, with its word, and its first nonzero answer
+    is kept.
     """
     maps = K.monotone_maps(s.n, s, r.n, r, allow_top)
+    words = bytearray()
     first = [(-1, 0)] * len(checks)
     for k, cmap in enumerate(maps):
         bits = K.property_bits(s.n, s, r.n, r, cmap)
+        words.append(bits)
         allowed = K._allowed_masks(s, cmap)
         for c, check in enumerate(checks):
             if first[c][0] < 0:
                 code = check(cmap, bits, allowed)
                 if code:
                     first[c] = (k, code)
-    return maps, first
+    return maps, bytes(words), first
 
 
 def _always(*args):
@@ -532,7 +536,7 @@ def test_filtered_sweeps_match_a_plain_theorem_loop():
     s_list = r_list = labeled_posets(0, 3)
     # no theorem fails unwaived there, so each hypothesis mask is also probed
     # with a check that always fails: the first map meeting the hypotheses
-    needs = sorted({need for _, need, _, _ in K.THEOREMS.values() if need})
+    needs = sorted({need for _, need, _ in K.THEOREMS.values() if need})
     violations = 0
     for allow_top in (False, True):
         memos = {call: {} for call in calls}
@@ -544,7 +548,11 @@ def test_filtered_sweeps_match_a_plain_theorem_loop():
                 )
                 for tid, waive in calls
             ]
-            maps, first = _plain_first_hits(s, r, allow_top, checks)
+            probes = [
+                lambda cmap, bits, allowed, need=need: bits & need == need for need in needs
+            ]
+            # one pass computes each map's word once, for the checks and the probes
+            maps, words, first = _plain_first_hits(s, r, allow_top, checks + probes)
             for (tid, waive), want in zip(calls, first):
                 want = (len(maps), *want)
                 plain_up = (s.n, _raw_up(s_rows), r.n, _raw_up(r_rows), allow_top)
@@ -554,19 +562,14 @@ def test_filtered_sweeps_match_a_plain_theorem_loop():
                 )
                 assert got == want, (tid, waive, s_rows, r_rows, allow_top)
                 violations += want[1] >= 0
-            probes = [
-                lambda cmap, bits, allowed, need=need: bits & need == need for need in needs
-            ]
-            _, first = _plain_first_hits(s, r, allow_top, probes)
             # the hypotheses are invariant under relabeling, so the first
             # representative meeting them is the first map that does
-            _, indices, reps, words = K._map_orbits(tuple(s), tuple(r), allow_top)
-            for need, (k, _) in zip(needs, first):
-                fresh = bytearray([K._UNREAD]) * len(maps)
+            scans = (
+                (range(len(maps)), maps, words),
+                K._map_orbits(tuple(s), tuple(r), allow_top)[1:],
+            )
+            for need, (k, _) in zip(needs, first[len(calls):]):
                 want = (k, 1) if k >= 0 else (-1, 0)
-                scans = (
-                    (range(len(maps)), maps, fresh), (indices, reps, words),
-                )
                 for scan in scans:
                     got = K._first_violation(need, 0, _always, (), s, r, *scan)
                     assert got == want, (need, s_rows, r_rows, allow_top)
@@ -590,7 +593,7 @@ def test_filtered_searches_match_a_plain_goal_loop():
                     and K._goal_met(*goal_args, s, r, cmap, bits, allowed)
                 )
 
-            maps, ((k, _),) = _plain_first_hits(s, r, allow_top, [hit])
+            maps, _, ((k, _),) = _plain_first_hits(s, r, allow_top, [hit])
             want = (len(maps), -1) if k < 0 else (k + 1, k)
             args = (allow_top, need, forbid, *goal_args)
             plain_up = (s.n, _raw_up(s_rows), r.n, _raw_up(r_rows))

@@ -565,18 +565,18 @@ class TestPoolPlan:
 
 def _assert_fresh_entries(entries: dict):
     """Each K._ORBITS entry in `entries` equals a build from an empty table:
-    count, indices and maps, and every word read so far equals property_bits."""
+    count, indices and maps, and its words, as bytes, equal property_bits
+    of every representative."""
     saved = K._ORBITS
     K._ORBITS = {}
     try:
         for key, (count, indices, maps, words) in entries.items():
             fresh = K._map_orbits(*key)
             assert (count, list(indices), maps) == (fresh[0], list(fresh[1]), fresh[2]), key
-            assert len(words) == len(maps), key
             s_up, r_up, _ = key
-            for cmap, word in zip(maps, words):
-                if word != K._UNREAD:
-                    assert word == K.property_bits(len(s_up), s_up, len(r_up), r_up, cmap), key
+            assert type(words) is bytes and list(words) == [
+                K.property_bits(len(s_up), s_up, len(r_up), r_up, cmap) for cmap in maps
+            ], key
     finally:
         K._ORBITS = saved
 
@@ -587,8 +587,8 @@ class TestOrbitHandback:
     def test_forked_children_hand_back_their_entries(self, monkeypatch, empty_orbits):
         monkeypatch.setattr(sys, "platform", "linux")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        # C_EQUIVALENT holds at (3, 3) and reads the words, so each chunk
-        # scans the first pair of each of its classes and fills words
+        # C_EQUIVALENT holds at (3, 3), so each chunk builds the entry of
+        # the first pair of each of its classes
         theorem = TheoremId.C_EQUIVALENT
         s_list = r_list = labeled_posets(0, 3)
         _, chunks = class_chunks(s_list, r_list, 2, True)
@@ -605,7 +605,6 @@ class TestOrbitHandback:
         assert exhaustive_verify(theorem, 3, 3, waive_hypotheses=True, jobs=2).holds
         assert set(empty_orbits) == built[0] | built[1]
         handed = dict(empty_orbits)
-        assert any(w != K._UNREAD for key in child_only for w in handed[key][3])
 
         # the next theorem's pool forks with every entry: building one, in
         # the caller or in the child, raises
