@@ -15,27 +15,29 @@ of elements; on the elements that contract into a chain D these are the
 maximal D-chains the theorems speak about, and on all elements the maximal
 chains of the poset.
 
-The theorems read three kinds of facts. A `PosetFacts` record holds what
-depends on one poset: its masks, its chains, a table of its maximal chains
-inside each set of elements and a table of allowed masks per map value
-tuple. Sweeps and searches take their records from the process-wide table
-`_RECORDS`, so each labeled poset's record is built once per process and
-every map of that poset reads it, in every sweep and search after the
-first. At the object level each `Poset` holds its own record
-(`Poset.facts`), which every map over that Poset object reads. Per map
-there is the value tuple `cmap`, its property-bits word from
-`property_bits` (LO, INC, GU, GD, SGB, GB and unitarity as PROP_* flags)
-and the dict `allowed` from `_allowed_masks`, which sends each chain D of s
-to the elements of r contracting into D; the maximal D-chains are then the
-lookup `r.dchains[allowed[D]]`. That dict depends only on s and `cmap`, so
-sweeps, searches and maps read it from `s.allowed[cmap]`, built once per
-record for every theorem, goal and r that share the values.
+The theorems read facts computed once. A `PosetFacts` record holds what
+depends on one poset: its masks, its chains with their least and greatest
+members (`ends`), the consecutive member pairs of each chain read
+(`links`), its maximal chains inside each set of elements (`dchains`), and
+per map value tuple `cmap` of a map out of it two tables: `allowed`, which
+sends each chain D to the elements of r contracting into D, so that the
+maximal D-chains are `r.dchains[allowed[D]]`, and `images`, the image
+mask of every subset of r. Both depend only on s and `cmap`, so every
+theorem, goal and r sharing the values read one entry. Sweeps and searches
+take their records from the process-wide `_RECORDS`; each `Poset` holds its
+own (`Poset.facts`). Per map there is also its property-bits word from
+`property_bits` (LO, INC, GU, GD, SGB, GB and unitarity as PROP_* flags).
 
 Each theorem is one entry of `THEOREMS`: the names of its hypotheses, their
 flags as one mask and one conclusion over (s, r, cmap, bits, allowed) that
-returns a clause code. `eval_theorem` looks the theorem up by name and
-tests its hypotheses as one mask of the word; it evaluates one map, for
-the object level and the replays of sweep and search hits.
+returns a clause code. The conclusions are mask tests over those facts. A
+maximal D-chain C covers D when `images[C]` is D. Every contraction of C
+lies in the chain D, so each member of D lies above (below) one iff C meets
+the lifts of min D (max D), `allowed[end]` (P_MINI_GD, P_MINI_GU); and D
+is bracketed across the cut of C between consecutive members x < y iff no
+member of D lies strictly between the contractions of x and y
+(P_MINI_SGB). `eval_theorem` evaluates one map, for the object level and
+the replays of sweep and search hits.
 
 Sweeps walk their labeled poset pairs as blocks, one s poset with
 ascending positions in the list of r posets, and call sweep_pair once per
@@ -57,19 +59,17 @@ without a memo and search_pair on plain up masks run it over every map
 
 Process-wide tables are filled on lookup and never shrink. Within
 POSET_ENUM_BOUND there are at most 4,474 labeled posets, so their size is
-bounded. `_RECORDS` maps each labeled poset's strict up masks to its
-PosetFacts record. Every statement is invariant under relabeling s and r,
-and the other tables use that: `_CANONICAL` holds each labeled poset's
-canonical form and automorphism group, filled one isomorphism class at a
-time, `_CLASS_IDS` numbers the canonical forms, and `_ORBITS` lists, per
-labeled pair, one map per orbit of Aut(s) x Aut(r) (`_map_orbits`), each
-with its property-bits word, computed when the entry is built; orbit
-scans check these instead of every map. Pool children hand the `_ORBITS`
-entries they build back to the caller, so later pools fork with them. A
-record's allowed table holds an entry per value tuple that a scan of its
-poset has checked; orbit scans check only representatives that pass
-their filter, so at (4, 5) the sixteen theorem sweeps fill them within a
-peak of about 51 MB.
+bounded. Every statement is invariant under relabeling s and r:
+`_CANONICAL` holds each labeled poset's canonical form and automorphism
+group, filled one isomorphism class at a time, `_CLASS_IDS` numbers the
+canonical forms, and `_ORBITS` lists, per labeled pair, one map per orbit
+of Aut(s) x Aut(r) with its word (`_map_orbits`); orbit scans check these
+instead of every map. Pool children hand the `_ORBITS` entries they build
+back to the caller, so later pools fork with them. A record's `allowed`
+and `images` tables hold an entry per value tuple that a scan of its poset
+has checked; orbit scans check only representatives that pass their
+filter, so at (4, 5) the sixteen theorem sweeps stay within a peak of
+about 54 MB.
 """
 
 from __future__ import annotations
@@ -228,16 +228,14 @@ class PosetFacts(tuple):
     """The up masks of one poset, and the facts every map of it reads.
 
     The record is the tuple of up masks itself, so it stands wherever up
-    masks are read. Everything else is built on first use, so a record that
-    is only looked up by its isomorphism class costs its canonical form
-    `iso` and class id `cls` alone: its down and comparability masks, its
-    maximal chains (ascending), its chains (ascending, the empty chain
-    first), its D-chain table, where
-    `dchains[allowed]` equals `_maximal_dchains(up, down, allowed)`, order
-    included, and its allowed table, where `allowed[cmap]` equals
-    `_allowed_masks(self, cmap)` for a map with the values `cmap`. Its
-    `strict_order` is what property_bits reads. A field, once built, is
-    never changed. The records of sweeps and searches live in
+    masks are read. Every other field is built on first use, so a record
+    looked up only by its isomorphism class costs its canonical form `iso`
+    and class id `cls` alone. Its tables are filled on lookup:
+    `dchains[allowed]` is `_maximal_dchains(up, down, allowed)`, order
+    included, `links[c]` is `_chain_links(down, c)`, and for a map with the
+    values `cmap`, `allowed[cmap]` is `_allowed_masks(self, cmap)` and
+    `images[cmap]` is `_image_table(n, cmap)`. A field or entry, once
+    built, is never changed. The records of sweeps and searches live in
     `_RECORDS` for the life of the process; a `Poset` keeps its own record,
     `Poset.facts`, which every SpectralMap over it reads.
     """
@@ -275,6 +273,26 @@ class PosetFacts(tuple):
         return [(d, d & (d - 1), (d & -d).bit_length() - 1) for d in self.chains[1:]]
 
     @cached_property
+    def ends(self) -> dict[int, tuple[int, int]]:
+        # each nonempty chain, ascending -> the one-member chains of its
+        # least and greatest member; the member p a step adds is comparable
+        # with the smaller chain's ends, so it is the new least iff it lies
+        # below the old least, and dually
+        ends = {}
+        for d, rest, p in self.chain_steps:
+            bit = 1 << p
+            least, greatest = ends.get(rest, (bit, bit))
+            ends[d] = (
+                bit if self[p] & least else least, bit if self.down[p] & greatest else greatest
+            )
+        return ends
+
+    @cached_property
+    def links(self) -> _FilledTable:
+        # chain -> its pairs of consecutive members, one entry per chain read
+        return _FilledTable(_chain_links, self.down)
+
+    @cached_property
     def iso(self) -> tuple[int, ...]:
         # the canonical form of the strict up masks
         return _canonical_encoding(tuple(m & ~(1 << i) for i, m in enumerate(self)))
@@ -294,6 +312,11 @@ class PosetFacts(tuple):
     def allowed(self) -> _FilledTable:
         # one entry per value tuple a scan of this poset has read
         return _FilledTable(_allowed_masks, self)
+
+    @cached_property
+    def images(self) -> _FilledTable:
+        # value tuple -> _image_table, one entry per value tuple read
+        return _FilledTable(_image_table, self.n)
 
 
 def _raw_up(strict_rows: tuple[int, ...]) -> tuple[int, ...]:
@@ -338,36 +361,48 @@ def _image_mask(cmap, c_mask):
     return img
 
 
-def _end_of_chain(masks, d_mask):
-    # the member of D whose row holds all of D: the least member when
-    # `masks` are up masks, the greatest when they are down masks
-    m = d_mask
-    i = 0
-    while m:
-        if m & 1:
-            if (d_mask & ~masks[i]) == 0:
-                return i
-        m >>= 1
-        i += 1
-    return -1
+def _image_table(ns, cmap):
+    """Subset mask of r -> the mask of its members' contractions under `cmap`.
+
+    Bit ns stands for TOP. When r has at most 8 elements and s at most 7,
+    every image fits a byte and all 2^|r| are listed in one `bytes`, each
+    subset extending the one without its highest element; otherwise an
+    image is computed when first read.
+    """
+    if ns > 7 or len(cmap) > 8:
+        return _FilledTable(_image_mask, cmap)
+    images = [0]
+    for v in cmap:
+        bit = 1 << v
+        images += [m | bit for m in images]
+    return bytes(images)
 
 
-def _end_lift_code(s_ends, s, r, cmap, allowed):
+def _chain_links(down, c):
+    # the pairs (x, y) of members of the chain c, y next above x, ordered by
+    # the number of members at or below each
+    members = [x for x in range(len(down)) if c >> x & 1]
+    members.sort(key=lambda x: (c & down[x]).bit_count())
+    return list(zip(members, members[1:]))
+
+
+def _end_lift_code(end, s, r, cmap, allowed):
     """Covers of each nonempty chain D through the lifts of one end of D.
 
-    The end is the least member of D for s_ends = s (its up masks) and the
-    greatest for s_ends = s.down. Returns 1 when some lift of the end lies
-    on no maximal D-chain covering D (a cover through it would extend to
-    such a maximal one), else 2 when some maximal D-chain through a lift is
-    not a cover, else 0.
+    The end is the least member of D for end 0 and the greatest for end 1,
+    as `s.ends` lists them. Returns 1 when some lift of the end lies on no
+    maximal D-chain covering D (a cover through it would extend to such a
+    maximal one), else 2 when some maximal D-chain through a lift is not a
+    cover, else 0.
     """
+    images = s.images[cmap]
+    dchains = r.dchains
     code = 0
-    for d in s.chains[1:]:
-        lifts = allowed[1 << _end_of_chain(s_ends, d)]
-        covering = 0
-        other = 0
-        for c in r.dchains[allowed[d]]:
-            if _image_mask(cmap, c) == d:
+    for d, ends in s.ends.items():
+        lifts = allowed[ends[end]]
+        covering = other = 0
+        for c in dchains[allowed[d]]:
+            if images[c] == d:
                 covering |= c
             else:
                 other |= c
@@ -380,37 +415,41 @@ def _end_lift_code(s_ends, s, r, cmap, allowed):
 
 def prop_sclo(s, r, cmap, allowed):
     # every element over the least member of a chain D starts a cover of D
-    return _end_lift_code(s, s, r, cmap, allowed) != 1
+    return _end_lift_code(0, s, r, cmap, allowed) != 1
 
 
 def prop_ggd(s, r, cmap, allowed):
     # dual: every element over the greatest member of D ends a cover of D
-    return _end_lift_code(s.down, s, r, cmap, allowed) != 1
+    return _end_lift_code(1, s, r, cmap, allowed) != 1
 
 
 def prop_chain_morphism(s, r, cmap, allowed):
     # every chain in s is covered by some chain in r, and so by a maximal
     # D-chain: extending a cover inside D keeps its image
+    images = s.images[cmap]
+    dchains = r.dchains
     for d in s.chains[1:]:
-        found = False
-        for c in r.dchains[allowed[d]]:
-            if _image_mask(cmap, c) == d:
-                found = True
+        for c in dchains[allowed[d]]:
+            if images[c] == d:
                 break
-        if not found:
+        else:
             return False
     return True
 
 
-def layer_holds(n, s, r, allowed):
-    # every maximal D-chain over every n-element chain D has exactly n elements
-    for d in s.chains:
-        if d.bit_count() != n:
-            continue
-        for c in r.dchains[allowed[d]]:
-            if c.bit_count() != n:
-                return False
-    return True
+def layers_held(least, most, s, r, allowed):
+    """held[k] for least <= k <= most: every maximal D-chain over every
+    k-element chain D has k elements; one pass over the chains."""
+    held = [True] * (most + 1)
+    dchains = r.dchains
+    for d in s.chains[1:]:
+        k = d.bit_count()
+        if least <= k <= most and held[k]:
+            for c in dchains[allowed[d]]:
+                if c.bit_count() != k:
+                    held[k] = False
+                    break
+    return held
 
 
 def property_bits(ns, s_up, nr, r_up, cmap):
@@ -496,7 +535,8 @@ def property_bits(ns, s_up, nr, r_up, cmap):
 
 # Conclusions. Each takes (s, r, cmap, bits, allowed) and returns a clause
 # code, 0 when the conclusion holds on the instance; `bits` is the map's
-# property_bits word.
+# property_bits word. A maximal D-chain C covers D when its image,
+# s.images[cmap][C], is D.
 
 
 def _maxchain_images(perfect):
@@ -505,8 +545,9 @@ def _maxchain_images(perfect):
     # (C_PERFECT_MAXCHAIN)
     def conclusion(s, r, cmap, bits, allowed):
         ns = s.n
+        images = s.images[cmap]
         for cm in r.max_chains:
-            img = _image_mask(cmap, cm)
+            img = images[cm]
             if img >> ns:
                 return 1
             if not _is_chain(s.comp, img):
@@ -534,11 +575,9 @@ def _iff(props, test):
 
 
 def _dchains_nonempty(s, r, cmap, allowed):
-    # every nonempty chain D has a nonempty maximal D-chain
-    for d in s.chains[1:]:
-        if allowed[d] == 0:
-            return False
-    return True
+    # every nonempty chain D has a nonempty maximal D-chain: allowed[D]
+    # grows with D, so it is enough that each one-member chain has one
+    return all(allowed[1 << p] for p in range(s.n))
 
 
 #: the properties that layers 1, 1-2 and 1-3 stand for
@@ -548,94 +587,81 @@ _LAYER_3 = _LAYER_2 | PROP_SGB
 
 
 def _layers(s, r, cmap, bits, allowed):
-    l1 = layer_holds(1, s, r, allowed)
+    _, l1, l2, l3 = layers_held(1, 3, s, r, allowed)
     if l1 != (bits & _LAYER_1 == _LAYER_1):
         return 1
-    l2 = layer_holds(2, s, r, allowed)
     if (l1 and l2) != (bits & _LAYER_2 == _LAYER_2):
         return 2
-    l3 = layer_holds(3, s, r, allowed)
     if (l1 and l2 and l3) != (bits & _LAYER_3 == _LAYER_3):
         return 3
     return 0
 
 
-def _bracketed(s, cmap, d_mask, lower, upper):
-    # each member p of D lies below the contraction of some member of
-    # `lower` or above the contraction of some member of `upper`; both are
-    # parts of a D-chain, so no contraction is TOP
-    below = _image_mask(cmap, lower)
-    above = _image_mask(cmap, upper)
-    m = d_mask
-    while m:
-        low = m & -m
-        p = low.bit_length() - 1
-        if not (s[p] & below or s.down[p] & above):
-            return False
-        m ^= low
-    return True
+# The chain sides of the mini theorems: on each chain D of s, each nonempty
+# maximal D-chain C brackets every member of D. Every contraction of C lies
+# in the chain D, so each member of D lies above one (GD) iff min D is one,
+# and below one (GU) iff max D is one. A proper cut of C lies between
+# consecutive members x < y of C, and the members of D on neither side of
+# it (SGB) are those strictly between the contractions of x and y.
 
 
-# The bracketing tests of the mini theorems on a chain D of s and a maximal
-# D-chain C: each member of D lies above some contraction of C (GD), below
-# one (GU), or is bracketed across each proper cut of C (SGB).
-
-
-def _above_some(s, r, cmap, d, c):
-    return _bracketed(s, cmap, d, 0, c)
-
-
-def _below_some(s, r, cmap, d, c):
-    return _bracketed(s, cmap, d, c, 0)
-
-
-def _across_cuts(s, r, cmap, d, c):
-    m = c
-    while m:
-        low = m & -m
-        left = c & r.down[low.bit_length() - 1]
-        if left != c and not _bracketed(s, cmap, d, left, c & ~left):
-            return False
-        m ^= low
-    return True
-
-
-def _mini_rhs(brackets):
-    # the chain side of P_MINI_GD, P_MINI_GU or P_MINI_SGB: `brackets` holds
-    # on every nonempty maximal D-chain
+def _meets_end_lifts(end):
+    # P_MINI_GD (end 0, min D) and P_MINI_GU (end 1, max D): every nonempty
+    # maximal D-chain holds a lift of that end of D
     def holds(s, r, cmap, allowed):
-        for d in s.chains[1:]:
+        dchains = r.dchains
+        for d, ends in s.ends.items():
             d_allowed = allowed[d]
-            if d_allowed == 0:
-                continue
-            for c in r.dchains[d_allowed]:
-                if not brackets(s, r, cmap, d, c):
-                    return False
+            if d_allowed:
+                lifts = allowed[ends[end]]
+                for c in dchains[d_allowed]:
+                    if not c & lifts:
+                        return False
         return True
 
     return holds
 
 
-def _end_lifts(greatest):
-    # C_GGD reads the lifts of max D, C_GGU_DUAL those of min D
+def _brackets_cuts(s, r, cmap, allowed):
+    # P_MINI_SGB; a chain D of at most two members has no member strictly
+    # between two others
+    s_sup, s_sdown, _ = s.strict_order
+    dchains = r.dchains
+    links = r.links
+    for d in s.chains[1:]:
+        d_allowed = allowed[d]
+        if d_allowed and d.bit_count() > 2:
+            for c in dchains[d_allowed]:
+                for x, y in links[c]:
+                    if d & s_sup[cmap[x]] & s_sdown[cmap[y]]:
+                        return False
+    return True
+
+
+def _end_lifts(end):
+    # C_GGD reads the lifts of max D (end 1), C_GGU_DUAL those of min D
     def conclusion(s, r, cmap, bits, allowed):
-        return _end_lift_code(s.down if greatest else s, s, r, cmap, allowed)
+        return _end_lift_code(end, s, r, cmap, allowed)
 
     return conclusion
 
 
 def _all_max_dchains_cover(s, r, cmap, allowed):
+    images = s.images[cmap]
+    dchains = r.dchains
     for d in s.chains[1:]:
-        for c in r.dchains[allowed[d]]:
-            if c != 0 and _image_mask(cmap, c) != d:
+        for c in dchains[allowed[d]]:
+            if c != 0 and images[c] != d:
                 return False
     return True
 
 
 def _perfect_covers(s, r, cmap, bits, allowed):
+    images = s.images[cmap]
+    dchains = r.dchains
     for d in s.chains:
-        for c in r.dchains[allowed[d]]:
-            if _image_mask(cmap, c) != d:
+        for c in dchains[allowed[d]]:
+            if images[c] != d:
                 return 1
             if c.bit_count() != d.bit_count():
                 return 2
@@ -647,15 +673,17 @@ def _equivalent(s, r, cmap, bits, allowed):
     cond1 = True
     cond3 = True
     cond4 = True
+    images = s.images[cmap]
+    dchains = r.dchains
     for d in s.chains:
         k = d.bit_count()
-        for c in r.dchains[allowed[d]]:
+        for c in dchains[allowed[d]]:
             sz = c.bit_count()
             if sz != k:
                 cond3 = cond4 = False
                 if 1 <= k <= 3:
                     cond1 = False
-            elif cond3 and _image_mask(cmap, c) != d:
+            elif cond3 and images[c] != d:
                 cond3 = False
         if not (cond1 or cond3 or cond4):
             # the conditions only ever turn false, so the code is settled
@@ -676,9 +704,10 @@ def _sclo_iff_gu(s, r, cmap, bits, allowed):
 
 def _maxcovers_maximal(s, r, cmap, bits, allowed):
     full = (1 << r.n) - 1
+    images = s.images[cmap]
     for d in s.max_chains:
         for c in r.dchains[allowed[d]]:
-            if _image_mask(cmap, c) == d and not _is_maximal_sub(r.comp, full, c):
+            if images[c] == d and not _is_maximal_sub(r.comp, full, c):
                 return 1
     return 0
 
@@ -687,11 +716,12 @@ def _maxchain_dchains_maximal(s, r, cmap, bits, allowed):
     # every nonempty maximal D-chain over a maximal chain D covers D and is
     # a maximal chain of r
     full = (1 << r.n) - 1
+    images = s.images[cmap]
     for d in s.max_chains:
         for c in r.dchains[allowed[d]]:
             if c == 0:
                 continue
-            if _image_mask(cmap, c) != d:
+            if images[c] != d:
                 return 1
             if not _is_maximal_sub(r.comp, full, c):
                 return 2
@@ -702,9 +732,10 @@ def _maxchain_has_maximal_cover(s, r, cmap, bits, allowed):
     # every maximal chain D has a maximal D-chain that covers D and is a
     # maximal chain of r
     full = (1 << r.n) - 1
+    images = s.images[cmap]
     for d in s.max_chains:
         for c in r.dchains[allowed[d]]:
-            if c and _image_mask(cmap, c) == d and _is_maximal_sub(r.comp, full, c):
+            if c and images[c] == d and _is_maximal_sub(r.comp, full, c):
                 break
         else:
             return 1
@@ -730,11 +761,11 @@ THEOREMS = {
     ),
     "L_LO_EXISTENCE": _statement((), _iff(PROP_LO, _dchains_nonempty)),
     "P_LAYERS": _statement((), _layers),
-    "P_MINI_GD": _statement((), _iff(PROP_GD, _mini_rhs(_above_some))),
-    "P_MINI_GU": _statement((), _iff(PROP_GU, _mini_rhs(_below_some))),
-    "P_MINI_SGB": _statement((), _iff(PROP_SGB, _mini_rhs(_across_cuts))),
-    "C_GGD": _statement(("GD", "SGB"), _end_lifts(greatest=True)),
-    "C_GGU_DUAL": _statement(("GU", "SGB"), _end_lifts(greatest=False)),
+    "P_MINI_GD": _statement((), _iff(PROP_GD, _meets_end_lifts(0))),
+    "P_MINI_GU": _statement((), _iff(PROP_GU, _meets_end_lifts(1))),
+    "P_MINI_SGB": _statement((), _iff(PROP_SGB, _brackets_cuts)),
+    "C_GGD": _statement(("GD", "SGB"), _end_lifts(1)),
+    "C_GGU_DUAL": _statement(("GU", "SGB"), _end_lifts(0)),
     "T_MAXDCHAIN_COVERS": _statement(
         (), _iff(PROP_GD | PROP_GU | PROP_SGB, _all_max_dchains_cover)
     ),
@@ -1068,11 +1099,12 @@ def sweep_pair(
 def _goal_met(goal_id, goal_size, s, r, cmap, bits, allowed):
     if goal_id == GOAL_LO_FAILS:
         return not bits & PROP_LO
+    images = s.images[cmap]
     for d in s.chains[1:]:
         if goal_size > 0 and d.bit_count() != goal_size:
             continue
         for c in r.dchains[allowed[d]]:
-            if _image_mask(cmap, c) != d:
+            if images[c] != d:
                 return True
             if goal_id == GOAL_MAXDCHAIN_NOT_PERFECT and c.bit_count() != d.bit_count():
                 return True

@@ -77,6 +77,10 @@ _TOP_LITERAL = "TOP"
 #: factors each one by trial division up to its square root
 MAX_MODULUS = 10**9
 
+#: the longest digit run a ring expression may hold; int() refuses runs
+#: past 4,300 digits without saying where they are
+MAX_DIGITS = 100
+
 
 @dataclass(frozen=True)
 class InstanceDocument:
@@ -205,6 +209,11 @@ class _Tokens:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
 
+    def start(self) -> int:
+        """Offset of the next token."""
+        self._skip_ws()
+        return self.pos
+
     def peek(self) -> str:
         self._skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else ""
@@ -216,8 +225,7 @@ class _Tokens:
         self.pos += len(symbol)
 
     def take_ident(self) -> str:
-        self._skip_ws()
-        start = self.pos
+        start = self.start()
         while self.pos < len(self.text) and self.text[self.pos].isalpha():
             self.pos += 1
         if start == self.pos:
@@ -225,17 +233,17 @@ class _Tokens:
         return self.text[start:self.pos]
 
     def take_int(self) -> int:
-        self._skip_ws()
-        start = self.pos
+        start = self.start()
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
         if start == self.pos:
             self.error("expected an integer")
+        if self.pos - start > MAX_DIGITS:
+            self.error(f"integer has more than {MAX_DIGITS} digits", start)
         return int(self.text[start:self.pos])
 
     def take_modulus(self) -> int:
-        self._skip_ws()
-        start = self.pos
+        start = self.start()
         n = self.take_int()
         if n > MAX_MODULUS:
             raise DocumentSemanticError(
@@ -319,6 +327,7 @@ def _parse_hom(tokens: _Tokens) -> RingHom:
     if tokens.take_ident() != "m":
         tokens.error("expected m=...")
     tokens.take_symbol("=")
+    m_pos = tokens.start()
     m = tokens.take_modulus()
     tokens.take_symbol(",")
     if tokens.take_ident() != "target":
@@ -329,13 +338,16 @@ def _parse_hom(tokens: _Tokens) -> RingHom:
     if tokens.take_ident() != "e":
         tokens.error("expected e=...")
     tokens.take_symbol("=")
+    e_pos = tokens.start()
     e = _parse_elem(tokens)
     tokens.take_symbol(")")
     tokens.expect_end()
     try:
         return make_hom(m, target, e)
     except (NotIdempotent, CharacteristicMismatch, ValueError) as exc:
-        raise DocumentSemanticError(str(exc)) from exc
+        # make_hom tests the source modulus first, then the element
+        at = m_pos if m < 2 else e_pos
+        raise DocumentSemanticError(str(exc), *tokens._location(at)) from exc
 
 
 def ring_expr_text(ring: RingExpr) -> str:
@@ -607,18 +619,14 @@ def _counterexample_dict(cx: Counterexample) -> dict:
 
 
 def _verdict_dict(v: Verdict) -> dict:
-    theorem = v.theorem.name if isinstance(v.theorem, TheoremId) else v.theorem
-    out = {
-        "theorem": theorem,
+    return {
+        "theorem": v.theorem.name if isinstance(v.theorem, TheoremId) else v.theorem,
         "statement": THEOREM_STATEMENTS.get(v.theorem, ""),
         "holds": v.holds,
         "instances_checked": v.instances_checked,
         "note": v.note,
-        "counterexample": (
-            _counterexample_dict(v.counterexample) if v.counterexample else None
-        ),
+        "counterexample": _counterexample_dict(v.counterexample) if v.counterexample else None,
     }
-    return out
 
 
 def build_check_report(doc: InstanceDocument, max_layer: int | None = None) -> dict:
@@ -660,15 +668,8 @@ def build_verify_report(
 def build_search_report(spec, witness: SpectralMap | None) -> dict:
     witness_dict = None
     if witness is not None:
-        witness_doc = InstanceDocument(
-            smap=witness,
-            name="witness",
-            violation={
-                "goal": spec.goal,
-                "required": sorted(spec.required),
-            },
-        )
-        witness_dict = instance_dict(witness_doc)
+        violation = {"goal": spec.goal, "required": sorted(spec.required)}
+        witness_dict = instance_dict(InstanceDocument(witness, "witness", violation=violation))
     return {
         "command": "search",
         "spec": {
@@ -708,13 +709,9 @@ def _bool_word(b: bool) -> str:
 
 
 def render_check_text(report: dict) -> str:
-    lines = []
     props = report["properties"]
-    for name in PROPERTY_NAMES:
-        lines.append(f"{name}: {_bool_word(props[name])}")
-    lines.append(f"unitary: {_bool_word(props['unitary'])}")
-    for n, value in report["layers"].items():
-        lines.append(f"layer-{n}: {_bool_word(value)}")
+    lines = [f"{name}: {_bool_word(props[name])}" for name in (*PROPERTY_NAMES, "unitary")]
+    lines += [f"layer-{n}: {_bool_word(value)}" for n, value in report["layers"].items()]
     return "\n".join(lines) + "\n"
 
 
@@ -722,20 +719,13 @@ def render_verify_text(report: dict) -> str:
     lines = []
     for entry in report["theorems"]:
         status = "holds" if entry["holds"] else "FAILED"
-        line = (
-            f"{entry['theorem']}: {status} "
-            f"({entry['instances_checked']} instances)"
-        )
+        line = f"{entry['theorem']}: {status} ({entry['instances_checked']} instances)"
         if entry["note"]:
             line += f" [{entry['note']}]"
         lines.append(line)
         if entry["counterexample"] is not None:
-            lines.append(
-                "  counterexample: " + entry["counterexample"]["violation"]["clause"]
-            )
-    lines.append(
-        "all hold" if report["all_hold"] else "violations found"
-    )
+            lines.append("  counterexample: " + entry["counterexample"]["violation"]["clause"])
+    lines.append("all hold" if report["all_hold"] else "violations found")
     return "\n".join(lines) + "\n"
 
 
@@ -744,30 +734,18 @@ def render_search_text(report: dict) -> str:
         return "no witness within bounds\n"
     witness = report["witness"]
     lines = ["witness found:"]
-    lines.append("  s labels: " + ", ".join(witness["s"]["labels"]))
-    lines.append(
-        "  s pairs: "
-        + ("; ".join(f"{a} < {b}" for a, b in witness["s"]["pairs"]) or "(antichain)")
-    )
-    lines.append("  r labels: " + ", ".join(witness["r"]["labels"]))
-    lines.append(
-        "  r pairs: "
-        + ("; ".join(f"{a} < {b}" for a, b in witness["r"]["pairs"]) or "(antichain)")
-    )
-    lines.append(
-        "  map: "
-        + "; ".join(f"{q} -> {p}" for q, p in witness["map"].items())
-    )
+    for tag in ("s", "r"):
+        pairs = "; ".join(f"{a} < {b}" for a, b in witness[tag]["pairs"])
+        lines.append(f"  {tag} labels: " + ", ".join(witness[tag]["labels"]))
+        lines.append(f"  {tag} pairs: " + (pairs or "(antichain)"))
+    lines.append("  map: " + "; ".join(f"{q} -> {p}" for q, p in witness["map"].items()))
     return "\n".join(lines) + "\n"
 
 
 def render_spec_text(report: dict) -> str:
     lines = [f"spec {report['ring']}:"]
-    for label in report["labels"]:
-        lines.append(f"  {label}")
-    if report["pairs"]:
-        for a, b in report["pairs"]:
-            lines.append(f"  {a} < {b}")
+    lines += [f"  {label}" for label in report["labels"]]
+    lines += [f"  {a} < {b}" for a, b in report["pairs"]]
     return "\n".join(lines) + "\n"
 
 

@@ -236,7 +236,7 @@ def check_layer(m: SpectralMap, n: int) -> bool:
     if n < 1:
         raise ValueError("layer index must be at least 1")
     f = m.facts
-    return K.layer_holds(n, f.s, f.r, f.allowed)
+    return K.layers_held(n, n, f.s, f.r, f.allowed)[n]
 
 
 PROPERTY_NAMES = ("LO", "INC", "GU", "GD", "SGB", "GB", "SCLO", "GGD", "chain_morphism")

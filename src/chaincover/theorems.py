@@ -19,7 +19,7 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
+from itertools import islice, product
 
 from . import _kernels as K
 from ._kernels import _raw_up
@@ -170,15 +170,9 @@ def clause_text(theorem: TheoremId, code: int) -> str:
     if theorem is TheoremId.C_EQUIVALENT:
         bits = code - 1
         names = ("layers 1-3", "five properties", "perfect maximal covers", "|C| = |D|")
-        true_names = [n for k, n in enumerate(names) if bits >> k & 1]
-        false_names = [n for k, n in enumerate(names) if not bits >> k & 1]
-        return (
-            "equivalent conditions disagree: "
-            + ", ".join(true_names)
-            + " hold while "
-            + ", ".join(false_names)
-            + " fail"
-        )
+        held = ", ".join(n for k, n in enumerate(names) if bits >> k & 1)
+        failed = ", ".join(n for k, n in enumerate(names) if not bits >> k & 1)
+        return f"equivalent conditions disagree: {held} hold while {failed} fail"
     return _CLAUSES.get((theorem, code), f"clause {code}")
 
 
@@ -197,12 +191,11 @@ def verify(m: SpectralMap, theorem: TheoremId, waive_hypotheses: bool = False) -
     start = time.perf_counter()
     f = m.facts
     code = K.eval_theorem(theorem.value, waive_hypotheses, f.s, f.r, f.cmap, f.bits, f.allowed)
-    note = None
     unmet = unmet_hypotheses(m, theorem)
-    if unmet and not waive_hypotheses:
-        note = "hypothesis unmet: " + ", ".join(unmet)
-    elif unmet:
-        note = "hypotheses waived: " + ", ".join(unmet)
+    note = None
+    if unmet:
+        state = "hypotheses waived: " if waive_hypotheses else "hypothesis unmet: "
+        note = state + ", ".join(unmet)
     counterexample = None
     if code != 0:
         counterexample = Counterexample(
@@ -437,12 +430,7 @@ def labeled_posets(least: int, most: int) -> list[tuple[int, ...]]:
 def sweep_pairs(max_s: int, max_r: int):
     """Canonical (s, r) pair stream for exhaustive sweeps."""
     s_list, r_list = labeled_posets(0, max_s), labeled_posets(0, max_r)
-    return [
-        (idx, s_rows, r_rows)
-        for idx, (s_rows, r_rows) in enumerate(
-            (s, r) for s in s_list for r in r_list
-        )
-    ]
+    return [(idx, *pair) for idx, pair in enumerate(product(s_list, r_list))]
 
 
 def _check_bounds(kind: str, least: int, max_s: int, max_r: int, size_bound: int):

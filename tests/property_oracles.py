@@ -6,6 +6,11 @@ of LO, INC, GU, GD, SGB, GB and unitarity. Tests compare
 with them. Posets are up masks (bit j of up[i] means i <= j), a map is a
 sequence of values with ns standing for TOP.
 
+Member loops: the theorems' conclusions as loops over the members of each
+chain D and maximal D-chain C. Tests compare `_kernels.eval_theorem`, whose
+conclusions are mask tests over per-poset end and link tables and per-map
+image tables, with them (`LOOP_THEOREMS`).
+
 Shrink candidates built from numpy order submatrices through
 `Poset.from_leq_matrix`. Tests compare `search._shrink_candidates`, which
 builds them from masks, with them.
@@ -226,3 +231,262 @@ def oracle_shrink_candidates(m):
         yield lambda i=i, j=j: _drop_r_pair(m, i, j)
     for i, j in covering_pairs(m.s_poset):
         yield lambda i=i, j=j: _drop_s_pair(m, i, j)
+
+
+# Member loops, as the kernels wrote the conclusions before their end, link
+# and image tables; s and r are PosetFacts records, of which only the masks,
+# chains and D-chain tables are read.
+
+
+def image_mask(cmap, c_mask):
+    img = 0
+    while c_mask:
+        low = c_mask & -c_mask
+        img |= 1 << cmap[low.bit_length() - 1]
+        c_mask ^= low
+    return img
+
+
+def end_of_chain(masks, d_mask):
+    """The member of D whose row in `masks` holds all of D."""
+    m = d_mask
+    i = 0
+    while m:
+        if m & 1 and d_mask & ~masks[i] == 0:
+            return i
+        m >>= 1
+        i += 1
+    return -1
+
+
+def _end_lift_code(s_ends, s, r, cmap, allowed):
+    code = 0
+    for d in s.chains[1:]:
+        lifts = allowed[1 << end_of_chain(s_ends, d)]
+        covering = other = 0
+        for c in r.dchains[allowed[d]]:
+            if image_mask(cmap, c) == d:
+                covering |= c
+            else:
+                other |= c
+        if lifts & ~covering:
+            return 1
+        if lifts & other:
+            code = 2
+    return code
+
+
+def _sclo(s, r, cmap, allowed):
+    return _end_lift_code(s, s, r, cmap, allowed) != 1
+
+
+def loop_chain_morphism(s, r, cmap, allowed):
+    return all(
+        any(image_mask(cmap, c) == d for c in r.dchains[allowed[d]]) for d in s.chains[1:]
+    )
+
+
+def _layer(n, s, r, allowed):
+    return all(
+        c.bit_count() == n
+        for d in s.chains
+        if d.bit_count() == n
+        for c in r.dchains[allowed[d]]
+    )
+
+
+def _maxchain_images(perfect):
+    def conclusion(s, r, cmap, bits, allowed):
+        for cm in r.max_chains:
+            img = image_mask(cmap, cm)
+            if img >> s.n:
+                return 1
+            if not K._is_chain(s.comp, img):
+                return 2
+            if not K._is_maximal_sub(s.comp, (1 << s.n) - 1, img):
+                return 3
+            if perfect and cm.bit_count() != img.bit_count():
+                return 4
+        return 0
+
+    return conclusion
+
+
+def _iff(props, test):
+    def conclusion(s, r, cmap, bits, allowed):
+        left = bits & props == props
+        if left == test(s, r, cmap, allowed):
+            return 0
+        return 1 if left else 2
+
+    return conclusion
+
+
+def _dchains_nonempty(s, r, cmap, allowed):
+    return all(allowed[d] for d in s.chains[1:])
+
+
+_LAYER_1 = K.PROP_LO | K.PROP_INC
+_LAYER_2 = _LAYER_1 | K.PROP_GU | K.PROP_GD
+_LAYER_3 = _LAYER_2 | K.PROP_SGB
+
+
+def _layers(s, r, cmap, bits, allowed):
+    l1 = _layer(1, s, r, allowed)
+    if l1 != (bits & _LAYER_1 == _LAYER_1):
+        return 1
+    l2 = _layer(2, s, r, allowed)
+    if (l1 and l2) != (bits & _LAYER_2 == _LAYER_2):
+        return 2
+    l3 = _layer(3, s, r, allowed)
+    if (l1 and l2 and l3) != (bits & _LAYER_3 == _LAYER_3):
+        return 3
+    return 0
+
+
+def _bracketed(s, cmap, d_mask, lower, upper):
+    # each member p of D lies below the contraction of some member of
+    # `lower` or above the contraction of some member of `upper`
+    below = image_mask(cmap, lower)
+    above = image_mask(cmap, upper)
+    m = d_mask
+    while m:
+        low = m & -m
+        p = low.bit_length() - 1
+        if not (s[p] & below or s.down[p] & above):
+            return False
+        m ^= low
+    return True
+
+
+def _above_some(s, r, cmap, d, c):
+    return _bracketed(s, cmap, d, 0, c)
+
+
+def _below_some(s, r, cmap, d, c):
+    return _bracketed(s, cmap, d, c, 0)
+
+
+def _across_cuts(s, r, cmap, d, c):
+    # each proper cut of C: its members at or below x, and those above
+    for x in range(r.n):
+        left = c & r.down[x]
+        if c >> x & 1 and left != c and not _bracketed(s, cmap, d, left, c & ~left):
+            return False
+    return True
+
+
+def _mini_rhs(brackets):
+    def holds(s, r, cmap, allowed):
+        for d in s.chains[1:]:
+            if allowed[d]:
+                for c in r.dchains[allowed[d]]:
+                    if not brackets(s, r, cmap, d, c):
+                        return False
+        return True
+
+    return holds
+
+
+def _end_lifts(greatest):
+    def conclusion(s, r, cmap, bits, allowed):
+        return _end_lift_code(s.down if greatest else s, s, r, cmap, allowed)
+
+    return conclusion
+
+
+def _all_max_dchains_cover(s, r, cmap, allowed):
+    return all(
+        c == 0 or image_mask(cmap, c) == d
+        for d in s.chains[1:]
+        for c in r.dchains[allowed[d]]
+    )
+
+
+def _perfect_covers(s, r, cmap, bits, allowed):
+    for d in s.chains:
+        for c in r.dchains[allowed[d]]:
+            if image_mask(cmap, c) != d:
+                return 1
+            if c.bit_count() != d.bit_count():
+                return 2
+    return 0
+
+
+def _equivalent(s, r, cmap, bits, allowed):
+    cond2 = bits & _LAYER_3 == _LAYER_3
+    cond1 = cond3 = cond4 = True
+    for d in s.chains:
+        k = d.bit_count()
+        for c in r.dchains[allowed[d]]:
+            if c.bit_count() != k:
+                cond3 = cond4 = False
+                if 1 <= k <= 3:
+                    cond1 = False
+            elif image_mask(cmap, c) != d:
+                cond3 = False
+    held = cond1 | cond2 << 1 | cond3 << 2 | cond4 << 3
+    return 0 if held in (0, 15) else held + 1
+
+
+def _sclo_iff_gu(s, r, cmap, bits, allowed):
+    sclo = _sclo(s, r, cmap, allowed)
+    if sclo == bool(bits & K.PROP_GU):
+        return 0
+    return 1 if sclo else 2
+
+
+def _is_maximal_chain(r, c):
+    return K._is_maximal_sub(r.comp, (1 << r.n) - 1, c)
+
+
+def _maxcovers_maximal(s, r, cmap, bits, allowed):
+    for d in s.max_chains:
+        for c in r.dchains[allowed[d]]:
+            if image_mask(cmap, c) == d and not _is_maximal_chain(r, c):
+                return 1
+    return 0
+
+
+def _maxchain_dchains_maximal(s, r, cmap, bits, allowed):
+    for d in s.max_chains:
+        for c in r.dchains[allowed[d]]:
+            if c == 0:
+                continue
+            if image_mask(cmap, c) != d:
+                return 1
+            if not _is_maximal_chain(r, c):
+                return 2
+    return 0
+
+
+def _maxchain_has_maximal_cover(s, r, cmap, bits, allowed):
+    for d in s.max_chains:
+        if not any(
+            c and image_mask(cmap, c) == d and _is_maximal_chain(r, c)
+            for c in r.dchains[allowed[d]]
+        ):
+            return 1
+    return 0
+
+
+#: theorem name -> (hypothesis names, conclusion); `_kernels.THEOREMS`
+#: with the conclusions as member loops
+LOOP_THEOREMS = {
+    "T_COVER_MAXCHAIN": (("unitary", "GU", "GD", "SGB"), _maxchain_images(False)),
+    "C_PERFECT_MAXCHAIN": (("unitary", "INC", "GU", "GD", "SGB"), _maxchain_images(True)),
+    "L_LO_EXISTENCE": ((), _iff(K.PROP_LO, _dchains_nonempty)),
+    "P_LAYERS": ((), _layers),
+    "P_MINI_GD": ((), _iff(K.PROP_GD, _mini_rhs(_above_some))),
+    "P_MINI_GU": ((), _iff(K.PROP_GU, _mini_rhs(_below_some))),
+    "P_MINI_SGB": ((), _iff(K.PROP_SGB, _mini_rhs(_across_cuts))),
+    "C_GGD": (("GD", "SGB"), _end_lifts(greatest=True)),
+    "C_GGU_DUAL": (("GU", "SGB"), _end_lifts(greatest=False)),
+    "T_MAXDCHAIN_COVERS": ((), _iff(K.PROP_GD | K.PROP_GU | K.PROP_SGB, _all_max_dchains_cover)),
+    "T_PERFECT_COVER": (("LO", "INC", "GU", "GD", "SGB"), _perfect_covers),
+    "C_EQUIVALENT": ((), _equivalent),
+    "L_MAXCOVER_MAXCHAIN": (("unitary",), _maxcovers_maximal),
+    "C_MAXDCHAIN_MAXCHAIN": (("unitary", "GD", "GU", "SGB"), _maxchain_dchains_maximal),
+    "C_EXISTS_MAXCHAIN_COVER": (("unitary", "LO", "GD", "GU", "SGB"), _maxchain_has_maximal_cover),
+    "X_KO_SCLO_EQ_GU": (("unitary",), _sclo_iff_gu),
+}

@@ -345,6 +345,15 @@ class TestSpec:
         )
         assert run_cli(capsys, "spec", "Zn(1000000000)")[0] == 0
 
+    def test_an_overlong_integer_exits_two(self, capsys):
+        # int() would refuse 5,000 digits without a position
+        code, out, err = run_cli(capsys, "spec", "Product(Zn(2), Zn(" + "9" * 5000 + "))")
+        assert (code, out) == (2, "")
+        assert err == "error: integer has more than 100 digits (line 1, column 19)\n"
+        # a run of 100 digits is read, and refused as a modulus
+        code, _, err = run_cli(capsys, "spec", "Zn(" + "9" * 100 + ")")
+        assert code == 2 and err.startswith("error: ring modulus must be at most 1000000000,")
+
 
 class TestRingPositions:
     """Errors inside a document's "ring" string are placed in the document."""
@@ -390,6 +399,24 @@ class TestRingPositions:
                 "error: ring modulus must be at most 1000000000,"
                 f" got 1000000000000000003 (line 1, column {column})\n"
             ), ring
+
+    def test_hom_errors_are_placed_at_their_value(self, capsys, tmp_path):
+        # the source modulus at m=, every other make_hom error at e=; the
+        # string starts at column 12 of line 3
+        for ring, message, column in (
+            ("hom(m=1, target=Zn(2), e=0)", "source modulus must be at least 2, got 1", 18),
+            ("hom(m=4, target=Zn(2), e=99999999999)",
+             "e must be a residue modulo 2, got 99999999999", 37),
+            ("hom(m=3, target=Zn(2), e=1)",
+             "3 * 1 is nonzero in Zn(2), so no hom out of Zn(3) sends 1 there", 37),
+            ("hom(m=6, target=Product(Zn(2),Zn(3)), e=( 1,2))",
+             "(1, 2) is not idempotent in Product(Zn(2),Zn(3))", 52),
+            ("hom(m=6, target=Product(Zn(2),Zn(3)), e= 1)",
+             "e must have one component per product factor", 53),
+        ):
+            text = '{\n  "name": "bad",\n  "ring": "' + ring + '"\n}\n'
+            err = self.run_check(capsys, tmp_path, text)
+            assert err == f"error: {message} (line 3, column {column})\n", ring
 
 
 class TestExportDot:

@@ -14,10 +14,14 @@ search test compares the orbit scan of search_pair on records, and a search
 chunk over class pairs, with the full scan on plain up masks of each
 labeled pair. The filter tests check the scan's word filter, table by table
 against the mask test and pair by pair against plain loops that call
-eval_theorem or _goal_met on every map.
+eval_theorem or _goal_met on every map. The closed-form conclusions are
+compared with the member loops they replaced (property_oracles), on every
+map at (3, 3) and (2, 4) and on maps past the bytes image table, and the
+end, link and image tables with scans of the chains' members.
 """
 
 import hashlib
+import random
 import subprocess
 import sys
 from itertools import combinations, permutations, product
@@ -46,7 +50,13 @@ from chaincover.theorems import (
     labeled_posets,
     sweep_pairs,
 )
-from property_oracles import scalar_property_bits
+from property_oracles import (
+    LOOP_THEOREMS,
+    end_of_chain,
+    image_mask,
+    loop_chain_morphism,
+    scalar_property_bits,
+)
 
 
 def _brute_force_chains(p, allowed):
@@ -240,6 +250,79 @@ def test_per_map_verdicts_match_pinned_digest():
     assert seen == {
         (name, True, code) for name, codes in WAIVED_CODES_AT_3_3.items() for code in codes
     }
+
+
+def _labeled_pair_records(*bounds):
+    """(s, r) fresh records of every labeled pair within any of the bounds, once each."""
+    records = K._FilledTable(lambda rows: K.PosetFacts(_raw_up(rows)))
+    pairs = dict.fromkeys((s, r) for b in bounds for _, s, r in sweep_pairs(*b))
+    return [(records[s_rows], records[r_rows]) for s_rows, r_rows in pairs]
+
+
+def _assert_codes_match_member_loops(s, r, cmap):
+    allowed = s.allowed[cmap]
+    bits = K.property_bits(s.n, s, r.n, r, cmap)
+    for tid, (hypotheses, conclusion) in LOOP_THEOREMS.items():
+        # unwaived, the code is the waived one when the hypotheses hold
+        waived = conclusion(s, r, cmap, bits, allowed)
+        met = all(bits & K.HYPOTHESIS_BITS[h] for h in hypotheses)
+        for waive in (False, True):
+            got = K.eval_theorem(tid, waive, s, r, cmap, bits, allowed)
+            assert got == (waived if waive or met else 0), (tid, waive, s, r, cmap)
+    # SCLO and GGD are read by theorems; chain morphism is not
+    got = K.prop_chain_morphism(s, r, cmap, allowed)
+    assert got == loop_chain_morphism(s, r, cmap, allowed), (s, r, cmap)
+
+
+def test_closed_form_conclusions_match_member_loops():
+    # every map of every labeled pair at (3, 3) and (2, 4), TOP allowed
+    maps = 0
+    for s, r in _labeled_pair_records((3, 3), (2, 4)):
+        for cmap in K.monotone_maps(s.n, s, r.n, r, True):
+            _assert_codes_match_member_loops(s, r, cmap)
+            maps += 1
+    # (2, 4) holds (2, 3), which (3, 3) holds too
+    assert maps == 11614 + 19827 - 985
+
+
+def test_images_past_a_byte_are_computed_when_read():
+    # an r of nine elements, or an s of eight, is past the bytes table
+    rng = random.Random(22)
+    checked = 0
+    for ns, nr in ((2, 9), (3, 9), (8, 2), (8, 3)):
+        for seed in range(4):
+            s = K.PosetFacts(random_poset(ns, seed).up_masks)
+            r = K.PosetFacts(random_poset(nr, seed).up_masks)
+            maps = K.monotone_maps(s.n, s, r.n, r, True)
+            for cmap in rng.sample(maps, min(20, len(maps))):
+                images = s.images[cmap]
+                assert isinstance(images, dict) and not images
+                _assert_codes_match_member_loops(s, r, cmap)
+                assert images, cmap
+                for c, img in images.items():
+                    assert img == image_mask(cmap, c), (cmap, c)
+                checked += 1
+    assert checked > 100
+
+
+def test_chain_tables_match_member_scans():
+    for p in _all_posets():
+        record = K.PosetFacts(p.up_masks)
+        assert list(record.ends) == record.chains[1:]
+        for d, (least, greatest) in record.ends.items():
+            assert least == 1 << end_of_chain(p.up_masks, d), (p, d)
+            assert greatest == 1 << end_of_chain(p.down_masks, d), (p, d)
+            members = sorted(
+                (i for i in range(p.n) if d >> i & 1), key=lambda i: -p.up_masks[i].bit_count()
+            )
+            assert record.links[d] == list(zip(members, members[1:])), (p, d)
+        # every subset of r, for the maps of a one- and a two-element s
+        for q in (*enumerate_posets(1), *enumerate_posets(2)):
+            s = K.PosetFacts(q.up_masks)
+            for cmap in K.monotone_maps(s.n, s, p.n, p.up_masks, True):
+                images = s.images[cmap]
+                assert isinstance(images, bytes) and len(images) == 1 << p.n
+                assert list(images) == [image_mask(cmap, c) for c in range(1 << p.n)]
 
 
 def test_kernels_load_alone_without_numpy():

@@ -390,8 +390,25 @@ SAMPLE_PATHS = sorted(
     (pathlib.Path(__file__).resolve().parent.parent / "sample_instances").glob("*.json")
 )
 
-#: the record fields that are one value each; `dchains` and `allowed` are tables
-RECORD_FIELDS = ("down", "comp", "strict_order", "chains", "chain_steps", "max_chains", "iso")
+#: the record fields that are one value each; `dchains`, `links`, `allowed`
+#: and `images` are tables filled on lookup
+RECORD_FIELDS = (
+    "down", "comp", "strict_order", "chains", "chain_steps", "ends", "max_chains", "iso",
+)
+
+
+def assert_tables_match_fresh(record, fresh, where):
+    """Each entry of the record's filled tables equals the fresh record's."""
+    filled = vars(record)
+    for table in ("dchains", "links", "allowed"):
+        for key, entry in filled.get(table, {}).items():
+            assert entry == getattr(fresh, table)[key], (where, table, key)
+    for cmap, images in filled.get("images", {}).items():
+        want = fresh.images[cmap]
+        if isinstance(images, bytes):
+            assert images == want, (where, cmap)
+        else:
+            assert {c: want[c] for c in images} == images, (where, cmap)
 
 
 class TestSharedRecords:
@@ -423,20 +440,23 @@ class TestSharedRecords:
     @staticmethod
     def assert_records_match_fresh(maps):
         posets = {id(p): p for m in maps for p in (m.s_poset, m.r_poset)}
-        multi = 0
+        multi = linked = 0
         for p in posets.values():
             record, fresh = vars(p.facts), K.PosetFacts(p.up_masks)
             assert p.facts == fresh, p
             for field in RECORD_FIELDS:
                 if field in record:
-                    assert tuple(record[field]) == tuple(getattr(fresh, field)), (p, field)
-            for allowed, chains in record.get("dchains", {}).items():
-                assert chains == fresh.dchains[allowed], (p, allowed)
-                multi += len(chains) > 1
-            for cmap, allowed in record.get("allowed", {}).items():
-                assert allowed == fresh.allowed[cmap], (p, cmap)
-        # an entry whose order a reader could disturb was compared
-        assert multi > 0
+                    # a Poset seeds its record's masks as tuples
+                    got, want = record[field], getattr(fresh, field)
+                    if not isinstance(want, dict):
+                        got, want = tuple(got), tuple(want)
+                    assert got == want, (p, field)
+            assert_tables_match_fresh(p.facts, fresh, p)
+            multi += sum(len(chains) > 1 for chains in record.get("dchains", {}).values())
+            linked += len(record.get("links", {}))
+        # an entry whose order a reader could disturb was compared, and a
+        # chain's links, which only P_MINI_SGB reads
+        assert multi > 0 and linked > 0
 
     @staticmethod
     def assert_verdicts_match_fresh(maps):
@@ -455,7 +475,8 @@ class TestSharedRecords:
                 prop = getattr(K, f"prop_{name.lower()}")
                 assert check_property(m, name) == prop(fs, fr, cmap, allowed), (name, where)
             for n in range(1, height(s) + 2):
-                assert check_layer(m, n) == K.layer_holds(n, fs, fr, allowed), (n, where)
+                want = K.layers_held(n, n, fs, fr, allowed)[n]
+                assert check_layer(m, n) == want, (n, where)
             for d in enumerate_chains(s, include_empty=False):
                 got = [c.mask for c in maximal_D_chains(m, d)]
                 # lexicographic member order
@@ -921,14 +942,16 @@ class TestRecordTable:
             fresh = K.PosetFacts(_raw_up(rows))
             for cmap, allowed in vars(record).get("allowed", {}).items():
                 assert allowed == K._allowed_masks(fresh, cmap), (rows, cmap)
+            assert_tables_match_fresh(record, fresh, rows)
+        # the sweeps filled image tables as well; an s of at most two
+        # elements has no chain whose links P_MINI_SGB reads
+        assert any(vars(record).get("images") for record in empty_records.values())
         rows_list = [rows for n in range(5) for rows in _strict_order_masks(n)]
         rows_list += [rows for rows in _strict_order_masks(5) if K._canonical_encoding(rows) == rows]
         for rows in rows_list:
             record, fresh = empty_records[rows], K.PosetFacts(_raw_up(rows))
             assert record == fresh, rows
-            for field in (
-                "down", "comp", "strict_order", "chains", "chain_steps", "max_chains", "iso",
-            ):
+            for field in RECORD_FIELDS:
                 assert getattr(record, field) == getattr(fresh, field), (rows, field)
             for allowed in range(1 << len(rows)):
                 assert record.dchains[allowed] == fresh.dchains[allowed], (rows, allowed)
