@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 
 from .poset import (
@@ -452,6 +453,25 @@ def _parse_poset_block(block, what: str) -> Poset:
 _STRING_OR_BRACKET = re.compile(r'"(?:[^"\\]|\\.)*"|[][{}]')
 
 
+#: a JSON string, or a JSON number with its integer digits in group 1 and,
+#: when it is not an integer, its fraction or exponent in group 2
+_STRING_OR_NUMBER = re.compile(r'"(?:[^"\\]|\\.)*"|-?(\d+)((?:\.\d+)?(?:[eE][-+]?\d+)?)')
+
+
+def _overlong_integer(text: str, limit: int) -> int | None:
+    """Offset of the digits of the first JSON integer in `text` longer than
+    `limit` digits, or None.
+
+    Digits inside strings are skipped, and a number with a fraction or an
+    exponent is read as a float, which has no digit limit.
+    """
+    for match in _STRING_OR_NUMBER.finditer(text):
+        digits, rest = match.group(1, 2)
+        if digits is not None and not rest and len(digits) > limit:
+            return match.start(1)
+    return None
+
+
 def _deepest_bracket(text: str) -> int:
     """Offset of the first opening bracket at the deepest nesting of JSON text."""
     depth = deepest = at = 0
@@ -515,6 +535,16 @@ def parse_instance(text: str) -> InstanceDocument:
     except RecursionError:
         line, column = _text_location(text, _deepest_bracket(text))
         raise DocumentSyntaxError("document nests too deeply", line, column) from None
+    except ValueError:
+        # int() refuses the digits of an overlong integer without a position
+        limit = sys.get_int_max_str_digits()
+        at = _overlong_integer(text, limit)
+        if at is None:
+            raise
+        line, column = _text_location(text, at)
+        raise DocumentSyntaxError(
+            f"integer has more than {limit} digits", line, column
+        ) from None
     if not isinstance(data, dict):
         raise DocumentSemanticError("instance document must be a JSON object")
     unknown = set(data) - {"name", "seed", "s", "r", "map", "ring", "violation"}

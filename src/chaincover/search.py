@@ -12,7 +12,6 @@ structural witnesses.
 
 from __future__ import annotations
 
-import multiprocessing as mp
 from dataclasses import dataclass
 
 from . import _kernels as K
@@ -31,6 +30,7 @@ from .theorems import (
     _replay,
     class_pairs,
     labeled_posets,
+    mp,
     pool_plan,
     run_chunks,
 )
@@ -38,14 +38,16 @@ from .theorems import (
 _FLAG_BITS = {**PROPERTY_BITS, "UNITARY": K.PROP_UNITARY}
 
 #: estimated maps (_map_estimate, summed over the class pairs a search
-#: scans) per extra worker before a search opens a pool. Measured at jobs=2
-#: on a shared 2-vCPU Linux host, each search cold in a fresh interpreter,
-#: medians of 3 (BENCH_class_search.json): searches that scan their whole
-#: space ran faster in the caller up to 48,386 estimated maps (0.17 s
-#: against 0.22 s) and pooled from 117,671 (0.74 s against 1.22 s) to
-#: 3,212,312 (7.7 s against 14.0 s). Warm, with the orbit tables filled,
-#: the caller won at every bound up to (4, 5).
-MAPS_PER_FORK = 100_000
+#: scans whose least member has no orbit entry yet) per extra worker before
+#: a search opens a pool. Measured at jobs=2 on a shared 2-vCPU Linux host
+#: against the fork pool, each search cold in a fresh interpreter, medians
+#: of 3 (BENCH_fork_pool.json, `crossover`): of the searches that scan their
+#: whole space, the caller won at 602, 4,114 and 9,304 estimated maps (49
+#: against 61 ms at 9,304) and the pool at 2,293 and from 12,493 (92 against
+#: 124 ms) to 149,672 (0.62 against 1.09 s). Of the searches that hit
+#: early, 17 of 18 ran 2-9 ms faster in the caller, at every size; no
+#: estimate foresees an early hit.
+MAPS_PER_FORK = 10_000
 
 GOALS = {
     "lo-fails": K.GOAL_LO_FAILS,
@@ -172,9 +174,13 @@ def search_witness(
     With `jobs` > 1, class pairs are dealt to the workers in descending
     order of their map estimates (pool_plan), and the caller is one of the
     workers. A pool is opened only when the estimated maps reach
-    MAPS_PER_FORK per extra worker; below that the work costs less than
-    opening the pool. The children hand back the orbit entries they build
-    (run_chunks), which later searches and sweeps share.
+    MAPS_PER_FORK per extra worker, counting only the class pairs whose
+    least member has no orbit entry in K._ORBITS yet: a pair with one costs
+    no map enumeration, so a search over tables that an earlier sweep or
+    search filled runs in the caller. Below that the work costs less than
+    the pool. On Linux the pool forks each child with its class pairs
+    (run_chunks), and the children hand back the orbit entries they build,
+    which later searches and sweeps share.
     """
     _check_bounds("search", 1, spec.max_s, spec.max_r, POSET_ENUM_BOUND)
     if jobs < 1:
@@ -195,7 +201,14 @@ def search_witness(
         if not goal_size
         or max(c.bit_count() for c in records[s_list[pair[1][0]]].max_chains) >= goal_size
     ]
-    work = sum(estimate for estimate, _, _ in pairs)
+    # a class pair whose least member has an orbit entry costs no map
+    # enumeration, in the caller or in a child forked from it
+    orbits = K._ORBITS
+    work = sum(
+        estimate
+        for estimate, s_pos, r_pos in pairs
+        if (records[s_list[s_pos[0]]], records[r_list[r_pos[0]]], allow_top) not in orbits
+    )
     workers = jobs
     if work < MAPS_PER_FORK * (jobs - 1):
         workers = 1 + int(work // MAPS_PER_FORK)

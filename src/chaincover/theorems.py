@@ -12,8 +12,9 @@ statements are exhibited.
 from __future__ import annotations
 
 import functools
-import multiprocessing as mp
 import os
+import pickle
+import signal
 import sys
 import time
 from collections import defaultdict
@@ -242,7 +243,10 @@ def pool_plan(items: list, jobs: int) -> tuple[str, list[list]]:
     """Start method and chunks for spreading `items` over up to `jobs` workers.
 
     Fork is used on Linux only: it does not exist on Windows and is unsafe
-    on macOS, which spawn instead. No more workers start than there are
+    on macOS, which spawn instead. A fork pool is _ForkPool, which forks
+    each child with its chunk, so nothing is pickled on the way in; a spawn
+    pool is multiprocessing's, whose children import the package afresh
+    and receive their chunks pickled. No more workers start than there are
     CPUs this process may run on, since more only add start-up; each
     worker, the caller included, takes one round-robin chunk of the items.
     Sweeps and searches pass pairs of isomorphism classes as items
@@ -366,16 +370,120 @@ def _handback(job):
     return result, list(islice(K._ORBITS.items(), start, None))
 
 
+class _ForkPool:
+    """One forked child per job, as a context manager; the part of
+    `multiprocessing.Pool` that run_chunks uses.
+
+    `map_async(func, jobs)` forks a child for each job, which inherits the
+    job through the fork: nothing is pickled on the way in, and no pool
+    thread has to win the interpreter lock before a child starts. The child
+    pickles (True, func(job)) or (False, the exception) to a pipe and ends
+    with os._exit, so no stdio buffer or exit handler of the caller runs in
+    it. `get()` reads the pipes in job order and reaps each child; it raises
+    a child's exception in the caller, and ChildProcessError for a child
+    that ended without a result, such as one killed by a signal. Leaving the
+    `with` block kills and reaps every child not reaped yet, on every exit
+    path. `processes` is the job count; each job gets its own child.
+    """
+
+    def __init__(self, processes: int):
+        self._children: list = []  # (pid, read end of its pipe), in job order
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        while self._children:
+            pid, pipe = self._children.pop()
+            pipe.close()
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            os.waitpid(pid, 0)
+
+    def map_async(self, func, jobs):
+        for job in jobs:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                status = 1
+                try:
+                    try:
+                        out = (True, func(job))
+                    except BaseException as exc:
+                        out = (False, exc)
+                    with open(write, "wb") as pipe:
+                        pickle.dump(out, pipe, pickle.HIGHEST_PROTOCOL)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write)
+            self._children.append((pid, open(read, "rb")))
+        return self
+
+    def get(self) -> list:
+        results = []
+        while self._children:
+            pid, pipe = self._children[0]
+            data = pipe.read()
+            pipe.close()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del self._children[0]
+            if code:
+                how = f"signal {-code}" if code < 0 else f"status {code}"
+                raise ChildProcessError(f"pool child {pid} ended by {how} without a result")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+
+
+class _StartMethods:
+    """The part of multiprocessing's API that run_chunks uses.
+
+    `get_context(method).Pool(n)` opens a pool of n workers. Like the
+    multiprocessing module, the object is itself a context, here fork's:
+    "fork" gives it back, with _ForkPool as its Pool. Any other method is
+    multiprocessing's own context, and only then is multiprocessing
+    imported: neither `import chaincover` nor a sweep or search on Linux
+    loads it.
+    """
+
+    Pool = _ForkPool
+
+    def get_context(self, method: str):
+        if method == "fork":
+            return self
+        import multiprocessing
+
+        return multiprocessing.get_context(method)
+
+
+#: the start methods sweeps and searches open their pools through; a module
+#: attribute, read at call time, so a benchmark's tracer can time the pools
+mp = _StartMethods()
+
+
 def run_chunks(task, payloads: list, open_pool) -> list:
     """`task` of each payload, in order; the caller runs the first.
 
     With more than one payload, `open_pool(n)` starts a pool of n children,
     one fewer than the payloads, which runs the rest meanwhile, each
-    through _handback. The caller adds every orbit entry a child built and
-    it does not hold yet to its own K._ORBITS, so the next pool, of this
-    or of a later sweep or search, forks from a caller that holds them and
-    its children build none of them again. The pool is opened and closed
-    per call.
+    through _handback. On Linux that is a _ForkPool: each child is forked
+    with its payload and starts on it at once, while the caller runs its
+    own; elsewhere it is a spawn pool of multiprocessing, which pickles the
+    payloads. The caller adds every orbit entry a child built and it does
+    not hold yet to its own K._ORBITS, so the next pool, of this or of a
+    later sweep or search, forks from a caller that holds them and its
+    children build none of them again. The pool is opened and closed per
+    call; if the caller's own chunk raises, the children are killed.
     """
     if len(payloads) == 1:
         return [task(payloads[0])]
@@ -461,9 +569,10 @@ def exhaustive_verify(
     worker walks blocks of one s poset and its r posets (class_chunks).
     With `jobs` > 1 the caller is one of the workers, and the isomorphism
     classes of poset pairs are split between them. Each call opens its own
-    pool, whose children hand back the orbit entries they build
-    (run_chunks), so the sweep of the next theorem over the same bounds
-    forks with every entry of this one.
+    pool (run_chunks); on Linux each child is forked with its chunk and
+    starts on it at once, while the caller sweeps its own. The children
+    hand back the orbit entries they build, so the sweep of the next
+    theorem over the same bounds forks with every entry of this one.
     """
     _check_bounds("sweep", 0, max_s, max_r, POSET_ENUM_BOUND)
     if jobs < 1:

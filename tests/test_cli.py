@@ -354,6 +354,18 @@ class TestSpec:
         code, _, err = run_cli(capsys, "spec", "Zn(" + "9" * 100 + ")")
         assert code == 2 and err.startswith("error: ring modulus must be at most 1000000000,")
 
+    def test_an_overlong_integer_in_a_document_exits_two(self, capsys, tmp_path):
+        # json.loads would refuse 5,000 digits without a position; digits in
+        # strings and a long float before them are not integers
+        path = tmp_path / "seed.json"
+        path.write_text(
+            '{"name": "' + "7" * 5000 + '", "violation": {"x": 0.' + "5" * 5000 + "},\n"
+            ' "seed": -' + "9" * 5000 + ', "ring": "hom(m=6, target=Zn(2), e=0)"}\n'
+        )
+        code, out, err = run_cli(capsys, "check", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: integer has more than 4300 digits (line 2, column 11)\n"
+
 
 class TestRingPositions:
     """Errors inside a document's "ring" string are placed in the document."""
@@ -539,6 +551,17 @@ print(json.dumps(results))
 class TestWithoutNumpy:
     def test_import_leaves_numpy_unloaded(self):
         script = "import sys, chaincover, chaincover.cli; print('numpy' in sys.modules)"
+        assert _python("-c", script) == "False\n"
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="pools spawn off Linux")
+    def test_fork_pools_leave_multiprocessing_unloaded(self):
+        # a jobs=2 sweep forks its own pool, without multiprocessing
+        script = (
+            "import sys, chaincover.cli\n"
+            "from chaincover import TheoremId, exhaustive_verify\n"
+            "exhaustive_verify(TheoremId.C_GGD, 2, 3, waive_hypotheses=True, jobs=2)\n"
+            "print('multiprocessing' in sys.modules)"
+        )
         assert _python("-c", script) == "False\n"
 
     def test_cli_runs_with_numpy_blocked(self):

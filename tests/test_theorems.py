@@ -13,13 +13,16 @@ import multiprocessing
 import os
 import pathlib
 import random
+import signal
 import sys
+import time
 from itertools import combinations, islice, product
 
 import pytest
 
 from chaincover import _kernels as K
 from chaincover import search as search_module
+from chaincover import theorems as theorems_module
 from property_oracles import (
     oracle_shrink_candidates,
     prop_gb,
@@ -85,6 +88,7 @@ from chaincover.theorems import (
     instance_from_raw,
     labeled_posets,
     pool_plan,
+    run_chunks,
     sweep_pairs,
     unmet_hypotheses,
     verify,
@@ -562,13 +566,14 @@ class TestPoolPlan:
 
     def test_spawn_and_excess_jobs_give_the_same_report_bytes(self, monkeypatch):
         methods = []
-        get_context = multiprocessing.get_context
+        get_context = theorems_module.mp.get_context
 
-        def recording(method=None):
+        def recording(method):
             methods.append(method)
             return get_context(method)
 
-        monkeypatch.setattr(multiprocessing, "get_context", recording)
+        # search.mp is the same object, so searches are recorded too
+        monkeypatch.setattr(theorems_module.mp, "get_context", recording)
         # two usable CPUs, whatever the host has
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         # the search's few maps stay below the pool gate; forced past it,
@@ -659,6 +664,83 @@ class TestOrbitHandback:
         handed = {key: e for key, e in empty_orbits.items() if key not in caller_built}
         assert handed
         _assert_fresh_entries(handed)
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """The pids os.fork returns to this process during the test."""
+    pids = []
+    fork = os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    return pids
+
+
+def _assert_reaped(pids):
+    """Each of `pids` is neither running nor left unreaped.
+
+    Asked per pid rather than with waitpid(-1): a spawn pool of an earlier
+    test leaves multiprocessing's resource tracker running as a child.
+    """
+    assert pids
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="pools fork on Linux only")
+class TestForkPool:
+    """run_chunks on a fork pool: one child per payload after the first."""
+
+    @staticmethod
+    def run(task, payloads):
+        return run_chunks(
+            task, payloads, lambda n: theorems_module.mp.get_context("fork").Pool(n)
+        )
+
+    def test_a_child_exception_is_raised_in_the_caller(self, forked):
+        def task(payload):
+            if payload == "fail":
+                raise KeyError("raised in a child")
+            return payload, os.getpid()
+
+        results = self.run(task, ["caller", "a", "b"])
+        assert [payload for payload, _ in results] == ["caller", "a", "b"]
+        pids = [pid for _, pid in results]
+        assert pids[0] == os.getpid() and pids[1:] == forked
+        _assert_reaped(forked)
+        with pytest.raises(KeyError, match="raised in a child"):
+            self.run(task, ["caller", "a", "fail", "b"])
+        assert len(forked) == 5
+        _assert_reaped(forked)
+
+    def test_an_exception_in_the_callers_chunk_kills_the_children(self, forked):
+        def task(payload):
+            if payload == "caller":
+                raise ValueError("raised in the caller")
+            time.sleep(30)
+
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="raised in the caller"):
+            self.run(task, ["caller", "sleep", "sleep"])
+        assert time.perf_counter() - start < 10
+        _assert_reaped(forked)
+
+    def test_a_child_killed_by_a_signal_is_an_error(self, forked):
+        def task(payload):
+            if payload == "die":
+                os.kill(os.getpid(), signal.SIGKILL)
+            return payload
+
+        with pytest.raises(ChildProcessError, match=f"signal {int(signal.SIGKILL)}"):
+            self.run(task, ["caller", "die", "b"])
+        _assert_reaped(forked)
 
 
 def _oracle_sweep(theorem, waive, max_s, max_r):
@@ -851,6 +933,29 @@ def test_class_pair_searches_match_a_labeled_pair_loop(monkeypatch, bounds):
             pruned = (spec.d_size or 0) > spec.max_s
             assert workers == [jobs if forced and not pruned else 1], (spec, forced, jobs)
     assert any(found) and not all(found)
+
+
+def test_a_search_over_filled_orbit_tables_runs_in_the_caller(monkeypatch, empty_orbits):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    # any class pair without an orbit entry pays for a pool
+    monkeypatch.setattr(search_module, "MAPS_PER_FORK", 1)
+    workers = []
+    run_chunks = search_module.run_chunks
+
+    def recording(task, payloads, open_pool):
+        workers.append(len(payloads))
+        return run_chunks(task, payloads, open_pool)
+
+    monkeypatch.setattr(search_module, "run_chunks", recording)
+    spec = WitnessSearchSpec(
+        required=frozenset({"LO", "GU", "GD"}), goal="maximal-dchain-not-cover",
+        max_s=3, max_r=3,
+    )
+    # the search scans its whole space, and the children hand back the
+    # entries they build, so the caller then holds one for every class pair
+    assert search_witness(spec, jobs=2) is None
+    assert search_witness(spec, jobs=2) is None
+    assert workers == [2, 1]
 
 
 class TestClassChunks:
