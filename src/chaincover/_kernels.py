@@ -39,10 +39,11 @@ member of D lies strictly between the contractions of x and y
 (P_MINI_SGB). `eval_theorem` evaluates one map, for the object level and
 the replays of sweep and search hits.
 
-Sweeps walk their labeled poset pairs as blocks, one s poset with
-ascending positions in the list of r posets, and call sweep_pair once per
-pair with both posets' records. Searches call search_pair once per pair of
-isomorphism classes, on the records of its least labeled member. Both share
+Sweeps and searches walk the same chunks, lists of pairs of isomorphism
+classes, each a product of s positions and r positions
+(theorems.deal_class_pairs). Sweeps call sweep_pair once per labeled pair
+of each product with both posets' records; searches call search_pair once
+per product, on the records of its least labeled member. Both share
 one map loop, `_first_violation`, which first filters the maps by their
 words, a map passing when its word holds every flag of a `need` mask and
 none of a `forbid` mask, and then calls a predicate on those that pass: the
@@ -1048,8 +1049,8 @@ def sweep_pair(
 
     `s_up` and `r_up` are up masks or, from a sweep, the posets' records
     in `_RECORDS`. Returns (maps of the pair, index of the first violating
-    map or -1, its clause code). A sweep calls it once per labeled pair of
-    its blocks, and once it has its first violation passes `count_only` for
+    map or -1, its clause code). A sweep chunk calls it once per labeled
+    pair, and once it has its first violation passes `count_only` for
     every later pair, whose counts it still sums; with `count_only` the
     maps are only counted.
 

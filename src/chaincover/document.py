@@ -16,7 +16,9 @@ import re
 import sys
 from dataclasses import dataclass, field
 
+from . import _kernels as K
 from .poset import (
+    MASK_ENUM_BOUND,
     AntisymmetryViolation,
     DuplicateLabel,
     Poset,
@@ -40,7 +42,6 @@ from .specmap import (
     TOP,
     NotMonotone,
     SpectralMap,
-    check_layer,
     make_spectral_map,
     properties_summary,
 )
@@ -662,14 +663,18 @@ def _verdict_dict(v: Verdict) -> dict:
 def build_check_report(doc: InstanceDocument, max_layer: int | None = None) -> dict:
     """Properties and layer results for one instance, layer-1 to layer-max_layer.
 
-    `max_layer` defaults to the height of s; 0 reports no layer.
+    `max_layer` defaults to the height of s; 0 reports no layer. A layer
+    past the height holds vacuously, so a bound past MASK_ENUM_BOUND, the
+    most elements a chain-enumerated poset has, is refused.
     """
     m = doc.smap
     if max_layer is None:
         max_layer = height(m.s_poset)
-    elif max_layer < 0:
-        raise ValueError(f"max layer must be at least 0, got {max_layer}")
-    layers = {str(n): check_layer(m, n) for n in range(1, max_layer + 1)}
+    elif not 0 <= max_layer <= MASK_ENUM_BOUND:
+        raise ValueError(f"max layer must lie in 0..{MASK_ENUM_BOUND}, got {max_layer}")
+    f = m.facts
+    held = K.layers_held(1, max_layer, f.s, f.r, f.allowed)
+    layers = {str(n): held[n] for n in range(1, max_layer + 1)}
     return {
         "command": "check",
         "instance": instance_dict(doc),

@@ -18,7 +18,7 @@ from itertools import product as iproduct
 from math import gcd, lcm
 
 from .poset import Poset, make_poset
-from .specmap import TOP, SpectralMap, check_GD, check_GU, make_spectral_map
+from .specmap import PROPERTY_BITS, TOP, SpectralMap, make_spectral_map
 from .theorems import Counterexample, Verdict
 
 
@@ -342,46 +342,65 @@ def to_spectral_map(h: RingHom) -> SpectralMap:
     return make_spectral_map(s, r, assignment)
 
 
+def _lift_lemma(h: RingHom, theorem: str, hypothesis: str, lifts, clause: str) -> Verdict:
+    """Verdict of "if the contraction has `hypothesis`, every source prime
+    of `lifts` is hit".
+
+    `hypothesis` is a name of PROPERTY_BITS. `lifts` yields (index in
+    spec_ideals, prime, detail entries) for each source prime that needs a
+    target prime contracting exactly to it; it is read only when the hypothesis holds,
+    and only up to the first prime nothing lies over, whose entries go into
+    the counterexample between "prime" and "clause".
+    """
+    start = time.perf_counter()
+    smap = to_spectral_map(h)
+    checked = 0
+    cx = None
+    note = None
+    if smap.facts.bits & PROPERTY_BITS[hypothesis]:
+        for i, p_ideal, extra in lifts:
+            checked += 1
+            if i not in smap.assignment:
+                cx = Counterexample(
+                    smap=smap,
+                    theorem=theorem,
+                    waived=False,
+                    detail={
+                        "hom": h.describe(),
+                        "prime": p_ideal.label(),
+                        **extra,
+                        "clause": clause,
+                    },
+                )
+                break
+    else:
+        note = f"hypothesis unmet: {hypothesis}"
+    return Verdict(
+        theorem=theorem,
+        holds=cx is None,
+        instances_checked=checked,
+        counterexample=cx,
+        elapsed=time.perf_counter() - start,
+        note=note,
+    )
+
+
 def check_kernel_LO_lemma(h: RingHom) -> Verdict:
     """If the contraction has GU, primes containing the kernel are hit.
 
     Checks, for each source prime P containing kernel(h), that some target
     prime contracts exactly to P.
     """
-    start = time.perf_counter()
-    smap = to_spectral_map(h)
-    checked = 0
-    holds = True
-    cx = None
-    note = None
-    if check_GU(smap):
+
+    def lifts():
         ker = kernel(h)
         for i, p_ideal in enumerate(spec_ideals(Zn(h.m))):
-            if not ideal_leq(ker, p_ideal):
-                continue
-            checked += 1
-            if i not in smap.assignment:
-                holds = False
-                cx = Counterexample(
-                    smap=smap,
-                    theorem="RING_KERNEL_LO",
-                    waived=False,
-                    detail={
-                        "hom": h.describe(),
-                        "prime": p_ideal.label(),
-                        "clause": "prime contains the kernel but nothing lies over it",
-                    },
-                )
-                break
-    else:
-        note = "hypothesis unmet: GU"
-    return Verdict(
-        theorem="RING_KERNEL_LO",
-        holds=holds,
-        instances_checked=checked,
-        counterexample=cx,
-        elapsed=time.perf_counter() - start,
-        note=note,
+            if ideal_leq(ker, p_ideal):
+                yield i, p_ideal, {}
+
+    return _lift_lemma(
+        h, "RING_KERNEL_LO", "GU", lifts(),
+        "prime contains the kernel but nothing lies over it",
     )
 
 
@@ -392,39 +411,14 @@ def check_extension_LO_lemma(h: RingHom) -> Verdict:
     """
     if not h.unitary:
         raise NotUnitary(f"{h.describe()} does not send 1 to the identity")
-    start = time.perf_counter()
-    smap = to_spectral_map(h)
-    checked = 0
-    holds = True
-    cx = None
-    note = None
-    if check_GD(smap):
+
+    def lifts():
         for i, p_ideal in enumerate(spec_ideals(Zn(h.m))):
             ext = extension_ideal(h, p_ideal)
-            if ext.is_full:
-                continue
-            checked += 1
-            if i not in smap.assignment:
-                holds = False
-                cx = Counterexample(
-                    smap=smap,
-                    theorem="RING_EXTENSION_LO",
-                    waived=False,
-                    detail={
-                        "hom": h.describe(),
-                        "prime": p_ideal.label(),
-                        "extension": ext.label(),
-                        "clause": "prime extends properly but nothing lies over it",
-                    },
-                )
-                break
-    else:
-        note = "hypothesis unmet: GD"
-    return Verdict(
-        theorem="RING_EXTENSION_LO",
-        holds=holds,
-        instances_checked=checked,
-        counterexample=cx,
-        elapsed=time.perf_counter() - start,
-        note=note,
+            if not ext.is_full:
+                yield i, p_ideal, {"extension": ext.label()}
+
+    return _lift_lemma(
+        h, "RING_EXTENSION_LO", "GD", lifts(),
+        "prime extends properly but nothing lies over it",
     )

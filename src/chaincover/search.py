@@ -29,9 +29,9 @@ from .theorems import (
     _check_bounds,
     _replay,
     class_pairs,
+    deal_class_pairs,
     labeled_posets,
     mp,
-    pool_plan,
     run_chunks,
 )
 
@@ -132,26 +132,27 @@ def goal_holds(m: SpectralMap, goal: str, d_size: int | None = None) -> bool:
 
 
 def _search_chunk(args):
-    """The least hit (pair index, map index) of a chunk's class pairs, in a
-    list, or the empty list.
+    """The least hit (pair index, map index) of a chunk's class pairs, or None.
 
-    The chunk lists class pairs by their least labeled member, as (pair
-    index, s rows, r rows) in ascending pair index. Every member of a class
-    pair hits or none does, and no member's index is below the least
-    member's, so the first class pair of the chunk that hits holds the
-    chunk's least hitting labeled pair, and it is scanned on that very
-    labeling: its first hitting orbit representative is the pair's exact
-    first hitting map (search_pair). The least over all chunks is the same
-    for any number of chunks.
+    The chunk lists (s positions, r positions) class pairs in ascending
+    order of their least labeled members (deal_class_pairs), and each is
+    scanned on that member only. Every member of a class pair hits or none
+    does, and no member's index is below the least member's, so the first
+    class pair of the chunk that hits holds the chunk's least hitting
+    labeled pair, and it is scanned on that very labeling: its first
+    hitting orbit representative is the pair's exact first hitting map
+    (search_pair). The least over all chunks is the same for any number of
+    chunks.
     """
-    need, forbid, goal_id, goal_size, allow_top, pairs = args
+    need, forbid, goal_id, goal_size, allow_top, s_list, r_list, chunk = args
     records = K._RECORDS
-    for pair_idx, s_rows, r_rows in pairs:
-        s, r = records[s_rows], records[r_rows]
+    for s_positions, r_positions in chunk:
+        s_pos, r_pos = s_positions[0], r_positions[0]
+        s, r = records[s_list[s_pos]], records[r_list[r_pos]]
         _, hit = K.search_pair(s.n, s, r.n, r, allow_top, need, forbid, goal_id, goal_size)
         if hit >= 0:
-            return [(pair_idx, hit)]
-    return []
+            return s_pos * len(r_list) + r_pos, hit
+    return None
 
 
 def search_witness(
@@ -171,16 +172,14 @@ def search_witness(
     among the class pairs that hit (_search_chunk). With a `d_size`, s
     classes without a chain of that size are left out.
 
-    With `jobs` > 1, class pairs are dealt to the workers in descending
-    order of their map estimates (pool_plan), and the caller is one of the
-    workers. A pool is opened only when the estimated maps reach
-    MAPS_PER_FORK per extra worker, counting only the class pairs whose
-    least member has no orbit entry in K._ORBITS yet: a pair with one costs
-    no map enumeration, so a search over tables that an earlier sweep or
-    search filled runs in the caller. Below that the work costs less than
-    the pool. On Linux the pool forks each child with its class pairs
-    (run_chunks), and the children hand back the orbit entries they build,
-    which later searches and sweeps share.
+    With `jobs` > 1, class pairs are dealt to the workers as sweeps deal
+    them (deal_class_pairs), and the caller is one of the workers. A pool
+    (run_chunks) is opened only when the estimated maps reach MAPS_PER_FORK
+    per extra worker, counting only the class pairs whose least member has
+    no orbit entry in K._ORBITS yet: a pair with one costs no map
+    enumeration, so a search over tables that an earlier sweep or search
+    filled runs in the caller. Below that the work costs less than the
+    pool.
     """
     _check_bounds("search", 1, spec.max_s, spec.max_r, POSET_ENUM_BOUND)
     if jobs < 1:
@@ -212,24 +211,14 @@ def search_witness(
     workers = jobs
     if work < MAPS_PER_FORK * (jobs - 1):
         workers = 1 + int(work // MAPS_PER_FORK)
-    pairs.sort(key=lambda pair: pair[0], reverse=True)
-    method, dealt = pool_plan(pairs, workers)
-    width = len(r_list)
     payloads = [
-        (need, forbid, goal_id, goal_size, allow_top, sorted(
-            (s_pos[0] * width + r_pos[0], s_list[s_pos[0]], r_list[r_pos[0]])
-            for _, s_pos, r_pos in part
-        ))
-        for part in dealt
+        (need, forbid, goal_id, goal_size, allow_top, s_list, r_list, chunk)
+        for chunk in deal_class_pairs(pairs, workers)
     ]
-    parts = run_chunks(_search_chunk, payloads, lambda n: mp.get_context(method).Pool(n))
-    hits = [hit for part in parts for hit in part]
-
+    hits = [hit for hit in run_chunks(_search_chunk, payloads, mp) if hit is not None]
     if not hits:
         return None
-    pair_idx, map_idx = min(hits)
-    s_pos, r_pos = divmod(pair_idx, width)
-    witness = _replay(s_list[s_pos], r_list[r_pos], allow_top, map_idx)
+    witness = _replay(s_list, r_list, allow_top, *min(hits))
 
     def predicate(m: SpectralMap) -> bool:
         return flags_hold(m, spec.required) and goal_holds(m, spec.goal, spec.d_size)

@@ -231,34 +231,30 @@ def instance_from_raw(s_rows, r_rows, vec) -> SpectralMap:
     return make_spectral_map(s, r, assignment)
 
 
-def _replay(s_rows, r_rows, allow_top: bool, map_idx: int) -> SpectralMap:
-    """The instance of map `map_idx` of a raw pair, as a sweep or search reports it."""
+def _replay(s_list, r_list, allow_top: bool, pair_idx: int, map_idx: int) -> SpectralMap:
+    """The instance of map `map_idx` of labeled pair `pair_idx`, as a sweep or
+    search reports it: the pair of s_list[i] and r_list[j] has the index
+    i * len(r_list) + j."""
+    s_pos, r_pos = divmod(pair_idx, len(r_list))
+    s_rows, r_rows = s_list[s_pos], r_list[r_pos]
     vec = K.monotone_maps(
         len(s_rows), _raw_up(s_rows), len(r_rows), _raw_up(r_rows), allow_top
     )[map_idx]
     return instance_from_raw(s_rows, r_rows, vec)
 
 
-def pool_plan(items: list, jobs: int) -> tuple[str, list[list]]:
-    """Start method and chunks for spreading `items` over up to `jobs` workers.
+def pool_plan(items: list, jobs: int) -> list[list]:
+    """Round-robin chunks of `items` for up to `jobs` workers, the caller one of them.
 
-    Fork is used on Linux only: it does not exist on Windows and is unsafe
-    on macOS, which spawn instead. A fork pool is _ForkPool, which forks
-    each child with its chunk, so nothing is pickled on the way in; a spawn
-    pool is multiprocessing's, whose children import the package afresh
-    and receive their chunks pickled. No more workers start than there are
-    CPUs this process may run on, since more only add start-up; each
-    worker, the caller included, takes one round-robin chunk of the items.
-    Sweeps and searches pass pairs of isomorphism classes as items
-    (class_chunks, search.search_witness).
+    No more workers start than there are CPUs this process may run on,
+    since more only add start-up.
     """
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:
         cpus = os.cpu_count() or 1
     workers = max(1, min(jobs, cpus, len(items)))
-    method = "fork" if sys.platform.startswith("linux") else "spawn"
-    return method, [items[k::workers] for k in range(workers)]
+    return [items[k::workers] for k in range(workers)]
 
 
 @functools.cache
@@ -316,45 +312,23 @@ def class_pairs(s_list: list, r_list: list, allow_top: bool) -> list:
     ]
 
 
-def class_chunks(
-    s_list: list, r_list: list, jobs: int, allow_top: bool
-) -> tuple[str, list[list]]:
-    """Start method and chunks of (s position, r positions) blocks for `jobs` workers.
+def deal_class_pairs(pairs: list, jobs: int) -> list[list]:
+    """Chunks of (s positions, r positions) class pairs for up to `jobs` workers.
 
-    The labeled pairs are those of each poset of `s_list` with every poset
-    of `r_list`; the pair of s_list[i] and r_list[j] has the index
-    i * len(r_list) + j. A block pairs one s poset with ascending positions
-    in `r_list`, and the blocks of a chunk ascend by s, so a chunk visits
-    its pairs in ascending order and its first violation is its least.
-    Every pair of one class pair (class_pairs) lands in the same chunk, so
-    no class is evaluated by two workers' memos. Class pairs are dealt
-    round robin (pool_plan) in descending order of estimated cost: the maps
-    of one member, which a clean class evaluates once, plus a fifth of a
-    map for each labeled pair, which the chunk still visits. The deal is
-    deterministic, so every sweep over the same lists gives a child the
-    same classes; after the first, the caller holds their orbit entries,
-    which a child handed back (run_chunks). One worker gets every pair.
+    `pairs` are entries of class_pairs. They are dealt round robin
+    (pool_plan) in descending order of their map estimates, so the costly
+    ones are spread over the workers, and each chunk lists its class pairs
+    in ascending order of their least labeled members. Every member of a
+    class pair violates, or hits, or none does, so the first class pair of
+    a chunk that does holds the chunk's least such labeled pair. The deal
+    is deterministic: every sweep or search over the same class pairs gives
+    a child the same ones, whose orbit entries the caller holds after the
+    first (run_chunks).
     """
-    every = range(len(r_list))
-    whole = [(s_pos, every) for s_pos in range(len(s_list))]
-    if jobs == 1:
-        return pool_plan(whole, 1)
-    pairs = class_pairs(s_list, r_list, allow_top)
-    pairs.sort(key=lambda p: p[0] + len(p[1]) * len(p[2]) / 5, reverse=True)
-    method, dealt = pool_plan(pairs, jobs)
-    if len(dealt) == 1:
-        return method, [whole]
-    chunks = []
-    for part in dealt:
-        mine = {}  # least s position of a class -> (its s positions, r positions here)
-        for _, s_positions, r_positions in part:
-            mine.setdefault(s_positions[0], (s_positions, []))[1].extend(r_positions)
-        blocks = []
-        for s_positions, r_positions in mine.values():
-            r_positions.sort()
-            blocks += [(s_pos, r_positions) for s_pos in s_positions]
-        chunks.append(sorted(blocks, key=lambda block: block[0]))
-    return method, chunks
+    pairs = sorted(pairs, key=lambda pair: pair[0], reverse=True)
+    # positions ascend and classes are disjoint, so the lists sort by their
+    # least members
+    return [sorted((s_pos, r_pos) for _, s_pos, r_pos in part) for part in pool_plan(pairs, jobs)]
 
 
 def _handback(job):
@@ -471,23 +445,27 @@ class _StartMethods:
 mp = _StartMethods()
 
 
-def run_chunks(task, payloads: list, open_pool) -> list:
+def run_chunks(task, payloads: list, mp) -> list:
     """`task` of each payload, in order; the caller runs the first.
 
-    With more than one payload, `open_pool(n)` starts a pool of n children,
-    one fewer than the payloads, which runs the rest meanwhile, each
-    through _handback. On Linux that is a _ForkPool: each child is forked
-    with its payload and starts on it at once, while the caller runs its
-    own; elsewhere it is a spawn pool of multiprocessing, which pickles the
-    payloads. The caller adds every orbit entry a child built and it does
-    not hold yet to its own K._ORBITS, so the next pool, of this or of a
-    later sweep or search, forks from a caller that holds them and its
-    children build none of them again. The pool is opened and closed per
-    call; if the caller's own chunk raises, the children are killed.
+    With more than one payload, `mp.get_context(method).Pool(n)` opens a
+    pool of n children, one fewer than the payloads, which runs the rest
+    meanwhile, each through _handback. Callers pass their module's `mp`,
+    read at call time. On Linux the method is fork and the pool a
+    _ForkPool: each child is forked with its payload and starts on it at
+    once, while the caller runs its own. Fork does not exist on Windows and
+    is unsafe on macOS, which spawn, through multiprocessing, whose
+    children import the package afresh and receive their payloads pickled.
+    The caller adds every orbit entry a child built and it does not hold
+    yet to its own K._ORBITS, so the next pool, of this or of a later sweep
+    or search, forks from a caller that holds them and its children build
+    none of them again. If the caller's own chunk raises, the children are
+    killed.
     """
     if len(payloads) == 1:
         return [task(payloads[0])]
-    with open_pool(len(payloads) - 1) as pool:
+    method = "fork" if sys.platform.startswith("linux") else "spawn"
+    with mp.get_context(method).Pool(len(payloads) - 1) as pool:
         rest = pool.map_async(_handback, [(task, payload) for payload in payloads[1:]])
         first = task(payloads[0])
         handed = rest.get()
@@ -499,34 +477,38 @@ def run_chunks(task, payloads: list, open_pool) -> list:
 
 
 def _sweep_chunk(args):
-    """Maps in a chunk's pairs, and its first violation (pair, map, code) or None.
+    """Maps in a chunk's labeled pairs, and its first violation (pair, map, code) or None.
 
-    The chunk is a list of blocks (class_chunks), whose pairs ascend, so its
-    first violation is its least, and the least over all chunks is the same
-    for any number of chunks. After it the chunk only counts the maps of
-    its later pairs. The posets' records come from the process-wide
-    K._RECORDS: the r posets' once per chunk, each s poset's once per block.
+    The chunk is a list of (s positions, r positions) products: the class
+    pairs of deal_class_pairs, or for one worker the product of all
+    positions. Each product's labeled pairs are walked in ascending order,
+    one sweep_pair call each, so the first violation found is the chunk's
+    least, and the least over all chunks is the same for any number of
+    chunks. After it the chunk only counts the maps of its later pairs.
+    The memo settles the members of a clean class after the first. The
+    posets' records come from the process-wide K._RECORDS.
     """
-    tid, waive, allow_top, s_list, r_list, blocks = args
+    tid, waive, allow_top, s_list, r_list, chunk = args
     maps = 0
     first = None
     memo: dict = {}
     records = K._RECORDS
-    r_records = [records[rows] for rows in r_list]
+    width = len(r_list)
     count_only = False
-    for s_pos, r_positions in blocks:
-        s = records[s_list[s_pos]]
-        ns = s.n
-        for r_pos in r_positions:
-            r = r_records[r_pos]
-            count, first_bad, code = K.sweep_pair(
-                tid, waive, ns, s, r.n, r, allow_top,
-                memo=memo, count_only=count_only,
-            )
-            maps += count
-            if first_bad >= 0:
-                first = (s_pos * len(r_list) + r_pos, first_bad, code)
-                count_only = True
+    for s_positions, r_positions in chunk:
+        r_records = [(r_pos, records[r_list[r_pos]]) for r_pos in r_positions]
+        for s_pos in s_positions:
+            s = records[s_list[s_pos]]
+            ns = s.n
+            for r_pos, r in r_records:
+                count, first_bad, code = K.sweep_pair(
+                    tid, waive, ns, s, r.n, r, allow_top,
+                    memo=memo, count_only=count_only,
+                )
+                maps += count
+                if first_bad >= 0:
+                    first = (s_pos * width + r_pos, first_bad, code)
+                    count_only = True
     return maps, first
 
 
@@ -565,14 +547,13 @@ def exhaustive_verify(
     order, independent of the worker count. A worker stops evaluating at
     its first violation and only counts the maps of its later pairs.
 
-    The pairs are numbered as in sweep_pairs, but never listed: each
-    worker walks blocks of one s poset and its r posets (class_chunks).
-    With `jobs` > 1 the caller is one of the workers, and the isomorphism
-    classes of poset pairs are split between them. Each call opens its own
-    pool (run_chunks); on Linux each child is forked with its chunk and
-    starts on it at once, while the caller sweeps its own. The children
-    hand back the orbit entries they build, so the sweep of the next
-    theorem over the same bounds forks with every entry of this one.
+    The pairs are numbered as in sweep_pairs, but never listed: one worker
+    walks the product of all s and r positions. With `jobs` > 1 the caller
+    is one of the workers, and the pairs of isomorphism classes are dealt
+    between them (deal_class_pairs). Each call opens its own pool
+    (run_chunks), whose children hand back the orbit entries they build,
+    so the sweep of the next theorem over the same bounds forks with every
+    entry of this one.
     """
     _check_bounds("sweep", 0, max_s, max_r, POSET_ENUM_BOUND)
     if jobs < 1:
@@ -580,11 +561,15 @@ def exhaustive_verify(
     start = time.perf_counter()
     s_list, r_list = labeled_posets(0, max_s), labeled_posets(0, max_r)
 
-    method, chunks = class_chunks(s_list, r_list, jobs, allow_top)
+    chunks = [[(range(len(s_list)), range(len(r_list)))]]
+    if jobs > 1:
+        dealt = deal_class_pairs(class_pairs(s_list, r_list, allow_top), jobs)
+        if len(dealt) > 1:
+            chunks = dealt
     payloads = [
         (theorem.value, waive_hypotheses, allow_top, s_list, r_list, chunk) for chunk in chunks
     ]
-    results = run_chunks(_sweep_chunk, payloads, lambda n: mp.get_context(method).Pool(n))
+    results = run_chunks(_sweep_chunk, payloads, mp)
     total = sum(maps for maps, _ in results)
     first = min((first for _, first in results if first is not None), default=None)
 
@@ -592,8 +577,7 @@ def exhaustive_verify(
     note = None
     if first is not None:
         pair_idx, map_idx, _ = first
-        s_pos, r_pos = divmod(pair_idx, len(r_list))
-        m = _replay(s_list[s_pos], r_list[r_pos], allow_top, map_idx)
+        m = _replay(s_list, r_list, allow_top, pair_idx, map_idx)
         replay = verify(m, theorem, waive_hypotheses)
         if replay.holds:
             raise AssertionError(

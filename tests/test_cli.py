@@ -95,6 +95,30 @@ class TestCheck:
         assert out == ""
         assert err.startswith("error: ") and "max layer" in err
 
+    def test_a_max_layer_past_the_chain_bound_is_an_error_at_once(self, capsys, diamond_path):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "check", diamond_path, "--max-layer", "1000000000")
+        assert time.perf_counter() - start < 5
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "max layer" in err
+        # the bound itself is accepted
+        code, out, _ = run_cli(capsys, "check", diamond_path, "--max-layer", "20")
+        assert code == 0 and len(json.loads(out)["layers"]) == 20
+
+    def test_max_layer_reports_equal_one_check_layer_per_layer(self, capsys, diamond_path):
+        from chaincover.document import parse_instance, serialize_report
+        from chaincover.specmap import check_layer, properties_summary
+
+        for path in [diamond_path, *sorted(str(p) for p in SAMPLES.glob("*.json"))]:
+            code, out, _ = run_cli(capsys, "check", path, "--max-layer", "5")
+            assert code == 0
+            doc = parse_instance(pathlib.Path(path).read_text())
+            report = json.loads(out)
+            report["properties"] = properties_summary(doc.smap)
+            report["layers"] = {str(n): check_layer(doc.smap, n) for n in range(1, 6)}
+            assert out == serialize_report(report), path
+
     def test_deep_nesting_is_a_syntax_error(self, capsys, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100000 + "]" * 100000)

@@ -45,7 +45,6 @@ from chaincover.theorems import (
     TheoremId,
     _raw_up,
     _sweep_chunk,
-    class_chunks,
     class_pairs,
     labeled_posets,
     sweep_pairs,
@@ -361,8 +360,8 @@ def test_memoized_sweep_matches_unmemoized_sweep(monkeypatch, empty_records):
         for _, s_rows, r_rows in pairs
     ]
     s_list = r_list = labeled_posets(0, 3)
-    # the one chunk of a single worker: a block of every r poset per s poset
-    (blocks,) = class_chunks(s_list, r_list, 1, True)[1]
+    # the one chunk of a single worker: the product of all positions
+    chunk = [(range(len(s_list)), range(len(r_list)))]
     violations = 0
     for theorem, waive in product(TheoremId, (False, True)):
         scan = [
@@ -373,7 +372,7 @@ def test_memoized_sweep_matches_unmemoized_sweep(monkeypatch, empty_records):
         expected = (sum(count for _, count, _, _ in scan), min(bad, default=None))
         with monkeypatch.context() as m:
             loops = _counting(m, "_first_violation")
-            got = _sweep_chunk((theorem.value, waive, True, s_list, r_list, blocks))
+            got = _sweep_chunk((theorem.value, waive, True, s_list, r_list, chunk))
         assert got == expected, (theorem.name, waive)
         assert loops[0] < len(pairs), (theorem.name, waive)
         violations += got[1] is not None
@@ -449,20 +448,19 @@ def test_orbit_search_matches_full_search(monkeypatch, empty_records):
         ]
         assert got == expected, required
 
-        # one chunk of every class pair, each on its least labeled member:
-        # one scan per class pair up to the first that hits
-        least = [
-            (s_pos[0] * len(nonempty) + r_pos[0], nonempty[s_pos[0]], nonempty[r_pos[0]])
-            for _, s_pos, r_pos in class_pairs(nonempty, nonempty, allow_top)
-        ]
-        first = [(idx, hit) for idx, (_, hit) in enumerate(expected) if hit >= 0][:1]
+        # one chunk of every class pair, each scanned on its least labeled
+        # member: one scan per class pair up to the first that hits
+        chunk = [(s_pos, r_pos) for _, s_pos, r_pos in class_pairs(nonempty, nonempty, allow_top)]
+        least = [s_pos[0] * len(nonempty) + r_pos[0] for s_pos, r_pos in chunk]
+        first = next(((idx, hit) for idx, (_, hit) in enumerate(expected) if hit >= 0), None)
+        task = (*params[1:4], d_size or 0, allow_top, nonempty, nonempty, chunk)
         with monkeypatch.context() as m:
             loops = _counting(m, "_first_violation")
-            assert _search_chunk((*params[1:4], d_size or 0, allow_top, least)) == first, required
+            assert _search_chunk(task) == first, required
         assert loops[0] == (
-            len(least) if not first else sum(idx <= first[0][0] for idx, _, _ in least)
+            len(least) if first is None else sum(idx <= first[0] for idx in least)
         ), required
-        hits += len(first)
+        hits += first is not None
     # some searches hit and some exhaust the space
     assert 0 < hits < len(_SEARCHES)
 
@@ -694,19 +692,16 @@ def test_scans_do_not_call_eval_theorem(monkeypatch, empty_records):
 
     monkeypatch.setattr(K, "eval_theorem", refuse)
     s_list, r_list = labeled_posets(0, 2), labeled_posets(0, 3)
-    blocks = [(s_pos, range(len(r_list))) for s_pos in range(len(s_list))]
+    chunk = [(range(len(s_list)), range(len(r_list)))]
     for theorem, waive in product(TheoremId, (False, True)):
-        _sweep_chunk((theorem.value, waive, True, s_list, r_list, blocks))
+        _sweep_chunk((theorem.value, waive, True, s_list, r_list, chunk))
     # a search over the nonempty posets, one scan per class pair
     s_list, r_list = labeled_posets(1, 2), labeled_posets(1, 3)
     for required, goal, d_size in _SEARCHES:
         need, forbid = _flag_masks(required.split(","))
         allow_top = "!UNITARY" in required
-        pairs = [
-            (s_pos[0] * len(r_list) + r_pos[0], s_list[s_pos[0]], r_list[r_pos[0]])
-            for _, s_pos, r_pos in class_pairs(s_list, r_list, allow_top)
-        ]
-        _search_chunk((need, forbid, GOALS[goal], d_size or 0, allow_top, pairs))
+        chunk = [(s_pos, r_pos) for _, s_pos, r_pos in class_pairs(s_list, r_list, allow_top)]
+        _search_chunk((need, forbid, GOALS[goal], d_size or 0, allow_top, s_list, r_list, chunk))
 
 
 def _scanned_canonical_encoding(rows):

@@ -538,3 +538,34 @@ class TestLemmas:
         v = check_extension_LO_lemma(make_hom(6, Zn(2), 1))
         assert v.instances_checked == 1
         assert v.holds
+
+    def test_a_prime_nothing_lies_over_is_a_counterexample(self, monkeypatch):
+        from types import SimpleNamespace
+
+        from chaincover import rings
+
+        # the real contraction's properties, but no target prime contracts
+        # to any source prime
+        real = rings.to_spectral_map
+        monkeypatch.setattr(
+            rings, "to_spectral_map",
+            lambda h: SimpleNamespace(facts=real(h).facts, assignment=()),
+        )
+        h = make_hom(30, Zn(6), 1)
+        v = check_kernel_LO_lemma(h)
+        assert (v.holds, v.instances_checked, v.note) == (False, 1, None)
+        assert v.counterexample.theorem == "RING_KERNEL_LO"
+        assert list(v.counterexample.detail.items()) == [
+            ("hom", "hom(m=30, target=Zn(6), e=1)"),
+            ("prime", "2Z30"),
+            ("clause", "prime contains the kernel but nothing lies over it"),
+        ]
+        v = check_extension_LO_lemma(h)
+        assert (v.holds, v.instances_checked, v.note) == (False, 1, None)
+        assert v.counterexample.theorem == "RING_EXTENSION_LO"
+        assert list(v.counterexample.detail.items()) == [
+            ("hom", "hom(m=30, target=Zn(6), e=1)"),
+            ("prime", "2Z30"),
+            ("extension", "2Z6"),
+            ("clause", "prime extends properly but nothing lies over it"),
+        ]

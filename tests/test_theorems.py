@@ -81,8 +81,9 @@ from chaincover.theorems import (
     _map_estimate,
     _raw_up,
     _sweep_chunk,
-    class_chunks,
+    class_pairs,
     clause_text,
+    deal_class_pairs,
     estimate_sweep_cost,
     exhaustive_verify,
     instance_from_raw,
@@ -552,17 +553,13 @@ class TestPoolPlan:
         monkeypatch.setattr(sys, "platform", "linux")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         items = list(range(20))
-        method, chunks = pool_plan(items, 100)
-        assert method == "fork"
-        assert chunks == [items[0::2], items[1::2]]
-        assert pool_plan(items, 1) == ("fork", [items])
-        assert len(pool_plan([7], 4)[1]) == 1
+        assert pool_plan(items, 100) == [items[0::2], items[1::2]]
+        assert pool_plan(items, 1) == [items]
+        assert len(pool_plan([7], 4)) == 1
         # without an affinity call the CPU count is the cap
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert len(pool_plan(items, 8)[1]) == 3
-        monkeypatch.setattr(sys, "platform", "darwin")
-        assert pool_plan(items, 8)[0] == "spawn"
+        assert len(pool_plan(items, 8)) == 3
 
     def test_spawn_and_excess_jobs_give_the_same_report_bytes(self, monkeypatch):
         methods = []
@@ -617,7 +614,7 @@ class TestOrbitHandback:
         # the first pair of each of its classes
         theorem = TheoremId.C_EQUIVALENT
         s_list = r_list = labeled_posets(0, 3)
-        _, chunks = class_chunks(s_list, r_list, 2, True)
+        chunks = deal_class_pairs(class_pairs(s_list, r_list, True), 2)
         assert len(chunks) == 2
         built = []  # the keys each chunk builds from an empty table
         for chunk in chunks:
@@ -700,9 +697,7 @@ class TestForkPool:
 
     @staticmethod
     def run(task, payloads):
-        return run_chunks(
-            task, payloads, lambda n: theorems_module.mp.get_context("fork").Pool(n)
-        )
+        return run_chunks(task, payloads, theorems_module.mp)
 
     def test_a_child_exception_is_raised_in_the_caller(self, forked):
         def task(payload):
@@ -795,7 +790,7 @@ def test_a_sweep_calls_sweep_pair_once_per_labeled_pair(monkeypatch):
 
 def _labeled_pair_sweep(theorem, waive, allow_top, pairs):
     """Map total and note of a sweep over listed (idx, s, r) labeled pairs,
-    each scanned by sweep_pair without a memo, as sweeps ran before blocks."""
+    each scanned by sweep_pair without a memo: no classes, no chunks."""
     total = 0
     note = None
     for idx, s, r in pairs:
@@ -890,9 +885,9 @@ def test_class_pair_searches_match_a_labeled_pair_loop(monkeypatch, bounds):
     workers = []
     run_chunks = search_module.run_chunks
 
-    def recording(task, payloads, open_pool):
+    def recording(task, payloads, mp):
         workers.append(len(payloads))
-        return run_chunks(task, payloads, open_pool)
+        return run_chunks(task, payloads, mp)
 
     monkeypatch.setattr(search_module, "run_chunks", recording)
     specs = _benchmark_specs(*bounds)
@@ -942,9 +937,9 @@ def test_a_search_over_filled_orbit_tables_runs_in_the_caller(monkeypatch, empty
     workers = []
     run_chunks = search_module.run_chunks
 
-    def recording(task, payloads, open_pool):
+    def recording(task, payloads, mp):
         workers.append(len(payloads))
-        return run_chunks(task, payloads, open_pool)
+        return run_chunks(task, payloads, mp)
 
     monkeypatch.setattr(search_module, "run_chunks", recording)
     spec = WitnessSearchSpec(
@@ -965,28 +960,63 @@ class TestClassChunks:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         pairs = sweep_pairs(*bounds)
         s_list, r_list = labeled_posets(0, bounds[0]), labeled_posets(0, bounds[1])
-        _, chunks = class_chunks(s_list, r_list, 8, True)
+        width = len(r_list)
+        chunks = deal_class_pairs(class_pairs(s_list, r_list, True), 8)
         assert len(chunks) == cpus
+        # the labeled pairs a chunk's sweep walks, from its sweep_pair calls
+        position = {id(K._RECORDS[rows]): pos for pos, rows in enumerate(s_list)}
+        position.update({id(K._RECORDS[rows]): pos for pos, rows in enumerate(r_list)})
+        walked = []
+        sweep_pair = K.sweep_pair
+
+        def recording(tid, waive, ns, s, nr, r, *args, **kwargs):
+            walked.append(position[id(s)] * width + position[id(r)])
+            return sweep_pair(tid, waive, ns, s, nr, r, *args, **kwargs)
+
+        monkeypatch.setattr(K, "sweep_pair", recording)
         owner = {}
-        dealt = []
+        every = []
         for k, chunk in enumerate(chunks):
-            idx = [s_pos * len(r_list) + r_pos for s_pos, positions in chunk for r_pos in positions]
-            assert idx == sorted(idx)
-            for pair_idx in idx:
-                _, s_rows, r_rows = pairs[pair_idx]
-                key = (K._canonical_encoding(s_rows), K._canonical_encoding(r_rows))
-                assert owner.setdefault(key, k) == k
+            least = [s_pos[0] * width + r_pos[0] for s_pos, r_pos in chunk]
+            assert least == sorted(least)
+            walked.clear()
+            _sweep_chunk((TheoremId.C_EQUIVALENT.value, False, True, s_list, r_list, chunk))
+            want = []
+            for s_positions, r_positions in chunk:
+                members = [s * width + r for s in s_positions for r in r_positions]
+                # a product is one whole class pair, walked in ascending order
+                keys = {
+                    (K._canonical_encoding(pairs[idx][1]), K._canonical_encoding(pairs[idx][2]))
+                    for idx in members
+                }
+                assert len(keys) == 1 and members == sorted(members)
+                assert owner.setdefault(keys.pop(), k) == k
+                want += members
+            assert walked == want
             # the estimate keeps every worker busy
-            assert len(idx) > len(pairs) / (4 * cpus)
-            dealt += idx
-        assert sorted(dealt) == list(range(len(pairs)))
+            assert len(walked) > len(pairs) / (4 * cpus)
+            every += walked
+        assert sorted(every) == list(range(len(pairs)))
+        # every class pair is dealt once
+        assert sum(len(chunk) for chunk in chunks) == len(owner)
 
     def test_one_worker_gets_all_pairs(self, monkeypatch):
+        chunks = []
+        run_chunks = theorems_module.run_chunks
+
+        def recording(task, payloads, mp):
+            chunks.extend(payload[-1] for payload in payloads)
+            return run_chunks(task, payloads, mp)
+
+        monkeypatch.setattr(theorems_module, "run_chunks", recording)
         s_list, r_list = labeled_posets(0, 2), labeled_posets(0, 3)
-        whole = [(s_pos, range(len(r_list))) for s_pos in range(len(s_list))]
-        assert class_chunks(s_list, r_list, 1, True)[1] == [whole]
+        whole = [(range(len(s_list)), range(len(r_list)))]
+        exhaustive_verify(TheoremId.C_EQUIVALENT, 2, 3, jobs=1)
+        assert chunks == [whole]
+        chunks.clear()
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert class_chunks(s_list, r_list, 4, True)[1] == [whole]
+        exhaustive_verify(TheoremId.C_EQUIVALENT, 2, 3, jobs=4)
+        assert chunks == [whole]
 
     def test_the_estimate_is_exact_on_antichains(self):
         chain3 = (0b110, 0b100, 0b000)
