@@ -24,8 +24,9 @@ sends each chain D to the elements of r contracting into D, so that the
 maximal D-chains are `r.dchains[allowed[D]]`, and `images`, the image
 mask of every subset of r. Both depend only on s and `cmap`, so every
 theorem, goal and r sharing the values read one entry. Sweeps and searches
-take their records from the process-wide `_RECORDS`; each `Poset` holds its
-own (`Poset.facts`). Per map there is also its property-bits word from
+take their records from the process-wide `_RECORDS`, keyed by strict up
+rows, and so does each `Poset` (`Poset.facts`): every poset with the same
+order reads one record. Per map there is also its property-bits word from
 `property_bits` (LO, INC, GU, GD, SGB, GB and unitarity as PROP_* flags).
 
 Each theorem is one entry of `THEOREMS`: the names of its hypotheses, their
@@ -36,8 +37,9 @@ lies in the chain D, so each member of D lies above (below) one iff C meets
 the lifts of min D (max D), `allowed[end]` (P_MINI_GD, P_MINI_GU); and D
 is bracketed across the cut of C between consecutive members x < y iff no
 member of D lies strictly between the contractions of x and y
-(P_MINI_SGB). `eval_theorem` evaluates one map, for the object level and
-the replays of sweep and search hits.
+(P_MINI_SGB). `eval_theorem` evaluates one map from its entry, as
+`theorems.verify` does for the object level and the replays of sweep and
+search hits.
 
 Sweeps and searches walk the same chunks, lists of pairs of isomorphism
 classes, each a product of s positions and r positions
@@ -58,12 +60,13 @@ records' class ids (`PosetFacts.cls`), has not settled yet. sweep_pair
 without a memo and search_pair on plain up masks run it over every map
 (`_full_scan`).
 
-Process-wide tables are filled on lookup and never shrink. Within
-POSET_ENUM_BOUND there are at most 4,474 labeled posets, so their size is
-bounded. Every statement is invariant under relabeling s and r:
-`_CANONICAL` holds each labeled poset's canonical form and automorphism
-group, filled one isomorphism class at a time, `_CLASS_IDS` numbers the
-canonical forms, and `_ORBITS` lists, per labeled pair, one map per orbit
+Process-wide tables are filled on lookup and never shrink. `_RECORDS`
+holds a record for each labeled poset within POSET_ENUM_BOUND (at most
+4,474) that a sweep or search looks up, plus one for each distinct order
+of the posets a process builds. Every statement is invariant under
+relabeling s and r: `_CANONICAL` holds each labeled poset's canonical form
+and automorphism group, filled one isomorphism class at a time,
+`_CLASS_IDS` numbers the canonical forms, and `_ORBITS` lists, per labeled pair, one map per orbit
 of Aut(s) x Aut(r) with its word (`_map_orbits`); orbit scans check these
 instead of every map. Pool children hand the `_ORBITS` entries they build
 back to the caller, so later pools fork with them. A record's `allowed`
@@ -231,14 +234,16 @@ class PosetFacts(tuple):
     The record is the tuple of up masks itself, so it stands wherever up
     masks are read. Every other field is built on first use, so a record
     looked up only by its isomorphism class costs its canonical form `iso`
-    and class id `cls` alone. Its tables are filled on lookup:
+    and class id `cls` alone; `hasse` holds the covering pairs. Its tables
+    are filled on lookup:
     `dchains[allowed]` is `_maximal_dchains(up, down, allowed)`, order
     included, `links[c]` is `_chain_links(down, c)`, and for a map with the
     values `cmap`, `allowed[cmap]` is `_allowed_masks(self, cmap)` and
     `images[cmap]` is `_image_table(n, cmap)`. A field or entry, once
-    built, is never changed. The records of sweeps and searches live in
-    `_RECORDS` for the life of the process; a `Poset` keeps its own record,
-    `Poset.facts`, which every SpectralMap over it reads.
+    built, is never changed. Records live in `_RECORDS` for the life of the
+    process, one per order: sweeps and searches look them up there, and so
+    does every `Poset` with that order, as `Poset.facts`, which every
+    SpectralMap over it reads.
     """
 
     def __new__(cls, up):
@@ -258,6 +263,27 @@ class PosetFacts(tuple):
     @cached_property
     def strict_order(self) -> tuple[list[int], list[int], list[tuple[int, int]]]:
         return _strict_order(self)
+
+    @cached_property
+    def hasse(self) -> tuple[tuple[int, int], ...]:
+        # the pairs (i, j), i < j with nothing in between, row-major: the
+        # covers of i are its strict up-set minus everything strictly above
+        # a member of it
+        strict = self.strict_order[0]
+        pairs = []
+        for i, above in enumerate(strict):
+            beyond = 0
+            rest = above
+            while rest:
+                low = rest & -rest
+                beyond |= strict[low.bit_length() - 1]
+                rest ^= low
+            rest = above & ~beyond
+            while rest:
+                low = rest & -rest
+                pairs.append((i, low.bit_length() - 1))
+                rest ^= low
+        return tuple(pairs)
 
     @cached_property
     def max_chains(self) -> list[int]:
@@ -326,8 +352,9 @@ def _raw_up(strict_rows: tuple[int, ...]) -> tuple[int, ...]:
 
 
 #: strict up rows -> PosetFacts record of every labeled poset a sweep, a
-#: search or a class split has looked up; the one table of the process,
-#: which a forked worker inherits as it stood at the fork
+#: search or a class split has looked up and of every order a Poset has
+#: been built on; the one table of the process, which a forked worker
+#: inherits as it stood at the fork
 _RECORDS = _FilledTable(lambda rows: PosetFacts(_raw_up(rows)))
 
 #: canonical form -> the class id that PosetFacts.cls reads, in the order
@@ -1067,8 +1094,9 @@ def sweep_pair(
     -1, 0), whether every map came out clean). A later pair of a clean
     class, or a count_only pair of any recorded class, returns that answer
     unchecked; a class with a failing map is scanned on every pair, so the
-    index is exact for each labeling. `eval_theorem` is the same statement
-    on one map, for the object level and the replays.
+    index is exact for each labeling. `eval_theorem` and `theorems.verify`
+    check the same statement on one map, for the object level and the
+    replays.
     """
     if memo is None:
         if count_only:

@@ -433,6 +433,12 @@ def _parse_poset_block(block, what: str) -> Poset:
         raise DocumentSemanticError(
             f"{what}.labels may not use the reserved label {_TOP_LITERAL!r}"
         )
+    if len(labels) > MASK_ENUM_BOUND:
+        # checks list chains by subset masks, and each order's record
+        # stays for the life of the process
+        raise DocumentSemanticError(
+            f"{what} has {len(labels)} elements; at most {MASK_ENUM_BOUND} are supported"
+        )
     pairs = block.get("pairs", [])
     if not isinstance(pairs, list):
         raise DocumentSemanticError(f"{what}.pairs must be a list")
@@ -649,10 +655,21 @@ def _counterexample_dict(cx: Counterexample) -> dict:
     return instance_dict(doc)
 
 
+#: theorem name -> statement, so a report reads neither Enum properties nor
+#: Enum hashes
+_STATEMENTS = {t._name_: text for t, text in THEOREM_STATEMENTS.items()}
+
+
 def _verdict_dict(v: Verdict) -> dict:
+    theorem = v.theorem
+    if isinstance(theorem, TheoremId):
+        theorem = theorem._name_
+        statement = _STATEMENTS[theorem]
+    else:
+        statement = ""
     return {
-        "theorem": v.theorem.name if isinstance(v.theorem, TheoremId) else v.theorem,
-        "statement": THEOREM_STATEMENTS.get(v.theorem, ""),
+        "theorem": theorem,
+        "statement": statement,
         "holds": v.holds,
         "instances_checked": v.instances_checked,
         "note": v.note,

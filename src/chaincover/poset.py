@@ -5,9 +5,12 @@ keeps comparability O(1) and makes chain enumeration cheap at the sizes this
 package targets. Element indices are assigned along a linear extension
 of the order, so ascending-index members of a chain are automatically in
 ascending poset order and every enumeration stream has one canonical order.
-Each poset owns one kernel fact record, `Poset.facts`, built on first use:
-its chains, maximal chains and height here, and every spectral map from or
-into the poset, read that one record.
+Each poset reads the kernel fact record of its order, `Poset.facts`, from
+the process-wide table `_kernels._RECORDS`, keyed by its strict up masks:
+every poset with the same order, whether parsed, built, a ring spectrum or
+a shrink candidate, shares one record. Its masks, Hasse pairs, chains,
+maximal chains and height here, and every spectral map from or into the
+poset, read that record.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from ._kernels import PosetFacts, _canonical_encoding, _comp_masks, _down_masks, _is_chain
+from ._kernels import _RECORDS, _canonical_encoding, _down_masks, _is_chain
 
 # Labeled-poset enumeration scans 3^(n(n-1)/2) candidate relations.
 POSET_ENUM_BOUND = 5
@@ -56,24 +59,28 @@ class Poset:
     element j; ``leq`` is the same relation as a read-only bool matrix.
     Construction normalizes the element order to a linear extension
     (smaller strict down-sets first, stable), so ``i < j`` as integers never
-    contradicts the partial order. ``facts`` is the poset's kernel record.
+    contradicts the partial order. ``facts`` is the PosetFacts record of
+    the order, shared by every poset with the same up masks and kept in
+    `_RECORDS` for the life of the process, so every map over the poset and
+    every chain query on it share its chains, maximal chains, D-chain and
+    allowed tables. ``down_masks`` and ``comp_masks`` are the record's
+    masks, read only.
     """
 
     __slots__ = (
-        "labels", "n", "up_masks", "down_masks", "comp_masks", "_index", "_leq", "_facts"
+        "labels", "n", "up_masks", "down_masks", "comp_masks", "_index", "_leq", "facts"
     )
 
     def __init__(self, labels: tuple[str, ...], up_masks: tuple[int, ...]):
         # Internal constructor: `up_masks` must already be a valid order in
         # linear-extension index order. Use make_poset / from_leq_matrix instead.
-        n = len(labels)
         self.labels = labels
-        self.n = n
+        self.n = len(labels)
         self.up_masks = up_masks
         self._leq = None
-        self._facts = None
-        self.down_masks = tuple(_down_masks(n, up_masks))
-        self.comp_masks = tuple(_comp_masks(n, up_masks, self.down_masks))
+        facts = self.facts = _RECORDS[tuple(m & ~(1 << i) for i, m in enumerate(up_masks))]
+        self.down_masks = facts.down
+        self.comp_masks = facts.comp
         self._index = {lab: i for i, lab in enumerate(labels)}
 
     @property
@@ -86,20 +93,6 @@ class Poset:
             self._leq = np.array(rows, dtype=bool).reshape(self.n, self.n)
             self._leq.setflags(write=False)
         return self._leq
-
-    @property
-    def facts(self) -> PosetFacts:
-        """The poset's one PosetFacts record, over the masks it already holds.
-
-        Built on first use and kept as long as the poset lives, so every map
-        over the poset and every chain query on it share its chains, maximal
-        chains, D-chain and allowed tables. It is not put in the kernels'
-        process-wide table of labeled posets.
-        """
-        if self._facts is None:
-            record = self._facts = PosetFacts(self.up_masks)
-            record.down, record.comp = self.down_masks, self.comp_masks
-        return self._facts
 
     @classmethod
     def from_leq_matrix(cls, labels: list[str] | tuple[str, ...], leq) -> "Poset":
@@ -321,26 +314,9 @@ def make_poset(labels: list[str], pairs: list[tuple[str, str]]) -> Poset:
 
 
 def covering_pairs(p: Poset) -> list[tuple[int, int]]:
-    """Transitive reduction: pairs (x, y) with x < y and nothing in between.
-
-    The covers of i are its strict up-set minus everything strictly above a
-    member of it; pairs come in row-major order.
-    """
-    strict = [m ^ (1 << i) for i, m in enumerate(p.up_masks)]
-    pairs = []
-    for i, above in enumerate(strict):
-        beyond = 0
-        rest = above
-        while rest:
-            low = rest & -rest
-            beyond |= strict[low.bit_length() - 1]
-            rest ^= low
-        rest = above & ~beyond
-        while rest:
-            low = rest & -rest
-            pairs.append((i, low.bit_length() - 1))
-            rest ^= low
-    return pairs
+    """Transitive reduction: pairs (x, y) with x < y and nothing in between,
+    in row-major order, from the record of the order (`PosetFacts.hasse`)."""
+    return list(p.facts.hasse)
 
 
 def is_chain(p: Poset, subset) -> bool:

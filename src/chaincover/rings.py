@@ -321,11 +321,14 @@ def extension_ideal(h: RingHom, p: Ideal) -> Ideal:
     return Ideal(h.target, tuple(divisors))
 
 
+@lru_cache(maxsize=None)
 def to_spectral_map(h: RingHom) -> SpectralMap:
     """Contraction map on prime spectra induced by the hom.
 
     Each target prime goes to its preimage when that is a prime of the
-    source, and to TOP when the preimage is the full ring.
+    source, and to TOP when the preimage is the full ring. Computed once per
+    hom, like `spec`: the map is immutable, so documents, checks and both
+    ideal lemmas of one hom share it and its MapFacts.
     """
     s = spec(Zn(h.m))
     r = spec(h.target)

@@ -89,13 +89,13 @@ class SpectralMap:
 class MapFacts:
     """The kernel encoding of one spectral map and the facts derived from it.
 
-    `s` and `r` are the posets' own records (`Poset.facts`), shared by every
-    map over the same Poset objects, `cmap` is the assignment with TOP as
-    the sentinel ns, and `allowed` sends each chain D of s to the elements
-    of r contracting into D, the entry of s's allowed table for `cmap`. The
-    property bits and `allowed` are each computed on first use and kept. A
-    SpectralMap is immutable over immutable posets, so its facts never go
-    stale.
+    `s` and `r` are the records of the posets' orders (`Poset.facts`),
+    shared by every map over posets with those orders, `cmap` is the
+    assignment with TOP as the sentinel ns, and `allowed` sends each chain
+    D of s to the elements of r contracting into D, the entry of s's
+    allowed table for `cmap`. The property bits and `allowed` are each
+    computed on first use and kept. A SpectralMap is immutable over
+    immutable posets, so its facts never go stale.
     """
 
     def __init__(self, m: SpectralMap):

@@ -177,9 +177,15 @@ def clause_text(theorem: TheoremId, code: int) -> str:
     return _CLAUSES.get((theorem, code), f"clause {code}")
 
 
+def _unmet(names, bits: int) -> list[str]:
+    # the hypothesis names whose flags `bits` misses
+    return [name for name in names if not bits & K.HYPOTHESIS_BITS[name]]
+
+
 def unmet_hypotheses(m: SpectralMap, theorem: TheoremId) -> list[str]:
+    names, need, _ = K.THEOREMS[theorem._value_]
     bits = m.facts.bits
-    return [name for name in HYPOTHESES[theorem] if not bits & K.HYPOTHESIS_BITS[name]]
+    return [] if bits & need == need else _unmet(names, bits)
 
 
 def verify(m: SpectralMap, theorem: TheoremId, waive_hypotheses: bool = False) -> Verdict:
@@ -187,16 +193,20 @@ def verify(m: SpectralMap, theorem: TheoremId, waive_hypotheses: bool = False) -
 
     An instance missing the hypotheses yields holds=True with a note, unless
     waive_hypotheses is set, in which case the conclusion is evaluated on
-    its own.
+    its own. The theorem's kernel entry is read once, and the unmet names
+    are listed only when a hypothesis flag is missing.
     """
     start = time.perf_counter()
     f = m.facts
-    code = K.eval_theorem(theorem.value, waive_hypotheses, f.s, f.r, f.cmap, f.bits, f.allowed)
-    unmet = unmet_hypotheses(m, theorem)
+    bits = f.bits
+    names, need, conclusion = K.THEOREMS[theorem._value_]
     note = None
-    if unmet:
+    if bits & need != need:
         state = "hypotheses waived: " if waive_hypotheses else "hypothesis unmet: "
-        note = state + ", ".join(unmet)
+        note = state + ", ".join(_unmet(names, bits))
+    code = 0
+    if note is None or waive_hypotheses:
+        code = conclusion(f.s, f.r, f.cmap, bits, f.allowed)
     counterexample = None
     if code != 0:
         counterexample = Counterexample(

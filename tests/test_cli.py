@@ -119,6 +119,35 @@ class TestCheck:
             report["layers"] = {str(n): check_layer(doc.smap, n) for n in range(1, 6)}
             assert out == serialize_report(report), path
 
+    def test_a_poset_past_the_chain_bound_is_an_error_at_once(self, capsys, tmp_path):
+        # a 21-element chain: its chains alone are 2^21 subset masks
+        labels = [f"x{i}" for i in range(21)]
+        doc = {
+            "s": {"labels": labels, "pairs": [[a, b] for a, b in zip(labels, labels[1:])]},
+            "r": {"labels": ["q"], "pairs": []},
+            "map": {"q": "x0"},
+        }
+        path = tmp_path / "long_chain.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "check", str(path))
+        assert time.perf_counter() - start < 5
+        assert (code, out) == (2, "")
+        assert err == "error: s has 21 elements; at most 20 are supported\n"
+        # in r as well; 20 elements are accepted
+        doc["s"], doc["r"] = doc["r"], doc["s"]
+        doc["s"]["labels"] = ["x0"]
+        doc["map"] = {label: "x0" for label in labels}
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: r has 21 elements; at most 20 are supported\n"
+        doc["r"] = {"labels": labels[:20], "pairs": []}
+        doc["map"] = {label: "x0" for label in labels[:20]}
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "check", str(path))
+        assert code == 0 and json.loads(out)["properties"]["unitary"] is True
+
     def test_deep_nesting_is_a_syntax_error(self, capsys, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100000 + "]" * 100000)

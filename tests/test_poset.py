@@ -11,6 +11,8 @@ from itertools import chain as ichain, combinations
 import numpy as np
 import pytest
 
+from chaincover import _kernels as K
+from chaincover._kernels import _raw_up
 from chaincover.poset import (
     AntisymmetryViolation,
     BoundExceeded,
@@ -22,6 +24,7 @@ from chaincover.poset import (
     Poset,
     UnknownLabel,
     _normalized_poset,
+    _strict_order_masks,
     check_order_axioms,
     chain_from_mask,
     covering_pairs,
@@ -106,6 +109,26 @@ def oracle_make_poset(labels, pairs):
 def oracle_covering_pairs(p):
     lt = p.leq & ~np.eye(p.n, dtype=bool)
     return [(int(i), int(j)) for i, j in np.argwhere(lt & ~(lt @ lt))]
+
+
+def oracle_covering_loop(up):
+    """Covering pairs of up masks, row-major: the loop `covering_pairs` ran
+    on every call before it read the pairs from the record of the order."""
+    strict = [m ^ (1 << i) for i, m in enumerate(up)]
+    pairs = []
+    for i, above in enumerate(strict):
+        beyond = 0
+        rest = above
+        while rest:
+            low = rest & -rest
+            beyond |= strict[low.bit_length() - 1]
+            rest ^= low
+        rest = above & ~beyond
+        while rest:
+            low = rest & -rest
+            pairs.append((i, low.bit_length() - 1))
+            rest ^= low
+    return pairs
 
 
 def oracle_height(p):
@@ -304,6 +327,17 @@ class TestCoveringPairs:
             for p in enumerate_posets(n):
                 assert covering_pairs(p) == oracle_covering_pairs(p)
                 assert height(p) == oracle_height(p)
+
+
+    def test_record_pairs_match_the_loop_on_every_labeled_poset(self):
+        # order included, on every labeled order of at most five elements,
+        # and on the normalized posets built from them
+        for n in range(6):
+            for rows in _strict_order_masks(n):
+                up = _raw_up(rows)
+                assert list(K._RECORDS[rows].hasse) == oracle_covering_loop(up), rows
+            for p in enumerate_posets(n):
+                assert covering_pairs(p) == oracle_covering_loop(p.up_masks), p
 
 
 class TestIsChain:

@@ -569,3 +569,15 @@ class TestLemmas:
             ("extension", "2Z6"),
             ("clause", "prime extends properly but nothing lies over it"),
         ]
+
+
+def test_spectral_maps_are_built_once_per_hom():
+    from chaincover.rings import to_spectral_map
+
+    for m in range(2, 31):
+        for n in range(2, 31):
+            for h in enumerate_homs(m, Zn(n)):
+                got = to_spectral_map(h)
+                # an equal hom built anew gets the same map
+                assert to_spectral_map(make_hom(m, Zn(n), h.e)) is got
+                assert got == to_spectral_map.__wrapped__(h), h.describe()

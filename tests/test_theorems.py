@@ -50,6 +50,7 @@ from chaincover.poset import (
     maximal_chains,
     random_poset,
 )
+from chaincover.rings import Zn, make_hom, spec, to_spectral_map
 from chaincover.search import (
     GOALS,
     WitnessSearchSpec,
@@ -360,7 +361,10 @@ class TestFactTable:
                     name, m.describe()
                 )
 
-    def test_facts_are_computed_once_per_poset(self, monkeypatch):
+    def test_facts_are_computed_once_per_poset(self, monkeypatch, empty_records):
+        # from empty record and map tables, so every record and map of the
+        # test is built here
+        to_spectral_map.cache_clear()
         counts = {"_maximal_chain_masks": 0, "property_bits": 0}
         for name in counts:
             original = getattr(K, name)
@@ -382,13 +386,24 @@ class TestFactTable:
         assert other.facts.allowed is m.facts.allowed
         height(m.s_poset)
         maximal_chains(m.r_poset)
-        # the maximal chains once per poset, and the bits once per map
+        # the maximal chains once per order, and the bits once per map
         assert counts == {"_maximal_chain_masks": 2, "property_bits": 2}
-        # equal posets that are other objects have records of their own
+        # equal posets that are other objects share the records of their
+        # orders, and so their maximal chains
         again = six_element_witness()
-        assert again.facts.s is not m.facts.s and again.facts.s == m.facts.s
-        verify(again, TheoremId.P_LAYERS)
-        assert counts["property_bits"] == 3
+        assert again.s_poset is not m.s_poset and again.r_poset is not m.r_poset
+        assert again.facts.s is m.facts.s and again.facts.r is m.facts.r
+        for t in TheoremId:
+            verify(again, t)
+        height(again.s_poset)
+        maximal_chains(again.r_poset)
+        assert counts == {"_maximal_chain_masks": 2, "property_bits": 3}
+        # equal homs share one map, whose bits are computed once
+        ring_map = to_spectral_map(make_hom(30, Zn(6), 1))
+        for t in TheoremId:
+            verify(to_spectral_map(make_hom(30, Zn(6), 1)), t)
+        assert to_spectral_map(make_hom(30, Zn(6), 1)) is ring_map
+        assert counts["property_bits"] == 4
 
 
 SAMPLE_PATHS = sorted(
@@ -531,6 +546,36 @@ class TestSharedRecords:
         self.assert_records_match_fresh(maps)
         self.assert_verdicts_match_fresh(maps)
         self.assert_records_match_fresh(maps)
+
+
+class TestValueRecords:
+    """Every poset with one order reads one record, `K._RECORDS[strict rows]`,
+    however the poset was built."""
+
+    def test_equal_orders_share_one_record(self):
+        twins = []  # pairs of equal posets, each built on its own
+        for path in SAMPLE_PATHS:
+            text = path.read_text()
+            first, second = parse_instance(text).smap, parse_instance(text).smap
+            if first is second:
+                continue  # a ring document: one map per hom, over one spectrum
+            twins += [(first.s_poset, second.s_poset), (first.r_poset, second.r_poset)]
+        assert twins
+        labels = ["a", "b", "c", "d", "e"]
+        pairs = [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d"), ("a", "e"), ("b", "d")]
+        built = []
+        for seed in range(3):
+            shuffled = pairs[:]
+            random.Random(seed).shuffle(shuffled)
+            built.append(make_poset(labels, shuffled))
+        twins += list(zip(built, built[1:]))
+        twins.append((spec.__wrapped__(Zn(6)), spec.__wrapped__(Zn(6))))
+        for p, q in twins:
+            assert p == q and p is not q, p
+            rows = tuple(m & ~(1 << i) for i, m in enumerate(p.up_masks))
+            record = K._RECORDS[rows]
+            assert p.facts is q.facts is record and record == p.up_masks, p
+            assert p.down_masks is record.down and p.comp_masks is record.comp
 
 
 def _pool_reports(jobs):
