@@ -352,12 +352,6 @@ def _parse_hom(tokens: _Tokens) -> RingHom:
         raise DocumentSemanticError(str(exc), *tokens._location(at)) from exc
 
 
-def ring_expr_text(ring: RingExpr) -> str:
-    if isinstance(ring, Zn):
-        return f"Zn({ring.n})"
-    return "Product(" + ",".join(ring_expr_text(f) for f in ring.factors) + ")"
-
-
 def elem_text(e) -> str:
     if isinstance(e, tuple):
         return "(" + ",".join(str(a) for a in e) + ")"
@@ -365,7 +359,7 @@ def elem_text(e) -> str:
 
 
 def hom_text(h: RingHom) -> str:
-    return f"hom(m={h.m}, target={ring_expr_text(h.target)}, e={elem_text(h.e)})"
+    return f"hom(m={h.m}, target={h.target}, e={elem_text(h.e)})"
 
 
 # ---------------------------------------------------------------------------
@@ -738,14 +732,7 @@ def build_search_report(spec, witness: SpectralMap | None) -> dict:
 
 
 def build_spec_report(ring: RingExpr, poset: Poset) -> dict:
-    return {
-        "command": "spec",
-        "ring": ring_expr_text(ring),
-        "labels": list(poset.labels),
-        "pairs": sorted(
-            [poset.labels[i], poset.labels[j]] for i, j in covering_pairs(poset)
-        ),
-    }
+    return {"command": "spec", "ring": str(ring), **_poset_block(poset)}
 
 
 def serialize_report(report: dict) -> str:

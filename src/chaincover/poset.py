@@ -399,15 +399,15 @@ def _poset_from_strict_rows(rows: tuple[int, ...]) -> Poset:
     return _normalized_poset(labels, [row | 1 << i for i, row in enumerate(rows)])
 
 
-def enumerate_posets(n: int, dedup: bool = False, bound: int = POSET_ENUM_BOUND):
+def enumerate_posets(n: int, dedup: bool = False):
     """Yield every labeled partial order on n elements exactly once.
 
     With dedup=True only one representative per isomorphism class is kept
     (the lexicographically least relabeling), an optional space reduction
     that is off by default.
     """
-    if not 0 <= n <= bound:
-        raise BoundExceeded(f"poset enumeration bound is {bound}, got n={n}")
+    if not 0 <= n <= POSET_ENUM_BOUND:
+        raise BoundExceeded(f"poset enumeration bound is {POSET_ENUM_BOUND}, got n={n}")
     for rows in _strict_order_masks(n):
         if dedup and _canonical_encoding(rows) != rows:
             continue

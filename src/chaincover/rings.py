@@ -6,7 +6,9 @@ factor, divisor n the zero ideal), which makes containment a divisibility
 test. Ring maps out of Z/m are determined by the image e of 1, which must
 be an idempotent killed by m; the induced map on prime spectra contracts
 each target prime to its preimage, or to TOP when the preimage is the whole
-source ring.
+source ring. Preimages, kernels and extensions are computed from the
+divisors and the components of e alone, never by scanning Z/m, so each
+costs a few gcds per factor whatever the moduli.
 """
 
 from __future__ import annotations
@@ -293,32 +295,23 @@ def preimage_ideal(h: RingHom, q: Ideal) -> Ideal:
 
 
 def kernel(h: RingHom) -> Ideal:
-    """Elements sent to zero; always of the form dZ/m."""
-    d = h.m
-    zero = zero_of(h.target)
-    for x in range(h.m):
-        if h.apply(x) == zero:
-            d = gcd(d, x)
-    return Ideal(Zn(h.m), (d,))
+    """Elements sent to zero: the preimage of the zero ideal, some dZ/m."""
+    return preimage_ideal(h, zero_ideal(h.target))
 
 
 def extension_ideal(h: RingHom, p: Ideal) -> Ideal:
-    """Ideal generated by the image of a source ideal.
+    """Ideal generated by the image of a source ideal, by divisor arithmetic.
 
-    In a product of cyclic rings this is the componentwise subgroup
-    generated by the image components.
+    The image of dZ/m is the set of multiples of d * e, so in factor j it
+    generates the subgroup of d * e_j, whose divisor is gcd(n_j, d * e_j).
     """
     if p.ring != Zn(h.m):
         raise ValueError("ideal does not belong to the hom source")
-    factors = factors_of(h.target)
-    divisors = []
-    for j, f in enumerate(factors):
-        d = f.n
-        for x in range(h.m):
-            if p.contains(x):
-                d = gcd(d, _component(h.apply(x), j))
-        divisors.append(d)
-    return Ideal(h.target, tuple(divisors))
+    (d,) = p.divisors
+    es = h.e if isinstance(h.e, tuple) else (h.e,)
+    return Ideal(
+        h.target, tuple(gcd(f.n, d * e) for f, e in zip(factors_of(h.target), es))
+    )
 
 
 @lru_cache(maxsize=None)
@@ -349,11 +342,11 @@ def _lift_lemma(h: RingHom, theorem: str, hypothesis: str, lifts, clause: str) -
     """Verdict of "if the contraction has `hypothesis`, every source prime
     of `lifts` is hit".
 
-    `hypothesis` is a name of PROPERTY_BITS. `lifts` yields (index in
+    `hypothesis` is a name of PROPERTY_BITS. `lifts` lists (index in
     spec_ideals, prime, detail entries) for each source prime that needs a
-    target prime contracting exactly to it; it is read only when the hypothesis holds,
-    and only up to the first prime nothing lies over, whose entries go into
-    the counterexample between "prime" and "clause".
+    target prime contracting exactly to it. When the hypothesis holds they
+    are checked in order up to the first prime nothing lies over, whose
+    entries go into the counterexample between "prime" and "clause".
     """
     start = time.perf_counter()
     smap = to_spectral_map(h)
@@ -394,15 +387,14 @@ def check_kernel_LO_lemma(h: RingHom) -> Verdict:
     Checks, for each source prime P containing kernel(h), that some target
     prime contracts exactly to P.
     """
-
-    def lifts():
-        ker = kernel(h)
-        for i, p_ideal in enumerate(spec_ideals(Zn(h.m))):
-            if ideal_leq(ker, p_ideal):
-                yield i, p_ideal, {}
-
+    ker = kernel(h)
+    lifts = [
+        (i, p_ideal, {})
+        for i, p_ideal in enumerate(spec_ideals(Zn(h.m)))
+        if ideal_leq(ker, p_ideal)
+    ]
     return _lift_lemma(
-        h, "RING_KERNEL_LO", "GU", lifts(),
+        h, "RING_KERNEL_LO", "GU", lifts,
         "prime contains the kernel but nothing lies over it",
     )
 
@@ -414,14 +406,12 @@ def check_extension_LO_lemma(h: RingHom) -> Verdict:
     """
     if not h.unitary:
         raise NotUnitary(f"{h.describe()} does not send 1 to the identity")
-
-    def lifts():
-        for i, p_ideal in enumerate(spec_ideals(Zn(h.m))):
-            ext = extension_ideal(h, p_ideal)
-            if not ext.is_full:
-                yield i, p_ideal, {"extension": ext.label()}
-
+    lifts = []
+    for i, p_ideal in enumerate(spec_ideals(Zn(h.m))):
+        ext = extension_ideal(h, p_ideal)
+        if not ext.is_full:
+            lifts.append((i, p_ideal, {"extension": ext.label()}))
     return _lift_lemma(
-        h, "RING_EXTENSION_LO", "GD", lifts(),
+        h, "RING_EXTENSION_LO", "GD", lifts,
         "prime extends properly but nothing lies over it",
     )

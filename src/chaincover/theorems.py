@@ -273,7 +273,8 @@ def _map_estimate(s_rows, r_rows, allow_top: bool) -> float:
 
     Every assignment, thinned by the chance that a uniform one keeps a
     covering pair of r in order, once per covering pair; exact when r is
-    an antichain, the case with the most maps. Each search and each split
+    an antichain, the case with the most maps. The pairs are read from the
+    posets' records in K._RECORDS. Each search and each split
     sweep asks again for its class pairs, so the estimates are kept for
     the process: at most one per class pair within POSET_ENUM_BOUND and
     allow_top, since callers pass each class's least member.
@@ -281,18 +282,10 @@ def _map_estimate(s_rows, r_rows, allow_top: bool) -> float:
     values = len(s_rows) + allow_top
     if not values:
         return float(not r_rows)
+    s, r = K._RECORDS[s_rows], K._RECORDS[r_rows]
     # ordered pairs v <= w among the values; TOP lies over every value
-    ordered = len(s_rows) + sum(row.bit_count() for row in s_rows) + allow_top * values
-    covers = 0
-    for row in r_rows:
-        above = 0
-        rest = row
-        while rest:
-            low = rest & -rest
-            above |= r_rows[low.bit_length() - 1]
-            rest ^= low
-        covers += (row & ~above).bit_count()
-    return values ** len(r_rows) * (ordered / values**2) ** covers
+    ordered = len(s_rows) + len(s.strict_order[2]) + allow_top * values
+    return values ** len(r_rows) * (ordered / values**2) ** len(r.hasse)
 
 
 def class_pairs(s_list: list, r_list: list, allow_top: bool) -> list:

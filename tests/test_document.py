@@ -28,7 +28,6 @@ from chaincover.document import (
     render_search_text,
     render_spec_text,
     render_verify_text,
-    ring_expr_text,
     serialize_instance,
     serialize_report,
 )
@@ -108,7 +107,7 @@ class TestRingGrammar:
             parse_hom_expr("hom(m=6, target=Zn(2) e=1)")
 
     def test_canonical_text(self):
-        assert ring_expr_text(Product((Zn(2), Zn(3)))) == "Product(Zn(2),Zn(3))"
+        assert str(Product((Zn(2), Zn(3)))) == "Product(Zn(2),Zn(3))"
         assert elem_text((1, 0)) == "(1,0)"
         assert elem_text(4) == "4"
         h = make_hom(6, Zn(2), 1)

@@ -6,6 +6,7 @@ and extensions against a brute-force closure under addition and scaling.
 Expected values are frozen from those oracles.
 """
 
+import time
 from math import gcd
 
 import pytest
@@ -417,11 +418,10 @@ class TestPreimageAndKernel:
         assert kernel(make_hom(7, Zn(4), 0)).is_full
 
     def test_kernel_is_preimage_of_zero(self):
-        # independent routes: brute zero scan vs preimage of the zero ideal
+        # independent routes: divisor arithmetic vs an element scan of Z/m
+        # for the preimage of the zero ideal
         for h in small_homs():
-            assert kernel(h).divisors == preimage_ideal(
-                h, zero_ideal(h.target)
-            ).divisors
+            assert kernel(h).divisors == (o_preimage_divisor(h, zero_ideal(h.target)),), h
 
 
 class TestExtension:
@@ -450,6 +450,34 @@ class TestExtension:
         for h in small_homs():
             for p in all_ideals(Zn(h.m)):
                 assert ideal_leq(p, preimage_ideal(h, extension_ideal(h, p))), (h, p)
+
+
+class TestLargeModuli:
+    # the grammar accepts moduli up to 10^9; no ideal scans Z/m, so these
+    # take a few gcds each (values derived by hand)
+    HOMS = {
+        "cyclic": (make_hom(10**9, Zn(10), 1), (10,), [(2,), (5,)]),
+        "product": (
+            make_hom(10**9, Product((Zn(8), Zn(125))), (1, 1)), (1000,), [(2, 1), (1, 5)],
+        ),
+    }
+
+    @pytest.mark.parametrize("name", HOMS)
+    def test_kernel_and_extensions(self, name):
+        h, ker, exts = self.HOMS[name]
+        assert kernel(h).divisors == ker
+        primes = spec_ideals(Zn(h.m))
+        assert [p.divisors for p in primes] == [(2,), (5,)]
+        assert [extension_ideal(h, p).divisors for p in primes] == exts
+
+    @pytest.mark.parametrize("name", HOMS)
+    def test_lemmas_hold(self, name):
+        h = self.HOMS[name][0]
+        for check in (check_kernel_LO_lemma, check_extension_LO_lemma):
+            start = time.perf_counter()
+            v = check(h)
+            assert time.perf_counter() - start < 1, check
+            assert (v.holds, v.instances_checked, v.note) == (True, 2, None), check
 
 
 class TestToSpectralMap:

@@ -466,7 +466,11 @@ class TestSharedRecords:
             assert p.facts == fresh, p
             for field in RECORD_FIELDS:
                 if field in record:
-                    # a Poset seeds its record's masks as tuples
+                    # record and fresh build every field by the same code,
+                    # so their types agree; tuple() only keeps the test
+                    # indifferent to a field being a list or a tuple, and
+                    # dict fields (ends) are compared whole, as tuple()
+                    # would keep only their keys
                     got, want = record[field], getattr(fresh, field)
                     if not isinstance(want, dict):
                         got, want = tuple(got), tuple(want)
@@ -1073,6 +1077,33 @@ class TestClassChunks:
                 assert _map_estimate(chain3, r_rows, allow_top) == want
         assert _map_estimate((), (0,), False) == 0
         assert _map_estimate((), (), False) == 1
+
+    def test_the_estimate_matches_a_raw_row_loop(self):
+        def estimate(s_rows, r_rows, allow_top):
+            # covering pairs of r from the raw rows: a row's bits minus
+            # everything above one of them
+            values = len(s_rows) + allow_top
+            if not values:
+                return float(not r_rows)
+            ordered = len(s_rows) + sum(row.bit_count() for row in s_rows) + allow_top * values
+            covers = 0
+            for row in r_rows:
+                above = 0
+                rest = row
+                while rest:
+                    low = rest & -rest
+                    above |= r_rows[low.bit_length() - 1]
+                    rest ^= low
+                covers += (row & ~above).bit_count()
+            return values ** len(r_rows) * (ordered / values**2) ** covers
+
+        s_list, r_list = labeled_posets(0, 3), labeled_posets(0, 4)
+        for s_rows, r_rows in product(s_list, r_list):
+            for allow_top in (False, True):
+                want = estimate(s_rows, r_rows, allow_top)
+                assert _map_estimate.__wrapped__(s_rows, r_rows, allow_top) == want, (
+                    s_rows, r_rows, allow_top,
+                )
 
 
 def _benchmark_specs(max_s, max_r):
