@@ -27,7 +27,8 @@ theorem, goal and r sharing the values read one entry. Sweeps and searches
 take their records from the process-wide `_RECORDS`, keyed by strict up
 rows, and so does each `Poset` (`Poset.facts`): every poset with the same
 order reads one record. Per map there is also its property-bits word from
-`property_bits` (LO, INC, GU, GD, SGB, GB and unitarity as PROP_* flags).
+`property_bits` (LO, INC, GU, GD, SGB, GB and unitarity as PROP_* flags),
+kept in s's `words` table by (r's record, `cmap`) for the object level.
 
 Each theorem is one entry of `THEOREMS`: the names of its hypotheses, their
 flags as one mask and one conclusion over (s, r, cmap, bits, allowed) that
@@ -238,12 +239,13 @@ class PosetFacts(tuple):
     are filled on lookup:
     `dchains[allowed]` is `_maximal_dchains(up, down, allowed)`, order
     included, `links[c]` is `_chain_links(down, c)`, and for a map with the
-    values `cmap`, `allowed[cmap]` is `_allowed_masks(self, cmap)` and
-    `images[cmap]` is `_image_table(n, cmap)`. A field or entry, once
-    built, is never changed. Records live in `_RECORDS` for the life of the
-    process, one per order: sweeps and searches look them up there, and so
-    does every `Poset` with that order, as `Poset.facts`, which every
-    SpectralMap over it reads.
+    values `cmap`, `allowed[cmap]` is `_allowed_masks(self, cmap)`,
+    `images[cmap]` is `_image_table(n, cmap)`, and for a map out of the
+    poset with record r, `words[r, cmap]` is its `property_bits` word. A
+    field or entry, once built, is never changed. Records live in
+    `_RECORDS` for the life of the process, one per order: sweeps and
+    searches look them up there, and so does every `Poset` with that order,
+    as `Poset.facts`, which every SpectralMap over it reads.
     """
 
     def __new__(cls, up):
@@ -344,6 +346,11 @@ class PosetFacts(tuple):
     def images(self) -> _FilledTable:
         # value tuple -> _image_table, one entry per value tuple read
         return _FilledTable(_image_table, self.n)
+
+    @cached_property
+    def words(self) -> _FilledTable:
+        # (r record, value tuple) -> property_bits word, one entry per map read
+        return _FilledTable(lambda s, key: property_bits(s.n, s, key[0].n, *key), self)
 
 
 def _raw_up(strict_rows: tuple[int, ...]) -> tuple[int, ...]:

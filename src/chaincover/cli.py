@@ -189,9 +189,15 @@ def _add_text_flag(p):
 
 
 def _add_jobs_flag(p):
+    def jobs(text: str) -> int:
+        value = int(text)
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"jobs must be at least 1, got {value}")
+        return value
+
     p.add_argument(
         "--jobs",
-        type=int,
+        type=jobs,
         default=None,
         help="worker processes (default: CHAINCOVER_JOBS or 1)",
     )

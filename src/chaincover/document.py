@@ -148,6 +148,8 @@ def _write_json(value, newline: str, out: list[str]) -> None:
             _write_json(item, inner, out)
             sep = "," + inner
         out.append(newline + "}")
+    elif kind is _KeptVerdict:
+        out.append(value.text.replace("\n", newline))
     elif kind is list or kind is tuple:
         if not value:
             out.append("[]")
@@ -654,14 +656,33 @@ def _counterexample_dict(cx: Counterexample) -> dict:
 _STATEMENTS = {t._name_: text for t, text in THEOREM_STATEMENTS.items()}
 
 
+class _KeptVerdict(dict):
+    """A verdict entry kept per value and shared by every report holding it,
+    so never changed; `text` is its canonical JSON at indent "\n", which
+    `_write_json` copies in at its own indent."""
+
+    __slots__ = ("text",)
+
+
+#: (theorem, holds, instances_checked, note) -> entry, for no counterexample
+_KEPT_VERDICTS: dict[tuple, _KeptVerdict] = {}
+
+
 def _verdict_dict(v: Verdict) -> dict:
+    # bool and int only: True == 1, yet each is written its own way
+    kept = v.counterexample is None and type(v.holds) is bool and type(v.instances_checked) is int
+    if kept:
+        key = (v.theorem, v.holds, v.instances_checked, v.note)
+        entry = _KEPT_VERDICTS.get(key)
+        if entry is not None:
+            return entry
     theorem = v.theorem
     if isinstance(theorem, TheoremId):
         theorem = theorem._name_
         statement = _STATEMENTS[theorem]
     else:
         statement = ""
-    return {
+    entry = {
         "theorem": theorem,
         "statement": statement,
         "holds": v.holds,
@@ -669,6 +690,11 @@ def _verdict_dict(v: Verdict) -> dict:
         "note": v.note,
         "counterexample": _counterexample_dict(v.counterexample) if v.counterexample else None,
     }
+    if kept:
+        text = canonical_json(entry)[:-1]  # without the final line break
+        entry = _KEPT_VERDICTS[key] = _KeptVerdict(entry)
+        entry.text = text
+    return entry
 
 
 def build_check_report(doc: InstanceDocument, max_layer: int | None = None) -> dict:

@@ -93,9 +93,10 @@ class MapFacts:
     shared by every map over posets with those orders, `cmap` is the
     assignment with TOP as the sentinel ns, and `allowed` sends each chain
     D of s to the elements of r contracting into D, the entry of s's
-    allowed table for `cmap`. The property bits and `allowed` are each
-    computed on first use and kept. A SpectralMap is immutable over
-    immutable posets, so its facts never go stale.
+    allowed table for `cmap`. The property bits are the entry of s's words
+    table for (r, `cmap`), so equal maps share one word. Both are read on
+    first use and kept. A SpectralMap is immutable over immutable posets,
+    so its facts never go stale.
     """
 
     def __init__(self, m: SpectralMap):
@@ -106,8 +107,7 @@ class MapFacts:
     @cached_property
     def bits(self) -> int:
         """LO, INC, GU, GD, SGB, GB and unitarity as K.property_bits flags."""
-        s, r = self.s, self.r
-        return K.property_bits(s.n, s, r.n, r, self.cmap)
+        return self.s.words[self.r, self.cmap]
 
     @cached_property
     def allowed(self) -> dict[int, int]:

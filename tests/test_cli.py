@@ -523,6 +523,21 @@ class TestJobsEnv:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", str(SAMPLES / "z6_to_z2.json"), "--jobs", "0"),
+        ("verify", "--exhaustive", "--max-s", "1", "--max-r", "1", "--jobs", "0"),
+        ("search", "--goal", "lo-fails", "--max-s", "1", "--max-r", "1", "--jobs", "-1"),
+    ])
+    def test_jobs_below_one_exits_two_in_every_mode(self, capsys, argv):
+        # instance-mode verify runs no pool, yet refuses the flag as the
+        # sweep and the search do
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --jobs: jobs must be at least 1, got " + argv[-1] in captured.err
+
 
 class TestDogfooding:
     def test_counterexample_dump_replays_through_check(self, capsys, tmp_path):

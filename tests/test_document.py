@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -10,6 +11,8 @@ from chaincover.document import (
     DocumentSemanticError,
     DocumentSyntaxError,
     InstanceDocument,
+    _KeptVerdict,
+    _verdict_dict,
     build_check_report,
     build_search_report,
     build_spec_report,
@@ -31,11 +34,11 @@ from chaincover.document import (
     serialize_instance,
     serialize_report,
 )
-from chaincover.poset import make_poset
-from chaincover.rings import Product, Zn, make_hom, spec as ring_spec
+from chaincover.poset import make_poset, random_poset
+from chaincover.rings import Product, Zn, enumerate_homs, make_hom, spec as ring_spec
 from chaincover.search import WitnessSearchSpec, search_witness
-from chaincover.specmap import TOP, make_spectral_map
-from chaincover.theorems import TheoremId, exhaustive_verify, verify
+from chaincover.specmap import TOP, enumerate_monotone_maps, make_spectral_map
+from chaincover.theorems import TheoremId, Verdict, exhaustive_verify, verify
 
 
 def diamond_doc_text():
@@ -345,6 +348,96 @@ class TestReports:
         assert "witness found" in text and "(antichain)" in text
         ring = parse_ring_expr("Zn(12)")
         assert "2Z12" in render_spec_text(build_spec_report(ring, ring_spec(ring)))
+
+
+def plain(value):
+    """A copy of a report value in plain dicts, lists and tuples."""
+    if isinstance(value, dict):
+        return {key: plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(plain(item) for item in value)
+    return value
+
+
+def kept_text_documents():
+    """Every sample document, random poset maps and ring homs."""
+    root = pathlib.Path(__file__).resolve().parent.parent / "sample_instances"
+    docs = [parse_instance(path.read_text()) for path in sorted(root.glob("*.json"))]
+    rng = random.Random(27)
+    for k in range(40):
+        s = random_poset(rng.randint(1, 3), k)
+        r = random_poset(rng.randint(1, 4), 1000 + k)
+        docs.append(document_for_map(rng.choice(list(enumerate_monotone_maps(s, r, True)))))
+    for m, target in ((6, Zn(2)), (30, Zn(6)), (12, Product((Zn(4), Zn(6)))), (8, Zn(4))):
+        docs += [document_for_hom(h) for h in enumerate_homs(m, target)]
+    return docs
+
+
+class TestKeptVerdictTexts:
+    """A verdict entry written from its kept text has the plain writer's bytes.
+
+    The second routes are the plain writer on an equal plain dict and
+    json.dumps itself, which reads the entries as the dicts they are.
+    """
+
+    @staticmethod
+    def assert_written_alike(value):
+        text = canonical_json(value)
+        assert text == canonical_json(plain(value)) == json.dumps(value, indent=2) + "\n"
+        assert json.loads(text) == value
+
+    def test_every_verdict_writes_the_plain_bytes(self):
+        verdicts = []
+        for doc in kept_text_documents():
+            for waive in (False, True):
+                found = [verify(doc.smap, t, waive_hypotheses=waive) for t in TheoremId]
+                verdicts += found
+                report = build_verify_report(doc, found)
+                self.assert_written_alike(report)
+                assert serialize_report(report) == canonical_json(report)
+        for waive in (False, True):
+            found = [exhaustive_verify(t, 1, 2, waive_hypotheses=waive) for t in TheoremId]
+            verdicts += found
+            self.assert_written_alike(
+                build_verify_report(None, found, bounds={"max_s": 1, "max_r": 2})
+            )
+        for v in verdicts:
+            entry = _verdict_dict(v)
+            assert (type(entry) is _KeptVerdict) == (v.counterexample is None)
+            # at the top level, in a report's list and deeper
+            for value in (entry, [entry], {"a": [[entry], {"b": entry}]}):
+                self.assert_written_alike(value)
+        def note(v, start):
+            return (v.note or "").startswith(start)
+
+        kinds = {
+            "holds": any(v.holds and v.note is None for v in verdicts),
+            "unmet": any(v.holds and note(v, "hypothesis unmet") for v in verdicts),
+            "waived, holds": any(v.holds and note(v, "hypotheses waived") for v in verdicts),
+            "waived, fails": any(v.counterexample and note(v, "hypotheses waived")
+                                 for v in verdicts),
+            "swept, fails": any(v.counterexample and note(v, "first violation")
+                                for v in verdicts),
+        }
+        assert all(kinds.values()), kinds
+
+    def test_equal_values_share_one_entry(self):
+        doc = parse_instance('{"ring": "hom(m=6, target=Zn(2), e=1)"}')
+        again = parse_instance('{"ring": "hom(m=6, target=Zn(2), e=1)"}')
+        for t in TheoremId:
+            entry = _verdict_dict(verify(doc.smap, t))
+            assert _verdict_dict(verify(again.smap, t)) is entry
+            assert entry == plain(entry) and type(plain(entry)) is dict
+
+    def test_other_types_take_the_plain_path(self):
+        # 1 == True and True == 1, yet the writer spells each its own way
+        for holds, checked in ((1, 1), (True, True), (True, 1.0)):
+            v = Verdict(TheoremId.P_LAYERS, holds, checked, None, 0.0)
+            entry = _verdict_dict(v)
+            assert type(entry) is dict
+            self.assert_written_alike(entry)
+        text = canonical_json(_verdict_dict(Verdict(TheoremId.P_LAYERS, 1, True, None, 0.0)))
+        assert '"holds": 1,' in text and '"instances_checked": true,' in text
 
 
 class TestExportDot:

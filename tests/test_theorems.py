@@ -362,9 +362,11 @@ class TestFactTable:
                 )
 
     def test_facts_are_computed_once_per_poset(self, monkeypatch, empty_records):
-        # from empty record and map tables, so every record and map of the
-        # test is built here
+        # from empty record and map tables, and no spectrum poset that
+        # holds an earlier record, so every record and map of the test is
+        # built here
         to_spectral_map.cache_clear()
+        spec.cache_clear()
         counts = {"_maximal_chain_masks": 0, "property_bits": 0}
         for name in counts:
             original = getattr(K, name)
@@ -386,10 +388,11 @@ class TestFactTable:
         assert other.facts.allowed is m.facts.allowed
         height(m.s_poset)
         maximal_chains(m.r_poset)
-        # the maximal chains once per order, and the bits once per map
-        assert counts == {"_maximal_chain_masks": 2, "property_bits": 2}
+        # the maximal chains once per order, and the bits once per map value:
+        # equal maps that are other objects share one word
+        assert counts == {"_maximal_chain_masks": 2, "property_bits": 1}
         # equal posets that are other objects share the records of their
-        # orders, and so their maximal chains
+        # orders, and so their maximal chains and the words of equal maps
         again = six_element_witness()
         assert again.s_poset is not m.s_poset and again.r_poset is not m.r_poset
         assert again.facts.s is m.facts.s and again.facts.r is m.facts.r
@@ -397,13 +400,31 @@ class TestFactTable:
             verify(again, t)
         height(again.s_poset)
         maximal_chains(again.r_poset)
-        assert counts == {"_maximal_chain_masks": 2, "property_bits": 3}
+        assert counts == {"_maximal_chain_masks": 2, "property_bits": 1}
         # equal homs share one map, whose bits are computed once
         ring_map = to_spectral_map(make_hom(30, Zn(6), 1))
         for t in TheoremId:
             verify(to_spectral_map(make_hom(30, Zn(6), 1)), t)
         assert to_spectral_map(make_hom(30, Zn(6), 1)) is ring_map
-        assert counts["property_bits"] == 4
+        assert counts["property_bits"] == 2
+
+    def test_maps_with_other_values_over_the_same_records_get_their_own_words(self):
+        m = six_element_witness()
+        r = m.r_poset
+        others = [
+            SpectralMap(m.s_poset, r, (TOP,) * r.n),
+            SpectralMap(m.s_poset, r, (0,) * r.n),
+            make_spectral_map(m.s_poset, r, [0, 0, 1, 1, 2, TOP]),
+        ]
+        words = [m.facts.bits]
+        for other in others:
+            f = other.facts
+            assert f.s is m.facts.s and f.r is m.facts.r and f.cmap != m.facts.cmap
+            want = scalar_property_bits(f.s.n, f.s, f.r.n, f.r, f.cmap)
+            assert f.bits == want == f.s.words[f.r, f.cmap], other.describe()
+            words.append(f.bits)
+        # four maps, four different words: no map reads another's
+        assert len(set(words)) == 4
 
 
 SAMPLE_PATHS = sorted(
@@ -420,7 +441,7 @@ RECORD_FIELDS = (
 def assert_tables_match_fresh(record, fresh, where):
     """Each entry of the record's filled tables equals the fresh record's."""
     filled = vars(record)
-    for table in ("dchains", "links", "allowed"):
+    for table in ("dchains", "links", "allowed", "words"):
         for key, entry in filled.get(table, {}).items():
             assert entry == getattr(fresh, table)[key], (where, table, key)
     for cmap, images in filled.get("images", {}).items():
