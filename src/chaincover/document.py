@@ -15,6 +15,7 @@ import json
 import re
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import _kernels as K
 from .poset import (
@@ -90,7 +91,9 @@ class InstanceDocument:
 
     `ring` holds the canonical hom expression when the instance came from a
     ring document; `violation` is an optional passthrough block written by
-    report builders so counterexample dumps stay parseable.
+    report builders so counterexample dumps stay parseable. Without a
+    violation, the document's text and its kept instance block are each
+    made once per document object.
     """
 
     smap: SpectralMap
@@ -98,6 +101,14 @@ class InstanceDocument:
     seed: int | None = None
     ring: str | None = None
     violation: dict | None = field(default=None, compare=False)
+
+    @cached_property
+    def _text(self) -> str:
+        return _instance_text(self)
+
+    @cached_property
+    def _block(self) -> dict:
+        return _keep(_instance_tree(self, _ReadOnlyDict, _ReadOnlyList), self._text)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +159,7 @@ def _write_json(value, newline: str, out: list[str]) -> None:
             _write_json(item, inner, out)
             sep = "," + inner
         out.append(newline + "}")
-    elif kind is _KeptVerdict:
+    elif kind is _Kept:
         out.append(value.text.replace("\n", newline))
     elif kind is list or kind is tuple:
         if not value:
@@ -173,6 +184,51 @@ def _write_json(value, newline: str, out: list[str]) -> None:
         # floats and other types; json writes no raw line break inside a
         # string, so each line break starts an indented line
         out.append(json.dumps(value, indent=2).replace("\n", newline))
+
+
+# ---------------------------------------------------------------------------
+# Kept report blocks
+#
+# A report block whose bytes depend only on a hashable value is kept with
+# its text and shared by every report holding that value, so no level of it
+# may change: each mutator raises TypeError, and copy and pickle give plain
+# dicts and lists.
+
+
+def _refuse(self, *args, **kwargs):
+    raise TypeError(f"a kept report block is read-only: {type(self).__name__}")
+
+
+class _ReadOnlyList(list):
+    __slots__ = ()
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _refuse
+    append = extend = insert = pop = remove = clear = sort = reverse = _refuse
+
+    def __reduce_ex__(self, protocol):
+        return list, (list(self),)
+
+
+class _ReadOnlyDict(dict):
+    __slots__ = ()
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce_ex__(self, protocol):
+        return dict, (dict(self),)
+
+
+class _Kept(_ReadOnlyDict):
+    """A read-only report block with `text`, its canonical JSON at indent
+    "\n", which `_write_json` copies in at its own indent."""
+
+    __slots__ = ("text",)
+
+
+def _keep(block: dict, text: str | None = None) -> _Kept:
+    kept = _Kept(block)
+    # without the final line break
+    kept.text = canonical_json(block)[:-1] if text is None else text
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +294,9 @@ class _Tokens:
 
     def take_int(self) -> int:
         start = self.start()
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        # ASCII digits only: int() reads other scripts' digits, and str.isdigit
+        # also passes superscripts, which int() refuses
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if start == self.pos:
             self.error("expected an integer")
@@ -368,26 +426,17 @@ def hom_text(h: RingHom) -> str:
 # Instance documents
 
 
-def _poset_block(p: Poset) -> dict:
-    return {
-        "labels": list(p.labels),
-        "pairs": sorted(
-            [p.labels[i], p.labels[j]] for i, j in covering_pairs(p)
-        ),
-    }
+def _poset_block(p: Poset, obj=dict, arr=list) -> dict:
+    labels = p.labels
+    return obj(
+        labels=arr(labels),
+        pairs=arr(sorted(arr((labels[i], labels[j])) for i, j in covering_pairs(p))),
+    )
 
 
-def _map_block(m: SpectralMap) -> dict:
-    out = {}
-    for q, v in enumerate(m.assignment):
-        out[m.r_poset.labels[q]] = (
-            _TOP_LITERAL if v is TOP else m.s_poset.labels[v]
-        )
-    return out
-
-
-def instance_dict(doc: InstanceDocument) -> dict:
-    """Canonical JSON object for a document, stable key order."""
+def _instance_tree(doc: InstanceDocument, obj=dict, arr=list) -> dict:
+    # the instance block without its violation, built of `obj` dicts and
+    # `arr` lists below the top level
     out: dict = {}
     if doc.name is not None:
         out["name"] = doc.name
@@ -396,15 +445,67 @@ def instance_dict(doc: InstanceDocument) -> dict:
     if doc.ring is not None:
         out["ring"] = doc.ring
     else:
-        out["s"] = _poset_block(doc.smap.s_poset)
-        out["r"] = _poset_block(doc.smap.r_poset)
-        out["map"] = _map_block(doc.smap)
-    if doc.violation is not None:
-        out["violation"] = doc.violation
+        m = doc.smap
+        s_labels = m.s_poset.labels
+        out["s"] = _poset_block(m.s_poset, obj, arr)
+        out["r"] = _poset_block(m.r_poset, obj, arr)
+        out["map"] = obj(zip(
+            m.r_poset.labels,
+            [_TOP_LITERAL if v is TOP else s_labels[v] for v in m.assignment],
+        ))
+    return out
+
+
+#: instance-block value -> the block's canonical text at indent "\n"
+_KEPT_INSTANCES: dict[tuple, str] = {}
+
+
+def _instance_key(doc: InstanceDocument) -> tuple | None:
+    """The value a block without a violation is written from: (name, seed,
+    ring), or (name, seed, s labels and record, r labels and record,
+    assignment), where a record is the order's up masks. None for a seed
+    that is not an int: True == 1 == 1.0, yet each is written its own way."""
+    seed = doc.seed
+    if seed is not None and type(seed) is not int:
+        return None
+    if doc.ring is not None:
+        return doc.name, seed, doc.ring
+    m = doc.smap
+    s, r = m.s_poset, m.r_poset
+    return doc.name, seed, s.labels, s.facts, r.labels, r.facts, m.assignment
+
+
+def _instance_text(doc: InstanceDocument) -> str:
+    key = _instance_key(doc)
+    text = _KEPT_INSTANCES.get(key)
+    if text is None:
+        text = canonical_json(_instance_tree(doc))[:-1]
+        # kept only with a str name, ring and labels, which no value of
+        # another type equals
+        m = doc.smap
+        parts = (doc.ring,) if doc.ring is not None else m.s_poset.labels + m.r_poset.labels
+        if (key is not None and (doc.name is None or type(doc.name) is str)
+                and all(type(x) is str for x in parts)):
+            _KEPT_INSTANCES[key] = text
+    return text
+
+
+def instance_dict(doc: InstanceDocument) -> dict:
+    """Canonical JSON object for a document, stable key order.
+
+    Without a violation it is the document's kept block, read-only at every
+    level; with one, a plain dict holding `doc.violation` itself.
+    """
+    if doc.violation is None:
+        return doc._block
+    out = _instance_tree(doc)
+    out["violation"] = doc.violation
     return out
 
 
 def serialize_instance(doc: InstanceDocument) -> str:
+    if doc.violation is None:
+        return doc._text + "\n"
     return canonical_json(instance_dict(doc))
 
 
@@ -656,16 +757,8 @@ def _counterexample_dict(cx: Counterexample) -> dict:
 _STATEMENTS = {t._name_: text for t, text in THEOREM_STATEMENTS.items()}
 
 
-class _KeptVerdict(dict):
-    """A verdict entry kept per value and shared by every report holding it,
-    so never changed; `text` is its canonical JSON at indent "\n", which
-    `_write_json` copies in at its own indent."""
-
-    __slots__ = ("text",)
-
-
 #: (theorem, holds, instances_checked, note) -> entry, for no counterexample
-_KEPT_VERDICTS: dict[tuple, _KeptVerdict] = {}
+_KEPT_VERDICTS: dict[tuple, _Kept] = {}
 
 
 def _verdict_dict(v: Verdict) -> dict:
@@ -691,10 +784,17 @@ def _verdict_dict(v: Verdict) -> dict:
         "counterexample": _counterexample_dict(v.counterexample) if v.counterexample else None,
     }
     if kept:
-        text = canonical_json(entry)[:-1]  # without the final line break
-        entry = _KEPT_VERDICTS[key] = _KeptVerdict(entry)
-        entry.text = text
+        entry = _KEPT_VERDICTS[key] = _keep(entry)
     return entry
+
+
+#: (s record, r record, cmap, max_layer) -> the check report's properties
+#: and layers blocks
+_KEPT_CHECKS: dict[tuple, tuple[_Kept, _Kept]] = {}
+
+#: the items of a properties or layers block, all bools, -> the one kept
+#: block with them
+_KEPT_FLAGS = K._FilledTable(lambda items: _keep(dict(items)))
 
 
 def build_check_report(doc: InstanceDocument, max_layer: int | None = None) -> dict:
@@ -705,18 +805,23 @@ def build_check_report(doc: InstanceDocument, max_layer: int | None = None) -> d
     most elements a chain-enumerated poset has, is refused.
     """
     m = doc.smap
-    if max_layer is None:
-        max_layer = height(m.s_poset)
-    elif not 0 <= max_layer <= MASK_ENUM_BOUND:
+    if max_layer is not None and not 0 <= max_layer <= MASK_ENUM_BOUND:
         raise ValueError(f"max layer must lie in 0..{MASK_ENUM_BOUND}, got {max_layer}")
     f = m.facts
-    held = K.layers_held(1, max_layer, f.s, f.r, f.allowed)
-    layers = {str(n): held[n] for n in range(1, max_layer + 1)}
+    key = (f.s, f.r, f.cmap, max_layer)
+    blocks = _KEPT_CHECKS.get(key)
+    if blocks is None:
+        top = height(m.s_poset) if max_layer is None else max_layer
+        held = K.layers_held(1, top, f.s, f.r, f.allowed)
+        layers = {str(n): held[n] for n in range(1, top + 1)}
+        blocks = _KEPT_CHECKS[key] = (
+            _KEPT_FLAGS[tuple(properties_summary(m).items())], _KEPT_FLAGS[tuple(layers.items())]
+        )
     return {
         "command": "check",
         "instance": instance_dict(doc),
-        "properties": properties_summary(m),
-        "layers": layers,
+        "properties": blocks[0],
+        "layers": blocks[1],
     }
 
 

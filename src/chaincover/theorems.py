@@ -157,7 +157,7 @@ class Counterexample:
     detail: dict
 
 
-@dataclass
+@dataclass(slots=True)
 class Verdict:
     theorem: TheoremId | str
     holds: bool
@@ -188,22 +188,33 @@ def unmet_hypotheses(m: SpectralMap, theorem: TheoremId) -> list[str]:
     return [] if bits & need == need else _unmet(names, bits)
 
 
+def _note(key) -> str:
+    value, missing, waive_hypotheses = key
+    state = "hypotheses waived: " if waive_hypotheses else "hypothesis unmet: "
+    return state + ", ".join(_unmet(K.THEOREMS[value][0], ~missing))
+
+
+#: (theorem value, missing hypothesis flags, waive_hypotheses) -> the note
+#: of a verdict on an instance that misses those flags
+_NOTES = K._FilledTable(_note)
+
+
 def verify(m: SpectralMap, theorem: TheoremId, waive_hypotheses: bool = False) -> Verdict:
     """Check one theorem on one instance.
 
     An instance missing the hypotheses yields holds=True with a note, unless
     waive_hypotheses is set, in which case the conclusion is evaluated on
-    its own. The theorem's kernel entry is read once, and the unmet names
-    are listed only when a hypothesis flag is missing.
+    its own. The theorem's kernel entry is read once, and each note is made
+    once per (theorem, missing flags, waive_hypotheses) and then shared.
     """
     start = time.perf_counter()
     f = m.facts
     bits = f.bits
-    names, need, conclusion = K.THEOREMS[theorem._value_]
+    value = theorem._value_
+    _, need, conclusion = K.THEOREMS[value]
     note = None
     if bits & need != need:
-        state = "hypotheses waived: " if waive_hypotheses else "hypothesis unmet: "
-        note = state + ", ".join(_unmet(names, bits))
+        note = _NOTES[value, need & ~bits, waive_hypotheses]
     code = 0
     if note is None or waive_hypotheses:
         code = conclusion(f.s, f.r, f.cmap, bits, f.allowed)

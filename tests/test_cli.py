@@ -407,6 +407,21 @@ class TestSpec:
         code, _, err = run_cli(capsys, "spec", "Zn(" + "9" * 100 + ")")
         assert code == 2 and err.startswith("error: ring modulus must be at most 1000000000,")
 
+    def test_only_ascii_digits_are_an_integer(self, capsys, tmp_path):
+        # int() refuses a superscript two and reads Arabic-Indic and
+        # fullwidth digits; each is refused at its place
+        for digits in ("²", "٣", "１２"):
+            code, out, err = run_cli(capsys, "spec", f"Zn({digits})")
+            assert (code, out) == (2, ""), digits
+            assert err == "error: expected an integer (line 1, column 4)\n", digits
+            path = tmp_path / "ring.json"
+            path.write_text(json.dumps(
+                {"ring": f"hom(m={digits}, target=Zn(2), e=0)"}, ensure_ascii=False
+            ))
+            code, out, err = run_cli(capsys, "check", str(path))
+            assert (code, out) == (2, ""), digits
+            assert err == "error: expected an integer (line 1, column 17)\n", digits
+
     def test_an_overlong_integer_in_a_document_exits_two(self, capsys, tmp_path):
         # json.loads would refuse 5,000 digits without a position; digits in
         # strings and a long float before them are not integers

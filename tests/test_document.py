@@ -1,7 +1,10 @@
 """Tests for instance documents, the ring grammar, reports, and DOT export."""
 
+import copy
+import dataclasses
 import json
 import pathlib
+import pickle
 import random
 
 import pytest
@@ -11,7 +14,7 @@ from chaincover.document import (
     DocumentSemanticError,
     DocumentSyntaxError,
     InstanceDocument,
-    _KeptVerdict,
+    _Kept,
     _verdict_dict,
     build_check_report,
     build_search_report,
@@ -34,10 +37,16 @@ from chaincover.document import (
     serialize_instance,
     serialize_report,
 )
-from chaincover.poset import make_poset, random_poset
+from chaincover.poset import height, make_poset, random_poset
 from chaincover.rings import Product, Zn, enumerate_homs, make_hom, spec as ring_spec
 from chaincover.search import WitnessSearchSpec, search_witness
-from chaincover.specmap import TOP, enumerate_monotone_maps, make_spectral_map
+from chaincover.specmap import (
+    TOP,
+    check_layer,
+    enumerate_monotone_maps,
+    make_spectral_map,
+    properties_summary,
+)
 from chaincover.theorems import TheoremId, Verdict, exhaustive_verify, verify
 
 
@@ -403,7 +412,7 @@ class TestKeptVerdictTexts:
             )
         for v in verdicts:
             entry = _verdict_dict(v)
-            assert (type(entry) is _KeptVerdict) == (v.counterexample is None)
+            assert (type(entry) is _Kept) == (v.counterexample is None)
             # at the top level, in a report's list and deeper
             for value in (entry, [entry], {"a": [[entry], {"b": entry}]}):
                 self.assert_written_alike(value)
@@ -438,6 +447,210 @@ class TestKeptVerdictTexts:
             self.assert_written_alike(entry)
         text = canonical_json(_verdict_dict(Verdict(TheoremId.P_LAYERS, 1, True, None, 0.0)))
         assert '"holds": 1,' in text and '"instances_checked": true,' in text
+
+
+def document_variants(doc):
+    """`doc` with and without a name, a seed and a violation."""
+    out = []
+    for name, seed in ((None, None), ("x", None), (None, 0), ("named \"é\"", 41)):
+        plain_doc = dataclasses.replace(doc, name=name, seed=seed, violation=None)
+        out.append(plain_doc)
+        out.append(dataclasses.replace(plain_doc, violation={"theorem": "P_LO", "code": 1}))
+    return out
+
+
+def assert_json_pair(text, value):
+    """`text` is json.dumps(value, indent=2) plus a line break, and reads back as `value`."""
+    assert text == json.dumps(value, indent=2) + "\n"
+    assert text == canonical_json(plain(value))
+    assert json.loads(text) == value
+
+
+class TestKeptBlocks:
+    """Instance, check and verify blocks written from kept texts have the
+    bytes of json.dumps on the same report, on first use and once kept.
+
+    The properties and layers are also compared with properties_summary and
+    check_layer, which read no kept block.
+    """
+
+    def test_every_report_writes_the_json_dumps_bytes(self):
+        docs = [v for doc in kept_text_documents() for v in document_variants(doc)]
+        assert any(TOP in doc.smap.assignment for doc in docs)
+        assert any(doc.ring is not None for doc in docs)
+        first = None
+        for round_ in range(2):
+            texts = []
+            for doc in docs:
+                text = serialize_instance(doc)
+                assert_json_pair(text, instance_dict(doc))
+                again = parse_instance(text)
+                assert again.violation == doc.violation
+                assert serialize_instance(again) == text
+                texts.append(text)
+                for max_layer in (None, 0, 1, 3, 6):
+                    report = build_check_report(again, max_layer=max_layer)
+                    texts.append(serialize_report(report))
+                    assert_json_pair(texts[-1], report)
+                    top = height(doc.smap.s_poset) if max_layer is None else max_layer
+                    assert report["properties"] == properties_summary(doc.smap)
+                    assert report["layers"] == {
+                        str(n): check_layer(doc.smap, n) for n in range(1, top + 1)
+                    }
+                for waive in (False, True):
+                    verdicts = [verify(again.smap, t, waive_hypotheses=waive) for t in TheoremId]
+                    report = build_verify_report(again, verdicts)
+                    texts.append(serialize_report(report))
+                    assert_json_pair(texts[-1], report)
+            # the second round reads every block from what the first kept
+            assert first is None or texts == first
+            first = texts
+
+    def test_kept_blocks_are_shared_per_value(self):
+        text = diamond_doc_text()
+        doc, again = parse_instance(text), parse_instance(text)
+        assert instance_dict(doc) is instance_dict(doc)
+        assert type(instance_dict(doc)) is _Kept
+        assert instance_dict(doc).text == instance_dict(again).text
+        one, two = build_check_report(doc), build_check_report(again)
+        assert one["properties"] is two["properties"] and one["layers"] is two["layers"]
+        # a violation is the caller's own dict, written afresh
+        marked = dataclasses.replace(doc, violation={"code": 1})
+        assert type(instance_dict(marked)) is dict
+        assert instance_dict(marked)["violation"] is marked.violation
+
+    def test_each_part_of_the_value_tells_texts_apart(self):
+        # equal but for the s labels, the r labels, the r order, the map,
+        # the name or the seed
+        chain, antichain = [("a", "b")], []
+        texts = set()
+        for s_labels, r_labels, r_pairs, values, name, seed in (
+            ("ab", "ab", chain, "ab", None, None),
+            ("xy", "ab", chain, "xy", None, None),
+            ("ab", "xy", chain, "ab", None, None),
+            ("ab", "ab", antichain, "ab", None, None),
+            ("ab", "ab", chain, "aa", None, None),
+            ("ab", "ab", chain, "ab", "n", None),
+            ("ab", "ab", chain, "ab", None, 3),
+        ):
+            s = make_poset(list(s_labels), [(s_labels[0], s_labels[1])])
+            r = make_poset(list(r_labels), [(r_labels[0], r_labels[1])] if r_pairs else [])
+            m = make_spectral_map(s, r, [s.index(v) for v in values])
+            for _ in range(2):
+                doc = InstanceDocument(m, name=name, seed=seed)
+                text = serialize_instance(doc)
+                assert_json_pair(text, instance_dict(doc))
+            texts.add(text)
+        assert len(texts) == 7
+
+    def test_other_types_are_not_kept(self):
+        # True == 1 == 1.0, yet each is written its own way
+        doc = parse_instance(diamond_doc_text())
+        for value in (1, True, 1.0, 1):
+            text = serialize_instance(dataclasses.replace(doc, seed=value))
+            assert f'"seed": {json.dumps(value)},' in text
+            text = serialize_instance(dataclasses.replace(doc, name=value))
+            assert f'"name": {json.dumps(value)},' in text
+        s = make_poset([1, 2], [(1, 2)])
+        for labels in ([True, 2], [1.0, 2]):
+            other = make_poset(labels, [(labels[0], 2)])
+            for p in (s, other):
+                m = make_spectral_map(p, p, [0, 1])
+                text = serialize_instance(document_for_map(m))
+                assert text == json.dumps(instance_dict(document_for_map(m)), indent=2) + "\n"
+                assert json.dumps(p.labels[0]) in text
+
+
+class TestKeptBlocksAreReadOnly:
+    """A kept block is shared by every report holding its value, so no
+    edit may reach it; the report that holds it is the caller's own."""
+
+    @staticmethod
+    def reports():
+        doc = parse_instance(diamond_doc_text())
+        verdicts = [verify(doc.smap, t) for t in TheoremId]
+        return build_check_report(doc), build_verify_report(doc, verdicts)
+
+    @staticmethod
+    def blocks(check, report):
+        instance = report["instance"]
+        dicts = [
+            report["theorems"][0], instance, instance["s"], instance["map"],
+            check["properties"], check["layers"],
+        ]
+        lists = [instance["s"]["labels"], instance["s"]["pairs"], instance["s"]["pairs"][0]]
+        return dicts, lists
+
+    def test_every_level_refuses_every_edit(self):
+        check, report = self.reports()
+        before = (json.dumps(check), json.dumps(report))
+        dict_edits = [
+            lambda b: b.__setitem__("x", 1), lambda b: b.__delitem__(next(iter(b))),
+            lambda b: b.clear(), lambda b: b.pop(next(iter(b))), lambda b: b.popitem(),
+            lambda b: b.setdefault("x", 1), lambda b: b.update(x=1),
+        ]
+        list_edits = [
+            lambda x: x.__setitem__(0, "y"), lambda x: x.__setitem__(slice(0, 1), []),
+            lambda x: x.__delitem__(0), lambda x: x.append("y"), lambda x: x.extend("y"),
+            lambda x: x.insert(0, "y"), lambda x: x.pop(), lambda x: x.remove(x[0]),
+            lambda x: x.clear(), lambda x: x.sort(), lambda x: x.reverse(),
+        ]
+        dicts, lists = self.blocks(check, report)
+        for block in dicts:
+            for edit in dict_edits:
+                with pytest.raises(TypeError):
+                    edit(block)
+            with pytest.raises(TypeError):
+                block |= {"x": 1}
+        for block in lists:
+            for edit in list_edits:
+                with pytest.raises(TypeError):
+                    edit(block)
+            with pytest.raises(TypeError):
+                block += ["y"]
+            with pytest.raises(TypeError):
+                block *= 2
+        assert (json.dumps(check), json.dumps(report)) == before
+
+    def test_an_edited_report_writes_its_edit(self):
+        check, report = self.reports()
+        with pytest.raises(TypeError):
+            report["theorems"][0]["note"] = "edited"
+        # the report's own dict and lists take edits, and the writer sees them
+        report["theorems"][0] = {**report["theorems"][0], "note": "edited"}
+        report["instance"] = {**report["instance"], "name": "renamed"}
+        check["layers"] = {"1": False}
+        for value in (check, report):
+            assert serialize_report(value) == json.dumps(value, indent=2) + "\n"
+        # and no later report holding the same values carries the edits
+        check_again, again = self.reports()
+        assert again["theorems"][0]["note"] is None
+        assert again["instance"]["name"] == "identity-diamond"
+        assert check_again["layers"] == {"1": True, "2": True, "3": True}
+
+    def test_copies_and_pickles_are_plain(self):
+        def assert_plain(value):
+            if isinstance(value, dict):
+                assert type(value) is dict
+                for item in value.values():
+                    assert_plain(item)
+            elif isinstance(value, list):
+                assert type(value) is list
+                for item in value:
+                    assert_plain(item)
+
+        check, report = self.reports()
+        dicts, lists = self.blocks(check, report)
+        for block in dicts + lists:
+            assert type(copy.copy(block)) in (dict, list)
+            for value in (copy.deepcopy(block), pickle.loads(pickle.dumps(block))):
+                assert value == block
+                assert_plain(value)
+        for value in (copy.deepcopy(report), pickle.loads(pickle.dumps(check))):
+            assert_plain(value)
+        edited = copy.deepcopy(report)
+        edited["instance"]["s"]["labels"].append("extra")
+        assert serialize_report(edited) == json.dumps(edited, indent=2) + "\n"
 
 
 class TestExportDot:
