@@ -38,9 +38,9 @@ lies in the chain D, so each member of D lies above (below) one iff C meets
 the lifts of min D (max D), `allowed[end]` (P_MINI_GD, P_MINI_GU); and D
 is bracketed across the cut of C between consecutive members x < y iff no
 member of D lies strictly between the contractions of x and y
-(P_MINI_SGB). `eval_theorem` evaluates one map from its entry, as
-`theorems.verify` does for the object level and the replays of sweep and
-search hits.
+(P_MINI_SGB). `eval_theorem` evaluates one map from its entry for
+`theorems.verify`, which checks every object-level instance and replays a
+sweep's first violation; scans call the conclusions (`_first_violation`).
 
 Sweeps and searches walk the same chunks, lists of pairs of isomorphism
 classes, each a product of s positions and r positions
@@ -350,7 +350,12 @@ class PosetFacts(tuple):
     @cached_property
     def words(self) -> _FilledTable:
         # (r record, value tuple) -> property_bits word, one entry per map read
-        return _FilledTable(lambda s, key: property_bits(s.n, s, key[0].n, *key), self)
+        return _FilledTable(_map_word, self)
+
+
+def _map_word(s, key):
+    # the property_bits word of the map out of s with key (r record, value tuple)
+    return property_bits(s.n, s, key[0].n, *key)
 
 
 def _raw_up(strict_rows: tuple[int, ...]) -> tuple[int, ...]:
@@ -1101,9 +1106,9 @@ def sweep_pair(
     -1, 0), whether every map came out clean). A later pair of a clean
     class, or a count_only pair of any recorded class, returns that answer
     unchecked; a class with a failing map is scanned on every pair, so the
-    index is exact for each labeling. `eval_theorem` and `theorems.verify`
-    check the same statement on one map, for the object level and the
-    replays.
+    index is exact for each labeling. `theorems.verify` checks the same
+    statement on one map, through `eval_theorem`, for the object level and
+    the replays.
     """
     if memo is None:
         if count_only:

@@ -92,8 +92,8 @@ class InstanceDocument:
     `ring` holds the canonical hom expression when the instance came from a
     ring document; `violation` is an optional passthrough block written by
     report builders so counterexample dumps stay parseable. Without a
-    violation, the document's text and its kept instance block are each
-    made once per document object.
+    violation, the document's instance block is its value's kept block,
+    looked up once per document object.
     """
 
     smap: SpectralMap
@@ -103,12 +103,8 @@ class InstanceDocument:
     violation: dict | None = field(default=None, compare=False)
 
     @cached_property
-    def _text(self) -> str:
-        return _instance_text(self)
-
-    @cached_property
-    def _block(self) -> dict:
-        return _keep(_instance_tree(self, _ReadOnlyDict, _ReadOnlyList), self._text)
+    def _block(self) -> _Kept:
+        return _kept(_instance_key(self), _instance_tree, self)
 
 
 # ---------------------------------------------------------------------------
@@ -189,10 +185,10 @@ def _write_json(value, newline: str, out: list[str]) -> None:
 # ---------------------------------------------------------------------------
 # Kept report blocks
 #
-# A report block whose bytes depend only on a hashable value is kept with
-# its text and shared by every report holding that value, so no level of it
-# may change: each mutator raises TypeError, and copy and pickle give plain
-# dicts and lists.
+# A report block whose bytes depend only on a hashable value is kept once
+# per value in _KEPT, with its text, and shared by every report holding
+# that value, so no level of it may change: each mutator raises TypeError,
+# and copy and pickle give plain dicts and lists.
 
 
 def _refuse(self, *args, **kwargs):
@@ -224,11 +220,36 @@ class _Kept(_ReadOnlyDict):
     __slots__ = ("text",)
 
 
-def _keep(block: dict, text: str | None = None) -> _Kept:
-    kept = _Kept(block)
-    # without the final line break
-    kept.text = canonical_json(block)[:-1] if text is None else text
-    return kept
+def _frozen(value):
+    # `value` with every dict and list in it read-only
+    kind = type(value)
+    if kind is dict:
+        return _ReadOnlyDict({key: _frozen(item) for key, item in value.items()})
+    if kind is list:
+        return _ReadOnlyList([_frozen(item) for item in value])
+    return value
+
+
+#: a block's value, as its key function gives it -> the kept block
+_KEPT: dict[tuple, _Kept] = {}
+
+
+def _kept(key: tuple | None, build, *args) -> _Kept:
+    """The block of the value `key`, made once: `build(*args)`, a plain
+    dict tree frozen read-only at every level with its canonical text, or a
+    block that `build` found kept. A None key makes it afresh, unkept."""
+    block = None if key is None else _KEPT.get(key)
+    if block is None:
+        tree = build(*args)
+        if type(tree) is _Kept:
+            block = tree
+        else:
+            block = _Kept({name: _frozen(item) for name, item in tree.items()})
+            # without the final line break
+            block.text = canonical_json(tree)[:-1]
+        if key is not None:
+            _KEPT[key] = block
+    return block
 
 
 # ---------------------------------------------------------------------------
@@ -426,17 +447,16 @@ def hom_text(h: RingHom) -> str:
 # Instance documents
 
 
-def _poset_block(p: Poset, obj=dict, arr=list) -> dict:
+def _poset_block(p: Poset) -> dict:
     labels = p.labels
-    return obj(
-        labels=arr(labels),
-        pairs=arr(sorted(arr((labels[i], labels[j])) for i, j in covering_pairs(p))),
-    )
+    return {
+        "labels": list(labels),
+        "pairs": sorted([labels[i], labels[j]] for i, j in covering_pairs(p)),
+    }
 
 
-def _instance_tree(doc: InstanceDocument, obj=dict, arr=list) -> dict:
-    # the instance block without its violation, built of `obj` dicts and
-    # `arr` lists below the top level
+def _instance_tree(doc: InstanceDocument) -> dict:
+    # the instance block without its violation
     out: dict = {}
     if doc.name is not None:
         out["name"] = doc.name
@@ -447,47 +467,32 @@ def _instance_tree(doc: InstanceDocument, obj=dict, arr=list) -> dict:
     else:
         m = doc.smap
         s_labels = m.s_poset.labels
-        out["s"] = _poset_block(m.s_poset, obj, arr)
-        out["r"] = _poset_block(m.r_poset, obj, arr)
-        out["map"] = obj(zip(
+        out["s"] = _poset_block(m.s_poset)
+        out["r"] = _poset_block(m.r_poset)
+        out["map"] = dict(zip(
             m.r_poset.labels,
             [_TOP_LITERAL if v is TOP else s_labels[v] for v in m.assignment],
         ))
     return out
 
 
-#: instance-block value -> the block's canonical text at indent "\n"
-_KEPT_INSTANCES: dict[tuple, str] = {}
-
-
 def _instance_key(doc: InstanceDocument) -> tuple | None:
-    """The value a block without a violation is written from: (name, seed,
-    ring), or (name, seed, s labels and record, r labels and record,
-    assignment), where a record is the order's up masks. None for a seed
-    that is not an int: True == 1 == 1.0, yet each is written its own way."""
-    seed = doc.seed
+    """The value of a block without a violation: (name, seed, ring), or
+    (name, seed, s labels and record, r labels and record, assignment).
+    None unless the seed is an int and the name, ring and labels are str:
+    True == 1 == 1.0, yet each is written its own way."""
+    name, seed = doc.name, doc.seed
     if seed is not None and type(seed) is not int:
         return None
+    if name is not None and type(name) is not str:
+        return None
     if doc.ring is not None:
-        return doc.name, seed, doc.ring
+        return ("instance", name, seed, doc.ring) if type(doc.ring) is str else None
     m = doc.smap
     s, r = m.s_poset, m.r_poset
-    return doc.name, seed, s.labels, s.facts, r.labels, r.facts, m.assignment
-
-
-def _instance_text(doc: InstanceDocument) -> str:
-    key = _instance_key(doc)
-    text = _KEPT_INSTANCES.get(key)
-    if text is None:
-        text = canonical_json(_instance_tree(doc))[:-1]
-        # kept only with a str name, ring and labels, which no value of
-        # another type equals
-        m = doc.smap
-        parts = (doc.ring,) if doc.ring is not None else m.s_poset.labels + m.r_poset.labels
-        if (key is not None and (doc.name is None or type(doc.name) is str)
-                and all(type(x) is str for x in parts)):
-            _KEPT_INSTANCES[key] = text
-    return text
+    if not all(type(label) is str for label in s.labels + r.labels):
+        return None
+    return "instance", name, seed, s.labels, s.facts, r.labels, r.facts, m.assignment
 
 
 def instance_dict(doc: InstanceDocument) -> dict:
@@ -505,13 +510,13 @@ def instance_dict(doc: InstanceDocument) -> dict:
 
 def serialize_instance(doc: InstanceDocument) -> str:
     if doc.violation is None:
-        return doc._text + "\n"
+        return doc._block.text + "\n"
     return canonical_json(instance_dict(doc))
 
 
-def _require_type(value, want, what: str):
+def _require_type(value, want, message: str):
     if not isinstance(value, want) or isinstance(value, bool):
-        raise DocumentSemanticError(f"{what} must be a {want.__name__}")
+        raise DocumentSemanticError(message)
     return value
 
 
@@ -659,10 +664,10 @@ def parse_instance(text: str) -> InstanceDocument:
 
     name = data.get("name")
     if name is not None:
-        _require_type(name, str, "name")
+        _require_type(name, str, "name must be a string")
     seed = data.get("seed")
     if seed is not None:
-        _require_type(seed, int, "seed")
+        _require_type(seed, int, "seed must be an integer")
     violation = data.get("violation")
     if violation is not None and not isinstance(violation, dict):
         raise DocumentSemanticError("violation must be an object")
@@ -674,7 +679,7 @@ def parse_instance(text: str) -> InstanceDocument:
             "document must use either a ring block or a poset pair, not both"
         )
     if has_ring:
-        ring_text = _require_type(data["ring"], str, "ring")
+        ring_text = _require_type(data["ring"], str, "ring must be a string")
         # errors in the ring expression are placed in the document
         hom = _parse_hom(_Tokens(ring_text, _ring_locator(text)))
         return InstanceDocument(
@@ -752,30 +757,14 @@ def _counterexample_dict(cx: Counterexample) -> dict:
     return instance_dict(doc)
 
 
-#: theorem name -> statement, so a report reads neither Enum properties nor
-#: Enum hashes
-_STATEMENTS = {t._name_: text for t, text in THEOREM_STATEMENTS.items()}
-
-
-#: (theorem, holds, instances_checked, note) -> entry, for no counterexample
-_KEPT_VERDICTS: dict[tuple, _Kept] = {}
-
-
-def _verdict_dict(v: Verdict) -> dict:
-    # bool and int only: True == 1, yet each is written its own way
-    kept = v.counterexample is None and type(v.holds) is bool and type(v.instances_checked) is int
-    if kept:
-        key = (v.theorem, v.holds, v.instances_checked, v.note)
-        entry = _KEPT_VERDICTS.get(key)
-        if entry is not None:
-            return entry
+def _verdict_tree(v: Verdict) -> dict:
     theorem = v.theorem
     if isinstance(theorem, TheoremId):
+        statement = THEOREM_STATEMENTS[theorem]
         theorem = theorem._name_
-        statement = _STATEMENTS[theorem]
     else:
         statement = ""
-    entry = {
+    return {
         "theorem": theorem,
         "statement": statement,
         "holds": v.holds,
@@ -783,18 +772,31 @@ def _verdict_dict(v: Verdict) -> dict:
         "note": v.note,
         "counterexample": _counterexample_dict(v.counterexample) if v.counterexample else None,
     }
-    if kept:
-        entry = _KEPT_VERDICTS[key] = _keep(entry)
-    return entry
 
 
-#: (s record, r record, cmap, max_layer) -> the check report's properties
-#: and layers blocks
-_KEPT_CHECKS: dict[tuple, tuple[_Kept, _Kept]] = {}
+def _verdict_dict(v: Verdict) -> dict:
+    # kept with no counterexample, and with bool and int only: True == 1,
+    # yet each is written its own way
+    if v.counterexample is None and type(v.holds) is bool and type(v.instances_checked) is int:
+        key = ("verdict", v.theorem, v.holds, v.instances_checked, v.note)
+        return _kept(key, _verdict_tree, v)
+    return _verdict_tree(v)
 
-#: the items of a properties or layers block, all bools, -> the one kept
-#: block with them
-_KEPT_FLAGS = K._FilledTable(lambda items: _keep(dict(items)))
+
+def _flags(items: tuple) -> _Kept:
+    # the one kept block with these items, all bools
+    return _kept(("flags", items), dict, items)
+
+
+def _properties(m: SpectralMap) -> _Kept:
+    return _flags(tuple(properties_summary(m).items()))
+
+
+def _layers(m: SpectralMap, max_layer: int | None) -> _Kept:
+    f = m.facts
+    top = height(m.s_poset) if max_layer is None else max_layer
+    held = K.layers_held(1, top, f.s, f.r, f.allowed)
+    return _flags(tuple((str(n), held[n]) for n in range(1, top + 1)))
 
 
 def build_check_report(doc: InstanceDocument, max_layer: int | None = None) -> dict:
@@ -808,20 +810,11 @@ def build_check_report(doc: InstanceDocument, max_layer: int | None = None) -> d
     if max_layer is not None and not 0 <= max_layer <= MASK_ENUM_BOUND:
         raise ValueError(f"max layer must lie in 0..{MASK_ENUM_BOUND}, got {max_layer}")
     f = m.facts
-    key = (f.s, f.r, f.cmap, max_layer)
-    blocks = _KEPT_CHECKS.get(key)
-    if blocks is None:
-        top = height(m.s_poset) if max_layer is None else max_layer
-        held = K.layers_held(1, top, f.s, f.r, f.allowed)
-        layers = {str(n): held[n] for n in range(1, top + 1)}
-        blocks = _KEPT_CHECKS[key] = (
-            _KEPT_FLAGS[tuple(properties_summary(m).items())], _KEPT_FLAGS[tuple(layers.items())]
-        )
     return {
         "command": "check",
         "instance": instance_dict(doc),
-        "properties": blocks[0],
-        "layers": blocks[1],
+        "properties": _kept(("properties", f.s, f.r, f.cmap), _properties, m),
+        "layers": _kept(("layers", f.s, f.r, f.cmap, max_layer), _layers, m, max_layer),
     }
 
 

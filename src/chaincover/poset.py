@@ -145,6 +145,10 @@ class Poset:
             if i != j and up >> j & 1
         ]
 
+    def __reduce__(self):
+        # by value: the record is read again from this process's _RECORDS
+        return Poset, (self.labels, self.up_masks)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poset):
             return NotImplemented

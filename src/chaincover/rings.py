@@ -13,7 +13,6 @@ costs a few gcds per factor whatever the moduli.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iproduct
@@ -348,7 +347,6 @@ def _lift_lemma(h: RingHom, theorem: str, hypothesis: str, lifts, clause: str) -
     are checked in order up to the first prime nothing lies over, whose
     entries go into the counterexample between "prime" and "clause".
     """
-    start = time.perf_counter()
     smap = to_spectral_map(h)
     checked = 0
     cx = None
@@ -376,7 +374,6 @@ def _lift_lemma(h: RingHom, theorem: str, hypothesis: str, lifts, clause: str) -
         holds=cx is None,
         instances_checked=checked,
         counterexample=cx,
-        elapsed=time.perf_counter() - start,
         note=note,
     )
 

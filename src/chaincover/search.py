@@ -21,7 +21,6 @@ from .specmap import (
     TOP,
     NotMonotone,
     SpectralMap,
-    check_LO,
     make_spectral_map,
     maximal_D_chains,
 )
@@ -113,7 +112,7 @@ def flags_hold(m: SpectralMap, required) -> bool:
 def goal_holds(m: SpectralMap, goal: str, d_size: int | None = None) -> bool:
     """Object-level mirror of the kernel goal predicates."""
     if goal == "lo-fails":
-        return not check_LO(m)
+        return not m.facts.bits & K.PROP_LO
     if goal not in GOALS:
         raise ValueError(f"unknown goal {goal!r}")
     for d in enumerate_chains(m.s_poset, include_empty=False):

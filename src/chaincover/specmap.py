@@ -80,6 +80,10 @@ class SpectralMap:
             parts.append(f"{self.r_poset.labels[q]}->{tgt}")
         return "{" + ", ".join(parts) + "}"
 
+    def __reduce__(self):
+        # by value: the facts are read again from this process's records
+        return SpectralMap, (self.s_poset, self.r_poset, self.assignment)
+
     @cached_property
     def facts(self) -> MapFacts:
         """Kernel encoding of this map, and the facts the checks share."""
@@ -183,54 +187,6 @@ def image_chain(m: SpectralMap, c: ChainRecord) -> ImageChain:
     return ImageChain(m.s_poset, members, has_top)
 
 
-def check_LO(m: SpectralMap) -> bool:
-    """Lying over: every element of s is some contraction."""
-    return bool(m.facts.bits & K.PROP_LO)
-
-
-def check_INC(m: SpectralMap) -> bool:
-    """Incomparability: strict pairs with proper upper image contract strictly."""
-    return bool(m.facts.bits & K.PROP_INC)
-
-
-def check_GU(m: SpectralMap) -> bool:
-    """Going up: lifts of p1 < p2 extend upward from any element over p1."""
-    return bool(m.facts.bits & K.PROP_GU)
-
-
-def check_GD(m: SpectralMap) -> bool:
-    """Going down: lifts of p1 < p2 extend downward from any element over p2."""
-    return bool(m.facts.bits & K.PROP_GD)
-
-
-def check_SGB(m: SpectralMap) -> bool:
-    """Strong going between: a lift of the middle exists between endpoints."""
-    return bool(m.facts.bits & K.PROP_SGB)
-
-
-def check_GB(m: SpectralMap) -> bool:
-    """Going between: something sits between endpoints whenever s does."""
-    return bool(m.facts.bits & K.PROP_GB)
-
-
-def check_SCLO(m: SpectralMap) -> bool:
-    """Starting chain lying over: covers of D grow from any lift of min D."""
-    f = m.facts
-    return K.prop_sclo(f.s, f.r, f.cmap, f.allowed)
-
-
-def check_GGD(m: SpectralMap) -> bool:
-    """Generalized going down: covers of D grow below any lift of max D."""
-    f = m.facts
-    return K.prop_ggd(f.s, f.r, f.cmap, f.allowed)
-
-
-def check_chain_morphism(m: SpectralMap) -> bool:
-    """Every chain in s is covered by some chain in r."""
-    f = m.facts
-    return K.prop_chain_morphism(f.s, f.r, f.cmap, f.allowed)
-
-
 def check_layer(m: SpectralMap, n: int) -> bool:
     """Every maximal D-chain over every n-element chain has n elements."""
     if n < 1:
@@ -239,30 +195,40 @@ def check_layer(m: SpectralMap, n: int) -> bool:
     return K.layers_held(n, n, f.s, f.r, f.allowed)[n]
 
 
+#: the properties check_property decides:
+#: LO, lying over: every element of s is some contraction.
+#: INC, incomparability: strict pairs with proper upper image contract strictly.
+#: GU, going up: lifts of p1 < p2 extend upward from any element over p1.
+#: GD, going down: lifts of p1 < p2 extend downward from any element over p2.
+#: SGB, strong going between: a lift of the middle exists between endpoints.
+#: GB, going between: something sits between endpoints whenever s does.
+#: SCLO, starting chain lying over: covers of D grow from any lift of min D.
+#: GGD, generalized going down: covers of D grow below any lift of max D.
+#: chain_morphism: every chain in s is covered by some chain in r.
 PROPERTY_NAMES = ("LO", "INC", "GU", "GD", "SGB", "GB", "SCLO", "GGD", "chain_morphism")
 
 #: the flag of each property that K.property_bits decides: the first six
 PROPERTY_BITS = {name: getattr(K, f"PROP_{name}") for name in PROPERTY_NAMES[:6]}
 
+#: the deciders of the other three, over (s, r, cmap, allowed)
 _PROPERTY_CHECKS = {
-    "LO": check_LO,
-    "INC": check_INC,
-    "GU": check_GU,
-    "GD": check_GD,
-    "SGB": check_SGB,
-    "GB": check_GB,
-    "SCLO": check_SCLO,
-    "GGD": check_GGD,
-    "chain_morphism": check_chain_morphism,
+    "SCLO": K.prop_sclo,
+    "GGD": K.prop_ggd,
+    "chain_morphism": K.prop_chain_morphism,
 }
 
 
 def check_property(m: SpectralMap, name: str) -> bool:
+    """Whether `m` has the property `name`, one of PROPERTY_NAMES."""
+    bit = PROPERTY_BITS.get(name)
+    if bit is not None:
+        return bool(m.facts.bits & bit)
     try:
-        fn = _PROPERTY_CHECKS[name]
+        check = _PROPERTY_CHECKS[name]
     except KeyError:
         raise ValueError(f"unknown property {name!r}") from None
-    return fn(m)
+    f = m.facts
+    return check(f.s, f.r, f.cmap, f.allowed)
 
 
 def properties_summary(m: SpectralMap) -> dict:

@@ -155,6 +155,18 @@ class TestCheck:
         assert (code, out) == (2, "")
         assert err == "error: document nests too deeply (line 1, column 100000)\n"
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"seed": 1.5, "ring": "hom(m=6, target=Zn(2), e=1)"}, "seed must be an integer"),
+        ({"name": 7, "ring": "hom(m=6, target=Zn(2), e=1)"}, "name must be a string"),
+        ({"ring": ["hom(m=6, target=Zn(2), e=1)"]}, "ring must be a string"),
+    ])
+    def test_a_value_of_the_wrong_type_is_named_in_plain_words(
+        self, capsys, tmp_path, doc, message
+    ):
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(capsys, "check", str(path)) == (2, "", f"error: {message}\n")
+
 
 class TestVerify:
     def test_instance_all_core(self, capsys, diamond_path):

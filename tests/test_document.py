@@ -14,6 +14,7 @@ from chaincover.document import (
     DocumentSemanticError,
     DocumentSyntaxError,
     InstanceDocument,
+    _KEPT,
     _Kept,
     _verdict_dict,
     build_check_report,
@@ -441,11 +442,11 @@ class TestKeptVerdictTexts:
     def test_other_types_take_the_plain_path(self):
         # 1 == True and True == 1, yet the writer spells each its own way
         for holds, checked in ((1, 1), (True, True), (True, 1.0)):
-            v = Verdict(TheoremId.P_LAYERS, holds, checked, None, 0.0)
+            v = Verdict(TheoremId.P_LAYERS, holds, checked, None)
             entry = _verdict_dict(v)
             assert type(entry) is dict
             self.assert_written_alike(entry)
-        text = canonical_json(_verdict_dict(Verdict(TheoremId.P_LAYERS, 1, True, None, 0.0)))
+        text = canonical_json(_verdict_dict(Verdict(TheoremId.P_LAYERS, 1, True, None)))
         assert '"holds": 1,' in text and '"instances_checked": true,' in text
 
 
@@ -559,6 +560,72 @@ class TestKeptBlocks:
                 text = serialize_instance(document_for_map(m))
                 assert text == json.dumps(instance_dict(document_for_map(m)), indent=2) + "\n"
                 assert json.dumps(p.labels[0]) in text
+
+
+class TestOneKeptTable:
+    """Every kept block lives in one table, once per value."""
+
+    def test_equal_instance_values_share_one_block(self):
+        ring = '{"name": "z", "seed": 3, "ring": "hom(m=6, target=Zn(2), e=1)"}'
+        for text in (diamond_doc_text(), ring):
+            one, two = parse_instance(text), parse_instance(text)
+            assert one is not two
+            assert instance_dict(one) is instance_dict(two)
+            assert serialize_instance(one) == serialize_instance(two) == text_of(one)
+
+    def test_equal_flag_items_share_one_block(self):
+        # the identities on two chains of different lengths have every property
+        checks = []
+        for labels in ("ab", "abc"):
+            s = make_poset(list(labels), list(zip(labels, labels[1:])))
+            doc = document_for_map(make_spectral_map(s, s, range(len(labels))))
+            checks.append(build_check_report(doc, max_layer=2))
+        one, two = checks
+        assert one["instance"] is not two["instance"]
+        assert one["properties"] is two["properties"] and one["layers"] is two["layers"]
+        assert all(one["properties"].values()) and one["layers"] == {"1": True, "2": True}
+
+    def test_other_types_get_their_own_blocks(self):
+        # True == 1 and 1 == 1.0, yet each is written its own way
+        doc = parse_instance(diamond_doc_text())
+        s = make_poset(["a", "b"], [("a", "b")])
+        variants = [dataclasses.replace(doc, seed=1), dataclasses.replace(doc, name="1")]
+        variants += [dataclasses.replace(doc, seed=True), dataclasses.replace(doc, name=1)]
+        for labels in (["a", "b"], [1, 2], [True, 2], [1.0, 2]):
+            other = make_poset(labels, [(labels[0], labels[1])])
+            variants.append(document_for_map(make_spectral_map(s, other, [0, 1])))
+        size = len(_KEPT)
+        texts = set()
+        for k, variant in enumerate(variants):
+            again = dataclasses.replace(variant)
+            block = instance_dict(variant)
+            # only the str and int values are kept and shared
+            kept = k in (0, 1, 4)
+            assert (instance_dict(again) is block) == kept
+            assert serialize_instance(again) == serialize_instance(variant) == text_of(variant)
+            texts.add(serialize_instance(variant))
+        assert len(texts) == len(variants)
+        # the other types' blocks are not kept
+        assert len(_KEPT) <= size + 3
+
+    def test_a_second_round_adds_no_entry(self):
+        def round_():
+            for doc in kept_text_documents():
+                parsed = parse_instance(serialize_instance(doc))
+                serialize_report(build_check_report(parsed))
+                for waive in (False, True):
+                    verdicts = [verify(parsed.smap, t, waive_hypotheses=waive) for t in TheoremId]
+                    serialize_report(build_verify_report(parsed, verdicts))
+
+        round_()
+        size = len(_KEPT)
+        round_()
+        assert len(_KEPT) == size > 0
+
+
+def text_of(doc):
+    """The json.dumps text of a document's instance block."""
+    return json.dumps(instance_dict(doc), indent=2) + "\n"
 
 
 class TestKeptBlocksAreReadOnly:

@@ -28,15 +28,6 @@ from chaincover.specmap import (
     NotADChain,
     NotMonotone,
     SpectralMap,
-    check_GB,
-    check_GD,
-    check_GGD,
-    check_GU,
-    check_INC,
-    check_LO,
-    check_SCLO,
-    check_SGB,
-    check_chain_morphism,
     check_layer,
     check_property,
     enumerate_monotone_maps,
@@ -373,7 +364,7 @@ class TestImageChain:
     def test_inc_injective_off_top(self):
         # under INC, distinct members with proper images contract distinctly
         for m in small_instances(2, 3):
-            if not check_INC(m):
+            if not check_property(m, "INC"):
                 continue
             for c in enumerate_chains(m.r_poset, include_empty=True):
                 proper = [q for q in c.members if m.assignment[q] is not TOP]
@@ -390,32 +381,32 @@ class TestPropertyExamples:
 
     def test_z6_to_z2(self):
         m = z6_to_z2_map()
-        assert check_GU(m) and check_GD(m) and check_SGB(m) and check_INC(m)
-        assert not check_LO(m)
-        assert not check_chain_morphism(m)
+        assert all(check_property(m, name) for name in ("GU", "GD", "SGB", "INC"))
+        assert not check_property(m, "LO")
+        assert not check_property(m, "chain_morphism")
         assert not check_layer(m, 1)
 
     def test_missing_middle_lift(self):
         s = chain_poset("abc")
         r = chain_poset("xz")
         m = make_spectral_map(s, r, (s.index("a"), s.index("c")))
-        assert not check_SGB(m)
-        assert not check_GB(m)
-        assert check_LO(m) is False  # b is not hit either
+        assert not check_property(m, "SGB")
+        assert not check_property(m, "GB")
+        assert check_property(m, "LO") is False  # b is not hit either
 
     def test_sclo_failure(self):
         s = chain_poset("ab")
         r = antichain("x")
         m = make_spectral_map(s, r, (s.index("a"),))
-        assert not check_SCLO(m)
-        assert check_GGD(m)  # nothing lies over the greatest element of ab
+        assert not check_property(m, "SCLO")
+        assert check_property(m, "GGD")  # nothing lies over the greatest element of ab
 
     def test_ggd_failure(self):
         s = chain_poset("ab")
         r = antichain("x")
         m = make_spectral_map(s, r, (s.index("b"),))
-        assert not check_GGD(m)
-        assert check_SCLO(m)
+        assert not check_property(m, "GGD")
+        assert check_property(m, "SCLO")
 
     def test_layer_examples(self):
         s = chain_poset("abc")
@@ -463,8 +454,8 @@ class TestPropertyOracles:
 
     def test_sgb_implies_gb(self):
         for m in small_instances(2, 3):
-            if check_SGB(m):
-                assert check_GB(m), m.describe()
+            if check_property(m, "SGB"):
+                assert check_property(m, "GB"), m.describe()
 
 
 class TestDChains:

@@ -12,6 +12,7 @@ import json
 import multiprocessing
 import os
 import pathlib
+import pickle
 import random
 import signal
 import sys
@@ -24,6 +25,7 @@ from chaincover import _kernels as K
 from chaincover import search as search_module
 from chaincover import theorems as theorems_module
 from property_oracles import (
+    LOOP_THEOREMS,
     oracle_shrink_candidates,
     prop_gb,
     prop_gd,
@@ -329,9 +331,14 @@ class TestFactTable:
                         yield from enumerate_monotone_maps(s, r, allow_top=True)
 
     def test_shared_verdicts_match_fresh_maps(self):
+        # verify reads its clause code from K.eval_theorem; the member loops
+        # of LOOP_THEOREMS, gated by the scalar deciders' bits, are a
+        # second route to it
         calls = [(t, waive) for t in TheoremId for waive in (False, True)]
         checked = violations = 0
         for m in self.instances():
+            # the loops read records of their own
+            args = fresh_kernel_args(m)
             forward = SpectralMap(m.s_poset, m.r_poset, m.assignment)
             backward = SpectralMap(m.s_poset, m.r_poset, m.assignment)
             got = {c: outcome(verify(forward, *c)) for c in calls}
@@ -343,6 +350,9 @@ class TestFactTable:
                 want = outcome(verify(fresh, t, waive))
                 assert got[(t, waive)] == got_back[(t, waive)] == want, (t, waive, m.describe())
                 code = K.eval_theorem(t.value, waive, *fresh_kernel_args(m))
+                hypotheses, loop = LOOP_THEOREMS[t.value]
+                met = all(args[3] & K.HYPOTHESIS_BITS[h] for h in hypotheses)
+                assert want[0] == (loop(*args) if waive or met else 0), (t, waive, m.describe())
                 unmet = ", ".join(h for h in HYPOTHESES[t] if not holds[h])
                 note = unmet and ("hypotheses waived: " if waive else "hypothesis unmet: ") + unmet
                 assert want == (code, note or None), (t, waive, m.describe())
@@ -350,6 +360,30 @@ class TestFactTable:
             checked += 1
         assert checked == SWEEP_COUNTS[(2, 3)]
         assert violations > 0
+
+    def test_maps_and_verdicts_pickle_by_value(self):
+        # once verify has read a map's word, its records hold filled tables;
+        # a map pickles as its posets and assignment, and reads this
+        # process's records again; ring maps and spectra are built afresh,
+        # since a test that empties the record table leaves cached ones
+        # on records the table no longer holds
+        to_spectral_map.cache_clear()
+        spec.cache_clear()
+        assert SAMPLE_PATHS
+        for path in SAMPLE_PATHS:
+            m = parse_instance(path.read_text()).smap
+            verdicts = [verify(m, t, waive_hypotheses=True) for t in TheoremId]
+            again, *replayed = pickle.loads(pickle.dumps([m, *verdicts]))
+            assert again == m and again is not m, path
+            assert again.s_poset.facts is m.s_poset.facts, path
+            assert again.r_poset.facts is m.r_poset.facts, path
+            assert [(v.holds, v.note) for v in replayed] == [(v.holds, v.note) for v in verdicts]
+            assert [outcome(verify(again, t, True)) for t in TheoremId] == [
+                outcome(v) for v in verdicts
+            ], path
+            for v in replayed:
+                if v.counterexample is not None:
+                    assert v.counterexample.smap == m, path
 
     def test_shared_properties_match_direct_kernel_calls(self):
         for m in self.instances():
