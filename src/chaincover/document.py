@@ -156,7 +156,14 @@ def _write_json(value, newline: str, out: list[str]) -> None:
             sep = "," + inner
         out.append(newline + "}")
     elif kind is _Kept:
-        out.append(value.text.replace("\n", newline))
+        at = value.at
+        if at and at[0] == newline:
+            out.append(at[1])
+        else:
+            text = value.text.replace("\n", newline)
+            if at == ():
+                value.at = (newline, text)
+            out.append(text)
     elif kind is list or kind is tuple:
         if not value:
             out.append("[]")
@@ -215,9 +222,14 @@ class _ReadOnlyDict(dict):
 
 class _Kept(_ReadOnlyDict):
     """A read-only report block with `text`, its canonical JSON at indent
-    "\n", which `_write_json` copies in at its own indent."""
+    "\n", which `_write_json` copies in at its own indent.
 
-    __slots__ = ("text",)
+    `at` is None for a block whose text is re-indented at each write. A
+    verdict block, written at one indent in every verify report, keeps its
+    first write instead: `at` is () until then, and (newline, text) after.
+    """
+
+    __slots__ = ("text", "at")
 
 
 def _frozen(value):
@@ -230,24 +242,33 @@ def _frozen(value):
     return value
 
 
+def _frozen_block(tree: dict, at=None) -> _Kept:
+    # a plain dict tree frozen read-only at every level, with its text
+    block = _Kept({name: _frozen(item) for name, item in tree.items()})
+    # without the final line break
+    block.text = canonical_json(tree)[:-1]
+    block.at = at
+    return block
+
+
+#: the most values each of the tables `_KEPT` and `_POSETS` keeps; past it
+#: a value is built and written as before but not kept, so a process that
+#: reads ever new documents stops growing there
+KEPT_VALUES = 20_000
+
 #: a block's value, as its key function gives it -> the kept block
 _KEPT: dict[tuple, _Kept] = {}
 
 
 def _kept(key: tuple | None, build, *args) -> _Kept:
     """The block of the value `key`, made once: `build(*args)`, a plain
-    dict tree frozen read-only at every level with its canonical text, or a
-    block that `build` found kept. A None key makes it afresh, unkept."""
+    dict tree frozen by `_frozen_block`, or a block that `build` made or
+    found kept. A None key, or a full table, makes it afresh, unkept."""
     block = None if key is None else _KEPT.get(key)
     if block is None:
         tree = build(*args)
-        if type(tree) is _Kept:
-            block = tree
-        else:
-            block = _Kept({name: _frozen(item) for name, item in tree.items()})
-            # without the final line break
-            block.text = canonical_json(tree)[:-1]
-        if key is not None:
+        block = tree if type(tree) is _Kept else _frozen_block(tree)
+        if key is not None and len(_KEPT) < KEPT_VALUES:
             _KEPT[key] = block
     return block
 
@@ -520,10 +541,55 @@ def _require_type(value, want, message: str):
     return value
 
 
+#: a valid poset block's value, as `_poset_block_key` gives it -> the Poset
+#: its first parse built
+_POSETS: dict[tuple, Poset] = {}
+
+_BLOCK_KEYS = {"labels", "pairs"}
+
+
+def _poset_block_key(block) -> tuple | None:
+    """(labels, pairs) of a block as tuples, the pairs as 2-tuples, or None.
+
+    A value is read only from a dict with the key `labels` and at most
+    `pairs` besides, whose labels, pairs and each pair are lists, so that
+    no string or dict can stand for a list: `tuple("ab")` and
+    `tuple({"a": 0, "b": 1})` both equal `("a", "b")`.
+    """
+    if type(block) is not dict or "labels" not in block or not block.keys() <= _BLOCK_KEYS:
+        return None
+    labels = block["labels"]
+    pairs = block.get("pairs", [])
+    if type(labels) is not list or type(pairs) is not list:
+        return None
+    if pairs and set(map(type, pairs)) != {list}:
+        return None
+    return tuple(labels), tuple(map(tuple, pairs))
+
+
 def _parse_poset_block(block, what: str) -> Poset:
+    """The Poset of a document's `s` or `r` block; `what` names it in errors.
+
+    A block is validated and closed by `make_poset` the first time its value
+    is met. A valid block's Poset is then kept in `_POSETS`, up to
+    `KEPT_VALUES` of them, and a later block of equal value returns it
+    without being walked again: a kept value holds str labels and 2-tuples
+    of str only, so only a block that the checks below pass again can equal
+    it. A Poset is immutable, and equal orders share one record anyway. A
+    block that fails is never kept and raises as on its first parse.
+    """
+    key = _poset_block_key(block)
+    if key is not None:
+        try:
+            kept = _POSETS.get(key)
+        except TypeError:
+            # a label or pair member that is a list or dict: invalid below
+            key = kept = None
+        if kept is not None:
+            return kept
     if not isinstance(block, dict):
         raise DocumentSemanticError(f"{what} must be an object")
-    unknown = set(block) - {"labels", "pairs"}
+    unknown = set(block) - _BLOCK_KEYS
     if unknown:
         raise DocumentSemanticError(
             f"unknown keys in {what}: {', '.join(sorted(unknown))}"
@@ -553,9 +619,12 @@ def _parse_poset_block(block, what: str) -> Poset:
             )
         clean.append((pair[0], pair[1]))
     try:
-        return make_poset(labels, clean)
+        poset = make_poset(labels, clean)
     except (DuplicateLabel, UnknownLabel, AntisymmetryViolation) as exc:
         raise DocumentSemanticError(f"{what}: {exc}") from exc
+    if key is not None and len(_POSETS) < KEPT_VALUES:
+        _POSETS[key] = poset
+    return poset
 
 
 #: a JSON string or one bracket
@@ -579,6 +648,28 @@ def _overlong_integer(text: str, limit: int) -> int | None:
         if digits is not None and not rest and len(digits) > limit:
             return match.start(1)
     return None
+
+
+#: a JSON string, or one of the tokens json.loads reads as a float
+#: although JSON has no such value
+_STRING_OR_CONSTANT = re.compile(r'"(?:[^"\\]|\\.)*"|-?Infinity|NaN')
+
+
+class _NotJsonConstant(ValueError):
+    """json.loads met NaN, Infinity or -Infinity."""
+
+
+def _refuse_constant(token: str):
+    raise _NotJsonConstant(token)
+
+
+def _first_constant(text: str) -> int:
+    """Offset of the first NaN, Infinity or -Infinity outside the strings
+    of JSON `text`, which json.loads has found there."""
+    return next(
+        match.start() for match in _STRING_OR_CONSTANT.finditer(text)
+        if match.group()[0] != '"'
+    )
 
 
 def _deepest_bracket(text: str) -> int:
@@ -638,9 +729,14 @@ def parse_instance(text: str) -> InstanceDocument:
     well-formed JSON that fails validation raises DocumentSemanticError.
     """
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_constant=_refuse_constant)
     except json.JSONDecodeError as exc:
         raise DocumentSyntaxError(exc.msg, exc.lineno, exc.colno) from exc
+    except _NotJsonConstant as exc:
+        line, column = _text_location(text, _first_constant(text))
+        raise DocumentSyntaxError(
+            f"{exc.args[0]} is not a JSON value", line, column
+        ) from None
     except RecursionError:
         line, column = _text_location(text, _deepest_bracket(text))
         raise DocumentSyntaxError("document nests too deeply", line, column) from None
@@ -774,12 +870,16 @@ def _verdict_tree(v: Verdict) -> dict:
     }
 
 
+def _verdict_block(v: Verdict) -> _Kept:
+    return _frozen_block(_verdict_tree(v), at=())
+
+
 def _verdict_dict(v: Verdict) -> dict:
     # kept with no counterexample, and with bool and int only: True == 1,
     # yet each is written its own way
     if v.counterexample is None and type(v.holds) is bool and type(v.instances_checked) is int:
         key = ("verdict", v.theorem, v.holds, v.instances_checked, v.note)
-        return _kept(key, _verdict_tree, v)
+        return _kept(key, _verdict_block, v)
     return _verdict_tree(v)
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from chaincover import _kernels as K
+from chaincover import document as D
 
 
 @pytest.fixture
@@ -10,11 +11,25 @@ def empty_records():
     """The process-wide poset record table, emptied before and after the test.
 
     A test that patches a kernel primitive while it sweeps or searches uses
-    it, so no record built through the patch outlives the test.
+    it, so no record built through the patch outlives the test. The parsed
+    posets of `document._POSETS` hold records too, so they go with it.
     """
     K._RECORDS.clear()
+    D._POSETS.clear()
     yield K._RECORDS
     K._RECORDS.clear()
+    D._POSETS.clear()
+
+
+@pytest.fixture
+def empty_tables():
+    """The document tables `_KEPT` and `_POSETS`, emptied before and after
+    the test, so that what it keeps and shares is its own."""
+    D._KEPT.clear()
+    D._POSETS.clear()
+    yield D._KEPT, D._POSETS
+    D._KEPT.clear()
+    D._POSETS.clear()
 
 
 @pytest.fixture

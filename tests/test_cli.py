@@ -155,6 +155,36 @@ class TestCheck:
         assert (code, out) == (2, "")
         assert err == "error: document nests too deeply (line 1, column 100000)\n"
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_json_constants_exit_2_in_every_command(self, capsys, tmp_path, token):
+        ring = '"ring": "hom(m=6, target=Zn(2), e=1)"'
+        poset = (
+            '"s": {"labels": ["NaN"], "pairs": []}, "r": {"labels": ["q"], "pairs": []},'
+            ' "map": {"q": "NaN"}'
+        )
+        path = tmp_path / "constant.json"
+        # "@" marks where the token goes
+        for template, line, column in (
+            ("{%s, \"violation\": {\"v\": @}}" % ring, 1, 60),
+            ("{%s,\n \"violation\": {\"a\": [{\"b\": [@]}]}}" % ring, 2, 29),
+            ("{%s, \"violation\": {\"Infinity\": [\"NaN\", @]}}" % poset, 1, 133),
+            ("{\"seed\": @, %s}" % ring, 1, 10),
+        ):
+            path.write_text(template.replace("@", token))
+            for command in ("check", "verify", "export-dot"):
+                assert run_cli(capsys, command, str(path)) == (
+                    2, "", f"error: {token} is not a JSON value (line {line}, column {column})\n"
+                ), (command, template)
+            if "seed" in template:
+                continue
+            # as a string the token is a value like any other, and the report
+            # is JSON to a parser that refuses the constants
+            path.write_text(template.replace("@", json.dumps(token)))
+            code, out, _ = run_cli(capsys, "verify", "--theorems", "all", str(path))
+            assert code == 0
+            json.loads(out, parse_constant=pytest.fail)
+            assert run_cli(capsys, "export-dot", str(path))[0] == 0
+
     @pytest.mark.parametrize("doc, message", [
         ({"seed": 1.5, "ring": "hom(m=6, target=Zn(2), e=1)"}, "seed must be an integer"),
         ({"name": 7, "ring": "hom(m=6, target=Zn(2), e=1)"}, "name must be a string"),

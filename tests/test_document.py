@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import importlib.util
 import json
 import pathlib
 import pickle
@@ -10,12 +11,15 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import chaincover.document as D
 from chaincover.document import (
     DocumentSemanticError,
     DocumentSyntaxError,
     InstanceDocument,
     _KEPT,
+    _POSETS,
     _Kept,
+    _parse_poset_block,
     _verdict_dict,
     build_check_report,
     build_search_report,
@@ -38,7 +42,7 @@ from chaincover.document import (
     serialize_instance,
     serialize_report,
 )
-from chaincover.poset import height, make_poset, random_poset
+from chaincover.poset import MASK_ENUM_BOUND, height, make_poset, random_poset
 from chaincover.rings import Product, Zn, enumerate_homs, make_hom, spec as ring_spec
 from chaincover.search import WitnessSearchSpec, search_witness
 from chaincover.specmap import (
@@ -160,6 +164,30 @@ class TestParseInstance:
             parse_instance('{\n  "name": }\n')
         assert info.value.line == 2
         assert info.value.column == 11
+
+    def test_non_json_constants_are_syntax_errors(self):
+        # json.loads reads NaN, Infinity and -Infinity as floats; JSON has no
+        # such value, and a report writing one back is no JSON text
+        ring = '"ring": "hom(m=6, target=Zn(2), e=1)"'
+        for token in ("NaN", "Infinity", "-Infinity"):
+            for text, line, column in (
+                (token, 1, 1),
+                ("{%s, \"seed\": %s}" % (ring, token), 1, 49),
+                ("{%s,\n \"violation\": {\"v\": %s}}" % (ring, token), 2, 21),
+                ('{"violation": {"NaN": "Infinity", "a": [1, {"b": %s}]}}' % token, 1, 50),
+                ('[%s' % token, 1, 2),
+            ):
+                with pytest.raises(DocumentSyntaxError) as info:
+                    parse_instance(text)
+                assert str(info.value) == (
+                    f"{token} is not a JSON value (line {line}, column {column})"
+                ), text
+        # the strings are values like any other
+        doc = parse_instance(
+            '{"name": "NaN", %s, "violation": {"Infinity": "-Infinity"}}' % ring
+        )
+        assert doc.name == "NaN" and doc.violation == {"Infinity": "-Infinity"}
+        assert serialize_instance(doc).count("NaN") == 1
 
     def test_unknown_keys(self):
         with pytest.raises(DocumentSemanticError):
@@ -439,6 +467,20 @@ class TestKeptVerdictTexts:
             assert _verdict_dict(verify(again.smap, t)) is entry
             assert entry == plain(entry) and type(plain(entry)) is dict
 
+    def test_verdict_texts_are_kept_at_their_indent(self):
+        doc = parse_instance(diamond_doc_text())
+        report = build_verify_report(doc, [verify(doc.smap, t) for t in TheoremId])
+        text = serialize_report(report)
+        for entry in report["theorems"]:
+            # first written in a verify report's list, at its indent
+            assert entry.at[0] == "\n    " and entry.at[1] in text
+            assert serialize_report({"x": entry}) == json.dumps({"x": entry}, indent=2) + "\n"
+            assert entry.at[0] == "\n    "
+        assert serialize_report(report) == text
+        # the other blocks are written at the indent of each report
+        assert report["instance"].at is None
+        assert build_check_report(doc)["properties"].at is None
+
     def test_other_types_take_the_plain_path(self):
         # 1 == True and True == 1, yet the writer spells each its own way
         for holds, checked in ((1, 1), (True, True), (True, 1.0)):
@@ -621,6 +663,171 @@ class TestOneKeptTable:
         size = len(_KEPT)
         round_()
         assert len(_KEPT) == size > 0
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def benchmark_poset_texts(seed):
+    """The poset documents of one pass of the benchmark's `instances`
+    workload at `seed`, as its inputs give them."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    inputs = workloads.prepare_instances(seed, {"instances": 2200})
+    return [serialize_instance(document_for_map(m)) for kind, m, _ in inputs if kind == "poset"]
+
+
+def poset_document(tag, block):
+    """A document with `block` as its `tag` block and a one-element other."""
+    if tag == "s":
+        return {"s": block, "r": {"labels": ["q"], "pairs": []}, "map": {"q": "a"}}
+    return {"s": {"labels": ["a"], "pairs": []}, "r": block, "map": {"a": "a", "b": "a"}}
+
+
+def assert_made_alike(poset, block):
+    made = make_poset(block["labels"], [tuple(pair) for pair in block.get("pairs", [])])
+    assert (poset.labels, poset.up_masks) == (made.labels, made.up_masks)
+    assert poset.facts is made.facts
+
+
+class TestPosetBlockTable:
+    """A poset block is validated and closed once per value; a block that
+    equals a kept one only in tuple form is refused as ever."""
+
+    #: blocks that look like the kept block ["a", "b"] with a < b, and the
+    #: message of each, as "{tag}" names the block
+    LOOK_ALIKES = [
+        ({"labels": ["a", "b"], "pairs": ["ab"]},
+         "each entry of {tag}.pairs must be a [low, high] label pair"),
+        ({"labels": ["a", "b"], "pairs": [{"a": 0, "b": 1}]},
+         "each entry of {tag}.pairs must be a [low, high] label pair"),
+        ({"labels": ["a", "b"], "pairs": [["a", "b", "a"]]},
+         "each entry of {tag}.pairs must be a [low, high] label pair"),
+        ({"labels": ["a", "b"], "pairs": [["a", "b"], ["a"]]},
+         "each entry of {tag}.pairs must be a [low, high] label pair"),
+        ({"labels": ["a", "b"], "pairs": [[["a"], "b"]]},
+         "each entry of {tag}.pairs must be a [low, high] label pair"),
+        ({"labels": ["a", "b"], "pairs": "ab"}, "{tag}.pairs must be a list"),
+        ({"labels": ["a", 1], "pairs": [["a", "b"]]}, "{tag}.labels must be a list of strings"),
+        ({"labels": "ab", "pairs": [["a", "b"]]}, "{tag}.labels must be a list of strings"),
+        ({"labels": [["a"], "b"], "pairs": [["a", "b"]]},
+         "{tag}.labels must be a list of strings"),
+        ({"pairs": [["a", "b"]]}, "{tag}.labels must be a list of strings"),
+        ({"labels": ["a", "b"], "pairs": [["a", "b"]], "x": 1}, "unknown keys in {tag}: x"),
+        (["a", "b"], "{tag} must be an object"),
+        ({"labels": ["a", "b", "TOP"], "pairs": [["a", "b"]]},
+         "{tag}.labels may not use the reserved label 'TOP'"),
+        ({"labels": ["a", "b", *(f"x{k}" for k in range(MASK_ENUM_BOUND - 1))],
+          "pairs": [["a", "b"]]},
+         "{tag} has 21 elements; at most 20 are supported"),
+        ({"labels": ["a", "b", "a"], "pairs": [["a", "b"]]}, "{tag}: label 'a' declared twice"),
+        ({"labels": ["a", "b"], "pairs": [["a", "b"], ["b", "c"]]},
+         "{tag}: no element labeled 'c'"),
+        ({"labels": ["a", "b"], "pairs": [["a", "b"], ["b", "a"]]},
+         "{tag}: elements 'a' and 'b' lie on a cycle"),
+    ]
+
+    def test_every_block_parses_once_to_the_made_poset(self, empty_tables):
+        texts = [path.read_text() for path in sorted((ROOT / "sample_instances").glob("*.json"))]
+        texts += benchmark_poset_texts(5) + benchmark_poset_texts(7)
+        blocks = [
+            (tag, data[tag]) for data in map(json.loads, texts) for tag in ("s", "r")
+            if tag in data
+        ]
+        # three sample poset documents and 1,100 per seed, two blocks each
+        assert len(blocks) == 2 * (3 + 2 * 1100)
+        first = [_parse_poset_block(block, tag) for tag, block in blocks]
+        assert 0 < len(_POSETS) < len(blocks)
+        for (tag, block), poset in zip(blocks, first):
+            assert _parse_poset_block(block, tag) is poset
+            assert_made_alike(poset, block)
+        # a whole document reads its blocks from the table too
+        doc = parse_instance(texts[-1])
+        assert doc.smap.s_poset is first[-2] and doc.smap.r_poset is first[-1]
+
+    def test_equal_orders_in_other_words_parse_as_made(self, empty_tables):
+        base = {"labels": ["a", "b", "c"], "pairs": [["a", "b"], ["b", "c"]]}
+        variants = [
+            base,
+            {"labels": ["c", "b", "a"], "pairs": [["a", "b"], ["b", "c"]]},
+            {"labels": ["a", "b", "c"], "pairs": [["b", "c"], ["a", "b"]]},
+            {"labels": ["a", "b", "c"], "pairs": [["a", "b"], ["b", "c"], ["a", "b"]]},
+            {"labels": ["a", "b", "c"], "pairs": [["a", "b"], ["b", "b"], ["b", "c"]]},
+            {"labels": ["a", "b", "c"], "pairs": [["a", "b"], ["b", "c"], ["a", "c"]]},
+            {"labels": ["a", "b", "c"]},
+            {"labels": ["a", "b", "c"], "pairs": []},
+        ]
+        for _ in range(2):
+            for block in variants:
+                poset = _parse_poset_block(block, "s")
+                assert _parse_poset_block(dict(block), "s") is poset
+                assert_made_alike(poset, block)
+        # one entry per value: the block without pairs is the one with none
+        assert len(_POSETS) == len(variants) - 1
+
+    @pytest.mark.parametrize("tag", ["s", "r"])
+    def test_look_alikes_raise_before_and_after_their_twin_is_kept(self, tag, empty_tables):
+        twin = {"labels": ["a", "b"], "pairs": [["a", "b"]]}
+
+        def messages():
+            out = []
+            for block, _ in self.LOOK_ALIKES:
+                with pytest.raises(DocumentSemanticError) as info:
+                    parse_instance(json.dumps(poset_document(tag, block)))
+                out.append(str(info.value))
+            return out
+
+        want = [message.format(tag=tag) for _, message in self.LOOK_ALIKES]
+        assert messages() == want
+        # at most the other block, valid, is kept
+        assert len(_POSETS) == (tag == "r")
+        kept = parse_instance(json.dumps(poset_document(tag, twin)))
+        assert list(_POSETS.values()).count(getattr(kept.smap, f"{tag}_poset")) == 1
+        before = dict(_POSETS)
+        assert messages() == want
+        assert _POSETS == before
+        again = parse_instance(json.dumps(poset_document(tag, twin)))
+        assert getattr(again.smap, f"{tag}_poset") is getattr(kept.smap, f"{tag}_poset")
+
+
+class TestKeptValuesCap:
+    """Past `KEPT_VALUES` entries a table keeps no more values, and every
+    report is written as it would be with room to spare."""
+
+    @staticmethod
+    def texts():
+        docs = [v for doc in kept_text_documents() for v in document_variants(doc)]
+        return [serialize_instance(doc) for doc in docs if doc.violation is None]
+
+    @staticmethod
+    def round_(texts):
+        out = []
+        for text in texts:
+            parsed = parse_instance(text)
+            out.append(serialize_instance(parsed))
+            for max_layer in (None, 1):
+                out.append(serialize_report(build_check_report(parsed, max_layer=max_layer)))
+            for waive in (False, True):
+                verdicts = [verify(parsed.smap, t, waive_hypotheses=waive) for t in TheoremId]
+                out.append(serialize_report(build_verify_report(parsed, verdicts)))
+        return out
+
+    def test_full_tables_stop_growing_and_write_the_same_bytes(self, monkeypatch, empty_tables):
+        texts = self.texts()
+        uncapped = self.round_(texts)
+        assert len(_KEPT) > 20 and len(_POSETS) > 20
+        for cap in (0, 1, 20):
+            _KEPT.clear()
+            _POSETS.clear()
+            monkeypatch.setattr(D, "KEPT_VALUES", cap)
+            for _ in range(2):
+                assert self.round_(texts) == uncapped
+                assert len(_KEPT) == len(_POSETS) == cap
+        # each document's text reads back as itself: the first of its five
+        assert texts == uncapped[::5]
 
 
 def text_of(doc):

@@ -618,7 +618,12 @@ class TestValueRecords:
             first, second = parse_instance(text).smap, parse_instance(text).smap
             if first is second:
                 continue  # a ring document: one map per hom, over one spectrum
-            twins += [(first.s_poset, second.s_poset), (first.r_poset, second.r_poset)]
+            # a parsed block's Poset is kept per value, so its twin is made
+            blocks = json.loads(text)
+            for tag in ("s", "r"):
+                p = getattr(first, f"{tag}_poset")
+                assert getattr(second, f"{tag}_poset") is p
+                twins.append((p, make_poset(blocks[tag]["labels"], blocks[tag]["pairs"])))
         assert twins
         labels = ["a", "b", "c", "d", "e"]
         pairs = [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d"), ("a", "e"), ("b", "d")]
