@@ -8,73 +8,44 @@ membership masks. property_bits and monotone_maps also take numpy int64
 arrays.
 
 Two primitives carry every sweep and search. `monotone_maps` lists the
-monotone maps of a poset pair as a list of value tuples, in the
-lexicographic order whose list indices sweeps and searches report and
-replays look up. `_maximal_dchains` lists the maximal chains inside a set
-of elements; on the elements that contract into a chain D these are the
-maximal D-chains the theorems speak about, and on all elements the maximal
-chains of the poset.
+monotone maps of a poset pair as value tuples, in the lexicographic order
+whose list indices sweeps and searches report and replays look up.
+`_maximal_dchains` lists the maximal chains inside a set of elements: on
+the elements that contract into a chain D, the maximal D-chains the
+theorems speak about.
 
 The theorems read facts computed once. A `PosetFacts` record holds what
-depends on one poset: its masks, its chains with their least and greatest
-members (`ends`), the consecutive member pairs of each chain read
-(`links`), its maximal chains inside each set of elements (`dchains`), and
-per map value tuple `cmap` of a map out of it two tables: `allowed`, which
-sends each chain D to the elements of r contracting into D, so that the
-maximal D-chains are `r.dchains[allowed[D]]`, and `images`, the image
-mask of every subset of r. Both depend only on s and `cmap`, so every
-theorem, goal and r sharing the values read one entry. Sweeps and searches
-take their records from the process-wide `_RECORDS`, keyed by strict up
-rows, and so does each `Poset` (`Poset.facts`): every poset with the same
-order reads one record. Per map there is also its property-bits word from
-`property_bits` (LO, INC, GU, GD, SGB, GB and unitarity as PROP_* flags),
-kept in s's `words` table by (r's record, `cmap`) for the object level.
+depends on one poset, with tables filled on lookup, among them per map
+value tuple `cmap` out of it `allowed` (chain D -> the elements of r
+contracting into D, so the maximal D-chains are `r.dchains[allowed[D]]`)
+and `images`. Each theorem is one entry of `THEOREMS`: its hypotheses,
+their PROP_* flags as one mask, a conclusion over (s, r, cmap, bits,
+allowed) that returns a clause code, and a fails formula. `eval_theorem`
+evaluates one map for `theorems.verify`, which checks object-level
+instances and replays a sweep's first violation.
 
-Each theorem is one entry of `THEOREMS`: the names of its hypotheses, their
-flags as one mask and one conclusion over (s, r, cmap, bits, allowed) that
-returns a clause code. The conclusions are mask tests over those facts. A
-maximal D-chain C covers D when `images[C]` is D. Every contraction of C
-lies in the chain D, so each member of D lies above (below) one iff C meets
-the lifts of min D (max D), `allowed[end]` (P_MINI_GD, P_MINI_GU); and D
-is bracketed across the cut of C between consecutive members x < y iff no
-member of D lies strictly between the contractions of x and y
-(P_MINI_SGB). `eval_theorem` evaluates one map from its entry for
-`theorems.verify`, which checks every object-level instance and replays a
-sweep's first violation; scans call the conclusions (`_first_violation`).
+Sweeps check a theorem by its fails formula, and the conclusions are the
+second, independent route. What a conclusion reads about a chain D of s
+depends only on r and the lifts of D's members in chain order: a maximal
+D-chain covers D iff it meets every lift, and a cut of it leaves a member
+of D unbracketed iff its ends contract two or more steps apart along D. So
+r's record keeps, per tuple of lifts, the flags of D's maximal D-chains
+(`dflags`), and a map's fact word ORs them over the chains of s
+(_map_facts). Over a pair's orbit representatives each fact is one int
+with one bit per representative, and a formula over these and the
+property ints is the mask of the violating ones (Knuth, TAOCP 4A, 7.1.3).
 
-Sweeps and searches walk the same chunks, lists of pairs of isomorphism
-classes, each a product of s positions and r positions
-(theorems.deal_class_pairs). Sweeps call sweep_pair once per labeled pair
-of each product with both posets' records; searches call search_pair once
-per product, on the records of its least labeled member. Both share
-one map loop, `_first_violation`, which first filters the maps by their
-words, a map passing when its word holds every flag of a `need` mask and
-none of a `forbid` mask, and then calls a predicate on those that pass: the
-theorem's conclusion, with its hypotheses as `need` unless waived
-(sweep_pair), or the search goal `_goal_met`, with the search's flags
-(search_pair). The next map that passes is found in C, by `find` on the
-words translated through a 256-byte table per filter (`_FILTERS`), so a
-map the filter rejects costs no Python call. search_pair runs that loop
-over a pair's orbit representatives, and sweep_pair over the
-representatives of each class that its sweep chunk's memo, keyed by the
-records' class ids (`PosetFacts.cls`), has not settled yet. sweep_pair
-without a memo and search_pair on plain up masks run it over every map
-(`_full_scan`).
-
-Process-wide tables are filled on lookup and never shrink. `_RECORDS`
-holds a record for each labeled poset within POSET_ENUM_BOUND (at most
-4,474) that a sweep or search looks up, plus one for each distinct order
-of the posets a process builds. Every statement is invariant under
-relabeling s and r: `_CANONICAL` holds each labeled poset's canonical form
-and automorphism group, filled one isomorphism class at a time,
-`_CLASS_IDS` numbers the canonical forms, and `_ORBITS` lists, per labeled pair, one map per orbit
-of Aut(s) x Aut(r) with its word (`_map_orbits`); orbit scans check these
-instead of every map. Pool children hand the `_ORBITS` entries they build
-back to the caller, so later pools fork with them. A record's `allowed`
-and `images` tables hold an entry per value tuple that a scan of its poset
-has checked; orbit scans check only representatives that pass their
-filter, so at (4, 5) the sixteen theorem sweeps stay within a peak of
-about 54 MB.
+Sweeps and searches read each pair's orbit representatives (_map_orbits),
+filtered by a few ANDs over their property ints (_holding). sweep_pair
+evaluates the formula over those that meet the hypotheses and calls the
+conclusion on the first violating one for its clause code; search_pair
+calls `_goal_met` on those that pass its flags until one hits
+(_first_violation). Without a memo, or on plain up masks, both scan every
+map (`_full_scan`). The process-wide tables (`_RECORDS`, `_CANONICAL`,
+`_CLASS_IDS`, `_ORBITS`, `_FACTS`) are filled on lookup and never shrink;
+a map that no sweep's filter passes costs no fact word. At (4, 5) the
+sixteen sweeps read about 60,000 `dflags` entries for 1.55 million
+(representative, chain) pairs, and peak at about 50 MB.
 """
 
 from __future__ import annotations
@@ -82,6 +53,7 @@ from __future__ import annotations
 from array import array
 from functools import cached_property, partial
 from itertools import permutations
+from operator import itemgetter
 
 # The kernels are plain Python; perfbench records this in its `env` line.
 NUMBA_ENABLED = False
@@ -233,19 +205,14 @@ class PosetFacts(tuple):
     """The up masks of one poset, and the facts every map of it reads.
 
     The record is the tuple of up masks itself, so it stands wherever up
-    masks are read. Every other field is built on first use, so a record
-    looked up only by its isomorphism class costs its canonical form `iso`
-    and class id `cls` alone; `hasse` holds the covering pairs. Its tables
-    are filled on lookup:
-    `dchains[allowed]` is `_maximal_dchains(up, down, allowed)`, order
-    included, `links[c]` is `_chain_links(down, c)`, and for a map with the
-    values `cmap`, `allowed[cmap]` is `_allowed_masks(self, cmap)`,
-    `images[cmap]` is `_image_table(n, cmap)`, and for a map out of the
-    poset with record r, `words[r, cmap]` is its `property_bits` word. A
-    field or entry, once built, is never changed. Records live in
-    `_RECORDS` for the life of the process, one per order: sweeps and
-    searches look them up there, and so does every `Poset` with that order,
-    as `Poset.facts`, which every SpectralMap over it reads.
+    masks are read. Every other field is built on first use, and never
+    changed after, so a record looked up only by its class costs `iso` and
+    `cls` alone. Its tables are filled on lookup: `dchains[allowed]`,
+    `links[c]` and `dflags[lifts]` by the function each names, and per map
+    with the values `cmap` out of the poset `allowed[cmap]`, `images[cmap]`
+    and, into the poset with record r, `words[r, cmap]`, its property_bits
+    word. Records live in `_RECORDS`, one per order, and every `Poset` with
+    that order reads its record as `Poset.facts`.
     """
 
     def __new__(cls, up):
@@ -317,6 +284,20 @@ class PosetFacts(tuple):
         return ends
 
     @cached_property
+    def lift_keys(self) -> tuple[list, list, list[list[int]]]:
+        # itemgetters reading the lifts of each nonempty chain's members,
+        # least first, off a map's preimage list, for the chains not maximal
+        # and maximal, and the maximal ones' members
+        keys = ([], [], [])
+        for d in self.chains[1:]:
+            members = _ordered(self.down, d)
+            is_maximal = d in self.max_chains
+            keys[is_maximal].append(itemgetter(*members))
+            if is_maximal:
+                keys[2].append(members)
+        return keys
+
+    @cached_property
     def links(self) -> _FilledTable:
         # chain -> its pairs of consecutive members, one entry per chain read
         return _FilledTable(_chain_links, self.down)
@@ -336,6 +317,11 @@ class PosetFacts(tuple):
     def dchains(self) -> _FilledTable:
         # at most 2^n entries
         return _FilledTable(_maximal_dchains, self, self.down)
+
+    @cached_property
+    def dflags(self) -> _FilledTable:
+        # one entry per key of a chain's lifts (lift_keys) a sweep has read
+        return _FilledTable(_dchain_flags, self)
 
     @cached_property
     def allowed(self) -> _FilledTable:
@@ -374,17 +360,23 @@ _RECORDS = _FilledTable(lambda rows: PosetFacts(_raw_up(rows)))
 _CLASS_IDS: dict[tuple[int, ...], int] = {}
 
 
+def _preimages(ns, cmap):
+    # pre[p]: the elements that `cmap` sends to p, pre[ns] those sent to TOP
+    pre = [0] * (ns + 1)
+    bit = 1
+    for v in cmap:
+        pre[v] |= bit
+        bit <<= 1
+    return pre
+
+
 def _allowed_masks(s, cmap):
     """Chain D of s -> the elements of r that contract into D (never TOP).
 
     allowed[D] is the OR of the preimage masks pre[p] over the members p of
     D, built one member at a time along `s.chain_steps`.
     """
-    pre = [0] * (s.n + 1)
-    bit = 1
-    for v in cmap:
-        pre[v] |= bit
-        bit <<= 1
+    pre = _preimages(s.n, cmap)
     allowed = {0: 0}
     for d, rest, p in s.chain_steps:
         allowed[d] = allowed[rest] | pre[p]
@@ -418,11 +410,18 @@ def _image_table(ns, cmap):
     return bytes(images)
 
 
+def _members(mask):
+    return [x for x in range(mask.bit_length()) if mask >> x & 1]
+
+
+def _ordered(down, c):
+    # the members of the chain c, least first: by the members at or below each
+    return sorted(_members(c), key=lambda x: (c & down[x]).bit_count())
+
+
 def _chain_links(down, c):
-    # the pairs (x, y) of members of the chain c, y next above x, ordered by
-    # the number of members at or below each
-    members = [x for x in range(len(down)) if c >> x & 1]
-    members.sort(key=lambda x: (c & down[x]).bit_count())
+    # the pairs (x, y) of members of the chain c, y next above x
+    members = _ordered(down, c)
     return list(zip(members, members[1:]))
 
 
@@ -515,11 +514,7 @@ def property_bits(ns, s_up, nr, r_up, cmap):
     r_sup, r_sdown, r_pairs = (
         r_up.strict_order if isinstance(r_up, PosetFacts) else _strict_order(r_up)
     )
-    pre = [0] * (ns + 1)
-    bit = 1
-    for v in cmap:
-        pre[v] |= bit
-        bit <<= 1
+    pre = _preimages(ns, cmap)
     under = [0] * (ns + 1)
     over = [0] * (ns + 1)
     sgb = gb = True
@@ -573,6 +568,124 @@ def property_bits(ns, s_up, nr, r_up, cmap):
     return bits
 
 
+# The facts of a map that sweeps keep, as bit positions of its fact word
+# (_map_facts). Flags of the maximal D-chains of a chain D (_dchain_flags),
+# ORed over the nonempty chains D of s:
+F_NO_DCHAIN = 0  # only the empty chain is one
+F_NOT_COVER = 1  # a nonempty one does not cover D
+F_NOT_PERFECT = 2  # one is not a perfect cover of D
+F_MISSES_LEAST, F_MISSES_GREATEST = 3, 4  # a nonempty one holds no lift of min D, of max D
+F_UNBRACKETED = 5  # a cut of one leaves a member of D unbracketed
+F_LEAST_UNCOVERED = 6  # a lift of min D lies on no covering one
+F_LEAST_LIFTS = 7  # ... or on one that does not cover D
+F_GREATEST_LIFTS = 8  # either, for the lifts of max D
+F_SIZE_1 = 9  # + min(|D|, 4) - 1: one has other than |D| members
+# ORed over the maximal chains D of s only:
+F_COVER_NOT_MAXIMAL = 13  # a cover of D is not a maximal chain of r
+F_NOT_MAXIMAL_COVER = 14  # a nonempty one is not a cover and a maximal chain of r
+F_NO_MAXIMAL_COVER = 15  # none is; and the images of r's maximal chains:
+F_IMAGE_NOT_MAXIMAL = 16  # one is not a maximal chain of s (TOP included)
+F_IMAGE_NOT_PERFECT = 17  # one is not such a chain of its chain's size
+_MAXIMAL_ONLY = 7 << F_COVER_NOT_MAXIMAL
+
+
+def _dchain_flags(r, lifts):
+    """The flags of the maximal D-chains of a chain D of s, from `lifts`, the
+    elements of r contracting to each member of D, least first (one lift
+    alone for a one-member D). Each lies in the lifts' union, so it covers D
+    iff it meets every lift, and its cut between consecutive members x < y
+    brackets D iff x and y contract at most one step apart along D."""
+    if type(lifts) is not tuple:
+        lifts = (lifts,)
+    k = len(lifts)
+    allowed = sum(lifts)  # the lifts are disjoint
+    # element of r -> the position of its contraction along D
+    step = {q: t for t, lift in enumerate(lifts) for q in _members(lift)}
+    least, greatest = lifts[0], lifts[-1]
+    word = (not allowed) << F_NO_DCHAIN | 1 << F_NO_MAXIMAL_COVER
+    covering = other = 0
+    for c in r.dchains[allowed]:
+        cover = all(c & lift for lift in lifts)
+        covering |= c if cover else 0
+        other |= 0 if cover else c
+        sized = c.bit_count() == k
+        word |= (not sized) << F_SIZE_1 + min(k, 4) - 1 | (not (cover and sized)) << F_NOT_PERFECT
+        if c:
+            maximal = c in r.max_chains
+            word |= (
+                (not cover) << F_NOT_COVER
+                | (not c & least) << F_MISSES_LEAST
+                | (not c & greatest) << F_MISSES_GREATEST
+                | (k > 2 and any(step[y] - step[x] > 1 for x, y in r.links[c])) << F_UNBRACKETED
+                | (cover and not maximal) << F_COVER_NOT_MAXIMAL
+                | (not (cover and maximal)) << F_NOT_MAXIMAL_COVER
+            )
+            if cover and maximal:
+                word &= ~(1 << F_NO_MAXIMAL_COVER)
+    bad = other | ~covering
+    word |= bool(least & ~covering) << F_LEAST_UNCOVERED | bool(least & bad) << F_LEAST_LIFTS
+    return word | bool(greatest & bad) << F_GREATEST_LIFTS
+
+
+def _map_facts(s, r, cmap):
+    """The fact word of the map `cmap` out of s into r: the flags of each
+    nonempty chain D of s, read from r.dflags by the lifts of D's members,
+    ORed over every D (those of _MAXIMAL_ONLY over the maximal chains of s
+    only), and the image tests of the maximal chains of r."""
+    pre = _preimages(s.n, cmap)
+    flags = r.dflags
+    others, maximal, _ = s.lift_keys
+    every = top = 0
+    for key in others:
+        every |= flags[key(pre)]
+    for key in maximal:
+        top |= flags[key(pre)]
+    word = (every | top) & ~_MAXIMAL_ONLY | top & _MAXIMAL_ONLY
+    for members in r.lift_keys[2]:
+        image = 0
+        for q in members:
+            image |= 1 << cmap[q]
+        if image not in s.max_chains:
+            word |= 1 << F_IMAGE_NOT_MAXIMAL | 1 << F_IMAGE_NOT_PERFECT
+        elif image.bit_count() != len(members):
+            word |= 1 << F_IMAGE_NOT_PERFECT
+    return word
+
+
+_FLAG_BITS = _FilledTable(lambda mask: [k for k in range(7) if mask >> k & 1])
+
+
+def _holding(props, need, forbid=0, among=-1):
+    # the maps of `among` whose property ints hold all flags of `need`, none of `forbid`
+    for k in _FLAG_BITS[need]:
+        among &= props[k]
+    for k in _FLAG_BITS[forbid]:
+        among &= ~props[k]
+    return among
+
+
+# Fails formulas take the property ints p and fact ints x of a pair's orbit
+# representatives and return the mask of those that fail the conclusion,
+# bits past the last left to the caller; a fact index f stands for x[f].
+
+
+def _layers_fail(p, x):
+    # layers 1..k hold where no chain of at most k members has a maximal
+    # D-chain of another size
+    l1 = ~x[F_SIZE_1]
+    l2 = l1 & ~x[F_SIZE_1 + 1]
+    l3 = l2 & ~x[F_SIZE_1 + 2]
+    held = _holding(p, _LAYER_1), _holding(p, _LAYER_2), _holding(p, _LAYER_3)
+    return (l1 ^ held[0]) | (l2 ^ held[1]) | (l3 ^ held[2])
+
+
+def _equivalent_fail(p, x):
+    # the four conditions of _equivalent fail where some, not all, hold
+    sizes = x[F_SIZE_1] | x[F_SIZE_1 + 1] | x[F_SIZE_1 + 2]
+    c1, c2, c3, c4 = ~sizes, _holding(p, _LAYER_3), ~x[F_NOT_PERFECT], ~(sizes | x[F_SIZE_1 + 3])
+    return (c1 | c2 | c3 | c4) & ~(c1 & c2 & c3 & c4)
+
+
 # Conclusions. Each takes (s, r, cmap, bits, allowed) and returns a clause
 # code, 0 when the conclusion holds on the instance; `bits` is the map's
 # property_bits word. A maximal D-chain C covers D when its image,
@@ -598,20 +711,20 @@ def _maxchain_images(perfect):
                 return 4
         return 0
 
-    return conclusion
+    return conclusion, F_IMAGE_NOT_PERFECT if perfect else F_IMAGE_NOT_MAXIMAL
 
 
-def _iff(props, test):
+def _iff(props, test, fact):
     # the properties of the mask `props` hold together iff `test` over
     # (s, r, cmap, allowed) does: code 1 when only the properties hold, 2
-    # when only the test does
+    # when only the test does; the test holds where `fact` does not
     def conclusion(s, r, cmap, bits, allowed):
         left = bits & props == props
         if left == test(s, r, cmap, allowed):
             return 0
         return 1 if left else 2
 
-    return conclusion
+    return conclusion, lambda p, x: ~(_holding(p, props) ^ x[fact])
 
 
 def _dchains_nonempty(s, r, cmap, allowed):
@@ -683,7 +796,7 @@ def _end_lifts(end):
     def conclusion(s, r, cmap, bits, allowed):
         return _end_lift_code(end, s, r, cmap, allowed)
 
-    return conclusion
+    return conclusion, F_GREATEST_LIFTS if end else F_LEAST_LIFTS
 
 
 def _all_max_dchains_cover(s, r, cmap, allowed):
@@ -782,43 +895,46 @@ def _maxchain_has_maximal_cover(s, r, cmap, bits, allowed):
     return 0
 
 
-def _statement(hypotheses, conclusion):
-    # (hypothesis names, their flags as one mask, conclusion)
+def _statement(hypotheses, conclusion, fails):
+    # (hypothesis names, their flags as one mask, conclusion, fails formula)
     mask = 0
     for name in hypotheses:
         mask |= HYPOTHESIS_BITS[name]
-    return hypotheses, mask, conclusion
+    if type(fails) is int:
+        fails = lambda p, x, fact=fails: x[fact]
+    return hypotheses, mask, conclusion, fails
 
 
 #: theorem name -> _statement; the biconditionals have no hypotheses. The
 #: names are the values of theorems.TheoremId, in its member order.
 THEOREMS = {
-    "T_COVER_MAXCHAIN": _statement(
-        ("unitary", "GU", "GD", "SGB"), _maxchain_images(perfect=False)
-    ),
+    "T_COVER_MAXCHAIN": _statement(("unitary", "GU", "GD", "SGB"), *_maxchain_images(perfect=False)),
     "C_PERFECT_MAXCHAIN": _statement(
-        ("unitary", "INC", "GU", "GD", "SGB"), _maxchain_images(perfect=True)
+        ("unitary", "INC", "GU", "GD", "SGB"), *_maxchain_images(perfect=True)
     ),
-    "L_LO_EXISTENCE": _statement((), _iff(PROP_LO, _dchains_nonempty)),
-    "P_LAYERS": _statement((), _layers),
-    "P_MINI_GD": _statement((), _iff(PROP_GD, _meets_end_lifts(0))),
-    "P_MINI_GU": _statement((), _iff(PROP_GU, _meets_end_lifts(1))),
-    "P_MINI_SGB": _statement((), _iff(PROP_SGB, _brackets_cuts)),
-    "C_GGD": _statement(("GD", "SGB"), _end_lifts(1)),
-    "C_GGU_DUAL": _statement(("GU", "SGB"), _end_lifts(0)),
+    "L_LO_EXISTENCE": _statement((), *_iff(PROP_LO, _dchains_nonempty, F_NO_DCHAIN)),
+    "P_LAYERS": _statement((), _layers, _layers_fail),
+    "P_MINI_GD": _statement((), *_iff(PROP_GD, _meets_end_lifts(0), F_MISSES_LEAST)),
+    "P_MINI_GU": _statement((), *_iff(PROP_GU, _meets_end_lifts(1), F_MISSES_GREATEST)),
+    "P_MINI_SGB": _statement((), *_iff(PROP_SGB, _brackets_cuts, F_UNBRACKETED)),
+    "C_GGD": _statement(("GD", "SGB"), *_end_lifts(1)),
+    "C_GGU_DUAL": _statement(("GU", "SGB"), *_end_lifts(0)),
     "T_MAXDCHAIN_COVERS": _statement(
-        (), _iff(PROP_GD | PROP_GU | PROP_SGB, _all_max_dchains_cover)
+        (), *_iff(PROP_GD | PROP_GU | PROP_SGB, _all_max_dchains_cover, F_NOT_COVER)
     ),
-    "T_PERFECT_COVER": _statement(("LO", "INC", "GU", "GD", "SGB"), _perfect_covers),
-    "C_EQUIVALENT": _statement((), _equivalent),
-    "L_MAXCOVER_MAXCHAIN": _statement(("unitary",), _maxcovers_maximal),
+    "T_PERFECT_COVER": _statement(("LO", "INC", "GU", "GD", "SGB"), _perfect_covers, F_NOT_PERFECT),
+    "C_EQUIVALENT": _statement((), _equivalent, _equivalent_fail),
+    "L_MAXCOVER_MAXCHAIN": _statement(("unitary",), _maxcovers_maximal, F_COVER_NOT_MAXIMAL),
     "C_MAXDCHAIN_MAXCHAIN": _statement(
-        ("unitary", "GD", "GU", "SGB"), _maxchain_dchains_maximal
+        ("unitary", "GD", "GU", "SGB"), _maxchain_dchains_maximal, F_NOT_MAXIMAL_COVER
     ),
     "C_EXISTS_MAXCHAIN_COVER": _statement(
-        ("unitary", "LO", "GD", "GU", "SGB"), _maxchain_has_maximal_cover
+        ("unitary", "LO", "GD", "GU", "SGB"), _maxchain_has_maximal_cover, F_NO_MAXIMAL_COVER
     ),
-    "X_KO_SCLO_EQ_GU": _statement(("unitary",), _sclo_iff_gu),
+    # SCLO holds where no lift of min D lies on no covering maximal D-chain
+    "X_KO_SCLO_EQ_GU": _statement(
+        ("unitary",), _sclo_iff_gu, lambda p, x: ~(_holding(p, PROP_GU) ^ x[F_LEAST_UNCOVERED])
+    ),
 }
 
 
@@ -831,7 +947,7 @@ def eval_theorem(tid, waive, s, r, cmap, bits, allowed):
     whenever a hypothesis is unmet unless `waive` forces the conclusion to
     be checked anyway, and a positive clause code otherwise.
     """
-    _, need, conclusion = THEOREMS[tid]
+    _, need, conclusion, _ = THEOREMS[tid]
     if not waive and bits & need != need:
         return 0
     return conclusion(s, r, cmap, bits, allowed)
@@ -974,22 +1090,20 @@ _ORBITS: dict = {}
 
 
 def _map_orbits(s_up: tuple[int, ...], r_up: tuple[int, ...], allow_top: bool):
-    """(count, indices, maps, words) of the monotone maps of one labeled pair.
+    """(count, indices, maps, props) of the monotone maps of one labeled pair.
 
     `count` is the number of maps, and `maps` holds one representative per
     orbit of Aut(s) x Aut(r), in ascending order of index: the orbit's
-    least map, whose index is indices[i]. words[i] is the property_bits
-    word of maps[i], all computed here, from the pair's strict orders, into
-    one immutable `bytes`. The pair (sigma, tau) sends a map f to the map g
-    with g[tau[q]] = sigma[f[q]], TOP staying TOP. With a trivial group
-    every map is its own orbit, and the indices are a range.
+    least map, whose index is indices[i]. `props` holds the property_bits
+    words of the representatives, all computed here from the pair's strict
+    orders, as one int per PROP_* flag with one bit per representative
+    (_bit_ints). The pair (sigma, tau) sends a map f to the map g with
+    g[tau[q]] = sigma[f[q]], TOP staying TOP. With a trivial group every
+    map is its own orbit, and the indices are a range.
 
-    The entry is built once per process and kept in `_ORBITS`, like the
-    poset tables: a sweep of another theorem over the same bounds, or a
-    search, reuses it. Since `_ORBITS` keeps the order in which entries
-    were built, the entries a pool task builds are the tail it adds to the
-    table; a pool child hands that tail back with its result, so the
-    caller holds every entry its pools built (theorems.run_chunks).
+    The entry is built once per process and kept in `_ORBITS`, in the
+    order entries are built, so the entries a pool task builds are the tail
+    it adds, which a pool child hands back (theorems.run_chunks).
     """
     key = (s_up, r_up, allow_top)
     entry = _ORBITS.get(key)
@@ -1016,50 +1130,74 @@ def _map_orbits(s_up: tuple[int, ...], r_up: tuple[int, ...], allow_top: bool):
             for sigma, back in moves:
                 # g[j] = sigma[f[tau^-1[j]]]
                 seen.add(tuple([sigma[cmap[q]] for q in back]))
-    words = bytes([property_bits(s.n, s, r.n, r, cmap) for cmap in reps])
-    entry = _ORBITS[key] = len(maps), indices, reps, words
+    props = _bit_ints([bytes([property_bits(s.n, s, r.n, r, cmap) for cmap in reps])], 7)
+    entry = _ORBITS[key] = len(maps), indices, reps, props
     return entry
 
 
-#: (need, forbid) -> the 256-byte table that `bytes.translate` uses to mark
-#: the words a scan must look at: 1 at each word w with w & need == need and
-#: not w & forbid, 0 elsewhere
-_FILTERS: dict[tuple[int, int], bytes] = {}
+#: bit k -> the `bytes.translate` table that writes bit k of a byte as the
+#: ASCII digit 0 or 1
+_DIGITS = _FilledTable(lambda k: bytes(48 + (w >> k & 1) for w in range(256)))
 
 
-def _filter_table(need: int, forbid: int) -> bytes:
-    table = _FILTERS.get((need, forbid))
-    if table is None:
-        table = _FILTERS[need, forbid] = bytes(
-            w & need == need and not w & forbid for w in range(256)
-        )
-    return table
+def _bit_ints(planes, count):
+    """`count` ints from the byte strings `planes`, a byte per map: bit i of
+    the k-th is bit k % 8 of planes[k // 8][i], read in C from digits."""
+    planes = [plane[::-1] for plane in planes]
+    return tuple(int(b"0" + planes[k >> 3].translate(_DIGITS[k & 7]), 2) for k in range(count))
 
 
-def _first_violation(need, forbid, check, args, s, r, indices, maps, words):
+def _word(props, i):
+    # the property_bits word of map i, from its pair's property ints
+    lo, inc, gu, gd, sgb, gb, unitary = props
+    return (
+        lo >> i & 1 | (inc >> i & 1) << 1 | (gu >> i & 1) << 2 | (gd >> i & 1) << 3
+        | (sgb >> i & 1) << 4 | (gb >> i & 1) << 5 | (unitary >> i & 1) << 6
+    )
+
+
+#: _ORBITS key -> (mask of the representatives with facts, the fact ints:
+#: bit i of the f-th is fact f of map i); replaced when it grows
+_FACTS: dict = {}
+
+
+def _orbit_facts(key, s, r, maps, wanted):
+    """The fact ints of the `_ORBITS` entry `key`, with those of each map in
+    the mask `wanted`, computed (_map_facts) the first time a scan wants it."""
+    known, facts = _FACTS.get(key, (0, (0,) * (F_IMAGE_NOT_PERFECT + 1)))
+    todo = wanted & ~known
+    if todo:
+        marks = bin(todo)[:1:-1].ljust(len(maps), "0")
+        words = [_map_facts(s, r, cmap) if m == "1" else 0 for m, cmap in zip(marks, maps)]
+        planes = [bytes([w >> low & 255 for w in words]) for low in (0, 8, 16)]
+        facts = tuple(a | b for a, b in zip(facts, _bit_ints(planes, len(facts))))
+        _FACTS[key] = known | todo, facts
+    return facts
+
+
+def _first_violation(need, forbid, check, args, s, r, indices, maps, props):
     """(index, code) of the first map that passes the filter and fails the check,
     or (-1, 0).
 
-    maps[i] has the index indices[i] and the property-bits word words[i]. A
-    map passes the filter when its word has every flag of `need` and none
-    of `forbid`; `check(*args, s, r, cmap, bits, allowed)` then returns a
-    clause code or a bool, with `allowed` the map's entry `s.allowed[cmap]`.
-    The next map that passes is found in C, by `find` on the words
-    translated through _filter_table, so a map the filter rejects costs no
-    Python call.
+    maps[i] has the index indices[i], and `props` holds the maps' property
+    ints. A map passes the filter when its word has every flag of `need`
+    and none of `forbid` (_holding); `check(*args, s, r, cmap, bits,
+    allowed)` then returns a clause code or a bool on the maps that pass,
+    in order, with the map's word and its entry `s.allowed[cmap]`.
     """
     if args:
         # bound once, so each map costs a plain call
         check = partial(check, *args)
     allowed = s.allowed
-    find = words.translate(_filter_table(need, forbid)).find
-    i = find(1)
-    while i >= 0:
+    passing = _holding(props, need, forbid, (1 << len(maps)) - 1)
+    while passing:
+        low = passing & -passing
+        i = low.bit_length() - 1
         cmap = maps[i]
-        code = check(s, r, cmap, words[i], allowed[cmap])
+        code = check(s, r, cmap, _word(props, i), allowed[cmap])
         if code:
             return indices[i], code
-        i = find(1, i + 1)
+        passing ^= low
     return -1, 0
 
 
@@ -1075,9 +1213,9 @@ def _full_scan(need, forbid, check, args, s, r, allow_top):
     s = s if isinstance(s, PosetFacts) else PosetFacts(s)
     r = r if isinstance(r, PosetFacts) else PosetFacts(r)
     maps = monotone_maps(s.n, s, r.n, r, allow_top)
-    words = bytes([property_bits(s.n, s, r.n, r, cmap) for cmap in maps])
+    props = _bit_ints([bytes([property_bits(s.n, s, r.n, r, cmap) for cmap in maps])], 7)
     return len(maps), *_first_violation(
-        need, forbid, check, args, s, r, range(len(maps)), maps, words
+        need, forbid, check, args, s, r, range(len(maps)), maps, props
     )
 
 
@@ -1093,27 +1231,24 @@ def sweep_pair(
     every later pair, whose counts it still sums; with `count_only` the
     maps are only counted.
 
-    The scan filters the maps on the theorem's hypothesis mask, unless
-    `waive`, and checks the theorem's conclusion on those that pass, so a
-    map that misses a hypothesis costs a byte of the filter and no call.
-    Without `memo` that is _full_scan. `memo` is a dict owned by one sweep
-    chunk (one tid, waive and allow_top); with it only the pair's orbit
-    representatives (_map_orbits) are scanned. The filter and every
-    conclusion are invariant under relabeling s and r, and each map before
-    the first failing representative lies in the orbit of an earlier,
-    clean one, so that representative is the pair's first failing map. The
-    memo maps each isomorphism class (s.cls, r.cls) met to ((map count,
-    -1, 0), whether every map came out clean). A later pair of a clean
-    class, or a count_only pair of any recorded class, returns that answer
-    unchecked; a class with a failing map is scanned on every pair, so the
-    index is exact for each labeling. `theorems.verify` checks the same
-    statement on one map, through `eval_theorem`, for the object level and
-    the replays.
+    Without `memo` this is _full_scan: the theorem's conclusion is called
+    on every map that meets its hypotheses, or on every map if `waive`.
+    `memo` is a dict owned by one sweep chunk (one tid, waive and
+    allow_top); with it the scan is the theorem's fails formula over the
+    property and fact ints (_orbit_facts) of the pair's orbit
+    representatives, ANDed with the hypothesis mask unless `waive`. All is
+    invariant under relabeling, so the lowest set bit is the pair's first
+    failing map, where the conclusion gives the clause code; if it holds
+    there, AssertionError. The memo maps each class (s.cls, r.cls) met to
+    ((map count, -1, 0), whether every map came out clean). A later pair of
+    a clean class, or a count_only pair of any recorded class, returns that
+    answer unchecked; a class with a failing map is scanned on every pair,
+    so the index is exact for each labeling.
     """
     if memo is None:
         if count_only:
             return count_monotone_maps(ns, s_up, nr, r_up, allow_top), -1, 0
-        _, need, conclusion = THEOREMS[tid]
+        _, need, conclusion, _ = THEOREMS[tid]
         return _full_scan(0 if waive else need, 0, conclusion, (), s_up, r_up, allow_top)
     # most pairs of a sweep are answered by the memo, so its test comes
     # first, on the records' class ids
@@ -1125,14 +1260,23 @@ def sweep_pair(
     known = memo.get(key)
     if known is not None and (known[1] or count_only):
         return known[0]
+    first, code = -1, 0
     if count_only:
-        count, first, code = count_monotone_maps(ns, s_up, nr, r_up, allow_top), -1, 0
+        count = count_monotone_maps(ns, s_up, nr, r_up, allow_top)
     else:
-        _, need, conclusion = THEOREMS[tid]
-        count, indices, maps, words = _map_orbits(tuple(s_up), tuple(r_up), allow_top)
-        first, code = _first_violation(
-            0 if waive else need, 0, conclusion, (), s_up, r_up, indices, maps, words
-        )
+        _, need, conclusion, fails = THEOREMS[tid]
+        entry = (tuple(s_up), tuple(r_up), allow_top)
+        count, indices, maps, props = _map_orbits(*entry)
+        passing = _holding(props, 0 if waive else need, 0, (1 << len(maps)) - 1)
+        bad = fails(props, _orbit_facts(entry, s_up, r_up, maps, passing)) & passing
+        if bad:
+            i = (bad & -bad).bit_length() - 1
+            cmap = maps[i]
+            code = conclusion(s_up, r_up, cmap, _word(props, i), s_up.allowed[cmap])
+            first = indices[i]
+            if not code:
+                raise AssertionError(f"{tid}: the fails formula and the conclusion disagree "
+                                     f"on map {first} of the pair {entry}")
     memo[key] = ((count, -1, 0), not count_only and first < 0)
     return count, first, code
 
@@ -1170,9 +1314,9 @@ def search_pair(
     # _goal_met is read at call time, so a wrapper installed later is seen
     goal_args = (goal_id, goal_size)
     if isinstance(s_up, PosetFacts) and isinstance(r_up, PosetFacts):
-        count, indices, maps, words = _map_orbits(tuple(s_up), tuple(r_up), allow_top)
+        count, indices, maps, props = _map_orbits(tuple(s_up), tuple(r_up), allow_top)
         hit, _ = _first_violation(
-            need_bits, forbid_bits, _goal_met, goal_args, s_up, r_up, indices, maps, words
+            need_bits, forbid_bits, _goal_met, goal_args, s_up, r_up, indices, maps, props
         )
     else:
         count, hit, _ = _full_scan(

@@ -875,11 +875,16 @@ def _verdict_block(v: Verdict) -> _Kept:
 
 
 def _verdict_dict(v: Verdict) -> dict:
-    # kept with no counterexample, and with bool and int only: True == 1,
-    # yet each is written its own way
-    if v.counterexample is None and type(v.holds) is bool and type(v.instances_checked) is int:
-        key = ("verdict", v.theorem, v.holds, v.instances_checked, v.note)
-        return _kept(key, _verdict_block, v)
+    # kept with no counterexample, a member or str, bool and int only: True
+    # == 1, yet each is written its own way. A member is keyed by its value,
+    # hashed in C, not by Enum.__hash__; a str, written with no statement,
+    # by a 1-tuple, so the two never meet
+    kind = type(v.theorem)
+    if (kind is TheoremId or kind is str) and v.counterexample is None and (
+        type(v.holds) is bool and type(v.instances_checked) is int
+    ):
+        name = v.theorem._value_ if kind is TheoremId else (v.theorem,)
+        return _kept(("verdict", name, v.holds, v.instances_checked, v.note), _verdict_block, v)
     return _verdict_tree(v)
 
 

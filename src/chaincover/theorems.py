@@ -181,7 +181,7 @@ def _unmet(names, bits: int) -> list[str]:
 
 
 def unmet_hypotheses(m: SpectralMap, theorem: TheoremId) -> list[str]:
-    names, need, _ = K.THEOREMS[theorem._value_]
+    names, need, *_ = K.THEOREMS[theorem._value_]
     bits = m.facts.bits
     return [] if bits & need == need else _unmet(names, bits)
 
@@ -340,16 +340,16 @@ def deal_class_pairs(pairs: list, jobs: int) -> list[list]:
 
 
 def _handback(job):
-    """(task(payload), the K._ORBITS entries built meanwhile) of a pool job.
-
-    `job` is (task, payload). The entries are the tail that the task added
-    to the table, each as (key, entry); an entry is complete when it is
-    built, its words included, and never changes after.
-    """
+    """(task(payload), the K._ORBITS and K._FACTS entries made meanwhile,
+    as (key, entry)) of a pool job (task, payload). Orbit entries never
+    change, so the new ones are the tail the task added; a fact entry is
+    replaced when it grows, so the new ones are not the objects they were."""
     task, payload = job
     start = len(K._ORBITS)
+    facts = dict(K._FACTS)
     result = task(payload)
-    return result, list(islice(K._ORBITS.items(), start, None))
+    made = [(key, entry) for key, entry in K._FACTS.items() if facts.get(key) is not entry]
+    return result, list(islice(K._ORBITS.items(), start, None)), made
 
 
 class _ForkPool:
@@ -464,11 +464,10 @@ def run_chunks(task, payloads: list, mp) -> list:
     once, while the caller runs its own. Fork does not exist on Windows and
     is unsafe on macOS, which spawn, through multiprocessing, whose
     children import the package afresh and receive their payloads pickled.
-    The caller adds every orbit entry a child built and it does not hold
-    yet to its own K._ORBITS, so the next pool, of this or of a later sweep
-    or search, forks from a caller that holds them and its children build
-    none of them again. If the caller's own chunk raises, the children are
-    killed.
+    The caller adds the K._ORBITS and K._FACTS entries a child made to its
+    own, so the next pool, of this or of a later sweep or search, forks from
+    a caller that holds them and its children make none of them again. If
+    the caller's own chunk raises, the children are killed.
     """
     if len(payloads) == 1:
         return [task(payloads[0])]
@@ -478,10 +477,12 @@ def run_chunks(task, payloads: list, mp) -> list:
         first = task(payloads[0])
         handed = rest.get()
     orbits = K._ORBITS
-    for _, entries in handed:
+    for _, entries, facts in handed:
         for key, entry in entries:
             orbits.setdefault(key, entry)
-    return [first, *(result for result, _ in handed)]
+        # chunks share no pair, so a child's fact entry supersedes the caller's
+        K._FACTS.update(facts)
+    return [first, *(result for result, _, _ in handed)]
 
 
 def _sweep_chunk(args):
@@ -559,9 +560,9 @@ def exhaustive_verify(
     walks the product of all s and r positions. With `jobs` > 1 the caller
     is one of the workers, and the pairs of isomorphism classes are dealt
     between them (deal_class_pairs). Each call opens its own pool
-    (run_chunks), whose children hand back the orbit entries they build,
-    so the sweep of the next theorem over the same bounds forks with every
-    entry of this one.
+    (run_chunks), whose children hand back the orbit entries and facts
+    they make, so the sweep of the next theorem over the same bounds forks
+    with every entry of this one.
     """
     _check_bounds("sweep", 0, max_s, max_r, POSET_ENUM_BOUND)
     if jobs < 1:

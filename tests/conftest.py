@@ -34,11 +34,15 @@ def empty_tables():
 
 @pytest.fixture
 def empty_orbits():
-    """The process-wide orbit table K._ORBITS, emptied before and after the test.
+    """The process-wide orbit table K._ORBITS, and the fact table K._FACTS
+    keyed by its entries, emptied before and after the test.
 
-    A test that checks which orbit entries a sweep or search builds or hands
-    back starts from it cold, and no entry it leaves reaches a later test.
+    A test that checks which orbit entries or facts a sweep or search builds
+    or hands back starts from them cold, and no entry it leaves reaches a
+    later test.
     """
     K._ORBITS.clear()
+    K._FACTS.clear()
     yield K._ORBITS
     K._ORBITS.clear()
+    K._FACTS.clear()

@@ -52,7 +52,7 @@ from chaincover.specmap import (
     make_spectral_map,
     properties_summary,
 )
-from chaincover.theorems import TheoremId, Verdict, exhaustive_verify, verify
+from chaincover.theorems import THEOREM_STATEMENTS, TheoremId, Verdict, exhaustive_verify, verify
 
 
 def diamond_doc_text():
@@ -480,6 +480,25 @@ class TestKeptVerdictTexts:
         # the other blocks are written at the indent of each report
         assert report["instance"].at is None
         assert build_check_report(doc)["properties"].at is None
+
+    def test_a_str_theorem_and_its_member_keep_blocks_of_their_own(self, empty_tables):
+        # the str equals the member's value, yet it is written with an empty
+        # statement and the member with its own
+        member = TheoremId.P_LAYERS
+        statements = {member: THEOREM_STATEMENTS[member], "P_LAYERS": ""}
+        for order in ((member, "P_LAYERS"), ("P_LAYERS", member)):
+            _KEPT.clear()
+            texts = []
+            for theorem in order:
+                entry = _verdict_dict(Verdict(theorem, True, 3, None))
+                assert type(entry) is _Kept
+                want = {
+                    "theorem": "P_LAYERS", "statement": statements[theorem], "holds": True,
+                    "instances_checked": 3, "note": None, "counterexample": None,
+                }
+                assert canonical_json(entry) == json.dumps(want, indent=2) + "\n"
+                texts.append(canonical_json(entry))
+            assert texts[0] != texts[1]
 
     def test_other_types_take_the_plain_path(self):
         # 1 == True and True == 1, yet the writer spells each its own way

@@ -5,16 +5,19 @@ digest pinned from earlier kernels (with the clause codes that occur), the
 kernel module loading without numpy or the package, the per-sweep
 isomorphism-class memo, and the symmetry tables: automorphisms against
 networkx, canonical forms against the plain n! scan, and the orbit
-representatives of the maps against orbits built here, with their words
-against property_bits.
+representatives of the maps against orbits built here, with their property
+ints against property_bits.
 
 The memo test compares a memoized sweep chunk's map total and first
 violation with the same kernel called without a memo on each pair; the
 search test compares the orbit scan of search_pair on records, and a search
 chunk over class pairs, with the full scan on plain up masks of each
-labeled pair. The filter tests check the scan's word filter, table by table
-against the mask test and pair by pair against plain loops that call
-eval_theorem or _goal_met on every map. The closed-form conclusions are
+labeled pair. The filter tests check the scan's filter over property ints,
+word by word against the mask test and pair by pair against plain loops
+that call eval_theorem or _goal_met on every map. The two sweep routes are
+compared too: each theorem's fails formula over the fact ints against its
+per-map conclusion on every orbit representative, and the memo scan's
+first violation against the full scan's. The closed-form conclusions are
 compared with the member loops they replaced (property_oracles), on every
 map at (3, 3) and (2, 4) and on maps past the bytes image table, and the
 end, link and image tables with scans of the chains' members.
@@ -46,6 +49,7 @@ from chaincover.theorems import (
     _raw_up,
     _sweep_chunk,
     class_pairs,
+    exhaustive_verify,
     labeled_posets,
     sweep_pairs,
 )
@@ -362,6 +366,7 @@ def test_memoized_sweep_matches_unmemoized_sweep(monkeypatch, empty_records):
     s_list = r_list = labeled_posets(0, 3)
     # the one chunk of a single worker: the product of all positions
     chunk = [(range(len(s_list)), range(len(r_list)))]
+    classes = [(K._RECORDS[s_rows].cls, K._RECORDS[r_rows].cls) for _, s_rows, r_rows in pairs]
     violations = 0
     for theorem, waive in product(TheoremId, (False, True)):
         scan = [
@@ -371,10 +376,13 @@ def test_memoized_sweep_matches_unmemoized_sweep(monkeypatch, empty_records):
         bad = [(idx, first_bad, code) for idx, _, first_bad, code in scan if first_bad >= 0]
         expected = (sum(count for _, count, _, _ in scan), min(bad, default=None))
         with monkeypatch.context() as m:
-            loops = _counting(m, "_first_violation")
+            loops = _counting(m, "_orbit_facts")
             got = _sweep_chunk((theorem.value, waive, True, s_list, r_list, chunk))
         assert got == expected, (theorem.name, waive)
-        assert loops[0] < len(pairs), (theorem.name, waive)
+        # every member of a class violates or none does, so the memo scans
+        # each class once, on its first pair, up to the first violation
+        last = len(pairs) if got[1] is None else got[1][0] + 1
+        assert loops[0] == len(set(classes[:last])), (theorem.name, waive)
         violations += got[1] is not None
     # waived sweeps violate, so violating classes and the stop are exercised
     assert violations > 0
@@ -403,6 +411,7 @@ def test_count_only_sweep_pair_counts_without_evaluating(monkeypatch):
     memo: dict = {}
     with monkeypatch.context() as m:
         loops = _counting(m, "_first_violation")
+        scans = _counting(m, "_orbit_facts")
         for _ in range(2):
             assert K.sweep_pair(tid, True, 2, s_up, 3, r_up, True, count_only=True) == (
                 count, -1, 0,
@@ -410,7 +419,7 @@ def test_count_only_sweep_pair_counts_without_evaluating(monkeypatch):
             assert K.sweep_pair(
                 tid, True, 2, s_up, 3, r_up, True, memo=memo, count_only=True
             ) == (count, -1, 0)
-    assert loops[0] == 0
+    assert loops[0] == scans[0] == 0
     # a counted class is not taken for a clean one
     assert K.sweep_pair(tid, True, 2, s_up, 3, r_up, True, memo=memo) == K.sweep_pair(
         tid, True, 2, s_up, 3, r_up, True
@@ -506,11 +515,12 @@ def test_map_orbit_representatives_partition_the_maps(empty_orbits):
         s_up, r_up = _raw_up(s_rows), _raw_up(r_rows)
         maps = K.monotone_maps(len(s_up), s_up, len(r_up), r_up, allow_top)
         index = {cmap: k for k, cmap in enumerate(maps)}
-        count, indices, cmaps, words = K._map_orbits(s_up, r_up, allow_top)
+        count, indices, cmaps, props = K._map_orbits(s_up, r_up, allow_top)
         # built, before any scan, with every representative's word
-        assert type(words) is bytes and list(words) == [
+        assert [K._word(props, i) for i in range(len(cmaps))] == [
             K.property_bits(len(s_up), s_up, len(r_up), r_up, cmap) for cmap in cmaps
         ], (s_rows, r_rows, allow_top)
+        assert all(held >> len(cmaps) == 0 for held in props), (s_rows, r_rows, allow_top)
         reps = list(zip(indices, cmaps))
         assert count == len(maps)
         assert [k for k, _ in reps] == sorted({k for k, _ in reps})
@@ -535,13 +545,13 @@ def test_representative_scan_matches_full_scan():
     for s_rows, r_rows in labeled + classes:
         s, r = K.PosetFacts(_raw_up(s_rows)), K.PosetFacts(_raw_up(r_rows))
         for allow_top in (False, True):
-            count, indices, maps, words = K._map_orbits(tuple(s), tuple(r), allow_top)
+            count, indices, maps, props = K._map_orbits(tuple(s), tuple(r), allow_top)
             for theorem, waive in product(TheoremId, (False, True)):
                 full = K.sweep_pair(theorem.value, waive, s.n, s, r.n, r, allow_top)
                 args = (theorem.value, waive)
                 # no filter: eval_theorem tests the hypotheses itself
                 assert (count, *K._first_violation(
-                    0, 0, K.eval_theorem, args, s, r, indices, maps, words
+                    0, 0, K.eval_theorem, args, s, r, indices, maps, props
                 )) == full, (
                     theorem.name, waive, s_rows, r_rows, allow_top,
                 )
@@ -557,9 +567,9 @@ def test_representative_scan_matches_full_scan():
             s, r = K.PosetFacts(_raw_up(s_rows)), K.PosetFacts(_raw_up(r_rows))
             # on plain up masks search_pair scans every map
             full = K.search_pair(s.n, tuple(s), r.n, tuple(r), allow_top, need, forbid, *goal_args)
-            count, indices, maps, words = K._map_orbits(tuple(s), tuple(r), allow_top)
+            count, indices, maps, props = K._map_orbits(tuple(s), tuple(r), allow_top)
             hit, _ = K._first_violation(
-                need, forbid, K._goal_met, goal_args, s, r, indices, maps, words
+                need, forbid, K._goal_met, goal_args, s, r, indices, maps, props
             )
             assert full == ((count, -1) if hit < 0 else (hit + 1, hit)), (
                 required, s_rows, r_rows,
@@ -568,19 +578,22 @@ def test_representative_scan_matches_full_scan():
 
 def _word_filters():
     """Every (need, forbid) a sweep or a search of _SEARCHES filters its maps on."""
-    sweeps = {(need, 0) for _, need, _ in K.THEOREMS.values()} | {(0, 0)}
+    sweeps = {(need, 0) for _, need, *_ in K.THEOREMS.values()} | {(0, 0)}
     searches = {_flag_masks(required.split(",")) for required, _, _ in _SEARCHES}
     return sorted(sweeps | searches)
 
 
-def test_filter_tables_match_the_mask_test():
+def test_property_int_filters_match_the_mask_test():
+    # one map per word, every word of the seven PROP_* flags
+    props = K._bit_ints([bytes(range(128))], 7)
+    assert [K._word(props, w) for w in range(128)] == list(range(128))
     filters = _word_filters()
     assert len(filters) > 10
     for need, forbid in filters:
-        table = K._filter_table(need, forbid)
-        assert len(table) == 256
-        for w in range(256):
-            assert table[w] == (w & need == need and w & forbid == 0), (need, forbid, w)
+        passing = K._holding(props, need, forbid, (1 << 128) - 1)
+        for w in range(128):
+            want = w & need == need and w & forbid == 0
+            assert passing >> w & 1 == want, (need, forbid, w)
 
 
 def _plain_first_hits(s, r, allow_top, checks):
@@ -617,7 +630,7 @@ def test_filtered_sweeps_match_a_plain_theorem_loop():
     s_list = r_list = labeled_posets(0, 3)
     # no theorem fails unwaived there, so each hypothesis mask is also probed
     # with a check that always fails: the first map meeting the hypotheses
-    needs = sorted({need for _, need, _ in K.THEOREMS.values() if need})
+    needs = sorted({need for _, need, *_ in K.THEOREMS.values() if need})
     violations = 0
     for allow_top in (False, True):
         memos = {call: {} for call in calls}
@@ -646,7 +659,7 @@ def test_filtered_sweeps_match_a_plain_theorem_loop():
             # the hypotheses are invariant under relabeling, so the first
             # representative meeting them is the first map that does
             scans = (
-                (range(len(maps)), maps, words),
+                (range(len(maps)), maps, K._bit_ints([words], 7)),
                 K._map_orbits(tuple(s), tuple(r), allow_top)[1:],
             )
             for need, (k, _) in zip(needs, first[len(calls):]):
@@ -734,3 +747,67 @@ def test_canonical_encoding_matches_permutation_scan(monkeypatch):
     assert [sum(1 for _ in enumerate_posets(n, dedup=True)) for n in range(6)] == [
         1, 1, 2, 5, 16, 63,
     ]
+
+
+def _class_pair_members(max_s, max_r):
+    """(s record, r record, allow_top) of the least and the greatest labeled
+    member of every class pair within the bounds, TOP allowed and not."""
+    s_list, r_list = labeled_posets(0, max_s), labeled_posets(0, max_r)
+    records = K._RECORDS
+    members = []
+    for allow_top in (False, True):
+        for _, s_pos, r_pos in class_pairs(s_list, r_list, allow_top):
+            for s_at, r_at in sorted({(s_pos[0], r_pos[0]), (s_pos[-1], r_pos[-1])}):
+                members.append((records[s_list[s_at]], records[r_list[r_at]], allow_top))
+    return members
+
+
+def test_fails_formulas_match_the_per_map_conclusions(empty_orbits):
+    # the sweep route (one formula over the fact ints of all representatives)
+    # against the per-map route (each theorem's conclusion, one map at a time)
+    members = _class_pair_members(3, 4) + _class_pair_members(2, 5)
+    failing = dict.fromkeys(K.THEOREMS, 0)
+    checks = 0
+    for s, r, allow_top in members:
+        key = (tuple(s), tuple(r), allow_top)
+        _, _, maps, props = K._map_orbits(*key)
+        every = (1 << len(maps)) - 1
+        facts = K._orbit_facts(key, s, r, maps, every)
+        words = [K._word(props, i) for i in range(len(maps))]
+        allowed = [K._allowed_masks(s, cmap) for cmap in maps]
+        for tid, (_, _, conclusion, fails) in K.THEOREMS.items():
+            got = fails(props, facts) & every
+            for i, cmap in enumerate(maps):
+                code = conclusion(s, r, cmap, words[i], allowed[i])
+                assert got >> i & 1 == (code != 0), (tid, s, r, allow_top, cmap, code)
+            failing[tid] += got.bit_count()
+            checks += len(maps)
+    assert checks == 336464
+    # the theorems with hypotheses fail on maps that miss them, the
+    # biconditionals nowhere; SCLO and GU agree on every map here, unitary
+    # or not
+    assert {tid for tid, n in failing.items() if n} == {
+        tid for tid, (hypotheses, *_) in K.THEOREMS.items() if hypotheses
+    } - {"X_KO_SCLO_EQ_GU"}
+
+
+def test_memo_scans_match_full_scans():
+    # a fresh memo per call, so every pair is scanned, on the orbit route;
+    # at (3, 3) and (2, 4), since the full scans of every map take seconds
+    # more at (3, 4) and (2, 5)
+    for s, r, allow_top in _class_pair_members(3, 3) + _class_pair_members(2, 4):
+        for tid, waive in product(K.THEOREMS, (False, True)):
+            want = K.sweep_pair(tid, waive, s.n, s, r.n, r, allow_top)
+            got = K.sweep_pair(tid, waive, s.n, s, r.n, r, allow_top, memo={})
+            assert got == want, (tid, waive, s, r, allow_top)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_conclusion_that_disagrees_with_its_formula_is_an_error(monkeypatch, jobs):
+    # waived, the theorem fails at pair 1, map 0; a conclusion that holds
+    # there disagrees with the formula, and no counterexample is reported
+    tid = TheoremId.T_COVER_MAXCHAIN
+    names, need, _, fails = K.THEOREMS[tid.value]
+    monkeypatch.setitem(K.THEOREMS, tid.value, (names, need, lambda *args: 0, fails))
+    with pytest.raises(AssertionError, match="fails formula and the conclusion disagree"):
+        exhaustive_verify(tid, 1, 2, waive_hypotheses=True, jobs=jobs)

@@ -465,8 +465,8 @@ SAMPLE_PATHS = sorted(
     (pathlib.Path(__file__).resolve().parent.parent / "sample_instances").glob("*.json")
 )
 
-#: the record fields that are one value each; `dchains`, `links`, `allowed`
-#: and `images` are tables filled on lookup
+#: the record fields that are one value each; `dchains`, `links`, `dflags`,
+#: `allowed` and `images` are tables filled on lookup
 RECORD_FIELDS = (
     "down", "comp", "strict_order", "chains", "chain_steps", "ends", "max_chains", "iso",
 )
@@ -475,7 +475,7 @@ RECORD_FIELDS = (
 def assert_tables_match_fresh(record, fresh, where):
     """Each entry of the record's filled tables equals the fresh record's."""
     filled = vars(record)
-    for table in ("dchains", "links", "allowed", "words"):
+    for table in ("dchains", "links", "dflags", "allowed", "words"):
         for key, entry in filled.get(table, {}).items():
             assert entry == getattr(fresh, table)[key], (where, table, key)
     for cmap, images in filled.get("images", {}).items():
@@ -697,20 +697,36 @@ class TestPoolPlan:
 
 def _assert_fresh_entries(entries: dict):
     """Each K._ORBITS entry in `entries` equals a build from an empty table:
-    count, indices and maps, and its words, as bytes, equal property_bits
-    of every representative."""
+    count, indices, maps and property ints, and the word each property int
+    gives a representative equals its property_bits."""
     saved = K._ORBITS
     K._ORBITS = {}
     try:
-        for key, (count, indices, maps, words) in entries.items():
+        for key, (count, indices, maps, props) in entries.items():
             fresh = K._map_orbits(*key)
-            assert (count, list(indices), maps) == (fresh[0], list(fresh[1]), fresh[2]), key
+            assert (count, list(indices), maps, props) == (
+                fresh[0], list(fresh[1]), fresh[2], fresh[3],
+            ), key
             s_up, r_up, _ = key
-            assert type(words) is bytes and list(words) == [
+            assert [K._word(props, i) for i in range(len(maps))] == [
                 K.property_bits(len(s_up), s_up, len(r_up), r_up, cmap) for cmap in maps
             ], key
     finally:
         K._ORBITS = saved
+
+
+def _assert_fresh_facts(facts: dict):
+    """Each K._FACTS entry in `facts` equals the facts of its known
+    representatives computed from an empty table."""
+    saved = K._FACTS
+    K._FACTS = {}
+    try:
+        for key, (known, ints) in facts.items():
+            s, r = K.PosetFacts(key[0]), K.PosetFacts(key[1])
+            assert K._orbit_facts(key, s, r, K._ORBITS[key][2], known) == ints, key
+            assert K._FACTS[key][0] == known, key
+    finally:
+        K._FACTS = saved
 
 
 class TestOrbitHandback:
@@ -748,6 +764,38 @@ class TestOrbitHandback:
             assert exhaustive_verify(TheoremId.T_PERFECT_COVER, 3, 3, jobs=2).holds
         assert set(empty_orbits) == set(handed)
         _assert_fresh_entries(handed)
+
+    def test_forked_children_hand_back_their_facts(self, monkeypatch, empty_orbits):
+        monkeypatch.setattr(sys, "platform", "linux")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        # waived, C_EQUIVALENT wants the facts of every representative of
+        # the first pair of each class of a chunk, and holds at (3, 3)
+        theorem = TheoremId.C_EQUIVALENT
+        s_list = r_list = labeled_posets(0, 3)
+        chunks = deal_class_pairs(class_pairs(s_list, r_list, True), 2)
+        made = []  # the fact entries each chunk makes from empty tables
+        for chunk in chunks:
+            K._FACTS.clear()
+            _sweep_chunk((theorem.value, True, True, s_list, r_list, chunk))
+            made.append(dict(K._FACTS))
+        assert set(made[1]) - set(made[0])
+
+        empty_orbits.clear()
+        K._FACTS.clear()
+        assert exhaustive_verify(theorem, 3, 3, waive_hypotheses=True, jobs=2).holds
+        assert K._FACTS == {**made[0], **made[1]}
+        handed = dict(K._FACTS)
+
+        # the next theorem's pool forks with every fact: computing one, in
+        # the caller or in the child, raises
+        def no_facts(*args):
+            raise AssertionError("a map's facts were computed again")
+
+        with monkeypatch.context() as m:
+            m.setattr(K, "_map_facts", no_facts)
+            assert exhaustive_verify(TheoremId.P_LAYERS, 3, 3, waive_hypotheses=True, jobs=2).holds
+        assert K._FACTS == handed
+        _assert_fresh_facts(handed)
 
     def test_spawned_children_hand_back_their_entries(self, monkeypatch, empty_orbits):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
